@@ -97,10 +97,11 @@ def check_em_algebra(M: FinMonad, a: EMAlgebra) -> LawReport:
     if M.tower_fits(len(C), 2):
         MC = M.apply(C)
         MMC = M.apply(MC)
+        m_structure = M.arrow(a.structure_at, MC, C)
         ce = None
         for el2 in MMC:
             via_mult = a.structure_at(M.mult_element(C, el2))
-            via_map = a.structure_at(M.map_element_fn(a.structure_at, MC, C, el2))
+            via_map = a.structure_at(m_structure(el2))
             if via_mult != via_map:
                 ce = {"carrier": C.name, "element": el2,
                       "via-mult": via_mult, "via-map": via_map}

@@ -202,8 +202,16 @@ def distance(x: LimitPoint, y: LimitPoint, probe_depth: int) -> DyadicDist:
 
 class LevelAlgebras:
     """The algebra structure each chain level inherits from a distributive
-    law: level 0 is the terminal algebra, and each next level distributes
-    and applies the functor to the structure one level down."""
+    law: level 0 is the terminal algebra, and level n takes the structure
+    H(alpha_{n-1}) . lambda_{level n-1}, distributing and then applying the
+    functor to the structure one level down.
+
+    The structure maps are a bottom-up dynamic programme.  While M(level n)
+    fits under the blow-up guard, level n keeps a table indexed by position
+    in M(level n) that holds the result as a position in level n; an entry
+    is filled on first use from the level n-1 table.  Above the guard the
+    level is evaluated pointwise on every call.
+    """
 
     def __init__(self, law: DistLawEM, chain: TerminalChain, top: int):
         if law.H != chain.H:
@@ -211,22 +219,14 @@ class LevelAlgebras:
         self.law = law
         self.chain = chain
         self.top = top
-        self._algebras: list[EMAlgebra] = []
-        for n in range(top + 1):
-            self._algebras.append(self._make(n))
+        # Per level: None until first use, then (M(level), positions) or
+        # False when M(level) exceeds the guard.
+        self._tables: list = [None] * (top + 1)
+        self._algebras = [self._make(n) for n in range(top + 1)]
 
     def _make(self, n: int) -> EMAlgebra:
-        M = self.law.M
-        if n == 0:
-            return EMAlgebra(M, self.chain.level(0), lambda _el: "*", name="level0")
-        below = self._algebras[n - 1]
-        lower = self.chain.level(n - 1)
-
-        def structure(u, _below=below, _lower=lower):
-            return map_element(self.law.H, _below.structure_at,
-                               self.law.component_at(_lower, u))
-
-        return EMAlgebra(M, self.chain.level(n), structure, name=f"level{n}")
+        return EMAlgebra(self.law.M, self.chain.level(n),
+                         lambda u: self.structure_at(n, u), name=f"level{n}")
 
     def algebra(self, n: int) -> EMAlgebra:
         if not 0 <= n <= self.top:
@@ -234,14 +234,42 @@ class LevelAlgebras:
         return self._algebras[n]
 
     def structure_at(self, n: int, u: Element) -> Element:
-        return self.algebra(n).structure_at(u)
+        if not 0 <= n <= self.top:
+            raise DepthExceeded(f"level algebra {n}; built to {self.top}")
+        if n == 0:
+            return "*"
+        table = self._tables[n]
+        level = self.chain.levels[n]
+        if table is None:
+            M = self.law.M
+            if M.tower_fits(len(level), 1):
+                domain = M.apply(level)
+                table = (domain, [-1] * len(domain))
+            else:
+                table = False
+            self._tables[n] = table
+        if table is False:
+            return self._distribute(n, u)
+        domain, positions = table
+        i = domain.index(u)
+        j = positions[i]
+        if j < 0:
+            j = positions[i] = level.index(self._distribute(n, u))
+        return level.elements[j]
+
+    def _distribute(self, n: int, u: Element) -> Element:
+        """Level n's structure at u, from the structure of level n-1."""
+        law = self.law
+        return map_element(law.H, lambda v: self.structure_at(n - 1, v),
+                           law.component_at(self.chain.levels[n - 1], u))
 
 
 def level_algebras(law: DistLawEM, chain: TerminalChain,
                    top: Optional[int] = None) -> LevelAlgebras:
     """Equip levels 0..top (default: the whole chain) with their inherited
-    algebra structures; structure maps stay pointwise, tables are only
-    materialised by the caller under the guard."""
+    algebra structures.  Nothing is evaluated here: each level's table is
+    allocated on its first structure lookup, and only the entries a caller
+    asks for (and the entries below them they need) are filled."""
     return LevelAlgebras(law, chain, chain.depth if top is None else top)
 
 
@@ -260,10 +288,11 @@ def check_connect_morphisms(levels: LevelAlgebras, upto: Optional[int] = None) -
                         f"|M(level {n + 1})| exceeds guard")
             continue
         MU = M.apply(upper)
+        m_t_n = M.arrow(t_n, upper, chain.level(n))
         ce = None
         for u in MU:
             lhs = t_n(levels.structure_at(n + 1, u))
-            rhs = levels.structure_at(n, M.map_element_fn(t_n, upper, chain.level(n), u))
+            rhs = levels.structure_at(n, m_t_n(u))
             if lhs != rhs:
                 ce = {"level": n + 1, "element": u, "lhs": lhs, "rhs": rhs}
                 break
@@ -435,11 +464,11 @@ def check_cone_coincidence(law: DistLawEM, chain: TerminalChain, depth: int) -> 
     report = LawReport(f"cone coincidence for {law.name}")
     for n in range(depth + 1):
         alpha_n = anamorphism(MC, zeta, n, chain)
-        trunc = chain.truncation(depth, n)
+        m_trunc = M.arrow(chain.truncation(depth, n), C, chain.level(n))
         ce = None
         for u in MC:
             lhs = alpha_n(u)
-            rhs = levels.structure_at(n, M.map_element_fn(trunc, C, chain.level(n), u))
+            rhs = levels.structure_at(n, m_trunc(u))
             if lhs != rhs:
                 ce = {"level": n, "element": u, "unfolded": lhs, "projected": rhs}
                 break
@@ -455,15 +484,13 @@ def check_projection_morphisms(law: DistLawEM, chain: TerminalChain, depth: int)
     MC = M.apply(C)
     report = LawReport(f"projection morphisms for {law.name}")
     for n in range(depth):
-        trunc_hi = chain.truncation(depth, n + 1)
-        trunc_lo = chain.truncation(depth, n)
+        m_trunc_hi = M.arrow(chain.truncation(depth, n + 1), C, chain.level(n + 1))
+        m_trunc_lo = M.arrow(chain.truncation(depth, n), C, chain.level(n))
         t_n = chain.connect[n]
         ce = None
         for u in MC:
-            hi = levels.structure_at(n + 1,
-                                     M.map_element_fn(trunc_hi, C, chain.level(n + 1), u))
-            lo = levels.structure_at(n,
-                                     M.map_element_fn(trunc_lo, C, chain.level(n), u))
+            hi = levels.structure_at(n + 1, m_trunc_hi(u))
+            lo = levels.structure_at(n, m_trunc_lo(u))
             if t_n(hi) != lo:
                 ce = {"level": n, "element": u, "connected": t_n(hi), "direct": lo}
                 break

@@ -9,6 +9,8 @@ as explicit tables.  Errors cite the offending path and key.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import re
 from typing import Optional
@@ -58,10 +60,34 @@ def _resolve_key(key: str, universe: FinSet, path: str) -> Element:
     raise InputError(f"{path}: key {key!r} is not an element of {universe.name}")
 
 
+def _names_path(load):
+    """Report a missing key, a wrong type or a short array anywhere in the
+    document as an InputError that names the document's JSON path."""
+    params = inspect.signature(load).parameters
+    position, default = list(params).index("path"), params["path"].default
+
+    @functools.wraps(load)
+    def wrapper(*args, **kwargs):
+        try:
+            return load(*args, **kwargs)
+        except (KeyError, TypeError, IndexError) as exc:
+            path = kwargs.get("path", args[position] if len(args) > position else default)
+            if isinstance(exc, KeyError):
+                detail = f"missing key {exc}"
+            elif isinstance(exc, IndexError):
+                detail = f"too few entries ({exc})"
+            else:
+                detail = f"wrong type ({exc})"
+            raise InputError(f"{path}: {detail}") from None
+
+    return wrapper
+
+
 # ---------------------------------------------------------------------------
 # Sets and functions
 
 
+@_names_path
 def load_finset(doc, path: str = "set") -> FinSet:
     if isinstance(doc, str):
         m = re.fullmatch(r"[Xx](\d+)", doc)
@@ -81,6 +107,7 @@ def load_finset(doc, path: str = "set") -> FinSet:
     raise InputError(f"{path}: expected a set document, got {type(doc).__name__}")
 
 
+@_names_path
 def load_function(doc, dom: FinSet, cod: FinSet, path: str = "function") -> FinFn:
     if not isinstance(doc, dict):
         raise InputError(f"{path}: functions are JSON objects mapping inputs to outputs")
@@ -110,6 +137,7 @@ def _load_op_table(doc, elements, path: str):
 # Monoids, groups, semirings
 
 
+@_names_path
 def load_monoid(doc, path: str = "monoid") -> FinMonoid:
     if isinstance(doc, str):
         name = doc.lower()
@@ -127,16 +155,16 @@ def load_monoid(doc, path: str = "monoid") -> FinMonoid:
         op = _load_op_table(doc["op"], elements, f"{path}.op")
         unit = decode_element(doc["unit"])
         return FinMonoid(doc.get("name", path), elements, op, unit)
-    except KeyError as exc:
-        raise InputError(f"{path}: missing key {exc}") from None
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
 
 
+@_names_path
 def load_group(doc, path: str = "group") -> FinGroup:
     return as_group(load_monoid(doc, path))
 
 
+@_names_path
 def load_semiring(doc, path: str = "semiring") -> Semiring:
     if isinstance(doc, str):
         name = doc.lower()
@@ -151,23 +179,21 @@ def load_semiring(doc, path: str = "semiring") -> Semiring:
         if m:
             return minplus(int(m.group(1)))
         raise InputError(f"{path}: unknown semiring shorthand {doc!r}")
-    try:
-        elements = [decode_element(e) for e in doc["elements"]]
-        add = _load_op_table(doc["add"], elements, f"{path}.add")
-        mul = _load_op_table(doc["mul"], elements, f"{path}.mul")
-        return Semiring(doc.get("name", path),
-                        lambda a, b: add[(a, b)], lambda a, b: mul[(a, b)],
-                        decode_element(doc["zero"]), decode_element(doc["one"]),
-                        elements=elements,
-                        mul_commutative=bool(doc.get("mul_commutative", False)))
-    except KeyError as exc:
-        raise InputError(f"{path}: missing key {exc}") from None
+    elements = [decode_element(e) for e in doc["elements"]]
+    add = _load_op_table(doc["add"], elements, f"{path}.add")
+    mul = _load_op_table(doc["mul"], elements, f"{path}.mul")
+    return Semiring(doc.get("name", path),
+                    lambda a, b: add[(a, b)], lambda a, b: mul[(a, b)],
+                    decode_element(doc["zero"]), decode_element(doc["one"]),
+                    elements=elements,
+                    mul_commutative=bool(doc.get("mul_commutative", False)))
 
 
 # ---------------------------------------------------------------------------
 # Monads
 
 
+@_names_path
 def load_monad(doc, path: str = "monad") -> FinMonad:
     if isinstance(doc, str):
         name = doc.strip()
@@ -258,6 +284,7 @@ def standard_alphabet(n: int) -> tuple:
     return tuple("abcdefghijklmnopqrstuvwxyz"[:n])
 
 
+@_names_path
 def load_functor(doc, path: str = "functor") -> FunctorExpr:
     if isinstance(doc, str):
         name = doc.strip()
@@ -298,6 +325,7 @@ _GSET_RE = re.compile(r"gset-([a-z0-9]+)-(mult|conj)", flags=re.IGNORECASE)
 _POINTED_RE = re.compile(r"pointed:(\d+):(.+)", flags=re.IGNORECASE)
 
 
+@_names_path
 def load_distlaw_em(doc, path: str = "law") -> DistLawEM:
     if isinstance(doc, str):
         name = doc.strip()
@@ -383,6 +411,7 @@ def load_distlaw_em(doc, path: str = "law") -> DistLawEM:
 _WORDS_KL_RE = re.compile(r"words:(\d+)letters?:(.+)", flags=re.IGNORECASE)
 
 
+@_names_path
 def load_distlaw_kl(doc, path: str = "law") -> DistLawKl:
     from .compair import kleisli_lift_poly
 
@@ -423,6 +452,7 @@ def load_distlaw_kl(doc, path: str = "law") -> DistLawKl:
 # Algebras
 
 
+@_names_path
 def load_algebra(doc, path: str = "algebra") -> EMAlgebra:
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected an algebra document")
@@ -441,34 +471,32 @@ def load_algebra(doc, path: str = "algebra") -> EMAlgebra:
 # Automata, series, polynomials
 
 
+@_names_path
 def load_automaton(doc, path: str = "automaton") -> MooreAutomaton:
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected an automaton document")
-    try:
-        states = load_finset(doc["states"], f"{path}.states")
-        alphabet = tuple(doc["alphabet"])
-        if "semiring" in doc:
-            k = load_semiring(doc["semiring"], f"{path}.semiring")
-            if not k.finite:
-                raise InputError(f"{path}: outputs need a finite carrier")
-            outputs = k.as_finset()
-        else:
-            outputs = load_finset(doc["outputs"], f"{path}.outputs")
-        output = {_resolve_key(key, states, f"{path}.output"): decode_element(v)
-                  for key, v in doc["output"].items()}
-        step = {}
-        for key, row in doc["delta"].items():
-            s = _resolve_key(key, states, f"{path}.delta")
-            if not isinstance(row, dict):
-                raise InputError(f"{path}.delta.{key}: expected an object per letter")
-            for a, target in row.items():
-                if a not in alphabet:
-                    raise InputError(f"{path}.delta.{key}: unknown letter {a!r}")
-                step[(s, a)] = _resolve_key(str(target), states, f"{path}.delta.{key}") \
-                    if isinstance(target, str) else decode_element(target)
-        return MooreAutomaton(states, alphabet, outputs, output, step)
-    except KeyError as exc:
-        raise InputError(f"{path}: missing key {exc}") from None
+    states = load_finset(doc["states"], f"{path}.states")
+    alphabet = tuple(doc["alphabet"])
+    if "semiring" in doc:
+        k = load_semiring(doc["semiring"], f"{path}.semiring")
+        if not k.finite:
+            raise InputError(f"{path}: outputs need a finite carrier")
+        outputs = k.as_finset()
+    else:
+        outputs = load_finset(doc["outputs"], f"{path}.outputs")
+    output = {_resolve_key(key, states, f"{path}.output"): decode_element(v)
+              for key, v in doc["output"].items()}
+    step = {}
+    for key, row in doc["delta"].items():
+        s = _resolve_key(key, states, f"{path}.delta")
+        if not isinstance(row, dict):
+            raise InputError(f"{path}.delta.{key}: expected an object per letter")
+        for a, target in row.items():
+            if a not in alphabet:
+                raise InputError(f"{path}.delta.{key}: unknown letter {a!r}")
+            step[(s, a)] = _resolve_key(str(target), states, f"{path}.delta.{key}") \
+                if isinstance(target, str) else decode_element(target)
+    return MooreAutomaton(states, alphabet, outputs, output, step)
 
 
 def word_to_str(w) -> str:
@@ -496,20 +524,18 @@ def str_to_word(s: str, alphabet) -> tuple:
     return out
 
 
+@_names_path
 def load_series(doc, path: str = "series") -> TruncatedSeries:
-    try:
-        alphabet = tuple(doc["alphabet"])
-        bound = int(doc["bound"])
-        zero = decode_element(doc.get("zero", 0))
-        coeffs = {w: zero for w in words_below(alphabet, bound)}
-        for key, val in doc.get("coefficients", {}).items():
-            w = str_to_word(key, alphabet)
-            if len(w) >= bound:
-                raise InputError(f"{path}.coefficients: word {key!r} is above the bound")
-            coeffs[w] = decode_element(val)
-        return TruncatedSeries(alphabet, bound, coeffs)
-    except KeyError as exc:
-        raise InputError(f"{path}: missing key {exc}") from None
+    alphabet = tuple(doc["alphabet"])
+    bound = int(doc["bound"])
+    zero = decode_element(doc.get("zero", 0))
+    coeffs = {w: zero for w in words_below(alphabet, bound)}
+    for key, val in doc.get("coefficients", {}).items():
+        w = str_to_word(key, alphabet)
+        if len(w) >= bound:
+            raise InputError(f"{path}.coefficients: word {key!r} is above the bound")
+        coeffs[w] = decode_element(val)
+    return TruncatedSeries(alphabet, bound, coeffs)
 
 
 def dump_series(s: TruncatedSeries) -> dict:
@@ -520,22 +546,21 @@ def dump_series(s: TruncatedSeries) -> dict:
     }
 
 
+@_names_path
 def load_polynomial(doc, k: Optional[Semiring] = None, path: str = "polynomial") -> Polynomial:
-    try:
-        alphabet = tuple(doc["alphabet"])
-        if k is None:
-            k = load_semiring(doc.get("semiring", "nat"), f"{path}.semiring")
-        terms = {str_to_word(key, alphabet): decode_element(val)
-                 for key, val in doc.get("terms", {}).items()}
-        return Polynomial(alphabet, k, terms)
-    except KeyError as exc:
-        raise InputError(f"{path}: missing key {exc}") from None
+    alphabet = tuple(doc["alphabet"])
+    if k is None:
+        k = load_semiring(doc.get("semiring", "nat"), f"{path}.semiring")
+    terms = {str_to_word(key, alphabet): decode_element(val)
+             for key, val in doc.get("terms", {}).items()}
+    return Polynomial(alphabet, k, terms)
 
 
 # ---------------------------------------------------------------------------
 # Commuting-pair candidates
 
 
+@_names_path
 def load_candidate(doc, path: str = "candidate"):
     from .compair import CommutingCandidate, TableSigma, partner_for_product
 

@@ -268,19 +268,29 @@ class SemimoduleFunctorLaw(DistLawEM):
         else:
             raise ValueError(f"unknown shape {shape!r}")
         super().__init__(H, M, name=f"linear[{out.carrier.name};{shape}/{M.name}]")
+        self._arrows: dict[FinSet, tuple] = {}
+
+    def _projection_arrows(self, X: FinSet) -> tuple:
+        """M applied to the output projection and the successor projections
+        of H X, built once per carrier."""
+        cached = self._arrows.get(X)
+        if cached is None:
+            M, HX = self.M, self.functor_at(X)
+            out = M.arrow(lambda w: w[0], HX, self.out.carrier)
+            if self.shape == "times":
+                succ = M.arrow(lambda w: w[1], HX, X)
+            else:
+                succ = tuple(M.arrow(lambda w, i=i: w[1][i], HX, X)
+                             for i in range(len(self.alphabet)))
+            cached = self._arrows[X] = (out, succ)
+        return cached
 
     def component_at(self, X, phi):
-        M = self.M
-        HX = self.functor_at(X)
-        C = self.out.carrier
-        out_part = self.out.structure_at(
-            M.map_element_fn(lambda w: w[0], HX, C, phi))
+        out, succ = self._projection_arrows(X)
+        out_part = self.out.structure_at(out(phi))
         if self.shape == "times":
-            return (out_part, M.map_element_fn(lambda w: w[1], HX, X, phi))
-        succ = tuple(
-            M.map_element_fn(lambda w, i=i: w[1][i], HX, X, phi)
-            for i in range(len(self.alphabet)))
-        return (out_part, succ)
+            return (out_part, succ(phi))
+        return (out_part, tuple(s(phi) for s in succ))
 
 
 def semimodule_moore_law(M: SemimoduleMonad, alphabet: FinSet,
@@ -298,9 +308,26 @@ def semimodule_stream_law(M: SemimoduleMonad, out: EMAlgebra) -> DistLawEM:
 # Checkers
 
 
+def _memoised(fn: Callable) -> Callable:
+    """A memo of a pure function of one element, for the length of one check."""
+    cache: dict = {}
+
+    def lookup(el):
+        try:
+            return cache[el]
+        except KeyError:
+            out = cache[el] = fn(el)
+            return out
+
+    return lookup
+
+
 def check_distlaw_em(law: DistLawEM, max_size: int) -> LawReport:
     """Exhaustively verify the unit axiom, the multiplication axiom and
-    naturality on all canonical carriers of size <= max_size."""
+    naturality on all canonical carriers of size <= max_size.
+
+    The axioms revisit few distinct component inputs many times, so each
+    component is memoised for the length of this call."""
     M = law.M
     report = LawReport(f"distributive law {law.name}")
     carriers = canonical_carriers(max_size)
@@ -308,14 +335,23 @@ def check_distlaw_em(law: DistLawEM, max_size: int) -> LawReport:
         if not law.has_component(X):
             raise MissingComponent(f"{law.name}: no component at {X.name}")
 
+    memos: dict[FinSet, Callable] = {}
+
+    def component(X: FinSet) -> Callable:
+        memo = memos.get(X)
+        if memo is None:
+            memo = memos[X] = _memoised(lambda el: law.component_at(X, el))
+        return memo
+
     for X in carriers:
         HX = law.functor_at(X)
         MX = M.apply(X)
         unit_x = lambda x: M.unit_element(X, x)
+        lam_x = component(X)
 
         ce = None
         for w in HX:
-            lhs = law.component_at(X, M.unit_element(HX, w))
+            lhs = lam_x(M.unit_element(HX, w))
             rhs = map_element(law.H, unit_x, w)
             if lhs != rhs:
                 ce = {"carrier": X.name, "element": w, "lhs": lhs, "rhs": rhs}
@@ -330,13 +366,12 @@ def check_distlaw_em(law: DistLawEM, max_size: int) -> LawReport:
             MMHX = M.apply(MHX)
             HMX = eval_functor(law.H, MX)
             mult_x = lambda u: M.mult_element(X, u)
+            lam_mx = component(MX)
+            m_lam_x = M.arrow(lam_x, MHX, HMX)
             ce = None
             for big in MMHX:
-                lhs = law.component_at(X, M.mult_element(HX, big))
-                step = M.map_element_fn(lambda el: law.component_at(X, el),
-                                        MHX, HMX, big)
-                step = law.component_at(MX, step)
-                rhs = map_element(law.H, mult_x, step)
+                lhs = lam_x(M.mult_element(HX, big))
+                rhs = map_element(law.H, mult_x, lam_mx(m_lam_x(big)))
                 if lhs != rhs:
                     ce = {"carrier": X.name, "element": big, "lhs": lhs, "rhs": rhs}
                     break
@@ -354,13 +389,14 @@ def check_distlaw_em(law: DistLawEM, max_size: int) -> LawReport:
                 report.skip("naturality", pair, f"|M(H {X.name})| exceeds guard")
                 continue
             MHX = M.apply(HX)
+            lam_x, lam_y = component(X), component(Y)
             ce = None
             for f in all_functions(X, Y):
-                Hf = lambda w: map_element(law.H, f, w)
-                Mf = lambda v: M.map_element_fn(f, X, Y, v)
+                MHf = M.arrow(lambda w: map_element(law.H, f, w), HX, HY)
+                Mf = M.arrow(f, X, Y)
                 for u in MHX:
-                    lhs = law.component_at(Y, M.map_element_fn(Hf, HX, HY, u))
-                    rhs = map_element(law.H, Mf, law.component_at(X, u))
+                    lhs = lam_y(MHf(u))
+                    rhs = map_element(law.H, Mf, lam_x(u))
                     if lhs != rhs:
                         ce = {"function": dict(f.pairs()), "element": u,
                               "lhs": lhs, "rhs": rhs}
@@ -481,5 +517,6 @@ def lift_coalgebra(law: DistLawEM, C: FinSet, xi: FinFn) -> FinFn:
     M = law.M
     MC = M.apply(C)
     HMC = eval_functor(law.H, MC)
-    table = {el: law.component_at(C, M.map_element_fn(xi, C, HC, el)) for el in MC}
+    m_xi = M.arrow(xi, C, HC)
+    table = {el: law.component_at(C, m_xi(el)) for el in MC}
     return FinFn(MC, HMC, table, name=f"lifted-coalgebra[{law.name}]")

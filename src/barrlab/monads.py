@@ -58,6 +58,12 @@ class FinMonad:
     def map_element(self, f: FinFn, el: Element) -> Element:
         return self.map_element_fn(f, f.dom, f.cod, el)
 
+    def arrow(self, fn: Callable, dom: FinSet, cod: FinSet) -> Callable[[Element], Element]:
+        """M fn as a function of one element of M dom.  Loops that apply the
+        same arrow to many elements build it once; a subclass may resolve
+        fn in advance."""
+        return lambda el: self.map_element_fn(fn, dom, cod, el)
+
     def map(self, f: FinFn) -> FinFn:
         dom = self.apply(f.dom)
         cod = self.apply(f.cod)
@@ -217,6 +223,20 @@ class SemimoduleMonad(FinMonad):
                 i = cod.index(fn(x))
                 out[i] = k.add(out[i], c)
         return tuple(out)
+
+    def arrow(self, fn, dom, cod):
+        # Resolve fn to target positions once; fn is evaluated on all of dom.
+        zero, add, size = self.k.zero, self.k.add, len(cod)
+        targets = tuple(cod.index(fn(x)) for x in dom.elements)
+
+        def apply(el):
+            out = [zero] * size
+            for i, c in zip(targets, el):
+                if c != zero:
+                    out[i] = add(out[i], c)
+            return tuple(out)
+
+        return apply
 
     def unit_element(self, X, x):
         k = self.k

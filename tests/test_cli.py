@@ -186,3 +186,13 @@ def test_anamorphism_subcommand(capsys, tmp_path):
                             "--state", "s", "--level", "2")
     assert code == 0
     assert report["result"]["element"] == [1, [[1, ["*"]]]]
+
+
+def test_malformed_documents_are_input_errors(capsys):
+    # a missing key is bad input (exit 2), never a counterexample (exit 1)
+    for argv, path in ((("check-distlaw", '{"family":"identity"}'), "law"),
+                       (("check-monad", '{"builtin":"writer"}'), "monad")):
+        code, report = run_json(capsys, *argv)
+        assert code == 2
+        assert report["error"] == "InputError"
+        assert report["message"].startswith(f"{path}: missing key")
