@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .algebras import EMAlgebra
-from .errors import (DepthExceeded, DomainMismatch, NotCauchy,
+from .errors import (DepthExceeded, DomainMismatch, InputError, NotCauchy,
                      ZeroObjectViolation)
 from .finset import EMPTY, TERMINAL, Element, FinFn, FinSet, from_empty, to_terminal
 from .functors import FunctorExpr, eval_functor, eval_functor_map, map_element
@@ -62,7 +62,7 @@ class TerminalChain:
 def build_terminal_chain(H: FunctorExpr, depth: int) -> TerminalChain:
     """Materialise the first `depth` levels under the blow-up guard."""
     if depth < 0:
-        raise ValueError("depth must be >= 0")
+        raise InputError("depth must be >= 0")
     levels = [TERMINAL]
     connect: list[FinFn] = []
     for n in range(depth):

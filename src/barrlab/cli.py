@@ -461,6 +461,10 @@ def main(argv=None) -> int:
     )
     started = time.perf_counter()
     try:
+        for flag, value in (("--max-size", cfg.max_size), ("--depth", cfg.depth),
+                            ("--probe-depth", cfg.probe), ("--search-cap", cfg.search_cap)):
+            if value < 0:
+                raise InputError(f"{flag} must be >= 0, got {value}")
         result, passed = args.fn(cfg, args)
     except BarrlabError as exc:
         payload = {

@@ -7,7 +7,7 @@ search for the mediating isomorphism.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .algebras import free_algebra
 from .errors import (DomainMismatch, MissingComponent, NotBiproductCompatible)
@@ -294,6 +294,19 @@ def _closed_form_candidate(T: FunctorExpr, H: FunctorExpr,
     return None
 
 
+def _table_lookup(table: dict, name: str) -> Callable[[Element], Element]:
+    """`table` as a function that fails like `FinFn.__call__` on a missing
+    key, without building (and validating) a FinFn."""
+
+    def lookup(x):
+        try:
+            return table[x]
+        except KeyError:
+            raise DomainMismatch(f"{name}: {x!r} not in domain") from None
+
+    return lookup
+
+
 def search_commuting_sigma(T: FunctorExpr, H: FunctorExpr, M: FinMonad,
                            law: DistLawEM, max_size: int,
                            cap: int = 10**5) -> tuple[str, Optional[CommutingCandidate], int]:
@@ -301,6 +314,16 @@ def search_commuting_sigma(T: FunctorExpr, H: FunctorExpr, M: FinMonad,
     order, pruning with naturality against the components already fixed and
     the algebra square; gives up with status "unknown" once `cap` candidate
     bijections have been tried.
+
+    Half of the algebra square does not depend on the candidate: for each
+    `big` in M(H(M X)), the law's component followed by H(mu_X) gives the
+    same `flat` in H(M X) whatever sigma is.  Those (big, flat) pairs are
+    kept per carrier for the length of the call, so a candidate only looks
+    up sigma(flat) and computes mu(M sigma(big)).  The list is filled
+    lazily, in the enumeration order of M(H(M X)), as far as the candidates
+    get: a law that fails at some `big` fails at the same point as when
+    every candidate recomputed it.  Candidates are tested through a plain
+    table lookup; only those that pass the square become validated FinFns.
 
     Returns (status, candidate, tried) with status one of "found",
     "none" (exhausted without success below the cap) or "unknown".
@@ -313,24 +336,35 @@ def search_commuting_sigma(T: FunctorExpr, H: FunctorExpr, M: FinMonad,
 
     carriers = canonical_carriers(max_size)
     doms = [eval_functor(H, M.apply(X)) for X in carriers]
-    cods = [M.apply(eval_functor(T, X)) for X in carriers]
+    tx_sets = [eval_functor(T, X) for X in carriers]
+    cods = [M.apply(TX) for TX in tx_sets]
     for d, c in zip(doms, cods):
         if len(d) != len(c):
             return "none", None, 0
 
     tried = 0
     chosen: dict[FinSet, FinFn] = {}
+    squares: dict[int, tuple[list, Iterator]] = {}
 
-    def square_ok(X, sigma, dom, cod):
-        TX = eval_functor(T, X)
-        MX = M.apply(X)
-        if not M.tower_fits(len(dom), 1):
-            return True
-        for big in M.apply(dom):
-            step = law.component_at(MX, big)
-            lhs = sigma(map_element(H, lambda u: M.mult_element(X, u), step))
-            rhs = M.mult_element(TX, M.map_element_fn(sigma, dom, cod, big))
-            if lhs != rhs:
+    def square_pairs(idx):
+        """(big, flat) for each big in M(H(M X)) in enumeration order, with
+        flat = H(mu_X)(law(big)): computed on first demand, then reused."""
+        if idx not in squares:
+            X = carriers[idx]
+            MX = M.apply(X)
+            mult_x = lambda u: M.mult_element(X, u)
+            squares[idx] = ([], ((big, map_element(H, mult_x, law.component_at(MX, big)))
+                                 for big in M.apply(doms[idx])))
+        pairs, source = squares[idx]
+        yield from pairs
+        for pair in source:
+            pairs.append(pair)
+            yield pair
+
+    def square_ok(idx, sigma):
+        dom, cod, TX = doms[idx], cods[idx], tx_sets[idx]
+        for big, flat in square_pairs(idx):
+            if sigma(flat) != M.mult_element(TX, M.map_element_fn(sigma, dom, cod, big)):
                 return False
         return True
 
@@ -364,13 +398,16 @@ def search_commuting_sigma(T: FunctorExpr, H: FunctorExpr, M: FinMonad,
         if idx == len(carriers):
             return "found"
         X, dom, cod = carriers[idx], doms[idx], cods[idx]
+        name = f"{dom.name}->{cod.name}"
+        square_fits = M.tower_fits(len(dom), 1)
         for perm in itertools.permutations(cod.elements):
             tried += 1
             if tried > cap:
                 return "unknown"
-            sigma = FinFn(dom, cod, dict(zip(dom.elements, perm)))
-            if not square_ok(X, sigma, dom, cod):
+            table = dict(zip(dom.elements, perm))
+            if square_fits and not square_ok(idx, _table_lookup(table, name)):
                 continue
+            sigma = FinFn(dom, cod, table)
             if not natural_against(X, sigma, idx):
                 continue
             chosen[X] = sigma

@@ -21,8 +21,9 @@ class BarrlabError(Exception):
     pass
 
 
-class InputError(BarrlabError):
-    """Malformed user input (JSON documents, CLI arguments)."""
+class InputError(BarrlabError, ValueError):
+    """Malformed user input (JSON documents, CLI arguments) or an argument
+    out of range; a ValueError too, for callers of the library."""
 
 
 class BlowUpGuard(BarrlabError):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import NotAGroup
+from .errors import InputError, NotAGroup
 from .finset import FinSet
 
 
@@ -80,7 +80,7 @@ def as_group(m: FinMonoid) -> FinGroup:
 def cyclic_group(m: int) -> FinGroup:
     """Integers mod m under addition."""
     if m < 1:
-        raise ValueError("cyclic group needs m >= 1")
+        raise InputError("cyclic group needs m >= 1")
     return FinGroup(f"Z{m}", range(m), lambda a, b: (a + b) % m, 0)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 import json
 import re
 from typing import Optional
@@ -121,15 +122,24 @@ def load_function(doc, dom: FinSet, cod: FinSet, path: str = "function") -> FinF
 
 
 def _load_op_table(doc, elements, path: str):
-    """Nested object {a: {b: result}} -> dict[(a, b)] -> result."""
+    """Nested object {a: {b: result}} -> dict[(a, b)] -> result, with an
+    entry for every pair of elements and every result an element."""
     table = {}
-    universe = FinSet(path, elements)
+    try:
+        universe = FinSet(path, elements)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None
     for ka, row in doc.items():
         a = _resolve_key(ka, universe, path)
         if not isinstance(row, dict):
             raise InputError(f"{path}: row {ka!r} must be an object")
         for kb, val in row.items():
             table[(a, _resolve_key(kb, universe, path))] = decode_element(val)
+    for pair in itertools.product(elements, repeat=2):
+        if pair not in table:
+            raise InputError(f"{path}: no entry for {pair!r}")
+        if table[pair] not in universe:
+            raise InputError(f"{path}: {pair!r} gives {table[pair]!r}, not an element")
     return table
 
 
@@ -155,6 +165,8 @@ def load_monoid(doc, path: str = "monoid") -> FinMonoid:
         op = _load_op_table(doc["op"], elements, f"{path}.op")
         unit = decode_element(doc["unit"])
         return FinMonoid(doc.get("name", path), elements, op, unit)
+    except InputError:
+        raise
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
 
@@ -182,9 +194,13 @@ def load_semiring(doc, path: str = "semiring") -> Semiring:
     elements = [decode_element(e) for e in doc["elements"]]
     add = _load_op_table(doc["add"], elements, f"{path}.add")
     mul = _load_op_table(doc["mul"], elements, f"{path}.mul")
+    zero, one = decode_element(doc["zero"]), decode_element(doc["one"])
+    for key, value in (("zero", zero), ("one", one)):
+        if value not in elements:
+            raise InputError(f"{path}.{key}: {value!r} is not an element")
     return Semiring(doc.get("name", path),
                     lambda a, b: add[(a, b)], lambda a, b: mul[(a, b)],
-                    decode_element(doc["zero"]), decode_element(doc["one"]),
+                    zero, one,
                     elements=elements,
                     mul_commutative=bool(doc.get("mul_commutative", False)))
 

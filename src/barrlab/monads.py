@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable
 
-from .errors import MissingComponent, NonFinitePreserving, blowup_limit
+from .errors import InputError, MissingComponent, NonFinitePreserving, blowup_limit
 from .finset import (Element, FinFn, FinSet, all_functions, canonical_carriers,
                      guard_size, identity_fn)
 from .groups import FinMonoid
@@ -333,7 +333,7 @@ def check_monad_laws(M: FinMonad, max_size: int) -> LawReport:
     enumeration order is recorded per law.
     """
     if max_size < 1:
-        raise ValueError("max_size must be >= 1")
+        raise InputError("max_size must be >= 1")
     carriers = canonical_carriers(max_size)
     for X in carriers:
         if M.card(len(X)) > blowup_limit():

@@ -11,6 +11,7 @@ import itertools
 import random
 from typing import Callable, Optional
 
+from .errors import InputError
 from .finset import FinSet
 from .reports import LawReport
 
@@ -57,7 +58,7 @@ def boolean_semiring() -> Semiring:
 
 def zmod(m: int) -> Semiring:
     if m < 2:
-        raise ValueError("zmod needs modulus >= 2")
+        raise InputError("zmod needs modulus >= 2")
     return Semiring(f"z{m}", lambda a, b: (a + b) % m, lambda a, b: (a * b) % m,
                     0, 1, elements=tuple(range(m)), mul_commutative=True)
 

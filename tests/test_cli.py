@@ -196,3 +196,48 @@ def test_malformed_documents_are_input_errors(capsys):
         assert code == 2
         assert report["error"] == "InputError"
         assert report["message"].startswith(f"{path}: missing key")
+
+
+def test_partial_semiring_tables_are_input_errors(capsys):
+    # a gap in add or mul, a result outside the elements, or a unit that is
+    # not an element is bad input (exit 2), never a traceback
+    z2 = {"elements": [0, 1], "zero": 0, "one": 1,
+          "add": {"0": {"0": 0, "1": 1}, "1": {"0": 1, "1": 0}},
+          "mul": {"0": {"0": 0, "1": 0}, "1": {"0": 0, "1": 1}}}
+    cases = (
+        (dict(z2, add={"0": {"0": 0}}, mul={"0": {"0": 0}}), "semiring.add"),
+        (dict(z2, mul={"0": {"0": 0, "1": 0}, "1": {"0": 0}}), "semiring.mul"),
+        (dict(z2, mul=dict(z2["mul"], **{"1": {"0": 0, "1": 2}})), "semiring.mul"),
+        (dict(z2, one=7), "semiring.one"),
+        (dict(z2, elements=[0, 0]), "semiring.add"),
+    )
+    for semiring, path in cases:
+        doc = {"builtin": "semimodule", "semiring": semiring}
+        code, report = run_json(capsys, "check-monad", json.dumps(doc), "--max-size", "1")
+        assert code == 2
+        assert report["error"] == "InputError"
+        assert path in report["message"]
+    code, _ = run(capsys, "check-monad",
+                  json.dumps({"builtin": "semimodule", "semiring": z2}), "--max-size", "1")
+    assert code == 0
+
+
+def test_out_of_range_bounds_exit_two(capsys):
+    T = H = json.dumps({"prod": [{"const": {"elements": ["p"]}}, "id"]})
+    law = json.dumps({"monad": "writer:z2",
+                      "family": {"name": "swap", "constant": {"elements": ["p"]}}})
+    cand = json.dumps({"monad": "semimodule:z2",
+                       "partner": {"generators": {"elements": ["*"]},
+                                   "alphabet": {"elements": ["a"]}}})
+    for argv in (("check-monad", "maybe", "--max-size", "0"),
+                 ("chain", "build", "--functor", "moore:z2:1letter", "--depth", "-1"),
+                 ("commute", "search", "--T", T, "--H", H, "--law", law,
+                  "--max-size", "-1"),
+                 ("commute", "check", cand, "--max-size", "-1"),
+                 ("commute", "search", "--T", T, "--H", H, "--law", law,
+                  "--max-size", "1", "--search-cap", "-1"),
+                 ("density", "--functor", "moore:z2:1letter", "--depth", "3",
+                  "--n", "1", "--probe-depth", "-1")):
+        code, report = run_json(capsys, *argv)
+        assert code == 2, argv
+        assert report["error"] == "InputError", argv

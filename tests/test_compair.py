@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from barrlab import (FinSet, Id, NotBiproductCompatible, TERMINAL, carrier,
@@ -7,8 +9,9 @@ from barrlab import (FinSet, Id, NotBiproductCompatible, TERMINAL, carrier,
                      series_distance, writer_monad, zmod)
 from barrlab.compair import (CommutingCandidate, FormulaSigma, strength_element,
                              words_functor)
-from barrlab.errors import MissingComponent
-from barrlab.lifting import FormulaDistLawKl, product_swap_law
+from barrlab.cli import main
+from barrlab.errors import DomainMismatch, MissingComponent
+from barrlab.lifting import FormulaDistLawEM, FormulaDistLawKl, product_swap_law
 from barrlab.series import Polynomial, TruncatedSeries
 
 
@@ -174,7 +177,7 @@ def test_search_brute_force_on_identity_pair(maybe):
     status, found, tried = search_commuting_sigma(Id(), Id(), maybe,
                                                   identity_law(maybe), 1)
     assert status == "found"
-    assert tried >= 1
+    assert tried == 2
     assert check_commuting(found, identity_law(maybe), 1).passed
 
 
@@ -182,6 +185,7 @@ def test_search_reports_unknown_at_the_cap(maybe):
     status, found, tried = search_commuting_sigma(Id(), Id(), maybe,
                                                   identity_law(maybe), 2, cap=1)
     assert status == "unknown" and found is None
+    assert tried == 2
 
 
 def test_search_detects_impossible_cardinalities(maybe):
@@ -216,3 +220,52 @@ def test_word_stages_embed_densely(z2_monad):
             p = Polynomial(("t",), k, stage)
             emb = polynomial_embed(p, 8).series
             assert series_distance(s, emb).leq_pow(n)
+
+
+def _leaky_identity_law(M):
+    # The identity law, except that its component at M X1 sends the last
+    # element of M(M X1) to a value whose flattening lies outside H(M X1).
+    MX1 = M.apply(carrier(1))
+    leak = M.apply(MX1).elements[-1]
+
+    def formula(Y, el):
+        if Y == MX1 and el == leak:
+            return (1, (1, "ghost"))
+        return el
+
+    return FormulaDistLawEM(Id(), M, formula, name="leaky")
+
+
+def test_search_reports_a_law_leaving_h_of_m_x(maybe):
+    with pytest.raises(DomainMismatch) as info:
+        search_commuting_sigma(Id(), Id(), maybe, _leaky_identity_law(maybe), 2)
+    assert str(info.value) == "X(maybe(X1))->maybe(X1): (1, 'ghost') not in domain"
+
+
+def test_leaky_law_search_exits_two(capsys, monkeypatch, maybe):
+    monkeypatch.setattr("barrlab.cli.load_distlaw_em",
+                        lambda doc, path="law": _leaky_identity_law(maybe))
+    code = main(["commute", "search", "--T", "id", "--H", "id", "--law", "maybe",
+                 "--max-size", "1", "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["error"] == "DomainMismatch"
+    assert report["message"] == "X(maybe(X1))->maybe(X1): (1, 'ghost') not in domain"
+
+
+def test_search_does_not_evaluate_the_law_past_the_cap(maybe):
+    # The cap stops the search before any candidate at X2 is tested, so a
+    # law that fails at M X2 is never asked for that component.
+    base = identity_law(maybe)
+    MX2 = maybe.apply(carrier(2))
+
+    def formula(Y, el):
+        if Y == MX2:
+            raise MissingComponent(f"no component at {Y.name}")
+        return base.component_at(Y, el)
+
+    law = FormulaDistLawEM(Id(), maybe, formula, name="partial")
+    status, found, tried = search_commuting_sigma(Id(), Id(), maybe, law, 2, cap=2)
+    assert (status, found, tried) == ("unknown", None, 3)
+    with pytest.raises(MissingComponent):
+        search_commuting_sigma(Id(), Id(), maybe, law, 2)

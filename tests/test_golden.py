@@ -21,6 +21,30 @@ BROKEN_LAW = {
     },
 }
 
+
+def _product_functor(letters):
+    return json.dumps({"prod": [{"const": {"elements": letters}}, "id"]})
+
+
+def _writer_swap_search(group, letters):
+    # T = H = A x X over writer:z<group> with the swap law, as in the
+    # benchmark's sigma-search workload: a brute-force search ending in found.
+    law = {"monad": f"writer:z{group}",
+           "family": {"name": "swap", "constant": {"elements": letters}}}
+    return ["commute", "search", "--T", _product_functor(letters),
+            "--H", _product_functor(letters), "--law", json.dumps(law),
+            "--max-size", "1"]
+
+
+# The Moore pair over semimodule:z2: the closed-form partner is found at once.
+MOORE_T = {"coprod": [{"const": {"elements": ["*"]}},
+                      {"prod": [{"const": {"elements": ["a"]}}, "id"]}]}
+MOORE_H = {"prod": [{"const": {"elements": [[0], [1]]}},
+                    {"power": {"exponent": {"elements": ["a"]}, "body": "id"}}]}
+MOORE_LAW = {"monad": "semimodule:z2",
+             "family": {"name": "moore", "alphabet": {"elements": ["a"]},
+                        "generators": {"elements": ["*"]}}}
+
 CASES = {
     "lemma1-moore-z2-1letter-levels3":
         (["lemma1", "--law", "moore:z2:1letter", "--levels", "3"], 0),
@@ -32,6 +56,11 @@ CASES = {
         (["check-distlaw", "moore:z2:1letter", "--max-size", "2"], 0),
     "check-distlaw-broken-law":
         (["check-distlaw", "em", json.dumps(BROKEN_LAW), "--max-size", "1"], 1),
+    "commute-search-writer-z5-pq-max1": (_writer_swap_search(5, ["p", "q"]), 0),
+    "commute-search-writer-z3-pqr-max1": (_writer_swap_search(3, ["p", "q", "r"]), 0),
+    "commute-search-moore-z2-max1":
+        (["commute", "search", "--T", json.dumps(MOORE_T), "--H", json.dumps(MOORE_H),
+          "--law", json.dumps(MOORE_LAW), "--max-size", "1"], 0),
 }
 
 
