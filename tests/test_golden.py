@@ -45,6 +45,42 @@ MOORE_LAW = {"monad": "semimodule:z2",
              "family": {"name": "moore", "alphabet": {"elements": ["a"]},
                         "generators": {"elements": ["*"]}}}
 
+# The maybe monad as explicit tables on carriers of size <= 3, with one
+# multiplication entry at size 1 broken: both unit laws fail at X1.
+BROKEN_TABLES_MONAD = json.loads((GOLDEN / "inputs" / "maybe-tables-broken-mult.json").read_text())
+
+# A maybe-algebra on {0, 1} whose structure swaps the units of 0 and 1: both
+# algebra laws fail.
+BROKEN_ALGEBRA = {
+    "monad": "maybe", "carrier": {"name": "C", "elements": [0, 1]},
+    "structure": {json.dumps([0, "*"]): 0, json.dumps([1, 0]): 1, json.dumps([1, 1]): 0},
+}
+
+# A Kleisli-direction law for the identity functor over maybe with a
+# constant component: the unit axiom fails at X1.
+BROKEN_KL_LAW = {
+    "monad": "maybe", "functor": "id", "name": "constant-nothing-kl",
+    "components": {
+        "0": {json.dumps([0, "*"]): [0, "*"]},
+        "1": {json.dumps([0, "*"]): [0, "*"], json.dumps([1, 0]): [0, "*"]},
+    },
+}
+
+PARTNER = {"monad": "semimodule:z2",
+           "partner": {"generators": {"elements": ["*"]}, "alphabet": {"elements": ["a"]}}}
+
+# T = H = Id over maybe with the identity law, and a sigma that swaps the two
+# elements of M X1: a bijection of the right size that is not natural and
+# breaks the algebra square.
+BROKEN_SIGMA = {
+    "monad": "maybe", "T": "id", "H": "id",
+    "law": {"monad": "maybe", "family": "identity"},
+    "sigma": {
+        "0": {json.dumps([0, "*"]): [0, "*"]},
+        "1": {json.dumps([0, "*"]): [1, 0], json.dumps([1, 0]): [0, "*"]},
+    },
+}
+
 CASES = {
     "lemma1-moore-z2-1letter-levels3":
         (["lemma1", "--law", "moore:z2:1letter", "--levels", "3"], 0),
@@ -61,6 +97,22 @@ CASES = {
     "commute-search-moore-z2-max1":
         (["commute", "search", "--T", json.dumps(MOORE_T), "--H", json.dumps(MOORE_H),
           "--law", json.dumps(MOORE_LAW), "--max-size", "1"], 0),
+    "check-monad-maybe-max2": (["check-monad", "maybe", "--max-size", "2"], 0),
+    "check-monad-broken-tables":
+        (["check-monad", json.dumps(BROKEN_TABLES_MONAD), "--max-size", "1"], 1),
+    "check-algebra-free-z2-x2":
+        (["check-algebra", json.dumps({"monad": "semimodule:z2", "free_on": "X2"})], 0),
+    "check-algebra-broken-structure": (["check-algebra", json.dumps(BROKEN_ALGEBRA)], 1),
+    "check-distlaw-kl-words-1letter-z2-max2":
+        (["check-distlaw", "kl", "words:1letter:semimodule:z2", "--max-size", "2"], 0),
+    "check-distlaw-kl-broken-law":
+        (["check-distlaw", "kl", json.dumps(BROKEN_KL_LAW), "--max-size", "1"], 1),
+    "commute-check-partner-max2":
+        (["commute", "check", json.dumps(PARTNER), "--max-size", "2"], 0),
+    "commute-check-broken-sigma":
+        (["commute", "check", json.dumps(BROKEN_SIGMA), "--max-size", "1"], 1),
+    "lift-gset-z3-conj-free-x1":
+        (["lift", "gset-z3-conj", json.dumps({"monad": "writer:z3", "free_on": "X1"})], 0),
 }
 
 
