@@ -17,20 +17,21 @@ from .chains import (DyadicDist, InitialChain, LevelAlgebras, LimitPoint,
 from .compair import (CommutingCandidate, KleisliLiftPoly, check_commuting,
                       initial_words, kleisli_lift_poly, partner_for_product,
                       search_commuting_sigma, words_functor)
-from .errors import (BarrlabError, BlowUpGuard, BoundMismatch,
-                     CounterexampleFound, DepthExceeded, DomainMismatch,
-                     InputError, MissingComponent, NonFinitePreserving,
-                     NotAGroup, NotBiproductCompatible, NotCauchy,
-                     ZeroObjectViolation, blowup_limit)
+from .errors import (BarrlabError, BlowUpGuard, BoundMismatch, DepthExceeded,
+                     DomainMismatch, InputError, MissingComponent,
+                     NonFinitePreserving, NotAGroup, NotBiproductCompatible,
+                     NotCauchy, SearchCapReached, ZeroObjectViolation,
+                     blowup_limit)
 from .finset import EMPTY, TERMINAL, FinFn, FinSet, all_functions, carrier, identity_fn
 from .functors import (Compose, Const, Coprod, FunctorExpr, Id, Power, Prod,
                        eval_functor, eval_functor_map, moore_functor)
 from .groups import FinGroup, FinMonoid, cyclic_group, symmetric_group
-from .lifting import (DistLawEM, DistLawKl, LiftedFunctor, check_distlaw_em,
-                      check_distlaw_kl, constant_law, gset_distlaws,
-                      identity_law, lift_algebra, lift_coalgebra, pointed_law,
-                      product_swap_law, semimodule_moore_law,
-                      semimodule_stream_law, semiring_algebra)
+from .lifting import (ComponentFamily, Composite, DistLawEM, DistLawKl,
+                      check_distlaw_em, check_distlaw_kl, constant_law,
+                      gset_distlaws, identity_law, lift_algebra, lift_coalgebra,
+                      naturality_failures, pointed_law, product_swap_law,
+                      semimodule_moore_law, semimodule_stream_law,
+                      semiring_algebra)
 from .monads import (ExceptionMonad, FinMonad, PowersetMonad, SemimoduleMonad,
                      WriterMonad, check_monad_laws, exception_monad,
                      maybe_monad, powerset_monad, semimodule_monad,

@@ -86,27 +86,18 @@ def check_em_algebra(M: FinMonad, a: EMAlgebra) -> LawReport:
     C = a.carrier
     report = LawReport(f"algebra {a.name} over {M.name}")
 
-    ce = None
-    for x in C:
-        got = a.structure_at(M.unit_element(C, x))
-        if got != x:
-            ce = {"carrier": C.name, "element": x, "got": got}
-            break
-    report.record("unit-law", C.name, ce is None, counterexample=ce)
+    report.first("unit-law", C.name, (
+        {"carrier": C.name, "element": x, "got": got}
+        for x in C if (got := a.structure_at(M.unit_element(C, x))) != x))
 
     if M.tower_fits(len(C), 2):
         MC = M.apply(C)
-        MMC = M.apply(MC)
         m_structure = M.arrow(a.structure_at, MC, C)
-        ce = None
-        for el2 in MMC:
-            via_mult = a.structure_at(M.mult_element(C, el2))
-            via_map = a.structure_at(m_structure(el2))
-            if via_mult != via_map:
-                ce = {"carrier": C.name, "element": el2,
-                      "via-mult": via_mult, "via-map": via_map}
-                break
-        report.record("multiplication-law", C.name, ce is None, counterexample=ce)
+        report.first("multiplication-law", C.name, (
+            {"carrier": C.name, "element": el2, "via-mult": via_mult, "via-map": via_map}
+            for el2 in M.apply(MC)
+            if (via_mult := a.structure_at(M.mult_element(C, el2)))
+            != (via_map := a.structure_at(m_structure(el2)))))
     else:
         report.skip("multiplication-law", C.name,
                     f"|MM({C.name})| = {M.tower_card_display(len(C), 2)} exceeds guard")

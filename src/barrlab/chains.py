@@ -287,17 +287,12 @@ def check_connect_morphisms(levels: LevelAlgebras, upto: Optional[int] = None) -
             report.skip("connect-is-morphism", f"level {n + 1}->{n}",
                         f"|M(level {n + 1})| exceeds guard")
             continue
-        MU = M.apply(upper)
         m_t_n = M.arrow(t_n, upper, chain.level(n))
-        ce = None
-        for u in MU:
-            lhs = t_n(levels.structure_at(n + 1, u))
-            rhs = levels.structure_at(n, m_t_n(u))
-            if lhs != rhs:
-                ce = {"level": n + 1, "element": u, "lhs": lhs, "rhs": rhs}
-                break
-        report.record("connect-is-morphism", f"level {n + 1}->{n}", ce is None,
-                      counterexample=ce)
+        report.first("connect-is-morphism", f"level {n + 1}->{n}", (
+            {"level": n + 1, "element": u, "lhs": lhs, "rhs": rhs}
+            for u in M.apply(upper)
+            if (lhs := t_n(levels.structure_at(n + 1, u)))
+            != (rhs := levels.structure_at(n, m_t_n(u)))))
     return report
 
 
@@ -465,14 +460,10 @@ def check_cone_coincidence(law: DistLawEM, chain: TerminalChain, depth: int) -> 
     for n in range(depth + 1):
         alpha_n = anamorphism(MC, zeta, n, chain)
         m_trunc = M.arrow(chain.truncation(depth, n), C, chain.level(n))
-        ce = None
-        for u in MC:
-            lhs = alpha_n(u)
-            rhs = levels.structure_at(n, m_trunc(u))
-            if lhs != rhs:
-                ce = {"level": n, "element": u, "unfolded": lhs, "projected": rhs}
-                break
-        report.record("cone-coincidence", f"level {n}", ce is None, counterexample=ce)
+        report.first("cone-coincidence", f"level {n}", (
+            {"level": n, "element": u, "unfolded": unfolded, "projected": projected}
+            for u in MC
+            if (unfolded := alpha_n(u)) != (projected := levels.structure_at(n, m_trunc(u)))))
     return report
 
 
@@ -487,13 +478,9 @@ def check_projection_morphisms(law: DistLawEM, chain: TerminalChain, depth: int)
         m_trunc_hi = M.arrow(chain.truncation(depth, n + 1), C, chain.level(n + 1))
         m_trunc_lo = M.arrow(chain.truncation(depth, n), C, chain.level(n))
         t_n = chain.connect[n]
-        ce = None
-        for u in MC:
-            hi = levels.structure_at(n + 1, m_trunc_hi(u))
-            lo = levels.structure_at(n, m_trunc_lo(u))
-            if t_n(hi) != lo:
-                ce = {"level": n, "element": u, "connected": t_n(hi), "direct": lo}
-                break
-        report.record("projection-morphism", f"level {n + 1}->{n}", ce is None,
-                      counterexample=ce)
+        report.first("projection-morphism", f"level {n + 1}->{n}", (
+            {"level": n, "element": u, "connected": connected, "direct": direct}
+            for u in MC
+            if (connected := t_n(levels.structure_at(n + 1, m_trunc_hi(u))))
+            != (direct := levels.structure_at(n, m_trunc_lo(u)))))
     return report

@@ -3,8 +3,9 @@ constructions, emit text or JSON reports.
 
 Exit codes: 0 all checks passed, 1 a counterexample was found, 2 input or
 validation error (bad documents, zero-object violations, non-finite monads,
-blow-up guard).  Reports echo the command, seed and tool version and are
-byte-stable for a fixed config, inputs and seed (modulo the timing field).
+blow-up guard, a search stopped at its cap).  Reports echo the command,
+seed and tool version and are byte-stable for a fixed config, inputs and
+seed (modulo the timing field).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .algebras import check_em_algebra, free_algebra
 from .chains import (build_initial_chain, build_terminal_chain, check_cone_coincidence,
                      check_projection_morphisms, colim_to_lim, density_map, distance)
 from .compair import check_commuting, initial_words, search_commuting_sigma
-from .errors import BarrlabError, InputError
+from .errors import BarrlabError, InputError, SearchCapReached
 from .finset import FinSet, carrier
 from .jsonio import (dump_series, encode_element, load_algebra, load_automaton,
                      load_candidate, load_distlaw_em, load_distlaw_kl, load_functor,
@@ -327,6 +328,9 @@ def cmd_commute(cfg, args):
     law = load_distlaw_em(_load_doc(args.law, "law"))
     status, cand, tried = search_commuting_sigma(T, H, law.M, law, cfg.max_size,
                                                  cap=cfg.search_cap)
+    if status == "unknown":
+        raise SearchCapReached(f"commute search stopped at --search-cap {cfg.search_cap} "
+                               f"with tried = {tried} and no verdict")
     result = {"status": status, "tried": tried}
     if cand is not None:
         result["sigma"] = {

@@ -2,6 +2,12 @@
 for the words functor 1 + A x X, the canonical partner constructions in the
 biproduct (free-semimodule) case, and exhaustive checkers plus a bounded
 search for the mediating isomorphism.
+
+The mediating isomorphism sigma: H(M X) -> M(T X) is a `ComponentFamily`
+from H after M to M after T, the same type as a distributive law, so its
+naturality is checked by the same `naturality_failures` sweep: once per
+pair of carriers in `check_commuting`, and in both directions against the
+components already fixed for each candidate in `search_commuting_sigma`.
 """
 
 from __future__ import annotations
@@ -10,12 +16,13 @@ import itertools
 from typing import Callable, Iterator, Optional
 
 from .algebras import free_algebra
-from .errors import (DomainMismatch, MissingComponent, NotBiproductCompatible)
-from .finset import TERMINAL, Element, FinFn, FinSet, all_functions, canonical_carriers
+from .errors import DomainMismatch, MissingComponent, NotBiproductCompatible
+from .finset import TERMINAL, Element, FinFn, FinSet, canonical_carriers
 from .functors import (Const, Coprod, FunctorExpr, Id, Power, Prod,
                        eval_functor, map_element)
-from .lifting import (DistLawEM, FormulaDistLawKl, SemimoduleFunctorLaw,
-                      constant_law, semimodule_stream_law)
+from .lifting import (ComponentFamily, Composite, DistLawEM, DistLawKl,
+                      SemimoduleFunctorLaw, constant_law, naturality_failures,
+                      semimodule_stream_law)
 from .monads import FinMonad, SemimoduleMonad
 from .reports import LawReport
 from .series import Word, words_below
@@ -26,32 +33,24 @@ def words_functor(A: FinSet) -> FunctorExpr:
     return Coprod(Const(TERMINAL), Prod(Const(A), Id()))
 
 
-class KleisliLiftPoly(FormulaDistLawKl):
+class KleisliLiftPoly(DistLawKl):
     """The canonical Kleisli-direction law for 1 + A x X over any monad,
     assembled from the monad's strength on A x X, the unit on the bare
     summand, and the coproduct collapse."""
 
     def __init__(self, A: FinSet, M: FinMonad):
         self.A = A
-        T = words_functor(A)
-        self._tx_cache: dict[FinSet, FinSet] = {}
 
         def formula(X, el):
-            TX = self._tx(X)
+            TX = self.target.functor_at(X)
             tag, v = el
             if tag == 0:
                 return M.unit_element(TX, el)
             a, phi = v
             return M.map_element_fn(lambda x, _a=a: (1, (_a, x)), X, TX, phi)
 
-        super().__init__(T, M, formula, name=f"kleisli-words[{A.name}/{M.name}]")
-
-    def _tx(self, X: FinSet) -> FinSet:
-        cached = self._tx_cache.get(X)
-        if cached is None:
-            cached = eval_functor(self.T, X)
-            self._tx_cache[X] = cached
-        return cached
+        super().__init__(words_functor(A), M, formula,
+                         name=f"kleisli-words[{A.name}/{M.name}]")
 
 
 def kleisli_lift_poly(A: FinSet, M: FinMonad) -> KleisliLiftPoly:
@@ -68,55 +67,12 @@ def strength_element(M: FinMonad, A: FinSet, X: FinSet, a: Element, phi: Element
 # Commuting candidates
 
 
-class SigmaFamily:
-    """Per-carrier components H(M X) -> M(T X)."""
-
-    def __init__(self, T: FunctorExpr, H: FunctorExpr, M: FinMonad):
-        self.T = T
-        self.H = H
-        self.M = M
-        self._tables: dict[FinSet, FinFn] = {}
-
-    def component_at(self, X: FinSet, el: Element) -> Element:
-        raise NotImplementedError
-
-    def component(self, X: FinSet) -> FinFn:
-        cached = self._tables.get(X)
-        if cached is None:
-            dom = eval_functor(self.H, self.M.apply(X))
-            cod = self.M.apply(eval_functor(self.T, X))
-            cached = FinFn(dom, cod, {el: self.component_at(X, el) for el in dom},
-                           name=f"sigma@{X.name}")
-            self._tables[X] = cached
-        return cached
-
-
-class FormulaSigma(SigmaFamily):
-    def __init__(self, T, H, M, formula: Callable):
-        super().__init__(T, H, M)
-        self._formula = formula
-
-    def component_at(self, X, el):
-        return self._formula(X, el)
-
-
-class TableSigma(SigmaFamily):
-    def __init__(self, T, H, M, components: dict):
-        super().__init__(T, H, M)
-        self._tables.update(components)
-
-    def component_at(self, X, el):
-        if X not in self._tables:
-            raise MissingComponent(f"sigma: no component at {X.name}")
-        return self._tables[X](el)
-
-
 class CommutingCandidate:
     """A pair (T, H) with a claimed isomorphism H(M X) = M(T X), optionally
     bundled with the distributive law that makes the square meaningful."""
 
     def __init__(self, T: FunctorExpr, H: FunctorExpr, M: FinMonad,
-                 sigma: SigmaFamily, law: Optional[DistLawEM] = None):
+                 sigma: ComponentFamily, law: Optional[DistLawEM] = None):
         self.T = T
         self.H = H
         self.M = M
@@ -157,43 +113,23 @@ def check_commuting(cand: CommutingCandidate, law: Optional[DistLawEM] = None,
                       counterexample={"carrier": X.name})
 
         if M.tower_fits(len(HMX), 1):
-            MHMX = M.apply(HMX)
             mult_x = lambda u: M.mult_element(X, u)
-            ce = None
-            for big in MHMX:
-                step = law.component_at(MX, big)                  # H(M(M X))
-                lhs = sigma(map_element(cand.H, mult_x, step))    # H(M X) -> M(T X)
-                rhs = M.mult_element(TX, M.map_element_fn(sigma, HMX, MTX, big))
-                if lhs != rhs:
-                    ce = {"carrier": X.name, "element": big, "lhs": lhs, "rhs": rhs}
-                    break
-            report.record("algebra-square", X.name, ce is None, counterexample=ce)
+            m_sigma = M.arrow(sigma, HMX, MTX)
+            # law(big) lies in H(M(M X)); flattening it lands in H(M X).
+            report.first("algebra-square", X.name, (
+                {"carrier": X.name, "element": big, "lhs": lhs, "rhs": rhs}
+                for big in M.apply(HMX)
+                if (lhs := sigma(map_element(cand.H, mult_x, law.component_at(MX, big))))
+                != (rhs := M.mult_element(TX, m_sigma(big)))))
         else:
             report.skip("algebra-square", X.name,
                         f"|M(H(M {X.name}))| exceeds guard")
 
+    family = cand.sigma
     for X in carriers:
         for Y in carriers:
-            pair = f"{X.name}->{Y.name}"
-            MX, MY = M.apply(X), M.apply(Y)
-            TX, TY = eval_functor(cand.T, X), eval_functor(cand.T, Y)
-            HMX = eval_functor(cand.H, MX)
-            MTX, MTY = M.apply(TX), M.apply(TY)
-            sig_x, sig_y = cand.component(X), cand.component(Y)
-            ce = None
-            for f in all_functions(X, Y):
-                Mf = lambda v: M.map_element_fn(f, X, Y, v)
-                Tf = lambda w: map_element(cand.T, f, w)
-                for el in HMX:
-                    lhs = sig_y(map_element(cand.H, Mf, el))
-                    rhs = M.map_element_fn(Tf, TX, TY, sig_x(el))
-                    if lhs != rhs:
-                        ce = {"function": dict(f.pairs()), "element": el,
-                              "lhs": lhs, "rhs": rhs}
-                        break
-                if ce:
-                    break
-            report.record("naturality", pair, ce is None, counterexample=ce)
+            report.first("naturality", f"{X.name}->{Y.name}", naturality_failures(
+                family.source, family.target, X, Y, cand.component(X), cand.component(Y)))
 
     return report
 
@@ -247,7 +183,7 @@ def partner_for_product(B: FinSet, M: FinMonad,
                 flat += tuple(psi)
             return flat
 
-    sigma = FormulaSigma(T, H, M, formula)
+    sigma = ComponentFamily(Composite(H, M), Composite(M, T), formula, name="sigma")
     return CommutingCandidate(T, H, M, sigma, law=law)
 
 
@@ -335,9 +271,10 @@ def search_commuting_sigma(T: FunctorExpr, H: FunctorExpr, M: FinMonad,
         return "found", closed, 0
 
     carriers = canonical_carriers(max_size)
-    doms = [eval_functor(H, M.apply(X)) for X in carriers]
-    tx_sets = [eval_functor(T, X) for X in carriers]
-    cods = [M.apply(TX) for TX in tx_sets]
+    source, target = Composite(H, M), Composite(M, T)
+    doms = [source.at(X) for X in carriers]
+    tx_sets = [target.functor_at(X) for X in carriers]
+    cods = [target.at(X) for X in carriers]
     for d, c in zip(doms, cods):
         if len(d) != len(c):
             return "none", None, 0
@@ -368,29 +305,17 @@ def search_commuting_sigma(T: FunctorExpr, H: FunctorExpr, M: FinMonad,
                 return False
         return True
 
+    def natural(X, Y, at_x, at_y):
+        return next(naturality_failures(source, target, X, Y, at_x, at_y), None) is None
+
     def natural_against(X, sigma, idx):
-        for j in range(idx + 1):
-            Y = carriers[j]
-            other = sigma if j == idx else chosen[Y]
-            for f, s_dom, s_cod in ((f, sigma, other) for f in all_functions(X, Y)):
-                Mf = lambda v: M.map_element_fn(f, X, Y, v)
-                Tf = lambda w: map_element(T, f, w)
-                TXs = eval_functor(T, X)
-                TYs = eval_functor(T, Y)
-                for el in doms[idx]:
-                    if s_cod(map_element(H, Mf, el)) != \
-                            M.map_element_fn(Tf, TXs, TYs, s_dom(el)):
-                        return False
-            if j != idx:
-                for f in all_functions(Y, X):
-                    Mf = lambda v: M.map_element_fn(f, Y, X, v)
-                    Tf = lambda w: map_element(T, f, w)
-                    TYs = eval_functor(T, Y)
-                    TXs = eval_functor(T, X)
-                    for el in doms[j]:
-                        if sigma(map_element(H, Mf, el)) != \
-                                M.map_element_fn(Tf, TYs, TXs, chosen[Y](el)):
-                            return False
+        """sigma at X against itself and, both ways, against every
+        component already chosen below X."""
+        for Y in carriers[:idx + 1]:
+            other = chosen.get(Y, sigma)
+            if not natural(X, Y, sigma, other) or \
+                    (Y is not X and not natural(Y, X, other, sigma)):
+                return False
         return True
 
     def assign(idx) -> Optional[str]:
@@ -419,6 +344,7 @@ def search_commuting_sigma(T: FunctorExpr, H: FunctorExpr, M: FinMonad,
 
     status = assign(0) or "none"
     if status == "found":
-        cand = CommutingCandidate(T, H, M, TableSigma(T, H, M, dict(chosen)), law=law)
+        sigma = ComponentFamily(source, target, components=dict(chosen), name="sigma")
+        cand = CommutingCandidate(T, H, M, sigma, law=law)
         return "found", cand, tried
     return status, None, tried

@@ -38,6 +38,10 @@ class BlowUpGuard(BarrlabError):
         )
 
 
+class SearchCapReached(BarrlabError):
+    """A bounded search used up its cap of candidates without a verdict."""
+
+
 class NonFinitePreserving(BarrlabError):
     """The monad does not keep the checked carriers within the guard."""
 
@@ -48,16 +52,6 @@ class DomainMismatch(BarrlabError):
 
 class MissingComponent(BarrlabError):
     """A distributive law has no component at the requested carrier."""
-
-
-class CounterexampleFound(BarrlabError):
-    """Raised on demand from a failed LawReport; carries the report."""
-
-    def __init__(self, report):
-        self.report = report
-        first = report.first_failure()
-        msg = f"{report.subject}: {first.law} fails" if first else report.subject
-        super().__init__(msg)
 
 
 class ZeroObjectViolation(BarrlabError):

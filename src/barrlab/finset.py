@@ -10,7 +10,7 @@ identical tables and counterexamples are reproducible.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import BlowUpGuard, DomainMismatch, blowup_limit
 
@@ -81,8 +81,6 @@ class FinFn:
     __slots__ = ("name", "dom", "cod", "table")
 
     def __init__(self, dom: FinSet, cod: FinSet, table, name: str = ""):
-        if callable(table):
-            table = {x: table(x) for x in dom}
         self.dom = dom
         self.cod = cod
         self.table = dict(table)
@@ -112,9 +110,6 @@ class FinFn:
             self.dom, other.cod, {x: other.table[y] for x, y in self.table.items()},
             name=f"{other.name}.{self.name}",
         )
-
-    def after(self, other: "FinFn") -> "FinFn":
-        return other.then(self)
 
     def is_bijection(self) -> bool:
         return len(set(self.table.values())) == len(self.dom) == len(self.cod)
@@ -165,6 +160,3 @@ def all_functions(dom: FinSet, cod: FinSet) -> Iterator[FinFn]:
     for values in itertools.product(cod.elements, repeat=len(dom)):
         yield FinFn(dom, cod, dict(zip(dom.elements, values)))
 
-
-def fn_from_callable(dom: FinSet, cod: FinSet, fn: Callable, name: str = "") -> FinFn:
-    return FinFn(dom, cod, fn, name=name)

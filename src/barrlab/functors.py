@@ -154,52 +154,6 @@ def eval_functor_map(expr: FunctorExpr, f: FinFn) -> FinFn:
                  name=f"{expr}({f.name})")
 
 
-def positions(expr: FunctorExpr, el: Element) -> list[Element]:
-    """Values sitting at the identity leaves of el, in traversal order."""
-    if isinstance(expr, Const):
-        return []
-    if isinstance(expr, Id):
-        return [el]
-    if isinstance(expr, Prod):
-        out = []
-        for f, c in zip(expr.factors, el):
-            out.extend(positions(f, c))
-        return out
-    if isinstance(expr, Coprod):
-        tag, val = el
-        return positions(expr.summands[tag], val)
-    if isinstance(expr, Power):
-        out = []
-        for v in el:
-            out.extend(positions(expr.body, v))
-        return out
-    if isinstance(expr, Compose):
-        out = []
-        for v in positions(expr.outer, el):
-            out.extend(positions(expr.inner, v))
-        return out
-    raise TypeError(f"not a functor expression: {expr!r}")
-
-
-def refill(expr: FunctorExpr, el: Element, values: Iterator[Element]) -> Element:
-    """Rebuild el with its identity-leaf values replaced, in traversal order."""
-    if isinstance(expr, Const):
-        return el
-    if isinstance(expr, Id):
-        return next(values)
-    if isinstance(expr, Prod):
-        return tuple(refill(f, c, values) for f, c in zip(expr.factors, el))
-    if isinstance(expr, Coprod):
-        tag, val = el
-        return (tag, refill(expr.summands[tag], val, values))
-    if isinstance(expr, Power):
-        return tuple(refill(expr.body, v, values) for v in el)
-    if isinstance(expr, Compose):
-        inner_filled = (refill(expr.inner, v, values) for v in positions(expr.outer, el))
-        return refill(expr.outer, el, inner_filled)
-    raise TypeError(f"not a functor expression: {expr!r}")
-
-
 def moore_functor(outputs: FinSet, alphabet: FinSet) -> FunctorExpr:
     """outputs x X^alphabet: the type of deterministic output automata."""
     return Prod(Const(outputs), Power(alphabet, Id()))

@@ -21,7 +21,7 @@ from .errors import InputError, NonFinitePreserving
 from .finset import Element, FinFn, FinSet, carrier
 from .functors import Compose, Const, Coprod, FunctorExpr, Id, Power, Prod, moore_functor
 from .groups import FinGroup, FinMonoid, as_group, cyclic_group, symmetric_group
-from .lifting import (DistLawEM, DistLawKl, TableDistLawEM, TableDistLawKl,
+from .lifting import (ComponentFamily, Composite, DistLawEM, DistLawKl,
                       constant_law, gset_distlaws, identity_law, pointed_law,
                       product_swap_law, semimodule_moore_law, semimodule_stream_law)
 from .monads import (ExceptionMonad, FinMonad, SemimoduleMonad, TableMonad,
@@ -337,6 +337,16 @@ def load_functor(doc, path: str = "functor") -> FunctorExpr:
 # Distributive laws
 
 
+def _load_components(doc, source: Composite, target: Composite, path: str) -> dict:
+    """Component tables source(X) -> target(X), keyed by a carrier size or
+    a set document."""
+    components = {}
+    for key, table_doc in doc.items():
+        X = carrier(int(key)) if key.isdigit() else load_finset(key, f"{path}.{key}")
+        components[X] = load_function(table_doc, source.at(X), target.at(X), f"{path}.{key}")
+    return components
+
+
 _GSET_RE = re.compile(r"gset-([a-z0-9]+)-(mult|conj)", flags=re.IGNORECASE)
 _POINTED_RE = re.compile(r"pointed:(\d+):(.+)", flags=re.IGNORECASE)
 
@@ -408,19 +418,10 @@ def load_distlaw_em(doc, path: str = "law") -> DistLawEM:
             return constant_law(monad, alg)
         raise InputError(f"{path}: unknown law family {fname!r}")
     if "components" in doc:
-        from .functors import eval_functor
-
         H = load_functor(doc["functor"], f"{path}.functor")
-        components = {}
-        for key, table_doc in doc["components"].items():
-            X = carrier(int(key)) if key.isdigit() \
-                else load_finset(key, f"{path}.components.{key}")
-            dom = monad.apply(eval_functor(H, X))
-            cod = eval_functor(H, monad.apply(X))
-            components[X] = load_function(table_doc, dom, cod,
-                                          f"{path}.components.{key}")
-        return TableDistLawEM(H, monad, components,
-                              name=doc.get("name", "table-law"))
+        components = _load_components(doc["components"], Composite(monad, H),
+                                      Composite(H, monad), f"{path}.components")
+        return DistLawEM(H, monad, components=components, name=doc.get("name", "table-law"))
     raise InputError(f"{path}: law document needs 'family' or 'components'")
 
 
@@ -452,15 +453,9 @@ def load_distlaw_kl(doc, path: str = "law") -> DistLawKl:
         raise InputError(f"{path}: unknown kleisli family {fname!r}")
     if "components" in doc:
         T = load_functor(doc["functor"], f"{path}.functor")
-        from .functors import eval_functor
-        components = {}
-        for key, table_doc in doc["components"].items():
-            X = carrier(int(key)) if key.isdigit() else load_finset(key, path)
-            dom = eval_functor(T, monad.apply(X))
-            cod = monad.apply(eval_functor(T, X))
-            components[X] = load_function(table_doc, dom, cod,
-                                          f"{path}.components.{key}")
-        return TableDistLawKl(T, monad, components, name=doc.get("name", "table-klaw"))
+        components = _load_components(doc["components"], Composite(T, monad),
+                                      Composite(monad, T), f"{path}.components")
+        return DistLawKl(T, monad, components=components, name=doc.get("name", "table-klaw"))
     raise InputError(f"{path}: law document needs 'family' or 'components'")
 
 
@@ -578,7 +573,7 @@ def load_polynomial(doc, k: Optional[Semiring] = None, path: str = "polynomial")
 
 @_names_path
 def load_candidate(doc, path: str = "candidate"):
-    from .compair import CommutingCandidate, TableSigma, partner_for_product
+    from .compair import CommutingCandidate, partner_for_product
 
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected a candidate document")
@@ -592,12 +587,7 @@ def load_candidate(doc, path: str = "candidate"):
     T = load_functor(doc["T"], f"{path}.T")
     H = load_functor(doc["H"], f"{path}.H")
     law = load_distlaw_em(doc["law"], f"{path}.law") if "law" in doc else None
-    from .functors import eval_functor
-    components = {}
-    for key, table_doc in doc.get("sigma", {}).items():
-        X = carrier(int(key)) if key.isdigit() else load_finset(key, path)
-        dom = eval_functor(H, monad.apply(X))
-        cod = monad.apply(eval_functor(T, X))
-        components[X] = load_function(table_doc, dom, cod, f"{path}.sigma.{key}")
-    sigma = TableSigma(T, H, monad, components)
+    source, target = Composite(H, monad), Composite(monad, T)
+    components = _load_components(doc.get("sigma", {}), source, target, f"{path}.sigma")
+    sigma = ComponentFamily(source, target, components=components, name="sigma")
     return CommutingCandidate(T, H, monad, sigma, law=law)

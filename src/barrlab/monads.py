@@ -345,47 +345,32 @@ def check_monad_laws(M: FinMonad, max_size: int) -> LawReport:
     for X in carriers:
         MX = M.apply(X)
         # functor preserves identities
-        ok, ce = None, None
-        for el in MX:
-            got = M.map_element(identity_fn(X), el)
-            if got != el:
-                ce = {"carrier": X.name, "element": el, "got": got}
-                break
-        report.record("map-identity", X.name, ce is None, counterexample=ce)
+        id_x = identity_fn(X)
+        report.first("map-identity", X.name, (
+            {"carrier": X.name, "element": el, "got": got}
+            for el in MX if (got := M.map_element(id_x, el)) != el))
 
         # left unit: mult . unit at M X == id
-        ce = None
-        for el in MX:
-            got = M.mult_element(X, M.unit_element(MX, el))
-            if got != el:
-                ce = {"carrier": X.name, "element": el, "got": got}
-                break
-        report.record("left-unit", X.name, ce is None, counterexample=ce)
+        report.first("left-unit", X.name, (
+            {"carrier": X.name, "element": el, "got": got}
+            for el in MX if (got := M.mult_element(X, M.unit_element(MX, el))) != el))
 
         # right unit: mult . M(unit) == id
         u = M.unit(X)
-        ce = None
-        for el in MX:
-            got = M.mult_element(X, M.map_element_fn(u, X, MX, el))
-            if got != el:
-                ce = {"carrier": X.name, "element": el, "got": got}
-                break
-        report.record("right-unit", X.name, ce is None, counterexample=ce)
+        report.first("right-unit", X.name, (
+            {"carrier": X.name, "element": el, "got": got}
+            for el in MX if (got := M.mult_element(X, M.map_element_fn(u, X, MX, el))) != el))
 
         # associativity over M(M(M X))
         if M.tower_fits(len(X), 3):
             MMX = M.apply(MX)
-            MMMX = M.apply(MMX)
             mult_X = M.mult(X)
-            ce = None
-            for el3 in MMMX:
-                via_outer = M.mult_element(X, M.mult_element(MX, el3))
-                via_inner = M.mult_element(X, M.map_element_fn(mult_X, MMX, MX, el3))
-                if via_outer != via_inner:
-                    ce = {"carrier": X.name, "element": el3,
-                          "outer-first": via_outer, "inner-first": via_inner}
-                    break
-            report.record("mult-associativity", X.name, ce is None, counterexample=ce)
+            report.first("mult-associativity", X.name, (
+                {"carrier": X.name, "element": el3,
+                 "outer-first": outer, "inner-first": inner}
+                for el3 in M.apply(MMX)
+                if (outer := M.mult_element(X, M.mult_element(MX, el3)))
+                != (inner := M.mult_element(X, M.map_element_fn(mult_X, MMX, MX, el3)))))
         else:
             report.skip("mult-associativity", X.name, _skip_label(M, len(X), 3))
 
@@ -396,55 +381,43 @@ def check_monad_laws(M: FinMonad, max_size: int) -> LawReport:
             MX = M.apply(X)
             MY = M.apply(Y)
 
-            ce = None
-            for f in all_functions(X, Y):
-                for x in X:
-                    lhs = M.map_element_fn(f, X, Y, M.unit_element(X, x))
-                    rhs = M.unit_element(Y, f(x))
-                    if lhs != rhs:
-                        ce = {"function": dict(f.pairs()), "element": x,
-                              "lhs": lhs, "rhs": rhs}
-                        break
-                if ce:
-                    break
-            report.record("unit-naturality", pair, ce is None, counterexample=ce)
+            report.first("unit-naturality", pair, (
+                {"function": dict(f.pairs()), "element": x, "lhs": lhs, "rhs": rhs}
+                for f in all_functions(X, Y) for x in X
+                if (lhs := M.map_element_fn(f, X, Y, M.unit_element(X, x)))
+                != (rhs := M.unit_element(Y, f(x)))))
 
             if M.tower_fits(len(X), 2):
                 MMX = M.apply(MX)
-                ce = None
-                for f in all_functions(X, Y):
-                    Mf = M.map(f)
-                    for el2 in MMX:
-                        # M f . mult_X  vs  mult_Y . M(M f)
-                        lhs = Mf(M.mult_element(X, el2))
-                        rhs = M.mult_element(Y, M.map_element_fn(Mf, MX, MY, el2))
-                        if lhs != rhs:
-                            ce = {"function": dict(f.pairs()), "element": el2,
-                                  "lhs": lhs, "rhs": rhs}
-                            break
-                    if ce:
-                        break
-                report.record("mult-naturality", pair, ce is None, counterexample=ce)
+
+                def mult_failures():
+                    # M f . mult_X  vs  mult_Y . M(M f)
+                    for f in all_functions(X, Y):
+                        Mf = M.map(f)
+                        for el2 in MMX:
+                            lhs = Mf(M.mult_element(X, el2))
+                            rhs = M.mult_element(Y, M.map_element_fn(Mf, MX, MY, el2))
+                            if lhs != rhs:
+                                yield {"function": dict(f.pairs()), "element": el2,
+                                       "lhs": lhs, "rhs": rhs}
+
+                report.first("mult-naturality", pair, mult_failures())
             else:
                 report.skip("mult-naturality", pair, _skip_label(M, len(X), 2))
 
             for Z in carriers:
-                triple = f"{X.name}->{Y.name}->{Z.name}"
-                ce = None
-                for f in all_functions(X, Y):
-                    for g in all_functions(Y, Z):
-                        gf = f.then(g)
-                        for el in MX:
-                            lhs = M.map_element(gf, el)
-                            rhs = M.map_element(g, M.map_element(f, el))
-                            if lhs != rhs:
-                                ce = {"f": dict(f.pairs()), "g": dict(g.pairs()),
-                                      "element": el, "lhs": lhs, "rhs": rhs}
-                                break
-                        if ce:
-                            break
-                    if ce:
-                        break
-                report.record("map-composition", triple, ce is None, counterexample=ce)
+                def composition_failures():
+                    for f in all_functions(X, Y):
+                        for g in all_functions(Y, Z):
+                            gf = f.then(g)
+                            for el in MX:
+                                lhs = M.map_element(gf, el)
+                                rhs = M.map_element(g, M.map_element(f, el))
+                                if lhs != rhs:
+                                    yield {"f": dict(f.pairs()), "g": dict(g.pairs()),
+                                           "element": el, "lhs": lhs, "rhs": rhs}
+
+                report.first("map-composition", f"{X.name}->{Y.name}->{Z.name}",
+                             composition_failures())
 
     return report

@@ -1,16 +1,18 @@
 """Structured pass/fail reports for exhaustive law checks.
 
-Every check appends results in canonical order, so two runs over the same
-inputs produce identical reports and the first counterexample recorded is
-the minimal one in enumeration order.  Instances whose enumeration would
-exceed the blow-up guard are recorded as skipped rather than silently
-dropped.
+Every checker states a law at an instance as a lazy iterable of
+counterexample dicts, produced in canonical enumeration order, and hands it
+to `LawReport.first`: the law passes when the iterable is empty and fails
+with its first item otherwise, so the counterexample recorded is the
+minimal one and nothing past it is evaluated.  Two runs over the same
+inputs produce identical reports.  Instances whose enumeration would exceed
+the blow-up guard are recorded as skipped rather than silently dropped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 PASS = "pass"
 FAIL = "fail"
@@ -45,18 +47,18 @@ class LawReport:
         self.checks.append(LawCheck(law, instance, status, detail,
                                     None if ok else counterexample))
 
+    def first(self, law: str, instance: str, failures: Iterable[dict]) -> None:
+        """Record the law from its counterexamples: pass if there are none,
+        else fail with the first one."""
+        ce = next(iter(failures), None)
+        self.record(law, instance, ce is None, counterexample=ce)
+
     def skip(self, law: str, instance: str, reason: str) -> None:
         self.checks.append(LawCheck(law, instance, SKIP, reason))
-
-    def merge(self, other: "LawReport") -> None:
-        self.checks.extend(other.checks)
 
     @property
     def passed(self) -> bool:
         return all(c.status != FAIL for c in self.checks)
-
-    def failures(self) -> list[LawCheck]:
-        return [c for c in self.checks if c.status == FAIL]
 
     def skipped(self) -> list[LawCheck]:
         return [c for c in self.checks if c.status == SKIP]
@@ -66,31 +68,6 @@ class LawReport:
             if c.status == FAIL:
                 return c
         return None
-
-    def raise_if_failed(self) -> "LawReport":
-        if not self.passed:
-            from .errors import CounterexampleFound
-
-            raise CounterexampleFound(self)
-        return self
-
-    def by_law(self) -> dict:
-        """Aggregate verdict per law: fail > skipped > pass."""
-        out: dict = {}
-        rank = {PASS: 0, SKIP: 1, FAIL: 2}
-        for c in self.checks:
-            prev = out.get(c.law)
-            if prev is None or rank[c.status] > rank[prev]:
-                out[c.law] = c.status
-        return out
-
-    def summary(self) -> str:
-        lines = [f"{self.subject}: {'PASS' if self.passed else 'FAIL'}"]
-        for law, status in self.by_law().items():
-            lines.append(f"  {law:<28} {status}")
-        for c in self.failures():
-            lines.append(f"  counterexample [{c.law} @ {c.instance}]: {c.counterexample}")
-        return "\n".join(lines)
 
     def to_json(self) -> dict:
         return {

@@ -121,10 +121,6 @@ def check_semiring(k: Semiring, samples: int = 200, seed: int = 0) -> LawReport:
 
     triples = list(triples)
     for law, pred in checks:
-        bad = None
-        for a, b, c in triples:
-            if not pred(a, b, c):
-                bad = {"triple": [a, b, c]}
-                break
-        report.record(law, mode, bad is None, counterexample=bad)
+        report.first(law, mode, ({"triple": [a, b, c]}
+                                 for a, b, c in triples if not pred(a, b, c)))
     return report

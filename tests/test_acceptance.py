@@ -27,7 +27,7 @@ from barrlab import (FinSet, MooreAutomaton, Polynomial, TERMINAL,
                      semimodule_stream_law, semiring_algebra, series_distance,
                      cyclic_group, terminal_algebra,
                      words_below, zmod, eval_functor)
-from barrlab.lifting import FormulaDistLawEM
+from barrlab.lifting import DistLawEM
 
 
 @contextmanager
@@ -98,7 +98,7 @@ def times_setups(maybe, z2_monad, two_outputs):
     ]
 
 
-class _CorruptOneEntry(FormulaDistLawEM):
+class _CorruptOneEntry(DistLawEM):
     """Flips the output coefficient of one component of a base law."""
 
     def __init__(self, base, at_carrier):

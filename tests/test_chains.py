@@ -12,7 +12,7 @@ from barrlab import (Const, DepthExceeded, FinSet, Id, MElement, NotCauchy,
                      limit_algebra_point, gset_distlaws, level_algebras, m_singleton,
                      pointed_law, semimodule_moore_law)
 from barrlab.finset import FinFn
-from barrlab.lifting import FormulaDistLawEM
+from barrlab.lifting import DistLawEM
 from barrlab.series import (TruncatedSeries, decode_series, encode_series,
                             module_structure, words_below)
 
@@ -252,7 +252,7 @@ def test_cone_and_projection_checks_pass(z2_setup, maybe_setup):
         assert check_projection_morphisms(law, chain, 3).passed
 
 
-class _Corrupted(FormulaDistLawEM):
+class _Corrupted(DistLawEM):
     """Wraps a law, swapping two outputs of one component."""
 
     def __init__(self, base, at_level_set):

@@ -241,3 +241,22 @@ def test_out_of_range_bounds_exit_two(capsys):
         code, report = run_json(capsys, *argv)
         assert code == 2, argv
         assert report["error"] == "InputError", argv
+
+
+def test_search_stopped_at_the_cap_exits_two(capsys):
+    # With a cap of 0 the search stops before testing any bijection: no
+    # counterexample was found, so this is a guard trip, not a failed check.
+    T = H = json.dumps({"prod": [{"const": {"elements": ["p"]}}, "id"]})
+    law = json.dumps({"monad": "writer:z2",
+                      "family": {"name": "swap", "constant": {"elements": ["p"]}}})
+    code, report = run_json(capsys, "commute", "search", "--T", T, "--H", H,
+                            "--law", law, "--max-size", "1", "--search-cap", "0")
+    assert code == 2
+    assert report["error"] == "SearchCapReached"
+    assert "--search-cap 0" in report["message"]
+    assert "tried = 1" in report["message"]
+    # The same search with room to finish finds sigma and exits 0.
+    code, report = run_json(capsys, "commute", "search", "--T", T, "--H", H,
+                            "--law", law, "--max-size", "1")
+    assert code == 0
+    assert report["result"]["status"] == "found"

@@ -7,11 +7,11 @@ from barrlab import (FinSet, Id, NotBiproductCompatible, TERMINAL, carrier,
                      identity_law, initial_words, kleisli_lift_poly,
                      partner_for_product, polynomial_embed, search_commuting_sigma,
                      series_distance, writer_monad, zmod)
-from barrlab.compair import (CommutingCandidate, FormulaSigma, strength_element,
-                             words_functor)
+from barrlab.compair import CommutingCandidate, strength_element, words_functor
 from barrlab.cli import main
 from barrlab.errors import DomainMismatch, MissingComponent
-from barrlab.lifting import FormulaDistLawEM, FormulaDistLawKl, product_swap_law
+from barrlab.lifting import (ComponentFamily, Composite, DistLawEM, DistLawKl,
+                             product_swap_law)
 from barrlab.series import Polynomial, TruncatedSeries
 
 
@@ -84,7 +84,7 @@ def test_kleisli_lift_passes_axioms_for_bundled_monads(bundled_monads, letter, n
 
 
 def test_identity_kleisli_law(maybe):
-    law = FormulaDistLawKl(Id(), maybe, lambda X, el: el, name="id-kl")
+    law = DistLawKl(Id(), maybe, lambda X, el: el, name="id-kl")
     assert check_distlaw_kl(law, 2).passed
 
 
@@ -92,7 +92,7 @@ def test_broken_kleisli_multiplication_caught(maybe, letter):
     base = kleisli_lift_poly(letter, maybe)
     X1 = carrier(1)
 
-    class Broken(FormulaDistLawKl):
+    class Broken(DistLawKl):
         pass
 
     def formula(X, el):
@@ -109,7 +109,8 @@ def test_broken_kleisli_multiplication_caught(maybe, letter):
 def test_identity_pair_commutes(bundled_monads):
     for M in bundled_monads.values():
         cand = CommutingCandidate(Id(), Id(), M,
-                                  FormulaSigma(Id(), Id(), M, lambda X, el: el),
+                                  ComponentFamily(Composite(Id(), M), Composite(M, Id()),
+                                                  lambda X, el: el, name="sigma"),
                                   law=identity_law(M))
         report = check_commuting(cand, max_size=2)
         assert report.passed, report.first_failure()
@@ -123,7 +124,8 @@ def test_writer_product_pair_commutes(s3):
     from barrlab import Const, Prod
 
     expr = Prod(Const(B), Id())
-    swap = FormulaSigma(expr, expr, M, lambda X, el: (el[1][0], (el[0], el[1][1])))
+    swap = ComponentFamily(Composite(expr, M), Composite(M, expr),
+                           lambda X, el: (el[1][0], (el[0], el[1][1])), name="sigma")
     cand = CommutingCandidate(expr, expr, M, swap, law=product_swap_law(M, B))
     report = check_commuting(cand, max_size=2)
     assert report.passed, report.first_failure()
@@ -233,7 +235,7 @@ def _leaky_identity_law(M):
             return (1, (1, "ghost"))
         return el
 
-    return FormulaDistLawEM(Id(), M, formula, name="leaky")
+    return DistLawEM(Id(), M, formula, name="leaky")
 
 
 def test_search_reports_a_law_leaving_h_of_m_x(maybe):
@@ -264,7 +266,7 @@ def test_search_does_not_evaluate_the_law_past_the_cap(maybe):
             raise MissingComponent(f"no component at {Y.name}")
         return base.component_at(Y, el)
 
-    law = FormulaDistLawEM(Id(), maybe, formula, name="partial")
+    law = DistLawEM(Id(), maybe, formula, name="partial")
     status, found, tried = search_commuting_sigma(Id(), Id(), maybe, law, 2, cap=2)
     assert (status, found, tried) == ("unknown", None, 3)
     with pytest.raises(MissingComponent):

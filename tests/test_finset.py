@@ -37,7 +37,6 @@ def test_composition_order():
     f = FinFn(X, X, {0: 1, 1: 0})
     g = constant_fn(X, X, 0)
     assert f.then(g).table == {0: 0, 1: 0}
-    assert g.after(f).table == {0: 0, 1: 0}
     assert f.then(identity_fn(X)) == f
 
 

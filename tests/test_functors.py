@@ -3,7 +3,7 @@ import pytest
 from barrlab import (BlowUpGuard, Compose, Const, Coprod, FinSet, Id, Power,
                      Prod, all_functions, carrier, eval_functor,
                      eval_functor_map, identity_fn, moore_functor)
-from barrlab.functors import cardinality, map_element, positions, refill
+from barrlab.functors import cardinality
 
 A1 = FinSet("A", ("a",))
 K2 = FinSet("k", (0, 1))
@@ -77,19 +77,6 @@ def test_coproduct_tags_are_preserved():
         out_tag, out_v = Ff((tag, v))
         assert out_tag == tag
         assert out_v == (v if tag == 0 else f(v))
-
-
-def test_positions_and_refill_roundtrip():
-    X = carrier(3)
-    for expr in CORPUS:
-        FX = eval_functor(expr, X)
-        for el in FX:
-            vals = positions(expr, el)
-            assert all(v in X for v in vals)
-            assert refill(expr, el, iter(vals)) == el
-            # refilling is the pointwise arrow action
-            bumped = refill(expr, el, iter([(v + 1) % 3 for v in vals]))
-            assert bumped == map_element(expr, lambda v: (v + 1) % 3, el)
 
 
 def test_blow_up_guard_trips(monkeypatch):

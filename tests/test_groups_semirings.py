@@ -49,7 +49,7 @@ def test_broken_semiring_caught():
                    0, 1, elements=(0, 1))
     report = check_semiring(bad)
     assert not report.passed
-    laws = {c.law for c in report.failures()}
+    laws = {c.law for c in report.checks if c.status == "fail"}
     assert "left-distributive" in laws or "right-distributive" in laws
 
 
