@@ -49,6 +49,13 @@ MOORE_LAW = {"monad": "semimodule:z2",
 # multiplication entry at size 1 broken: both unit laws fail at X1.
 BROKEN_TABLES_MONAD = json.loads((GOLDEN / "inputs" / "maybe-tables-broken-mult.json").read_text())
 
+# The maybe monad as explicit tables with one arrow-table entry broken, so
+# that the first counterexample of the report lies in the named law: law ->
+# the --max-size that reaches it.  Each document holds the arrow tables its
+# run asks for and no others.
+BROKEN_TABLE_LAWS = {"map-identity": 1, "mult-naturality": 1, "mult-associativity": 1,
+                     "unit-naturality": 2, "map-composition": 2}
+
 # A maybe-algebra on {0, 1} whose structure swaps the units of 0 and 1: both
 # algebra laws fail.
 BROKEN_ALGEBRA = {
@@ -114,6 +121,12 @@ CASES = {
     "lift-gset-z3-conj-free-x1":
         (["lift", "gset-z3-conj", json.dumps({"monad": "writer:z3", "free_on": "X1"})], 0),
 }
+CASES.update({
+    f"check-monad-broken-{law}":
+        (["check-monad", json.dumps(json.loads(
+            (GOLDEN / "inputs" / f"maybe-tables-broken-{law}.json").read_text())),
+          "--max-size", str(max_size)], 1)
+    for law, max_size in BROKEN_TABLE_LAWS.items()})
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -125,3 +138,10 @@ def test_report_matches_golden(capsys, name):
     assert n == 1
     assert code == want_code
     assert body == (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("law", sorted(BROKEN_TABLE_LAWS))
+def test_broken_tables_fail_first_in_their_law(law):
+    report = json.loads((GOLDEN / f"check-monad-broken-{law}.json").read_text())
+    failures = [c for c in report["result"]["checks"] if c["status"] == "fail"]
+    assert failures[0]["law"] == law
