@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .errors import DomainMismatch, NonFinitePreserving, blowup_limit
-from .finset import EMPTY, TERMINAL, Element, FinFn, FinSet
+from .finset import EMPTY, TERMINAL, Element, FinFn, FinSet, LazyTable
 from .monads import FinMonad
 from .reports import LawReport
 
@@ -60,8 +60,7 @@ def free_algebra(M: FinMonad, X: FinSet) -> EMAlgebra:
         raise NonFinitePreserving(
             f"{M.name}: free algebra carrier on {X.name} exceeds the guard")
     carrier = M.apply(X)
-    return EMAlgebra(M, carrier, lambda el2: M.mult_element(X, el2),
-                     name=f"free({X.name})")
+    return EMAlgebra(M, carrier, M.mult_at(X), name=f"free({X.name})")
 
 
 def initial_algebra(M: FinMonad) -> EMAlgebra:
@@ -79,7 +78,8 @@ def check_em_algebra(M: FinMonad, a: EMAlgebra) -> LawReport:
 
     The unit law runs over the carrier; the multiplication law runs over
     M(M(carrier)) and is skipped (and reported so) when that enumeration
-    exceeds the guard.
+    exceeds the guard.  Where it runs, M(carrier) fits under the guard, and
+    the structure map is looked up in a table filled as it is first asked.
     """
     if a.monad is not M and a.monad.name != M.name:
         raise DomainMismatch(f"algebra {a.name} belongs to {a.monad.name}, not {M.name}")
@@ -92,12 +92,13 @@ def check_em_algebra(M: FinMonad, a: EMAlgebra) -> LawReport:
 
     if M.tower_fits(len(C), 2):
         MC = M.apply(C)
-        m_structure = M.arrow(a.structure_at, MC, C)
+        structure = LazyTable(a.structure_at)
+        mult_c = M.mult_at(C)
+        m_structure = M.arrow(structure.__getitem__, MC, C)
         report.first("multiplication-law", C.name, (
             {"carrier": C.name, "element": el2, "via-mult": via_mult, "via-map": via_map}
             for el2 in M.apply(MC)
-            if (via_mult := a.structure_at(M.mult_element(C, el2)))
-            != (via_map := a.structure_at(m_structure(el2)))))
+            if (via_mult := structure[mult_c(el2)]) != (via_map := structure[m_structure(el2)])))
     else:
         report.skip("multiplication-law", C.name,
                     f"|MM({C.name})| = {M.tower_card_display(len(C), 2)} exceeds guard")

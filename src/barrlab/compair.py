@@ -113,14 +113,14 @@ def check_commuting(cand: CommutingCandidate, law: Optional[DistLawEM] = None,
                       counterexample={"carrier": X.name})
 
         if M.tower_fits(len(HMX), 1):
-            mult_x = lambda u: M.mult_element(X, u)
+            mult_x, mult_tx = M.mult_at(X), M.mult_at(TX)
             m_sigma = M.arrow(sigma, HMX, MTX)
             # law(big) lies in H(M(M X)); flattening it lands in H(M X).
             report.first("algebra-square", X.name, (
                 {"carrier": X.name, "element": big, "lhs": lhs, "rhs": rhs}
                 for big in M.apply(HMX)
                 if (lhs := sigma(map_element(cand.H, mult_x, law.component_at(MX, big))))
-                != (rhs := M.mult_element(TX, m_sigma(big)))))
+                != (rhs := mult_tx(m_sigma(big)))))
         else:
             report.skip("algebra-square", X.name,
                         f"|M(H(M {X.name}))| exceeds guard")
@@ -289,7 +289,7 @@ def search_commuting_sigma(T: FunctorExpr, H: FunctorExpr, M: FinMonad,
         if idx not in squares:
             X = carriers[idx]
             MX = M.apply(X)
-            mult_x = lambda u: M.mult_element(X, u)
+            mult_x = M.mult_at(X)
             squares[idx] = ([], ((big, map_element(H, mult_x, law.component_at(MX, big)))
                                  for big in M.apply(doms[idx])))
         pairs, source = squares[idx]
@@ -326,9 +326,9 @@ def search_commuting_sigma(T: FunctorExpr, H: FunctorExpr, M: FinMonad,
         name = f"{dom.name}->{cod.name}"
         square_fits = M.tower_fits(len(dom), 1)
         for perm in itertools.permutations(cod.elements):
-            tried += 1
-            if tried > cap:
+            if tried >= cap:
                 return "unknown"
+            tried += 1
             table = dict(zip(dom.elements, perm))
             if square_fits and not square_ok(idx, _table_lookup(table, name)):
                 continue

@@ -26,7 +26,7 @@ def guard_size(size: int, context: str = "") -> int:
 class FinSet:
     """An ordered finite set with pairwise-distinct elements."""
 
-    __slots__ = ("name", "elements", "_index")
+    __slots__ = ("name", "elements", "_index", "_hash")
 
     def __init__(self, name: str, elements: Iterable[Element]):
         self.name = name
@@ -56,7 +56,12 @@ class FinSet:
         return isinstance(other, FinSet) and self.elements == other.elements
 
     def __hash__(self) -> int:
-        return hash(self.elements)
+        # Filled on first use, not in __init__: most sets are never hashed.
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(self.elements)
+            return self._hash
 
     def __repr__(self) -> str:
         return f"FinSet({self.name!r}, {len(self)} elements)"
@@ -149,14 +154,34 @@ def from_empty(cod: FinSet) -> FinFn:
     return FinFn(EMPTY, cod, {}, name=f"0->{cod.name}")
 
 
+def function_values(dom: FinSet, cod: FinSet) -> Iterator[tuple]:
+    """The value tuple, aligned with dom's enumeration, of every function
+    dom -> cod, in lexicographic order; no FinFn is built."""
+    guard_size(len(cod) ** len(dom), f"enumerating functions {dom.name}->{cod.name}")
+    yield from itertools.product(cod.elements, repeat=len(dom))
+
+
 def all_functions(dom: FinSet, cod: FinSet) -> Iterator[FinFn]:
     """Every function dom -> cod, in lexicographic order of value tuples."""
-    if len(dom) == 0:
-        yield FinFn(dom, cod, {})
-        return
-    if len(cod) == 0:
-        return
-    guard_size(len(cod) ** len(dom), f"enumerating functions {dom.name}->{cod.name}")
-    for values in itertools.product(cod.elements, repeat=len(dom)):
+    for values in function_values(dom, cod):
         yield FinFn(dom, cod, dict(zip(dom.elements, values)))
 
+
+class LazyTable(dict):
+    """A pure function of one element as a table filled on demand:
+    `table[el]` computes `fn(el)` on its first lookup and keeps it, as long
+    as fewer than `capacity` values are kept; past that it computes without
+    storing."""
+
+    __slots__ = ("fn", "capacity")
+
+    def __init__(self, fn, capacity: float = float("inf")):
+        super().__init__()
+        self.fn = fn
+        self.capacity = capacity
+
+    def __missing__(self, el: Element) -> Element:
+        out = self.fn(el)
+        if len(self) < self.capacity:
+            self[el] = out
+        return out

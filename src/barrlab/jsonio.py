@@ -275,14 +275,20 @@ def _load_table_monad(doc, path: str) -> TableMonad:
             mult[key2] = decode_element(v)
         sizes[n] = {"elements": elements, "unit": unit, "mult": mult}
     maps = {}
-    for entry in doc.get("maps", []):
-        key = (int(entry["dom"]), int(entry["cod"]), tuple(entry["values"]))
-        dom_elements = sizes[int(entry["dom"])]["elements"]
-        universe = FinSet("dom", dom_elements)
-        table = {}
-        for k2, v in entry["table"].items():
-            table[_resolve_key(k2, universe, f"{path}.maps")] = decode_element(v)
-        maps[key] = table
+    for i, entry in enumerate(doc.get("maps", [])):
+        where = f"{path}.maps[{i}].table"
+        dom, cod = int(entry["dom"]), int(entry["cod"])
+        universe = FinSet("dom", sizes[dom]["elements"])
+        targets = FinSet("cod", sizes[cod]["elements"])
+        table = {_resolve_key(k2, universe, where): decode_element(v)
+                 for k2, v in entry["table"].items()}
+        for el in universe:
+            if el not in table:
+                raise InputError(f"{where}: no value for {el!r}")
+            if table[el] not in targets:
+                raise InputError(f"{where}: value {table[el]!r} of {el!r} is not an "
+                                 f"element of {path}.tables.{cod}")
+        maps[dom, cod, tuple(entry["values"])] = table
     return TableMonad(doc.get("name", "table-monad"), sizes, maps)
 
 

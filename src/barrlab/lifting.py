@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Optional
 
 from .algebras import EMAlgebra
 from .errors import DomainMismatch, MissingComponent
-from .finset import Element, FinFn, FinSet, all_functions, canonical_carriers
+from .finset import Element, FinFn, FinSet, LazyTable, all_functions, canonical_carriers
 from .functors import (Const, FunctorExpr, Id, Prod, eval_functor,
                        map_element, moore_functor)
 from .groups import FinGroup, FinMonoid, as_group
@@ -316,20 +316,6 @@ def semimodule_stream_law(M: SemimoduleMonad, out: EMAlgebra) -> DistLawEM:
 # Checkers
 
 
-def _memoised(fn: Callable) -> Callable:
-    """A memo of a pure function of one element, for the length of one check."""
-    cache: dict = {}
-
-    def lookup(el):
-        try:
-            return cache[el]
-        except KeyError:
-            out = cache[el] = fn(el)
-            return out
-
-    return lookup
-
-
 def check_distlaw_em(law: DistLawEM, max_size: int) -> LawReport:
     """Exhaustively verify the unit axiom, the multiplication axiom and
     naturality on all canonical carriers of size <= max_size.
@@ -348,7 +334,7 @@ def check_distlaw_em(law: DistLawEM, max_size: int) -> LawReport:
     def component(X: FinSet) -> Callable:
         memo = memos.get(X)
         if memo is None:
-            memo = memos[X] = _memoised(lambda el: law.component_at(X, el))
+            memo = memos[X] = LazyTable(lambda el: law.component_at(X, el)).__getitem__
         return memo
 
     for X in carriers:
@@ -366,13 +352,14 @@ def check_distlaw_em(law: DistLawEM, max_size: int) -> LawReport:
                         f"no component at the derived carrier {MX.name}")
         elif M.tower_fits(len(HX), 2):
             MHX = M.apply(HX)
-            mult_x = lambda u: M.mult_element(X, u)
+            mult_x = M.mult_at(X)
+            mult_hx = M.mult_at(HX)
             lam_mx = component(MX)
             m_lam_x = M.arrow(lam_x, MHX, eval_functor(H, MX))
             report.first("mult-axiom", X.name, (
                 {"carrier": X.name, "element": big, "lhs": lhs, "rhs": rhs}
                 for big in M.apply(MHX)
-                if (lhs := lam_x(M.mult_element(HX, big)))
+                if (lhs := lam_x(mult_hx(big)))
                 != (rhs := map_element(H, mult_x, lam_mx(m_lam_x(big))))))
         else:
             report.skip("mult-axiom", X.name,
@@ -418,14 +405,14 @@ def check_distlaw_kl(law: DistLawKl, max_size: int) -> LawReport:
             report.skip("mult-axiom", X.name,
                         f"no component at the derived carrier {MX.name}")
         elif M.tower_fits(len(X), 2):
-            mult_x = lambda u: M.mult_element(X, u)
+            mult_x, mult_tx = M.mult_at(X), M.mult_at(TX)
             lam_mx = component(MX)
             # lam_mx(big) lies in M(T(M X)); M(lam_x) takes it to M(M(T X)).
             report.first("mult-axiom", X.name, (
                 {"carrier": X.name, "element": big, "lhs": lhs, "rhs": rhs}
                 for big in eval_functor(T, M.apply(MX))
                 if (lhs := lam_x(map_element(T, mult_x, big)))
-                != (rhs := M.mult_element(TX, M.map_element_fn(lam_x, TMX, MTX, lam_mx(big))))))
+                != (rhs := mult_tx(M.map_element_fn(lam_x, TMX, MTX, lam_mx(big))))))
         else:
             report.skip("mult-axiom", X.name,
                         f"|MM {X.name}| = {M.tower_card_display(len(X), 2)} exceeds guard")

@@ -1,22 +1,25 @@
 """Finiteness-preserving monads on finite sets, with exhaustive law checking.
 
 Structure maps are exposed pointwise (`unit_element`, `mult_element`,
-`map_element`) as well as in materialised table form.  The pointwise forms
-matter: iterated applications such as M(M(M X)) explode quickly (powerset
-towers, free semimodules), and the law checker enumerates an instance only
-while it fits under the blow-up guard, recording larger instances as
-skipped.  A monad whose first application M X already exceeds the guard for
-a carrier under the requested bound is rejected outright.
+`map_element`), resolved once for loops that apply them to many elements
+(`arrow` for M f, `mult_at` for mu_X), and in materialised table form
+(`unit`, `mult`).  The pointwise and resolved forms matter:
+iterated applications such as M(M(M X)) explode quickly (powerset towers,
+free semimodules), and the law checker enumerates an instance only while it
+fits under the blow-up guard, recording larger instances as skipped.  A
+monad whose first application M X already exceeds the guard for a carrier
+under the requested bound is rejected outright.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Iterable
 
 from .errors import InputError, MissingComponent, NonFinitePreserving, blowup_limit
-from .finset import (Element, FinFn, FinSet, all_functions, canonical_carriers,
-                     guard_size, identity_fn)
+from .finset import (Element, FinFn, FinSet, LazyTable, canonical_carriers,
+                     function_values, guard_size)
 from .groups import FinMonoid
 from .reports import LawReport
 from .semiring import Semiring
@@ -62,13 +65,12 @@ class FinMonad:
         """M fn as a function of one element of M dom.  Loops that apply the
         same arrow to many elements build it once; a subclass may resolve
         fn in advance."""
-        return lambda el: self.map_element_fn(fn, dom, cod, el)
+        return functools.partial(self.map_element_fn, fn, dom, cod)
 
-    def map(self, f: FinFn) -> FinFn:
-        dom = self.apply(f.dom)
-        cod = self.apply(f.cod)
-        return FinFn(dom, cod, {el: self.map_element(f, el) for el in dom},
-                     name=f"{self.name}({f.name})")
+    def mult_at(self, X: FinSet) -> Callable[[Element], Element]:
+        """mu_X as a function of one element of M(M X), the counterpart of
+        `arrow`; a subclass may resolve M X in advance."""
+        return functools.partial(self.mult_element, X)
 
     def unit(self, X: FinSet) -> FinFn:
         return FinFn(X, self.apply(X), {x: self.unit_element(X, x) for x in X},
@@ -78,8 +80,8 @@ class FinMonad:
         """Multiplication as a table; materialises M(M X)."""
         MX = self.apply(X)
         MMX = self.apply(MX)
-        return FinFn(MMX, MX, {el: self.mult_element(X, el) for el in MMX},
-                     name=f"mult_{X.name}")
+        mult = self.mult_at(X)
+        return FinFn(MMX, MX, {el: mult(el) for el in MMX}, name=f"mult_{X.name}")
 
     def tower_fits(self, n: int, height: int) -> bool:
         limit = blowup_limit()
@@ -186,11 +188,19 @@ class PowersetMonad(FinMonad):
     def map_element_fn(self, fn, dom, cod, el):
         return self._canonical(cod, (fn(x) for x in el))
 
+    def arrow(self, fn, dom, cod):
+        index = cod.index
+        return lambda el: tuple(sorted({fn(x) for x in el}, key=index))
+
     def unit_element(self, X, x):
         return (x,)
 
     def mult_element(self, X, el2):
         return self._canonical(X, (x for subset in el2 for x in subset))
+
+    def mult_at(self, X):
+        index = X.index
+        return lambda el2: tuple(sorted({x for subset in el2 for x in subset}, key=index))
 
 
 class SemimoduleMonad(FinMonad):
@@ -255,6 +265,23 @@ class SemimoduleMonad(FinMonad):
                     if v != k.zero:
                         out[i] = k.add(out[i], k.mul(c, v))
         return tuple(out)
+
+    def mult_at(self, X):
+        # Resolve M X once, each vector as its nonzero (position, coefficient)
+        # pairs.
+        zero, add, mul, size = self.k.zero, self.k.add, self.k.mul, len(X)
+        rows = [tuple((i, v) for i, v in enumerate(vec) if v != zero)
+                for vec in self.apply(X)]
+
+        def mult(el2):
+            out = [zero] * size
+            for row, c in zip(rows, el2):
+                if c != zero:
+                    for i, v in row:
+                        out[i] = add(out[i], mul(c, v))
+            return tuple(out)
+
+        return mult
 
 
 class TableMonad(FinMonad):
@@ -331,6 +358,13 @@ def check_monad_laws(M: FinMonad, max_size: int) -> LawReport:
     Instances that would require enumerating an iterated application beyond
     the guard are reported as skipped.  The first counterexample in
     enumeration order is recorded per law.
+
+    The elements of a canonical carrier are their own indices, so a function
+    between two of them is its value tuple and g.f is `gv[y] for y in fv`.
+    For the length of one call, M h is resolved once per value tuple through
+    `M.arrow` and its values are kept as they are first asked for, up to
+    `blowup_limit()` kept values in all; mu_X is looked up in the table
+    `M.mult(X)` wherever M(M X) is enumerated, and is otherwise `M.mult_at`.
     """
     if max_size < 1:
         raise InputError("max_size must be >= 1")
@@ -341,36 +375,55 @@ def check_monad_laws(M: FinMonad, max_size: int) -> LawReport:
                 f"{M.name}: |M({X.name})| = {M.card(len(X))} exceeds the guard")
 
     report = LawReport(f"monad {M.name}")
+    units = [tuple(M.unit_element(X, x) for x in X) for X in carriers]
+    mult_at = [M.mult_at(X) for X in carriers]
+    mult_tables = LazyTable(M.mult)
+    arrows: dict[tuple, LazyTable] = {}
+    room = blowup_limit()
+
+    def arrow(values: tuple, Y: FinSet) -> LazyTable:
+        """M h for h: X -> Y with value tuple `values`, |X| = len(values)."""
+        nonlocal room
+        table = arrows.get((values, len(Y)))
+        if table is None:
+            X = carriers[len(values)]
+            capacity = min(M.card(len(X)), room)
+            room -= capacity
+            table = arrows[values, len(Y)] = LazyTable(
+                M.arrow(values.__getitem__, X, Y), capacity)
+        return table
 
     for X in carriers:
         MX = M.apply(X)
+        mult_x = mult_at[len(X)]
         # functor preserves identities
-        id_x = identity_fn(X)
+        id_x = arrow(X.elements, X)
         report.first("map-identity", X.name, (
             {"carrier": X.name, "element": el, "got": got}
-            for el in MX if (got := M.map_element(id_x, el)) != el))
+            for el in MX if (got := id_x[el]) != el))
 
         # left unit: mult . unit at M X == id
         report.first("left-unit", X.name, (
             {"carrier": X.name, "element": el, "got": got}
-            for el in MX if (got := M.mult_element(X, M.unit_element(MX, el))) != el))
+            for el in MX if (got := mult_x(M.unit_element(MX, el))) != el))
 
         # right unit: mult . M(unit) == id
-        u = M.unit(X)
+        m_unit = M.arrow(units[len(X)].__getitem__, X, MX)
         report.first("right-unit", X.name, (
             {"carrier": X.name, "element": el, "got": got}
-            for el in MX if (got := M.mult_element(X, M.map_element_fn(u, X, MX, el))) != el))
+            for el in MX if (got := mult_x(m_unit(el))) != el))
 
         # associativity over M(M(M X))
         if M.tower_fits(len(X), 3):
             MMX = M.apply(MX)
-            mult_X = M.mult(X)
+            mult_x = mult_tables[X]
+            mult_mx = M.mult_at(MX)
+            m_mult = M.arrow(mult_x, MMX, MX)
             report.first("mult-associativity", X.name, (
                 {"carrier": X.name, "element": el3,
                  "outer-first": outer, "inner-first": inner}
                 for el3 in M.apply(MMX)
-                if (outer := M.mult_element(X, M.mult_element(MX, el3)))
-                != (inner := M.mult_element(X, M.map_element_fn(mult_X, MMX, MX, el3)))))
+                if (outer := mult_x(mult_mx(el3))) != (inner := mult_x(m_mult(el3)))))
         else:
             report.skip("mult-associativity", X.name, _skip_label(M, len(X), 3))
 
@@ -381,24 +434,31 @@ def check_monad_laws(M: FinMonad, max_size: int) -> LawReport:
             MX = M.apply(X)
             MY = M.apply(Y)
 
-            report.first("unit-naturality", pair, (
-                {"function": dict(f.pairs()), "element": x, "lhs": lhs, "rhs": rhs}
-                for f in all_functions(X, Y) for x in X
-                if (lhs := M.map_element_fn(f, X, Y, M.unit_element(X, x)))
-                != (rhs := M.unit_element(Y, f(x)))))
+            def unit_failures():
+                unit_x, unit_y = units[len(X)], units[len(Y)]
+                for fv in function_values(X, Y):
+                    Mf = arrow(fv, Y)
+                    for x in X:
+                        if (lhs := Mf[unit_x[x]]) != (rhs := unit_y[fv[x]]):
+                            yield {"function": dict(enumerate(fv)), "element": x,
+                                   "lhs": lhs, "rhs": rhs}
+
+            report.first("unit-naturality", pair, unit_failures())
 
             if M.tower_fits(len(X), 2):
                 MMX = M.apply(MX)
 
                 def mult_failures():
                     # M f . mult_X  vs  mult_Y . M(M f)
-                    for f in all_functions(X, Y):
-                        Mf = M.map(f)
+                    mult_x, mult_y = mult_tables[X], mult_at[len(Y)]
+                    for fv in function_values(X, Y):
+                        Mf = arrow(fv, Y)
+                        m_mf = M.arrow(Mf.__getitem__, MX, MY)
                         for el2 in MMX:
-                            lhs = Mf(M.mult_element(X, el2))
-                            rhs = M.mult_element(Y, M.map_element_fn(Mf, MX, MY, el2))
+                            lhs = Mf[mult_x(el2)]
+                            rhs = mult_y(m_mf(el2))
                             if lhs != rhs:
-                                yield {"function": dict(f.pairs()), "element": el2,
+                                yield {"function": dict(enumerate(fv)), "element": el2,
                                        "lhs": lhs, "rhs": rhs}
 
                 report.first("mult-naturality", pair, mult_failures())
@@ -407,14 +467,16 @@ def check_monad_laws(M: FinMonad, max_size: int) -> LawReport:
 
             for Z in carriers:
                 def composition_failures():
-                    for f in all_functions(X, Y):
-                        for g in all_functions(Y, Z):
-                            gf = f.then(g)
+                    for fv in function_values(X, Y):
+                        Mf = arrow(fv, Y)
+                        for gv in function_values(Y, Z):
+                            Mg = arrow(gv, Z)
+                            Mgf = arrow(tuple(map(gv.__getitem__, fv)), Z)
                             for el in MX:
-                                lhs = M.map_element(gf, el)
-                                rhs = M.map_element(g, M.map_element(f, el))
+                                lhs = Mgf[el]
+                                rhs = Mg[Mf[el]]
                                 if lhs != rhs:
-                                    yield {"f": dict(f.pairs()), "g": dict(g.pairs()),
+                                    yield {"f": dict(enumerate(fv)), "g": dict(enumerate(gv)),
                                            "element": el, "lhs": lhs, "rhs": rhs}
 
                 report.first("map-composition", f"{X.name}->{Y.name}->{Z.name}",

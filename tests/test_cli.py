@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 from barrlab.cli import main
 
@@ -222,6 +223,27 @@ def test_partial_semiring_tables_are_input_errors(capsys):
     assert code == 0
 
 
+def test_partial_arrow_tables_are_input_errors(capsys):
+    # an arrow table that leaves out an element of M(dom), or sends one
+    # outside M(cod), is bad input (exit 2), never a traceback
+    path = Path(__file__).parent / "golden" / "inputs" / "maybe-tables-broken-mult.json"
+    doc = json.loads(path.read_text())
+    i = next(i for i, entry in enumerate(doc["maps"])
+             if (entry["dom"], entry["cod"]) == (1, 1))
+    gap, stray = json.loads(path.read_text()), json.loads(path.read_text())
+    del gap["maps"][i]["table"]["[1, 0]"]
+    stray["maps"][i]["table"]["[1, 0]"] = [1, 1]
+    for broken, detail in ((gap, "no value for (1, 0)"),
+                           (stray, "value (1, 1) of (1, 0) is not an element of "
+                                   "monad.tables.1")):
+        code, report = run_json(capsys, "check-monad", json.dumps(broken), "--max-size", "2")
+        assert code == 2
+        assert report["error"] == "InputError"
+        assert report["message"] == f"monad.maps[{i}].table: {detail}"
+    code, _ = run(capsys, "check-monad", json.dumps(doc), "--max-size", "1")
+    assert code == 1
+
+
 def test_out_of_range_bounds_exit_two(capsys):
     T = H = json.dumps({"prod": [{"const": {"elements": ["p"]}}, "id"]})
     law = json.dumps({"monad": "writer:z2",
@@ -254,7 +276,7 @@ def test_search_stopped_at_the_cap_exits_two(capsys):
     assert code == 2
     assert report["error"] == "SearchCapReached"
     assert "--search-cap 0" in report["message"]
-    assert "tried = 1" in report["message"]
+    assert "tried = 0" in report["message"]
     # The same search with room to finish finds sigma and exits 0.
     code, report = run_json(capsys, "commute", "search", "--T", T, "--H", H,
                             "--law", law, "--max-size", "1")

@@ -1,5 +1,6 @@
 """Differential tests of the tabulated paths against the pointwise code they
-replace: level-algebra structure tables, and arrows resolved once."""
+replace: level-algebra structure tables, and arrows and multiplications
+resolved once."""
 
 import functools
 
@@ -76,10 +77,18 @@ def test_levels_above_the_guard_stay_pointwise(name, monkeypatch):
 
 
 def table_monad(real, max_size):
-    """`real` as explicit tables on the carriers of size <= max_size, with an
-    arrow table for every function between them."""
+    """`real` as explicit tables: the elements of M X_n for n up to
+    |M X_max_size|, the multiplication at the carriers of size <= max_size,
+    and an arrow table for every function between those carriers."""
     sizes = {n: {"elements": list(real.apply(carrier(n))), "unit": {}, "mult": {}}
-             for n in range(max_size + 1)}
+             for n in range(real.card(max_size) + 1)}
+    for n in range(max_size + 1):
+        X = carrier(n)
+        MX = real.apply(X)
+        # M(M X) is read as M of the canonical carrier of size |M X|.
+        C = carrier(len(MX))
+        relabel = real.arrow(MX.elements.__getitem__, C, MX)
+        sizes[n]["mult"] = {el2: real.mult_element(X, relabel(el2)) for el2 in real.apply(C)}
     maps = {}
     for m in range(max_size + 1):
         for n in range(max_size + 1):
@@ -111,3 +120,13 @@ def test_arrow_matches_map_element_fn(name):
                 arrow = M.arrow(f, X, Y)
                 for el in M.apply(X):
                     assert arrow(el) == M.map_element_fn(f, X, Y, el), (f.table, el)
+
+
+@pytest.mark.parametrize("name", sorted(MONADS))
+def test_mult_at_matches_mult_element(name):
+    M = MONADS[name]()
+    for n in range(3):
+        X = carrier(n)
+        mult = M.mult_at(X)
+        for el2 in M.apply(M.apply(X)):
+            assert mult(el2) == M.mult_element(X, el2), el2
