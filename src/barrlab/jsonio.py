@@ -274,6 +274,19 @@ def _load_table_monad(doc, path: str) -> TableMonad:
                     f"got {k2!r}") from None
             mult[key2] = decode_element(v)
         sizes[n] = {"elements": elements, "unit": unit, "mult": mult}
+    for n, level in sizes.items():
+        # unit_n: X_n -> M X_n and mult_n: M(M X_n) -> M X_n land in level n;
+        # mult_n covers M(M X_n) wherever that level is given.
+        where, elements = f"{path}.tables.{n}", set(level["elements"])
+        outer = sizes.get(len(level["elements"]), {"elements": ()})["elements"]
+        for el in outer:
+            if el not in level["mult"]:
+                raise InputError(f"{where}.mult: no value for {el!r}")
+        for part in ("unit", "mult"):
+            for key, value in level[part].items():
+                if value not in elements:
+                    raise InputError(f"{where}.{part}: value {value!r} of {key!r} is "
+                                     f"not an element of {where}")
     maps = {}
     for i, entry in enumerate(doc.get("maps", [])):
         where = f"{path}.maps[{i}].table"

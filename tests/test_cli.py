@@ -244,6 +244,26 @@ def test_partial_arrow_tables_are_input_errors(capsys):
     assert code == 1
 
 
+def test_partial_or_open_unit_and_mult_tables_are_input_errors(capsys):
+    # unit and mult values must be elements of their level, and mult must
+    # cover M(M X_n) wherever that level is given: exit 2, never a traceback
+    path = Path(__file__).parent / "golden" / "inputs" / "maybe-tables-broken-map-identity.json"
+    gap, unit, stray = (json.loads(path.read_text()) for _ in range(3))
+    del gap["tables"]["1"]["mult"]["[1, 1]"]
+    unit["tables"]["1"]["unit"] = [[1, 7]]
+    stray["tables"]["1"]["mult"]["[1, 1]"] = [1, 9]
+    for broken, message in (
+            (gap, "monad.tables.1.mult: no value for (1, 1)"),
+            (unit, "monad.tables.1.unit: value (1, 7) of 0 is not an element of "
+                   "monad.tables.1"),
+            (stray, "monad.tables.1.mult: value (1, 9) of (1, 1) is not an element of "
+                    "monad.tables.1")):
+        code, report = run_json(capsys, "check-monad", json.dumps(broken), "--max-size", "1")
+        assert code == 2
+        assert report["error"] == "InputError"
+        assert report["message"] == message
+
+
 def test_out_of_range_bounds_exit_two(capsys):
     T = H = json.dumps({"prod": [{"const": {"elements": ["p"]}}, "id"]})
     law = json.dumps({"monad": "writer:z2",
