@@ -430,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--levels", type=int, default=3)
         p.set_defaults(fn=cmd_lemma, which=which)
 
-    p = sub.add_parser("commute", parents=[common])
+    p = sub.add_parser("commute")
     modes = p.add_subparsers(dest="mode", required=True)
     pc = modes.add_parser("check", parents=[common])
     pc.add_argument("candidate")

@@ -402,7 +402,16 @@ def load_distlaw_em(doc, path: str = "law") -> DistLawEM:
         if fname == "identity":
             return identity_law(monad)
         if fname == "gset":
-            laws = gset_distlaws(load_group(params.get("group", "z2"), f"{path}.group"))
+            if not (isinstance(monad, WriterMonad) and monad.monoid.is_group()):
+                raise InputError(f"{path}.monad: the gset family needs a writer monad "
+                                 f"over a group, got {monad.name}")
+            group = monad.monoid
+            if "group" in params:
+                given = load_group(params["group"], f"{path}.group")
+                if (given.elements, given.table) != (group.elements, group.table):
+                    raise InputError(f"{path}.group: {given.name} is not the group "
+                                     f"of {monad.name}")
+            laws = gset_distlaws(group)
             return laws[0] if params.get("variant", "mult") == "mult" else laws[1]
         if fname == "moore":
             if not isinstance(monad, SemimoduleMonad):

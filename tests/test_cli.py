@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from barrlab.cli import main
 
 
@@ -283,6 +285,41 @@ def test_out_of_range_bounds_exit_two(capsys):
         code, report = run_json(capsys, *argv)
         assert code == 2, argv
         assert report["error"] == "InputError", argv
+
+
+def test_flags_before_a_commute_mode_are_usage_errors(capsys):
+    # A flag before the mode used to be overwritten by the mode's default
+    # (this ran at --max-size 3); it is now an argparse usage error.
+    cand = json.dumps({"monad": "semimodule:z2",
+                       "partner": {"generators": {"elements": ["*"]},
+                                   "alphabet": {"elements": ["a"]}}})
+    with pytest.raises(SystemExit) as exc:
+        main(["commute", "--max-size", "1", "check", cand])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    code, report = run_json(capsys, "commute", "check", cand, "--max-size", "1")
+    assert code == 0
+    assert report["config"]["max_size"] == 1
+    assert len(report["result"]["checks"]) == 10
+
+
+def test_gset_family_takes_its_group_from_the_writer_monad(capsys):
+    # The gset law lives over writer[G]; a monad that is not a writer monad
+    # over a group, or a `group` key naming another group, is bad input.
+    for law, message in (
+            ({"monad": "maybe", "family": {"name": "gset", "group": "z2"}},
+             "law.monad: the gset family needs a writer monad over a group, got maybe"),
+            ({"monad": "writer:s3", "family": {"name": "gset", "group": "z2"}},
+             "law.group: Z2 is not the group of writer[S3]")):
+        code, report = run_json(capsys, "check-distlaw", json.dumps(law), "--max-size", "1")
+        assert code == 2
+        assert report["error"] == "InputError"
+        assert report["message"] == message
+    for law in ({"monad": "writer:s3", "family": "gset"},
+                {"monad": "writer:s3", "family": {"name": "gset", "group": "s3"}}):
+        code, report = run_json(capsys, "check-distlaw", json.dumps(law), "--max-size", "1")
+        assert code == 0
+        assert report["result"]["subject"] == "distributive law gset-s3-mult"
 
 
 def test_search_stopped_at_the_cap_exits_two(capsys):
