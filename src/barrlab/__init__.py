@@ -5,15 +5,14 @@ series, and commuting pairs of endofunctors."""
 
 __version__ = "0.1.0"
 
-from .algebras import (EMAlgebra, check_em_algebra, free_algebra,
-                       initial_algebra, terminal_algebra)
+from .algebras import EMAlgebra, check_em_algebra, free_algebra, terminal_algebra
 from .chains import (DyadicDist, InitialChain, LevelAlgebras, LimitPoint,
                      MElement, TerminalChain, anamorphism, build_initial_chain,
                      build_terminal_chain, cauchy_limit_point,
                      check_cone_coincidence, check_connect_morphisms,
                      check_projection_morphisms, colim_to_lim, density_map,
                      distance, limit_algebra_level, limit_algebra_point, level_algebras,
-                     m_singleton, point_from_coalgebra)
+                     m_singleton)
 from .compair import (CommutingCandidate, KleisliLiftPoly, check_commuting,
                       initial_words, kleisli_lift_poly, partner_for_product,
                       search_commuting_sigma, words_functor)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .errors import DomainMismatch, NonFinitePreserving, blowup_limit
-from .finset import EMPTY, TERMINAL, Element, FinFn, FinSet, LazyTable
+from .finset import TERMINAL, Element, FinFn, FinSet, LazyTable
 from .monads import FinMonad
 from .reports import LawReport
 
@@ -61,11 +61,6 @@ def free_algebra(M: FinMonad, X: FinSet) -> EMAlgebra:
             f"{M.name}: free algebra carrier on {X.name} exceeds the guard")
     carrier = M.apply(X)
     return EMAlgebra(M, carrier, M.mult_at(X), name=f"free({X.name})")
-
-
-def initial_algebra(M: FinMonad) -> EMAlgebra:
-    """The free algebra on the empty set; its carrier is M0."""
-    return free_algebra(M, EMPTY)
 
 
 def terminal_algebra(M: FinMonad) -> EMAlgebra:

@@ -83,6 +83,7 @@ def anamorphism(C: FinSet, xi: FinFn, n: int, chain: TerminalChain) -> FinFn:
     if xi.dom != C or xi.cod != HC:
         raise DomainMismatch(f"coalgebra structure must be {C.name} -> H({C.name})")
     key = (C, xi)
+    # Not a LazyTable: leg n is built from leg n-1, so the legs are a growing list.
     legs = chain._ana_cache.setdefault(key, [to_terminal(C)])
     while len(legs) <= n:
         m = len(legs)
@@ -101,6 +102,7 @@ class LimitPoint:
         self.provider = provider
         self.valid_to = chain.depth if valid_to is None else min(valid_to, chain.depth)
         self.label = label
+        # Not a LazyTable: a new entry is validated against its neighbours.
         self._memo: dict[int, Element] = {}
 
     def rep(self, n: int) -> Element:
@@ -123,15 +125,6 @@ class LimitPoint:
 
     def __repr__(self):
         return f"LimitPoint({self.label or hex(id(self))}, valid to {self.valid_to})"
-
-
-def point_from_coalgebra(chain: TerminalChain, C: FinSet, xi: FinFn,
-                         state: Element) -> LimitPoint:
-    """The limit point a coalgebra state unfolds to."""
-    if state not in C:
-        raise DomainMismatch(f"{state!r} is not a state of {C.name}")
-    return LimitPoint(chain, lambda n: anamorphism(C, xi, n, chain)(state),
-                      label=f"beh({state!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +151,6 @@ class DyadicDist:
         if self.agree_depth is None:
             return None
         return Fraction(1, 2 ** self.agree_depth)
-
-    def upper_bound(self) -> Fraction:
-        exp = self.agree_depth if self.resolved else self.bound_exp
-        return Fraction(1, 2 ** exp)
 
     def exponent_lower_bound(self) -> int:
         """A certified n with distance <= 2^-n."""
@@ -220,7 +209,9 @@ class LevelAlgebras:
         self.chain = chain
         self.top = top
         # Per level: None until first use, then (M(level), positions) or
-        # False when M(level) exceeds the guard.
+        # False when M(level) exceeds the guard.  Not LazyTables: these are
+        # lists of small ints, where a dict would keep every fresh tuple the
+        # arrows build as a key and raise peak memory.
         self._tables: list = [None] * (top + 1)
         self._algebras = [self._make(n) for n in range(top + 1)]
 
@@ -264,13 +255,12 @@ class LevelAlgebras:
                            law.component_at(self.chain.levels[n - 1], u))
 
 
-def level_algebras(law: DistLawEM, chain: TerminalChain,
-                   top: Optional[int] = None) -> LevelAlgebras:
-    """Equip levels 0..top (default: the whole chain) with their inherited
-    algebra structures.  Nothing is evaluated here: each level's table is
-    allocated on its first structure lookup, and only the entries a caller
-    asks for (and the entries below them they need) are filled."""
-    return LevelAlgebras(law, chain, chain.depth if top is None else top)
+def level_algebras(law: DistLawEM, chain: TerminalChain) -> LevelAlgebras:
+    """Equip every level of the chain with its inherited algebra structure.
+    Nothing is evaluated here: each level's table is allocated on its first
+    structure lookup, and only the entries a caller asks for (and the
+    entries below them they need) are filled."""
+    return LevelAlgebras(law, chain, chain.depth)
 
 
 def check_connect_morphisms(levels: LevelAlgebras, upto: Optional[int] = None) -> LawReport:

@@ -281,6 +281,8 @@ def search_commuting_sigma(T: FunctorExpr, H: FunctorExpr, M: FinMonad,
 
     tried = 0
     chosen: dict[FinSet, FinFn] = {}
+    # Not LazyTables: each carrier's pairs are produced lazily in enumeration
+    # order, as far as some candidate gets.
     squares: dict[int, tuple[list, Iterator]] = {}
 
     def square_pairs(idx):

@@ -7,7 +7,8 @@ polynomial functor E: M after E (X |-> M(E X)) and E after M (X |-> E(M X)).
 A `Composite` describes one of them; it gives the set at a carrier and the
 arrow at a function, built through `M.arrow`.  A `ComponentFamily` holds
 its source and target composites and either a formula, evaluated on demand
-and tabulated per carrier when asked for, or explicit per-carrier tables.
+and tabulated per carrier when asked for, or explicit per-carrier tables;
+checkers read a component through `lookup`, a `LazyTable` per carrier.
 The algebra-side law M(H X) -> H(M X) (`DistLawEM`, equivalent to lifting H
 to algebras), the Kleisli-side law T(M X) -> M(T X) (`DistLawKl`) and the
 mediating isomorphism H(M X) -> M(T X) of a commuting pair are all
@@ -22,7 +23,7 @@ from typing import Callable, Iterator, Optional
 
 from .algebras import EMAlgebra
 from .errors import DomainMismatch, MissingComponent
-from .finset import Element, FinFn, FinSet, LazyTable, all_functions, canonical_carriers
+from .finset import Element, FinFn, FinSet, LazyTable, canonical_carriers, function_values
 from .functors import (Const, FunctorExpr, Id, Prod, eval_functor,
                        map_element, moore_functor)
 from .groups import FinGroup, FinMonoid, as_group
@@ -37,21 +38,18 @@ class Composite:
     def __init__(self, outer, inner):
         self.monad_outer = isinstance(outer, FinMonad)
         self.M, self.E = (outer, inner) if self.monad_outer else (inner, outer)
-        self._functor_sets: dict[FinSet, FinSet] = {}
+        self._functor_sets = LazyTable(lambda X: eval_functor(self.E, X))
 
     def functor_at(self, X: FinSet) -> FinSet:
         """E X (memoised)."""
-        cached = self._functor_sets.get(X)
-        if cached is None:
-            cached = self._functor_sets[X] = eval_functor(self.E, X)
-        return cached
+        return self._functor_sets[X]
 
     def at(self, X: FinSet) -> FinSet:
         if self.monad_outer:
             return self.M.apply(self.functor_at(X))
         return self.functor_at(self.M.apply(X))
 
-    def arrow(self, f: FinFn, X: FinSet, Y: FinSet) -> Callable[[Element], Element]:
+    def arrow(self, f: Callable, X: FinSet, Y: FinSet) -> Callable[[Element], Element]:
         """The composite applied to f: X -> Y, as a function of one element."""
         M, E = self.M, self.E
         if self.monad_outer:
@@ -67,7 +65,8 @@ class ComponentFamily:
 
     A formula family (or a subclass that defines `component_at` itself)
     covers every carrier and tabulates a component on request; a table
-    family covers exactly the carriers it was given.
+    family covers exactly the carriers it was given.  `lookup` memoises
+    `component_at` per carrier for the family's lifetime.
     """
 
     def __init__(self, source: Composite, target: Composite,
@@ -79,7 +78,10 @@ class ComponentFamily:
         self.name = name
         self._formula = formula
         self._tabled = components is not None
-        self._tables: dict[FinSet, FinFn] = dict(components or {})
+        self._tables = LazyTable(self._tabulate)
+        self._tables.update(components or {})
+        self._lookups = LazyTable(
+            lambda X: LazyTable(lambda el: self.component_at(X, el)))
 
     def has_component(self, X: FinSet) -> bool:
         return not self._tabled or X in self._tables
@@ -87,17 +89,21 @@ class ComponentFamily:
     def missing(self, X: FinSet) -> MissingComponent:
         return MissingComponent(f"{self.name}: no component at {X.name}")
 
+    def _tabulate(self, X: FinSet) -> FinFn:
+        if self._tabled:
+            raise self.missing(X)
+        dom = self.source.at(X)
+        return FinFn(dom, self.target.at(X), {el: self.component_at(X, el) for el in dom},
+                     name=f"{self.name}@{X.name}")
+
     def component(self, X: FinSet) -> FinFn:
         """The component at X as an explicit table (memoised)."""
-        cached = self._tables.get(X)
-        if cached is None:
-            if self._tabled:
-                raise self.missing(X)
-            dom = self.source.at(X)
-            cached = self._tables[X] = FinFn(
-                dom, self.target.at(X), {el: self.component_at(X, el) for el in dom},
-                name=f"{self.name}@{X.name}")
-        return cached
+        return self._tables[X]
+
+    def lookup(self, X: FinSet) -> Callable[[Element], Element]:
+        """The component at X as a function of one element, memoised for the
+        family's lifetime."""
+        return self._lookups[X].__getitem__
 
     def component_at(self, X: FinSet, el: Element) -> Element:
         if self._tabled:
@@ -144,13 +150,15 @@ def naturality_failures(source: Composite, target: Composite, X: FinSet, Y: FinS
     target(X) and at_y: source(Y) -> target(Y), over every f: X -> Y and
     every element of source(X), in canonical order and computed lazily."""
     dom = source.at(X)
-    for f in all_functions(X, Y):
-        source_f, target_f = source.arrow(f, X, Y), target.arrow(f, X, Y)
+    for values in function_values(X, Y):
+        f = dict(zip(X.elements, values))
+        source_f, target_f = (source.arrow(f.__getitem__, X, Y),
+                              target.arrow(f.__getitem__, X, Y))
         for u in dom:
             lhs = at_y(source_f(u))
             rhs = target_f(at_x(u))
             if lhs != rhs:
-                yield {"function": dict(f.pairs()), "element": u, "lhs": lhs, "rhs": rhs}
+                yield {"function": f, "element": u, "lhs": lhs, "rhs": rhs}
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +223,10 @@ def product_swap_law(M: WriterMonad, A: FinSet) -> DistLawEM:
 
 
 def pointed_law(M: ExceptionMonad, outputs: FinSet,
-                alphabet: Optional[FinSet] = None, base: Element = None) -> DistLawEM:
+                alphabet: Optional[FinSet] = None) -> DistLawEM:
     """Law for H = C x X (or C x X^A) over an exception monad: error values
-    propagate into every successor slot and output the chosen basepoint."""
-    if base is None:
-        base = outputs.elements[0]
+    propagate into every successor slot and output the first element of C."""
+    base = outputs.elements[0]
     if alphabet is None:
         H = Prod(Const(outputs), Id())
 
@@ -276,25 +283,22 @@ class SemimoduleFunctorLaw(DistLawEM):
         else:
             raise ValueError(f"unknown shape {shape!r}")
         super().__init__(H, M, name=f"linear[{out.carrier.name};{shape}/{M.name}]")
-        self._arrows: dict[FinSet, tuple] = {}
+        self._arrows = LazyTable(self._projection_arrows)
 
     def _projection_arrows(self, X: FinSet) -> tuple:
         """M applied to the output projection and the successor projections
-        of H X, built once per carrier."""
-        cached = self._arrows.get(X)
-        if cached is None:
-            M, HX = self.M, self.functor_at(X)
-            out = M.arrow(lambda w: w[0], HX, self.out.carrier)
-            if self.shape == "times":
-                succ = M.arrow(lambda w: w[1], HX, X)
-            else:
-                succ = tuple(M.arrow(lambda w, i=i: w[1][i], HX, X)
-                             for i in range(len(self.alphabet)))
-            cached = self._arrows[X] = (out, succ)
-        return cached
+        of H X, built once per carrier (kept in `_arrows`)."""
+        M, HX = self.M, self.functor_at(X)
+        out = M.arrow(lambda w: w[0], HX, self.out.carrier)
+        if self.shape == "times":
+            succ = M.arrow(lambda w: w[1], HX, X)
+        else:
+            succ = tuple(M.arrow(lambda w, i=i: w[1][i], HX, X)
+                         for i in range(len(self.alphabet)))
+        return (out, succ)
 
     def component_at(self, X, phi):
-        out, succ = self._projection_arrows(X)
+        out, succ = self._arrows[X]
         out_part = self.out.structure_at(out(phi))
         if self.shape == "times":
             return (out_part, succ(phi))
@@ -320,8 +324,9 @@ def check_distlaw_em(law: DistLawEM, max_size: int) -> LawReport:
     """Exhaustively verify the unit axiom, the multiplication axiom and
     naturality on all canonical carriers of size <= max_size.
 
-    The axioms revisit few distinct component inputs many times, so each
-    component is memoised for the length of this call."""
+    The axioms revisit few distinct component inputs many times, so every
+    component is read through `law.lookup`, memoised for the law's
+    lifetime."""
     M, H = law.M, law.H
     report = LawReport(f"distributive law {law.name}")
     carriers = canonical_carriers(max_size)
@@ -329,19 +334,11 @@ def check_distlaw_em(law: DistLawEM, max_size: int) -> LawReport:
         if not law.has_component(X):
             raise law.missing(X)
 
-    memos: dict[FinSet, Callable] = {}
-
-    def component(X: FinSet) -> Callable:
-        memo = memos.get(X)
-        if memo is None:
-            memo = memos[X] = LazyTable(lambda el: law.component_at(X, el)).__getitem__
-        return memo
-
     for X in carriers:
         HX = law.functor_at(X)
         MX = M.apply(X)
         unit_x = lambda x: M.unit_element(X, x)
-        lam_x = component(X)
+        lam_x = law.lookup(X)
         report.first("unit-axiom", X.name, (
             {"carrier": X.name, "element": w, "lhs": lhs, "rhs": rhs}
             for w in HX
@@ -354,7 +351,7 @@ def check_distlaw_em(law: DistLawEM, max_size: int) -> LawReport:
             MHX = M.apply(HX)
             mult_x = M.mult_at(X)
             mult_hx = M.mult_at(HX)
-            lam_mx = component(MX)
+            lam_mx = law.lookup(MX)
             m_lam_x = M.arrow(lam_x, MHX, eval_functor(H, MX))
             report.first("mult-axiom", X.name, (
                 {"carrier": X.name, "element": big, "lhs": lhs, "rhs": rhs}
@@ -372,7 +369,7 @@ def check_distlaw_em(law: DistLawEM, max_size: int) -> LawReport:
                 report.skip("naturality", pair, f"|M(H {X.name})| exceeds guard")
                 continue
             report.first("naturality", pair, naturality_failures(
-                law.source, law.target, X, Y, component(X), component(Y)))
+                law.source, law.target, X, Y, law.lookup(X), law.lookup(Y)))
 
     return report
 
@@ -386,16 +383,13 @@ def check_distlaw_kl(law: DistLawKl, max_size: int) -> LawReport:
         if not law.has_component(X):
             raise law.missing(X)
 
-    def component(X: FinSet) -> Callable:
-        return lambda el: law.component_at(X, el)
-
     for X in carriers:
         TX = eval_functor(T, X)
         MX = M.apply(X)
         TMX = eval_functor(T, MX)
         MTX = M.apply(TX)
         unit_x = lambda x: M.unit_element(X, x)
-        lam_x = component(X)
+        lam_x = law.lookup(X)
         report.first("unit-axiom", X.name, (
             {"carrier": X.name, "element": w, "lhs": lhs, "rhs": rhs}
             for w in TX
@@ -406,7 +400,7 @@ def check_distlaw_kl(law: DistLawKl, max_size: int) -> LawReport:
                         f"no component at the derived carrier {MX.name}")
         elif M.tower_fits(len(X), 2):
             mult_x, mult_tx = M.mult_at(X), M.mult_at(TX)
-            lam_mx = component(MX)
+            lam_mx = law.lookup(MX)
             # lam_mx(big) lies in M(T(M X)); M(lam_x) takes it to M(M(T X)).
             report.first("mult-axiom", X.name, (
                 {"carrier": X.name, "element": big, "lhs": lhs, "rhs": rhs}
@@ -420,7 +414,7 @@ def check_distlaw_kl(law: DistLawKl, max_size: int) -> LawReport:
     for X in carriers:
         for Y in carriers:
             report.first("naturality", f"{X.name}->{Y.name}", naturality_failures(
-                law.source, law.target, X, Y, component(X), component(Y)))
+                law.source, law.target, X, Y, law.lookup(X), law.lookup(Y)))
 
     return report
 

@@ -1,9 +1,10 @@
 """Finiteness-preserving monads on finite sets, with exhaustive law checking.
 
-Structure maps are exposed pointwise (`unit_element`, `mult_element`,
-`map_element`), resolved once for loops that apply them to many elements
-(`arrow` for M f, `mult_at` for mu_X), and in materialised table form
-(`unit`, `mult`).  The pointwise and resolved forms matter:
+Structure maps are exposed in two forms: pointwise (`unit_element`,
+`mult_element`, `map_element_fn`), and resolved once for loops that apply
+them to many elements (`arrow` for M f, `mult_at` for mu_X).  Checkers that
+revisit inputs memoise a resolved map in a `LazyTable`; no structure map is
+materialised as a table.  The pointwise and resolved forms matter:
 iterated applications such as M(M(M X)) explode quickly (powerset towers,
 free semimodules), and the law checker enumerates an instance only while it
 fits under the blow-up guard, recording larger instances as skipped.  A
@@ -18,8 +19,8 @@ import itertools
 from typing import Callable, Iterable
 
 from .errors import InputError, MissingComponent, NonFinitePreserving, blowup_limit
-from .finset import (Element, FinFn, FinSet, LazyTable, canonical_carriers,
-                     function_values, guard_size)
+from .finset import (Element, FinSet, LazyTable, canonical_carriers, function_values,
+                     guard_size)
 from .groups import FinMonoid
 from .reports import LawReport
 from .semiring import Semiring
@@ -47,19 +48,15 @@ class FinMonad:
         raise NotImplementedError
 
     def __init__(self):
-        self._apply_cache: dict[FinSet, FinSet] = {}
+        self._apply_cache = LazyTable(self._materialise)
+
+    def _materialise(self, X: FinSet) -> FinSet:
+        guard_size(self.card(len(X)), f"building {self.name}({X.name})")
+        return FinSet(f"{self.name}({X.name})", self._enumerate(X))
 
     def apply(self, X: FinSet) -> FinSet:
         """Materialise M X (guarded and memoised)."""
-        cached = self._apply_cache.get(X)
-        if cached is None:
-            guard_size(self.card(len(X)), f"building {self.name}({X.name})")
-            cached = FinSet(f"{self.name}({X.name})", self._enumerate(X))
-            self._apply_cache[X] = cached
-        return cached
-
-    def map_element(self, f: FinFn, el: Element) -> Element:
-        return self.map_element_fn(f, f.dom, f.cod, el)
+        return self._apply_cache[X]
 
     def arrow(self, fn: Callable, dom: FinSet, cod: FinSet) -> Callable[[Element], Element]:
         """M fn as a function of one element of M dom.  Loops that apply the
@@ -71,17 +68,6 @@ class FinMonad:
         """mu_X as a function of one element of M(M X), the counterpart of
         `arrow`; a subclass may resolve M X in advance."""
         return functools.partial(self.mult_element, X)
-
-    def unit(self, X: FinSet) -> FinFn:
-        return FinFn(X, self.apply(X), {x: self.unit_element(X, x) for x in X},
-                     name=f"unit_{X.name}")
-
-    def mult(self, X: FinSet) -> FinFn:
-        """Multiplication as a table; materialises M(M X)."""
-        MX = self.apply(X)
-        MMX = self.apply(MX)
-        mult = self.mult_at(X)
-        return FinFn(MMX, MX, {el: mult(el) for el in MMX}, name=f"mult_{X.name}")
 
     def tower_fits(self, n: int, height: int) -> bool:
         limit = blowup_limit()
@@ -301,10 +287,7 @@ class TableMonad(FinMonad):
         self.maps = maps
 
     def card(self, n):
-        try:
-            return len(self.sizes[n]["elements"])
-        except KeyError:
-            raise MissingComponent(f"{self.name}: no table for carriers of size {n}") from None
+        return len(self._level(n)["elements"])
 
     def _level(self, n):
         if n not in self.sizes:
@@ -361,10 +344,10 @@ def check_monad_laws(M: FinMonad, max_size: int) -> LawReport:
 
     The elements of a canonical carrier are their own indices, so a function
     between two of them is its value tuple and g.f is `gv[y] for y in fv`.
-    For the length of one call, M h is resolved once per value tuple through
-    `M.arrow` and its values are kept as they are first asked for, up to
-    `blowup_limit()` kept values in all; mu_X is looked up in the table
-    `M.mult(X)` wherever M(M X) is enumerated, and is otherwise `M.mult_at`.
+    For the length of one call, M h (one per value tuple, through `M.arrow`)
+    and mu_X (one per carrier, through `M.mult_at`) are `LazyTable`s that
+    keep their values as they are first asked for, up to `blowup_limit()`
+    kept values in all.
     """
     if max_size < 1:
         raise InputError("max_size must be >= 1")
@@ -376,28 +359,28 @@ def check_monad_laws(M: FinMonad, max_size: int) -> LawReport:
 
     report = LawReport(f"monad {M.name}")
     units = [tuple(M.unit_element(X, x) for x in X) for X in carriers]
-    mult_at = [M.mult_at(X) for X in carriers]
-    mult_tables = LazyTable(M.mult)
-    arrows: dict[tuple, LazyTable] = {}
     room = blowup_limit()
 
-    def arrow(values: tuple, Y: FinSet) -> LazyTable:
-        """M h for h: X -> Y with value tuple `values`, |X| = len(values)."""
+    def memo(fn: Callable, size: int) -> LazyTable:
+        """fn kept on at most `size` values, drawn from the call's budget."""
         nonlocal room
-        table = arrows.get((values, len(Y)))
-        if table is None:
-            X = carriers[len(values)]
-            capacity = min(M.card(len(X)), room)
-            room -= capacity
-            table = arrows[values, len(Y)] = LazyTable(
-                M.arrow(values.__getitem__, X, Y), capacity)
-        return table
+        capacity = min(size, room)
+        room -= capacity
+        return LazyTable(fn, capacity)
+
+    # arrows[values, n]: M h for h: X_len(values) -> X_n with value tuple
+    # `values`; mults[n]: mu at X_n.
+    arrows = LazyTable(lambda key: memo(
+        M.arrow(key[0].__getitem__, carriers[len(key[0])], carriers[key[1]]),
+        M.card(len(key[0]))))
+    mults = LazyTable(lambda n: memo(
+        M.mult_at(carriers[n]), M.card(M.card(n)) if M.tower_fits(n, 2) else room))
 
     for X in carriers:
         MX = M.apply(X)
-        mult_x = mult_at[len(X)]
+        mult_x = mults[len(X)].__getitem__
         # functor preserves identities
-        id_x = arrow(X.elements, X)
+        id_x = arrows[X.elements, len(X)]
         report.first("map-identity", X.name, (
             {"carrier": X.name, "element": el, "got": got}
             for el in MX if (got := id_x[el]) != el))
@@ -416,7 +399,6 @@ def check_monad_laws(M: FinMonad, max_size: int) -> LawReport:
         # associativity over M(M(M X))
         if M.tower_fits(len(X), 3):
             MMX = M.apply(MX)
-            mult_x = mult_tables[X]
             mult_mx = M.mult_at(MX)
             m_mult = M.arrow(mult_x, MMX, MX)
             report.first("mult-associativity", X.name, (
@@ -437,7 +419,7 @@ def check_monad_laws(M: FinMonad, max_size: int) -> LawReport:
             def unit_failures():
                 unit_x, unit_y = units[len(X)], units[len(Y)]
                 for fv in function_values(X, Y):
-                    Mf = arrow(fv, Y)
+                    Mf = arrows[fv, len(Y)]
                     for x in X:
                         if (lhs := Mf[unit_x[x]]) != (rhs := unit_y[fv[x]]):
                             yield {"function": dict(enumerate(fv)), "element": x,
@@ -450,13 +432,13 @@ def check_monad_laws(M: FinMonad, max_size: int) -> LawReport:
 
                 def mult_failures():
                     # M f . mult_X  vs  mult_Y . M(M f)
-                    mult_x, mult_y = mult_tables[X], mult_at[len(Y)]
+                    mult_x, mult_y = mults[len(X)], mults[len(Y)]
                     for fv in function_values(X, Y):
-                        Mf = arrow(fv, Y)
+                        Mf = arrows[fv, len(Y)]
                         m_mf = M.arrow(Mf.__getitem__, MX, MY)
                         for el2 in MMX:
-                            lhs = Mf[mult_x(el2)]
-                            rhs = mult_y(m_mf(el2))
+                            lhs = Mf[mult_x[el2]]
+                            rhs = mult_y[m_mf(el2)]
                             if lhs != rhs:
                                 yield {"function": dict(enumerate(fv)), "element": el2,
                                        "lhs": lhs, "rhs": rhs}
@@ -468,10 +450,10 @@ def check_monad_laws(M: FinMonad, max_size: int) -> LawReport:
             for Z in carriers:
                 def composition_failures():
                     for fv in function_values(X, Y):
-                        Mf = arrow(fv, Y)
+                        Mf = arrows[fv, len(Y)]
                         for gv in function_values(Y, Z):
-                            Mg = arrow(gv, Z)
-                            Mgf = arrow(tuple(map(gv.__getitem__, fv)), Z)
+                            Mg = arrows[gv, len(Z)]
+                            Mgf = arrows[tuple(map(gv.__getitem__, fv)), len(Z)]
                             for el in MX:
                                 lhs = Mgf[el]
                                 rhs = Mg[Mf[el]]

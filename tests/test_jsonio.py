@@ -94,7 +94,7 @@ def test_table_monad_checks_laws():
                 "dom": m, "cod": n,
                 "values": [f(i) for i in range(m)],
                 "table": {_json.dumps(encode_element(el)):
-                          encode_element(real.map_element(f, el))
+                          encode_element(real.map_element_fn(f, f.dom, f.cod, el))
                           for el in real.apply(carrier(m))},
             })
     M = load_monad({"name": "maybe-tables", "tables": tables, "maps": maps})

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from barrlab import (FinSet, MissingComponent, carrier, check_distlaw_em,
@@ -173,6 +175,45 @@ def test_table_law_missing_component(maybe):
     law = DistLawEM(Id(), maybe, components={}, name="empty")
     with pytest.raises(MissingComponent):
         law.component(carrier(1))
+
+
+def test_lookup_matches_component_at(maybe, two_outputs, z2_monad, one_letter):
+    # a formula law, a table law and SemimoduleFunctorLaw; the table at X2
+    # is constant, so it sends the elements X2 shares with X0 and X1 elsewhere
+    formula = pointed_law(maybe, two_outputs)
+    X2 = carrier(2)
+    source, target = formula.source.at(X2), formula.target.at(X2)
+    components = {carrier(n): formula.component(carrier(n)) for n in range(2)}
+    components[X2] = FinFn(source, target, {el: target.elements[-1] for el in source})
+    table = DistLawEM(formula.H, maybe, components=components, name="tabled")
+    linear = semimodule_moore_law(z2_monad, one_letter)
+    for law in (formula, table, linear):
+        for n in range(3):
+            X = carrier(n)
+            lam = law.lookup(X)
+            for el in law.source.at(X):
+                assert lam(el) == law.component_at(X, el), (law.name, n, el)
+
+
+def test_lookup_evaluates_the_formula_once_per_element(maybe, two_outputs):
+    base = pointed_law(maybe, two_outputs)
+    calls = Counter()
+
+    def formula(X, el):
+        calls[X, el] += 1
+        return base.component_at(X, el)
+
+    law = DistLawEM(base.H, maybe, formula, name="counting")
+    X = carrier(2)
+    dom = law.source.at(X).elements
+    for _ in range(3):
+        lam = law.lookup(X)
+        assert [lam(el) for el in dom * 2] == [base.component_at(X, el) for el in dom * 2]
+    assert calls == Counter({(X, el): 1 for el in dom})
+    # the checker reads every component through lookup
+    calls.clear()
+    assert check_distlaw_em(law, 2).passed
+    assert set(calls.values()) == {1}
 
 
 def test_semiring_algebra_passes(z2_monad, z4_monad):

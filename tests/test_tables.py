@@ -94,7 +94,8 @@ def table_monad(real, max_size):
         for n in range(max_size + 1):
             for f in all_functions(carrier(m), carrier(n)):
                 key = (m, n, tuple(f(i) for i in range(m)))
-                maps[key] = {el: real.map_element(f, el) for el in real.apply(carrier(m))}
+                maps[key] = {el: real.map_element_fn(f, f.dom, f.cod, el)
+                             for el in real.apply(carrier(m))}
     return TableMonad(f"table[{real.name}]", sizes, maps)
 
 
