@@ -278,8 +278,8 @@ def _load_table_monad(doc, path: str) -> TableMonad:
         # unit_n: X_n -> M X_n and mult_n: M(M X_n) -> M X_n land in level n;
         # mult_n covers M(M X_n) wherever that level is given.
         where, elements = f"{path}.tables.{n}", set(level["elements"])
-        outer = sizes.get(len(level["elements"]), {"elements": ()})["elements"]
-        for el in outer:
+        outer = sizes.get(len(level["elements"]))
+        for el in outer["elements"] if outer else ():
             if el not in level["mult"]:
                 raise InputError(f"{where}.mult: no value for {el!r}")
         for part in ("unit", "mult"):
