@@ -253,16 +253,18 @@ def test_cone_and_projection_checks_pass(z2_setup, maybe_setup):
 
 
 class _Corrupted(DistLawEM):
-    """Wraps a law, swapping two outputs of one component."""
+    """Wraps a law, swapping two outputs of one component (at the inputs
+    `where` accepts, by default all of them)."""
 
-    def __init__(self, base, at_level_set):
+    def __init__(self, base, at_level_set, where=lambda el: True):
         self.base = base
         self.at = at_level_set
+        self.where = where
         super().__init__(base.H, base.M, None, name="corrupted")
 
     def component_at(self, X, el):
         out = self.base.component_at(X, el)
-        if X == self.at:
+        if X == self.at and self.where(el):
             head, succ = out  # flip the output coefficient slot
             return (1 - head, succ)
         return out
@@ -274,6 +276,78 @@ def test_mutated_law_is_detected(z2_setup):
     failed = (not check_cone_coincidence(bad, chain, 3).passed
               or not check_projection_morphisms(bad, chain, 3).passed)
     assert failed
+
+
+def _lemma_checks(*rows):
+    """Check dicts from (law, instance, counterexample or None) rows."""
+    return [{"law": law, "instance": instance, "status": "pass"} if ce is None
+            else {"law": law, "instance": instance, "status": "fail", "counterexample": ce}
+            for law, instance, ce in rows]
+
+
+_ZERO8 = (0,) * 8
+_PAIR8 = (0, 0, 0, 0, 0, 1, 0, 1)
+_LAST8 = (0, 0, 0, 0, 0, 0, 1, 1)
+
+# Reports of the two lemma checks on corrupted z2 Moore laws at depth 3,
+# captured from the pointwise evaluation: the first counterexample of each
+# level, with the elements of M(level 3) it is found at.
+PINNED_LEMMA_REPORTS = {
+    "everywhere": (
+        {"subject": "projection morphisms for corrupted", "passed": False,
+         "checks": _lemma_checks(
+             ("projection-morphism", "level 1->0", None),
+             ("projection-morphism", "level 2->1",
+              {"level": 1, "element": _ZERO8,
+               "connected": (1, ("*",)), "direct": (0, ("*",))}),
+             ("projection-morphism", "level 3->2",
+              {"level": 2, "element": _ZERO8,
+               "connected": (0, ((1, ("*",)),)), "direct": (1, ((0, ("*",)),))}))},
+        {"subject": "cone coincidence for corrupted", "passed": False,
+         "checks": _lemma_checks(
+             ("cone-coincidence", "level 0", None),
+             ("cone-coincidence", "level 1", None),
+             ("cone-coincidence", "level 2",
+              {"level": 2, "element": _ZERO8,
+               "unfolded": (0, ((0, ("*",)),)), "projected": (1, ((0, ("*",)),))}),
+             ("cone-coincidence", "level 3",
+              {"level": 3, "element": _ZERO8,
+               "unfolded": (0, ((0, ((0, ("*",)),)),)),
+               "projected": (0, ((1, ((0, ("*",)),)),))}))},
+    ),
+    "two-term inputs": (
+        {"subject": "projection morphisms for corrupted", "passed": False,
+         "checks": _lemma_checks(
+             ("projection-morphism", "level 1->0", None),
+             ("projection-morphism", "level 2->1",
+              {"level": 1, "element": _PAIR8,
+               "connected": (1, ("*",)), "direct": (0, ("*",))}),
+             ("projection-morphism", "level 3->2",
+              {"level": 2, "element": _LAST8,
+               "connected": (0, ((1, ("*",)),)), "direct": (0, ((0, ("*",)),))}))},
+        {"subject": "cone coincidence for corrupted", "passed": False,
+         "checks": _lemma_checks(
+             ("cone-coincidence", "level 0", None),
+             ("cone-coincidence", "level 1", None),
+             ("cone-coincidence", "level 2",
+              {"level": 2, "element": _PAIR8,
+               "unfolded": (0, ((1, ("*",)),)), "projected": (1, ((1, ("*",)),))}),
+             ("cone-coincidence", "level 3",
+              {"level": 3, "element": _LAST8,
+               "unfolded": (0, ((0, ((1, ("*",)),)),)),
+               "projected": (0, ((1, ((1, ("*",)),)),))}))},
+    ),
+}
+CORRUPTIONS = {"everywhere": lambda el: True, "two-term inputs": lambda el: sum(el) == 2}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LEMMA_REPORTS))
+def test_mutated_law_reports_are_pinned(z2_setup, name):
+    law, chain, _, _ = z2_setup
+    bad = _Corrupted(law, chain.level(1), CORRUPTIONS[name])
+    projection, cone = PINNED_LEMMA_REPORTS[name]
+    assert check_projection_morphisms(bad, chain, 3).to_json() == projection
+    assert check_cone_coincidence(bad, chain, 3).to_json() == cone
 
 
 def test_zero_object_condition(z2_setup, s3):
