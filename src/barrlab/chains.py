@@ -198,8 +198,10 @@ class LevelAlgebras:
     The structure maps are a bottom-up dynamic programme.  While M(level n)
     fits under the blow-up guard, level n keeps a table indexed by position
     in M(level n) that holds the result as a position in level n; an entry
-    is filled on first use from the level n-1 table.  Above the guard the
-    level is evaluated pointwise on every call.
+    is filled on first use from the level n-1 table.  Lookups by position
+    (`structure_pos`, `positions_after`) read these tables without building
+    elements.  Above the guard the level is evaluated pointwise on every
+    call.
     """
 
     def __init__(self, law: DistLawEM, chain: TerminalChain, top: int):
@@ -224,29 +226,60 @@ class LevelAlgebras:
             raise DepthExceeded(f"level algebra {n}; built to {self.top}")
         return self._algebras[n]
 
-    def structure_at(self, n: int, u: Element) -> Element:
+    def _table(self, n: int):
+        """Level n's (M(level n), positions), allocated on first use, or
+        False above the guard.  Level 0 is the terminal algebra: every
+        position is 0."""
         if not 0 <= n <= self.top:
             raise DepthExceeded(f"level algebra {n}; built to {self.top}")
-        if n == 0:
-            return "*"
         table = self._tables[n]
-        level = self.chain.levels[n]
         if table is None:
-            M = self.law.M
+            M, level = self.law.M, self.chain.levels[n]
             if M.tower_fits(len(level), 1):
                 domain = M.apply(level)
-                table = (domain, [-1] * len(domain))
+                table = (domain, [0 if n == 0 else -1] * len(domain))
             else:
                 table = False
             self._tables[n] = table
+        return table
+
+    def structure_at(self, n: int, u: Element) -> Element:
+        if n == 0:
+            return "*"
+        table = self._table(n)
         if table is False:
             return self._distribute(n, u)
         domain, positions = table
         i = domain.index(u)
         j = positions[i]
+        return self.chain.levels[n].elements[j if j >= 0 else self.structure_pos(n, i)]
+
+    def structure_pos(self, n: int, i: int) -> int:
+        """The position in level n of the structure at the element at
+        position i of M(level n); level n must fit under the guard."""
+        domain, positions = self._table(n)
+        j = positions[i]
         if j < 0:
-            j = positions[i] = level.index(self._distribute(n, u))
-        return level.elements[j]
+            j = positions[i] = self.chain.levels[n].index(
+                self._distribute(n, domain.elements[i]))
+        return j
+
+    def positions_after(self, n: int, fn: Callable, dom: FinSet) -> Callable[[int], int]:
+        """p -> the position in level n of the structure at M fn(u), u the
+        element at position p of M dom, for fn: dom -> level n.  M fn is
+        read as positions (`arrow_table`) while level n fits under the
+        guard, and evaluated pointwise above it."""
+        M, level, table = self.law.M, self.chain.levels[n], self._table(n)
+        if table is False:
+            m_fn, elements = M.arrow(fn, dom, level), M.apply(dom).elements
+            return lambda p: level.index(self.structure_at(n, m_fn(elements[p])))
+        positions, m_fn, structure_pos = table[1], M.arrow_table(fn, dom, level), self.structure_pos
+
+        def position(p):
+            j = positions[m_fn[p]]
+            return j if j >= 0 else structure_pos(n, m_fn[p])
+
+        return position
 
     def _distribute(self, n: int, u: Element) -> Element:
         """Level n's structure at u, from the structure of level n-1."""
@@ -277,13 +310,21 @@ def check_connect_morphisms(levels: LevelAlgebras, upto: Optional[int] = None) -
             report.skip("connect-is-morphism", f"level {n + 1}->{n}",
                         f"|M(level {n + 1})| exceeds guard")
             continue
-        m_t_n = M.arrow(t_n, upper, chain.level(n))
+        lower = chain.level(n)
+        down = _positions(t_n, upper, lower)
+        rhs_at = levels.positions_after(n, t_n, upper)
         report.first("connect-is-morphism", f"level {n + 1}->{n}", (
-            {"level": n + 1, "element": u, "lhs": lhs, "rhs": rhs}
-            for u in M.apply(upper)
-            if (lhs := t_n(levels.structure_at(n + 1, u)))
-            != (rhs := levels.structure_at(n, m_t_n(u)))))
+            {"level": n + 1, "element": u,
+             "lhs": lower.elements[lhs], "rhs": lower.elements[rhs]}
+            for p, u in enumerate(M.apply(upper))
+            if (lhs := down[levels.structure_pos(n + 1, p)]) != (rhs := rhs_at(p))))
     return report
+
+
+def _positions(fn: FinFn, dom: FinSet, cod: FinSet) -> list[int]:
+    """fn as positions: entry i is the position in cod of fn's value at the
+    i-th element of dom."""
+    return [cod.index(fn(x)) for x in dom]
 
 
 # ---------------------------------------------------------------------------
@@ -449,11 +490,12 @@ def check_cone_coincidence(law: DistLawEM, chain: TerminalChain, depth: int) -> 
     report = LawReport(f"cone coincidence for {law.name}")
     for n in range(depth + 1):
         alpha_n = anamorphism(MC, zeta, n, chain)
-        m_trunc = M.arrow(chain.truncation(depth, n), C, chain.level(n))
+        level = chain.level(n)
+        projected_at = levels.positions_after(n, chain.truncation(depth, n), C)
         report.first("cone-coincidence", f"level {n}", (
             {"level": n, "element": u, "unfolded": unfolded, "projected": projected}
-            for u in MC
-            if (unfolded := alpha_n(u)) != (projected := levels.structure_at(n, m_trunc(u)))))
+            for p, u in enumerate(MC)
+            if (unfolded := alpha_n(u)) != (projected := level.elements[projected_at(p)])))
     return report
 
 
@@ -465,12 +507,12 @@ def check_projection_morphisms(law: DistLawEM, chain: TerminalChain, depth: int)
     MC = M.apply(C)
     report = LawReport(f"projection morphisms for {law.name}")
     for n in range(depth):
-        m_trunc_hi = M.arrow(chain.truncation(depth, n + 1), C, chain.level(n + 1))
-        m_trunc_lo = M.arrow(chain.truncation(depth, n), C, chain.level(n))
-        t_n = chain.connect[n]
+        upper, lower = chain.level(n + 1), chain.level(n)
+        down = _positions(chain.connect[n], upper, lower)
+        hi = levels.positions_after(n + 1, chain.truncation(depth, n + 1), C)
+        lo = levels.positions_after(n, chain.truncation(depth, n), C)
         report.first("projection-morphism", f"level {n + 1}->{n}", (
-            {"level": n, "element": u, "connected": connected, "direct": direct}
-            for u in MC
-            if (connected := t_n(levels.structure_at(n + 1, m_trunc_hi(u))))
-            != (direct := levels.structure_at(n, m_trunc_lo(u)))))
+            {"level": n, "element": MC.elements[p],
+             "connected": lower.elements[connected], "direct": lower.elements[direct]}
+            for p in range(len(MC)) if (connected := down[hi(p)]) != (direct := lo(p))))
     return report

@@ -353,19 +353,35 @@ def cmd_words(cfg, args):
 # Parser
 
 
+# The flags every subcommand takes, after its mode if it has one.
+COMMON_FLAGS = (
+    ("--max-size", {"type": int, "default": 3}),
+    ("--depth", {"type": int, "default": 8}),
+    ("--probe-depth", {"type": int, "default": None}),
+    ("--search-cap", {"type": int, "default": 10**5}),
+    ("--format", {"choices": ("text", "json"), "default": "text"}),
+    ("--seed", {"type": int, "default": 0}),
+    ("--jobs", {"type": int, "default": 1}),
+)
+
+
+class _FlagBeforeMode(argparse.Action):
+    """A common flag given to `commute` before its mode: a usage error that
+    names the flag, since flags follow the mode."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"{option_string} is given before the mode; flags follow the "
+                     f"mode, as in: commute check|search ... {option_string} VALUE")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="barrlab",
         description="Exhaustive checks and constructions for monads, "
                     "distributive laws, chains and weighted automata.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-size", type=int, default=3)
-    common.add_argument("--depth", type=int, default=8)
-    common.add_argument("--probe-depth", type=int, default=None)
-    common.add_argument("--search-cap", type=int, default=10**5)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--jobs", type=int, default=1)
+    for flag, options in COMMON_FLAGS:
+        common.add_argument(flag, **options)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -431,6 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=cmd_lemma, which=which)
 
     p = sub.add_parser("commute")
+    for flag, _options in COMMON_FLAGS:
+        p.add_argument(flag, action=_FlagBeforeMode, dest=argparse.SUPPRESS,
+                       default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     modes = p.add_subparsers(dest="mode", required=True)
     pc = modes.add_parser("check", parents=[common])
     pc.add_argument("candidate")

@@ -284,6 +284,8 @@ class SemimoduleFunctorLaw(DistLawEM):
             raise ValueError(f"unknown shape {shape!r}")
         super().__init__(H, M, name=f"linear[{out.carrier.name};{shape}/{M.name}]")
         self._arrows = LazyTable(self._projection_arrows)
+        # Few distinct combinations of outputs reach C's structure map.
+        self._out_structure = LazyTable(out.structure_at)
 
     def _projection_arrows(self, X: FinSet) -> tuple:
         """M applied to the output projection and the successor projections
@@ -299,7 +301,7 @@ class SemimoduleFunctorLaw(DistLawEM):
 
     def component_at(self, X, phi):
         out, succ = self._arrows[X]
-        out_part = self.out.structure_at(out(phi))
+        out_part = self._out_structure[out(phi)]
         if self.shape == "times":
             return (out_part, succ(phi))
         return (out_part, tuple(s(phi) for s in succ))

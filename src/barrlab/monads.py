@@ -2,7 +2,8 @@
 
 Structure maps are exposed in two forms: pointwise (`unit_element`,
 `mult_element`, `map_element_fn`), and resolved once for loops that apply
-them to many elements (`arrow` for M f, `mult_at` for mu_X).  Checkers that
+them to many elements (`arrow` for M f, `mult_at` for mu_X, and
+`arrow_table` for M f as positions over M dom).  Checkers that
 revisit inputs memoise a resolved map in a `LazyTable`; no structure map is
 materialised as a table.  The pointwise and resolved forms matter:
 iterated applications such as M(M(M X)) explode quickly (powerset towers,
@@ -16,7 +17,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Callable, Iterable
+import operator
+from typing import Callable, Iterable, Optional
 
 from .errors import InputError, MissingComponent, NonFinitePreserving, blowup_limit
 from .finset import (Element, FinSet, LazyTable, canonical_carriers, function_values,
@@ -68,6 +70,12 @@ class FinMonad:
         """mu_X as a function of one element of M(M X), the counterpart of
         `arrow`; a subclass may resolve M X in advance."""
         return functools.partial(self.mult_element, X)
+
+    def arrow_table(self, fn: Callable, dom: FinSet, cod: FinSet) -> list[int]:
+        """M fn as positions: entry p is the position in M cod of M fn
+        applied to the element at position p of M dom."""
+        m_fn, index = self.arrow(fn, dom, cod), self.apply(cod).index
+        return [index(m_fn(el)) for el in self.apply(dom)]
 
     def tower_fits(self, n: int, height: int) -> bool:
         limit = blowup_limit()
@@ -189,12 +197,55 @@ class PowersetMonad(FinMonad):
         return lambda el2: tuple(sorted({x for subset in el2 for x in subset}, key=index))
 
 
+# _BITS[w][mask] is the w-bit numeral of mask as a tuple, first bit on top:
+# the element of k^X at position mask when |X| = w and k is {0, 1}.
+_BITS = tuple(tuple(itertools.product((0, 1), repeat=w)) for w in range(9))
+
+
+def _bit_decoder(width: int) -> Callable[[int], tuple]:
+    """mask -> its `width`-bit tuple, one byte table lookup per 8 bits."""
+    if width <= 8:
+        return _BITS[width].__getitem__
+    top = 8 * ((width - 1) // 8)
+    head, byte, shifts = _BITS[width - top], _BITS[8], range(top - 8, -1, -8)
+
+    def decode(mask):
+        out = head[mask >> top]
+        for s in shifts:
+            out += byte[(mask >> s) & 255]
+        return out
+
+    return decode
+
+
+def _bit_op(k: Semiring) -> Optional[Callable[[int, int], int]]:
+    """XOR when k is Z/2 and OR when k is the Boolean semiring, read off its
+    tables on the ints 0 and 1 (whatever k is named); None otherwise."""
+    if ((*k.elements, k.zero, k.one) != (0, 1, 0, 1)
+            or not all(type(e) is int for e in (*k.elements, k.zero, k.one))):
+        return None
+    pairs = list(itertools.product(k.elements, repeat=2))
+
+    def table_is(fn, op):
+        return all(type(r := fn(a, b)) is int and r == op(a, b) for a, b in pairs)
+
+    if not table_is(k.mul, operator.and_):
+        return None
+    return next((op for op in (operator.xor, operator.or_) if table_is(k.add, op)), None)
+
+
 class SemimoduleMonad(FinMonad):
     """Free semimodule monad over a finite semiring k: M X = k^X.
 
     Elements of M X are tuples of coefficients aligned with X's enumeration;
     one element of M(M X) is a tuple over M X, so single elements stay small
     even when the set M(M X) cannot be enumerated.
+
+    Over Z/2 and the Boolean semiring an element of M X is also a bitmask:
+    M X is enumerated as `itertools.product((0, 1), repeat=|X|)`, so the
+    element at position p is the |X|-bit numeral of p, first coordinate on
+    top.  The resolved forms then add masks with XOR or OR (`_op`) and
+    decode the result through byte tables; M(cod) is never materialised.
     """
 
     def __init__(self, k: Semiring):
@@ -204,6 +255,7 @@ class SemimoduleMonad(FinMonad):
                 f"semimodule monad needs a finite semiring, got {k.name}")
         self.k = k
         self.name = f"semimodule[{k.name}]"
+        self._op = _bit_op(k)
 
     def card(self, n):
         return len(self.k.elements) ** n
@@ -224,6 +276,11 @@ class SemimoduleMonad(FinMonad):
         # Resolve fn to target positions once; fn is evaluated on all of dom.
         zero, add, size = self.k.zero, self.k.add, len(cod)
         targets = tuple(cod.index(fn(x)) for x in dom.elements)
+        if self._op is not None:
+            # M fn(el) adds the target masks of el's nonzero coordinates.
+            op, decode = self._op, _bit_decoder(size)
+            cols = tuple(1 << (size - 1 - t) for t in targets)
+            return lambda el: decode(functools.reduce(op, itertools.compress(cols, el), 0))
 
         def apply(el):
             out = [zero] * size
@@ -252,7 +309,24 @@ class SemimoduleMonad(FinMonad):
                         out[i] = k.add(out[i], k.mul(c, v))
         return tuple(out)
 
+    def arrow_table(self, fn, dom, cod):
+        if self._op is None:
+            return super().arrow_table(fn, dom, cod)
+        # The entry at p adds the target mask of p's top bit to the entry
+        # without it, so the table doubles once per coordinate of dom, the
+        # last coordinate (the lowest bit) first.
+        op, top = self._op, len(cod) - 1
+        table = [0]
+        for x in reversed(dom.elements):
+            table += list(map(op, table, itertools.repeat(1 << (top - cod.index(fn(x))))))
+        return table
+
     def mult_at(self, X):
+        if self._op is not None:
+            # The vector at position p of M X is the mask p.
+            op, positions, decode = self._op, range(self.card(len(X))), _bit_decoder(len(X))
+            return lambda el2: decode(functools.reduce(
+                op, itertools.compress(positions, el2), 0))
         # Resolve M X once, each vector as its nonzero (position, coefficient)
         # pairs.
         zero, add, mul, size = self.k.zero, self.k.add, self.k.mul, len(X)

@@ -289,14 +289,22 @@ def test_out_of_range_bounds_exit_two(capsys):
 
 def test_flags_before_a_commute_mode_are_usage_errors(capsys):
     # A flag before the mode used to be overwritten by the mode's default
-    # (this ran at --max-size 3); it is now an argparse usage error.
+    # (this ran at --max-size 3); it is now an argparse usage error that
+    # names the flag and says where it goes.
     cand = json.dumps({"monad": "semimodule:z2",
                        "partner": {"generators": {"elements": ["*"]},
                                    "alphabet": {"elements": ["a"]}}})
     with pytest.raises(SystemExit) as exc:
         main(["commute", "--max-size", "1", "check", cand])
     assert exc.value.code == 2
-    assert "usage:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "--max-size is given before the mode; flags follow the mode" in err
+    assert "invalid choice" not in err
+    with pytest.raises(SystemExit) as exc:
+        main(["commute", "--format=json", "search", "--T", "id"])
+    assert exc.value.code == 2
+    assert "--format is given before the mode" in capsys.readouterr().err
     code, report = run_json(capsys, "commute", "check", cand, "--max-size", "1")
     assert code == 0
     assert report["config"]["max_size"] == 1

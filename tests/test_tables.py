@@ -3,6 +3,9 @@ replace: level-algebra structure tables, and arrows and multiplications
 resolved once."""
 
 import functools
+import itertools
+import json
+import operator
 
 import pytest
 
@@ -11,7 +14,9 @@ from barrlab import (FinSet, all_functions, build_terminal_chain, carrier,
                      maybe_monad, pointed_law, powerset_monad, semimodule_moore_law,
                      semimodule_monad, writer_monad, zmod)
 from barrlab.functors import map_element
+from barrlab.jsonio import load_semiring
 from barrlab.monads import TableMonad
+from barrlab.semiring import boolean_semiring
 
 LAWS = {
     "moore:z2:1letter": lambda: semimodule_moore_law(semimodule_monad(zmod(2)),
@@ -76,6 +81,26 @@ def test_levels_above_the_guard_stay_pointwise(name, monkeypatch):
     assert levels._tables[top] is False
 
 
+@pytest.mark.parametrize("guarded", (False, True))
+def test_positions_after_matches_structure_at(guarded, monkeypatch):
+    # Level 3 of moore:z2:1letter is tabulated, or above the guard (which
+    # admits the level but not M of it) and evaluated pointwise.
+    law = LAWS["moore:z2:1letter"]()
+    if guarded:
+        monkeypatch.setenv("BARRLAB_BLOWUP_GUARD", "8")
+    chain = build_terminal_chain(law.H, 3)
+    levels = level_algebras(law, chain)
+    M, dom = law.M, carrier(3)
+    for n in range(4):
+        level = chain.level(n)
+        fn = lambda x: level.elements[(3 * x + 1) % len(level)]
+        at = levels.positions_after(n, fn, dom)
+        for p, u in enumerate(M.apply(dom)):
+            want = levels.structure_at(n, M.map_element_fn(fn, dom, level, u))
+            assert level.elements[at(p)] == want, (n, u)
+    assert (levels._tables[3] is False) == guarded
+
+
 def table_monad(real, max_size):
     """`real` as explicit tables: the elements of M X_n for n up to
     |M X_max_size|, the multiplication at the carriers of size <= max_size,
@@ -104,6 +129,7 @@ MONADS = {
     "exception": lambda: exception_monad(2),
     "writer": lambda: writer_monad(cyclic_group(3)),
     "powerset": powerset_monad,
+    "semimodule-bool": lambda: semimodule_monad(boolean_semiring()),
     "semimodule-z2": lambda: semimodule_monad(zmod(2)),
     "semimodule-z3": lambda: semimodule_monad(zmod(3)),
     "table": lambda: table_monad(powerset_monad(), 2),
@@ -131,3 +157,92 @@ def test_mult_at_matches_mult_element(name):
         mult = M.mult_at(X)
         for el2 in M.apply(M.apply(X)):
             assert mult(el2) == M.mult_element(X, el2), el2
+
+
+def table_semiring(add, mul, elements=(0, 1), name="k"):
+    """A JSON table semiring on `elements` with the given operations."""
+    def table(op):
+        return {json.dumps(a): {json.dumps(b): op(a, b) for b in elements} for a in elements}
+
+    return load_semiring({"name": name, "elements": list(elements), "add": table(add),
+                          "mul": table(mul), "zero": elements[0], "one": elements[1]})
+
+
+def off_at(op, pair, value):
+    """op with one entry changed."""
+    return lambda a, b: value if (a, b) == pair else op(a, b)
+
+
+# Semirings whose free semimodule monad takes the bit kernel, with the
+# operation that adds masks.  A table semiring is recognised by its tables,
+# whatever its name.
+BIT_SEMIRINGS = {
+    "z2": (lambda: zmod(2), operator.xor),
+    "bool": (boolean_semiring, operator.or_),
+    "z2-table": (lambda: table_semiring(operator.xor, operator.and_, name="bool"),
+                 operator.xor),
+    "bool-table": (lambda: table_semiring(operator.or_, operator.and_, name="z2"),
+                   operator.or_),
+}
+# Semirings that keep the general path: Z/3, tables on {0, 1} one entry away
+# from XOR/OR and AND, and the Boolean tables on the JSON booleans.
+GENERAL_SEMIRINGS = {
+    "z3": lambda: zmod(3),
+    "add-one-entry-off": lambda: table_semiring(
+        off_at(operator.xor, (0, 1), 0), operator.and_),
+    "mul-one-entry-off": lambda: table_semiring(
+        operator.xor, off_at(operator.and_, (1, 1), 0)),
+    "or-one-entry-off": lambda: table_semiring(
+        off_at(operator.or_, (1, 0), 0), operator.and_),
+    "json-booleans": lambda: table_semiring(
+        operator.or_, operator.and_, elements=(False, True)),
+}
+
+
+def check_resolved_forms_pointwise(M, max_size):
+    """`arrow`, `arrow_table` and `mult_at` against `map_element_fn`,
+    `index` and `mult_element` on all of M X, for every function X -> Y
+    with |X|, |Y| <= max_size."""
+    for m in range(max_size + 1):
+        X = carrier(m)
+        MX = M.apply(X)
+        for n in range(max_size + 1):
+            Y = carrier(n)
+            MY = M.apply(Y)
+            for f in all_functions(X, Y):
+                arrow, table = M.arrow(f, X, Y), M.arrow_table(f, X, Y)
+                assert len(table) == len(MX)
+                for p, el in enumerate(MX):
+                    want = M.map_element_fn(f, X, Y, el)
+                    assert arrow(el) == want, (f.table, el)
+                    assert table[p] == MY.index(want), (f.table, el)
+        mult = M.mult_at(X)
+        if M.tower_fits(m, 2):
+            for el2 in M.apply(MX):
+                assert mult(el2) == M.mult_element(X, el2), el2
+
+
+@pytest.mark.parametrize("name", sorted(BIT_SEMIRINGS))
+def test_bit_kernel_matches_pointwise(name):
+    make, op = BIT_SEMIRINGS[name]
+    M = semimodule_monad(make())
+    assert M._op is op
+    check_resolved_forms_pointwise(M, 4)
+
+
+@pytest.mark.parametrize("name", sorted(GENERAL_SEMIRINGS))
+def test_other_semirings_keep_the_general_path(name):
+    M = semimodule_monad(GENERAL_SEMIRINGS[name]())
+    assert M._op is None
+    check_resolved_forms_pointwise(M, 2 if name == "z3" else 3)
+
+
+def test_bit_kernel_decodes_wide_masks():
+    # Codomains of 9 to 17 points decode through more than one byte table.
+    M = semimodule_monad(zmod(2))
+    for size in (9, 16, 17):
+        X, Y = carrier(3), carrier(size)
+        fn = lambda x: (5 * x + 3) % size
+        arrow = M.arrow(fn, X, Y)
+        for el in itertools.product((0, 1), repeat=3):
+            assert arrow(el) == M.map_element_fn(fn, X, Y, el), (size, el)
