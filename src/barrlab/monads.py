@@ -15,10 +15,11 @@ under the requested bound is rejected outright.
 
 from __future__ import annotations
 
+import array
 import functools
 import itertools
 import operator
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InputError, MissingComponent, NonFinitePreserving, blowup_limit
 from .finset import (Element, FinSet, LazyTable, canonical_carriers, function_values,
@@ -71,7 +72,7 @@ class FinMonad:
         `arrow`; a subclass may resolve M X in advance."""
         return functools.partial(self.mult_element, X)
 
-    def arrow_table(self, fn: Callable, dom: FinSet, cod: FinSet) -> list[int]:
+    def arrow_table(self, fn: Callable, dom: FinSet, cod: FinSet) -> Sequence[int]:
         """M fn as positions: entry p is the position in M cod of M fn
         applied to the element at position p of M dom."""
         m_fn, index = self.arrow(fn, dom, cod), self.apply(cod).index
@@ -312,13 +313,17 @@ class SemimoduleMonad(FinMonad):
     def arrow_table(self, fn, dom, cod):
         if self._op is None:
             return super().arrow_table(fn, dom, cod)
-        # The entry at p adds the target mask of p's top bit to the entry
-        # without it, so the table doubles once per coordinate of dom, the
-        # last coordinate (the lowest bit) first.
+        # Positions in M cod exist while M cod fits under the guard, as on
+        # the general path; they are kept as unsigned 64-bit ints, not as
+        # int objects.  The entry at p adds the target mask of p's top bit
+        # to the entry without it, so the table doubles once per coordinate
+        # of dom, the last coordinate (the lowest bit) first.
+        guard_size(self.card(len(cod)), f"positions in {self.name}({cod.name})")
         op, top = self._op, len(cod) - 1
-        table = [0]
+        table = array.array("Q", [0])
         for x in reversed(dom.elements):
-            table += list(map(op, table, itertools.repeat(1 << (top - cod.index(fn(x))))))
+            col = 1 << (top - cod.index(fn(x)))
+            table += array.array("Q", map(op, table, itertools.repeat(col)))
         return table
 
     def mult_at(self, X):

@@ -9,7 +9,7 @@ import operator
 
 import pytest
 
-from barrlab import (FinSet, all_functions, build_terminal_chain, carrier,
+from barrlab import (BlowUpGuard, FinSet, all_functions, build_terminal_chain, carrier,
                      cyclic_group, exception_monad, gset_distlaws, level_algebras,
                      maybe_monad, pointed_law, powerset_monad, semimodule_moore_law,
                      semimodule_monad, writer_monad, zmod)
@@ -235,6 +235,17 @@ def test_other_semirings_keep_the_general_path(name):
     M = semimodule_monad(GENERAL_SEMIRINGS[name]())
     assert M._op is None
     check_resolved_forms_pointwise(M, 2 if name == "z3" else 3)
+
+
+def test_arrow_table_positions_stay_under_the_guard(monkeypatch):
+    # Positions in M cod exist only while M cod fits under the guard, on the
+    # bit path (Z/2) as on the general path (Z/3).
+    monkeypatch.setenv("BARRLAB_BLOWUP_GUARD", "8")
+    for k in (zmod(2), zmod(3)):
+        M = semimodule_monad(k)
+        assert len(M.arrow_table(lambda x: x, carrier(1), carrier(1))) == len(k.elements)
+        with pytest.raises(BlowUpGuard):
+            M.arrow_table(lambda x: x, carrier(1), carrier(4))
 
 
 def test_bit_kernel_decodes_wide_masks():
