@@ -185,7 +185,8 @@ BIT_SEMIRINGS = {
                    operator.or_),
 }
 # Semirings that keep the general path: Z/3, tables on {0, 1} one entry away
-# from XOR/OR and AND, and the Boolean tables on the JSON booleans.
+# from XOR/OR and AND, and Boolean tables that hold JSON booleans as
+# elements, as results, or as both (the outputs must keep those values).
 GENERAL_SEMIRINGS = {
     "z3": lambda: zmod(3),
     "add-one-entry-off": lambda: table_semiring(
@@ -196,6 +197,10 @@ GENERAL_SEMIRINGS = {
         off_at(operator.or_, (1, 0), 0), operator.and_),
     "json-booleans": lambda: table_semiring(
         operator.or_, operator.and_, elements=(False, True)),
+    "boolean-results": lambda: table_semiring(
+        lambda a, b: bool(a | b), lambda a, b: bool(a & b)),
+    "boolean-elements": lambda: table_semiring(
+        lambda a, b: int(a | b), lambda a, b: int(a & b), elements=(False, True)),
 }
 
 
