@@ -222,8 +222,8 @@ def _bit_decoder(width: int) -> Callable[[int], tuple]:
 def _bit_op(k: Semiring) -> Optional[Callable[[int, int], int]]:
     """XOR when k is Z/2 and OR when k is the Boolean semiring, read off its
     tables on the ints 0 and 1 (whatever k is named); None otherwise."""
-    if ((*k.elements, k.zero, k.one) != (0, 1, 0, 1)
-            or not all(type(e) is int for e in (*k.elements, k.zero, k.one))):
+    constants = (*k.elements, k.zero, k.one)
+    if constants != (0, 1, 0, 1) or not all(type(c) is int for c in constants):
         return None
     pairs = list(itertools.product(k.elements, repeat=2))
 
