@@ -143,10 +143,13 @@ def test_arrow_matches_map_element_fn(name):
         X = carrier(m)
         for n in range(3):
             Y = carrier(n)
+            MY = M.apply(Y)
             for f in all_functions(X, Y):
-                arrow = M.arrow(f, X, Y)
-                for el in M.apply(X):
-                    assert arrow(el) == M.map_element_fn(f, X, Y, el), (f.table, el)
+                arrow, table = M.arrow(f, X, Y), M.arrow_table(f, X, Y)
+                for p, el in enumerate(M.apply(X)):
+                    want = M.map_element_fn(f, X, Y, el)
+                    assert arrow(el) == want, (f.table, el)
+                    assert table[p] == MY.index(want), (f.table, el)
 
 
 @pytest.mark.parametrize("name", sorted(MONADS))
