@@ -45,6 +45,12 @@ MOORE_LAW = {"monad": "semimodule:z2",
              "family": {"name": "moore", "alphabet": {"elements": ["a"]},
                         "generators": {"elements": ["*"]}}}
 
+def _inline(name):
+    """A document under golden/inputs, passed inline so that the echoed
+    command does not depend on where the checkout lives."""
+    return json.dumps(json.loads((GOLDEN / "inputs" / name).read_text()))
+
+
 # The maybe monad as explicit tables on carriers of size <= 3, with one
 # multiplication entry at size 1 broken: both unit laws fail at X1.
 BROKEN_TABLES_MONAD = json.loads((GOLDEN / "inputs" / "maybe-tables-broken-mult.json").read_text())
@@ -120,11 +126,34 @@ CASES = {
         (["commute", "check", json.dumps(BROKEN_SIGMA), "--max-size", "1"], 1),
     "lift-gset-z3-conj-free-x1":
         (["lift", "gset-z3-conj", json.dumps({"monad": "writer:z3", "free_on": "X1"})], 0),
+    "diff-liftings-gset-s3": (["diff-liftings", "gset-s3"], 0),
+    "chain-build-moore-z2-1letter-depth4":
+        (["chain", "build", "--functor", "moore:z2:1letter", "--depth", "4"], 0),
+    "chain-inspect-moore-z2-1letter-depth4-level2":
+        (["chain", "inspect", "--functor", "moore:z2:1letter", "--depth", "4",
+          "--level", "2"], 0),
+    "anamorphism-z2-2letter-s0-level3":
+        (["anamorphism", "--automaton", _inline("automaton-z2-2letter.json"),
+          "--state", "s0", "--level", "3", "--depth", "3"], 0),
+    "behavior-z2-2letter-s0-depth4":
+        (["behavior", "--automaton", _inline("automaton-z2-2letter.json"),
+          "--state", "s0", "--depth", "4"], 0),
+    "distance-2letter-bound3":
+        (["distance", "--left", _inline("series-2letter-left.json"),
+          "--right", _inline("series-2letter-right.json")], 0),
+    "limit-nat-1letter-depth4":
+        (["limit", "--sequence", _inline("sequence-nat-1letter.json"), "--depth", "4"], 0),
+    # A probe depth other than the depth, so the config echo shows both.
+    "density-moore-z2-1letter-n3-seed0-probe6":
+        (["density", "--functor", "moore:z2:1letter", "--depth", "8", "--n", "3",
+          "--seed", "0", "--probe-depth", "6"], 0),
+    "words-ab-depth3": (["words", "--alphabet", "a,b", "--depth", "3"], 0),
+    # An error payload (exit 2): the config echo, the error class and its message.
+    "error-check-monad-list": (["check-monad", "list"], 2),
 }
 CASES.update({
     f"check-monad-broken-{law}":
-        (["check-monad", json.dumps(json.loads(
-            (GOLDEN / "inputs" / f"maybe-tables-broken-{law}.json").read_text())),
+        (["check-monad", _inline(f"maybe-tables-broken-{law}.json"),
           "--max-size", str(max_size)], 1)
     for law, max_size in BROKEN_TABLE_LAWS.items()})
 
@@ -135,7 +164,8 @@ def test_report_matches_golden(capsys, name):
     code = main(argv + ["--format", "json"])
     out = capsys.readouterr().out
     body, n = re.subn(r',\n  "timing_ms": [^\n]*\n}', "\n}", out)
-    assert n == 1
+    # An error payload (exit 2) has no timing field.
+    assert n == (0 if want_code == 2 else 1)
     assert code == want_code
     assert body == (GOLDEN / f"{name}.json").read_text()
 
