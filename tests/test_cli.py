@@ -347,3 +347,35 @@ def test_search_stopped_at_the_cap_exits_two(capsys):
                             "--law", law, "--max-size", "1")
     assert code == 0
     assert report["result"]["status"] == "found"
+
+
+def test_main_can_be_called_again_and_again(capsys):
+    # One process, many calls: nothing a call parses may leak into the next.
+    functor = ("--functor", "moore:z2:1letter", "--depth", "3")
+    code, report = run_json(capsys, "chain", "inspect", *functor, "--level", "2")
+    assert code == 0
+    assert report["result"]["level"] == 2
+    code, report = run_json(capsys, "chain", "build", *functor)
+    assert code == 0
+    assert "level" not in report["result"]
+
+    partner = json.dumps({"monad": "semimodule:z2",
+                          "partner": {"generators": {"elements": ["*"]},
+                                      "alphabet": {"elements": ["a"]}}})
+    code, report = run_json(capsys, "commute", "check", partner, "--max-size", "1")
+    assert code == 0
+    assert report["config"]["max_size"] == 1
+    code, first = run_json(capsys, "commute", "check", partner)
+    assert code == 0
+    assert first["config"]["max_size"] == 3
+
+    # A usage error between two good calls leaves the next report unchanged.
+    with pytest.raises(SystemExit) as exc:
+        main(["commute", "check", partner, "--max-size", "many"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, again = run_json(capsys, "commute", "check", partner)
+    assert code == 0
+    first.pop("timing_ms")
+    again.pop("timing_ms")
+    assert again == first
