@@ -11,8 +11,11 @@ from barrlab import (Const, DepthExceeded, FinSet, Id, MElement, NotCauchy,
                      density_map, distance, eval_functor, limit_algebra_level,
                      limit_algebra_point, gset_distlaws, level_algebras, m_singleton,
                      pointed_law, semimodule_moore_law)
-from barrlab.finset import FinFn
-from barrlab.lifting import DistLawEM
+from barrlab.chains import _standin
+from barrlab.finset import FinFn, to_terminal
+from barrlab.functors import eval_functor_map
+from barrlab.jsonio import load_distlaw_em
+from barrlab.lifting import DistLawEM, lift_coalgebra
 from barrlab.series import (TruncatedSeries, decode_series, encode_series,
                             module_structure, words_below)
 
@@ -101,6 +104,23 @@ def test_cone_compatibility_for_coalgebras(z2_setup):
             lower = anamorphism(C, xi, n, chain)
             upper = anamorphism(C, xi, n + 1, chain)
             assert upper.then(chain.connect[n]) == lower
+
+
+@pytest.mark.parametrize("shorthand", ["moore:z2:1letter", "pointed:4:maybe"])
+def test_anamorphism_legs_match_the_tabulated_form(shorthand):
+    # Reference: leg n = xi ; H(leg n-1), with H(leg n-1) tabulated over all
+    # of H C.  Coalgebras: the lifted ones on M C that lemma1 unfolds.
+    law = load_distlaw_em(shorthand)
+    depth = 3
+    chain = build_terminal_chain(law.H, depth + 1)
+    _levels, C, xi = _standin(law, chain, depth)
+    zeta = lift_coalgebra(law, C, xi)
+    MC = law.M.apply(C)
+    legs = [to_terminal(MC)]
+    for n in range(1, depth + 1):
+        legs.append(zeta.then(eval_functor_map(chain.H, legs[-1])))
+    for n in range(depth + 1):
+        assert anamorphism(MC, zeta, n, chain) == legs[n]
 
 
 def test_limit_point_memoizes_and_validates(z2_setup):
