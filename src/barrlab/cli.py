@@ -11,22 +11,25 @@ seed (modulo the timing field).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import __version__
 from .algebras import check_em_algebra, free_algebra
-from .chains import (build_initial_chain, build_terminal_chain, check_cone_coincidence,
-                     check_projection_morphisms, colim_to_lim, density_map, distance)
+from .chains import (anamorphism, build_initial_chain, build_terminal_chain,
+                     check_cone_coincidence, check_projection_morphisms, colim_to_lim,
+                     density_map, distance)
 from .compair import check_commuting, initial_words, search_commuting_sigma
 from .errors import BarrlabError, InputError, SearchCapReached
 from .finset import FinSet, carrier
 from .jsonio import (dump_series, encode_element, load_algebra, load_automaton,
                      load_candidate, load_distlaw_em, load_distlaw_kl, load_functor,
-                     load_monad, load_polynomial, load_series, standard_alphabet)
+                     load_group, load_monad, load_polynomial, load_series,
+                     standard_alphabet)
 from .lifting import check_distlaw_em, check_distlaw_kl, gset_distlaws, lift_algebra
 from .monads import check_monad_laws
 from .reports import LawReport
@@ -34,37 +37,8 @@ from .series import behavior, cauchy_limit_series, series_distance
 
 
 @dataclass
-class RunConfig:
-    command: str
-    max_size: int = 3
-    depth: int = 8
-    probe_depth: int | None = None
-    search_cap: int = 10**5
-    fmt: str = "text"
-    seed: int = 0
-    jobs: int = 1
-    inputs: dict = field(default_factory=dict)
-
-    @property
-    def probe(self) -> int:
-        return self.depth if self.probe_depth is None else self.probe_depth
-
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "max_size": self.max_size,
-            "depth": self.depth,
-            "probe_depth": self.probe,
-            "search_cap": self.search_cap,
-            "seed": self.seed,
-            "jobs": self.jobs,
-            "inputs": self.inputs,
-        }
-
-
-@dataclass
 class Report:
-    config: RunConfig
+    config: dict
     result: dict
     passed: bool
     timing_ms: float
@@ -72,15 +46,15 @@ class Report:
     def to_json(self) -> dict:
         return {
             "version": __version__,
-            "config": self.config.to_json(),
+            "config": self.config,
             "passed": self.passed,
             "result": self.result,
             "timing_ms": self.timing_ms,
         }
 
     def render_text(self) -> str:
-        lines = [f"barrlab {__version__} :: {self.config.command} "
-                 f"(seed {self.config.seed})"]
+        lines = [f"barrlab {__version__} :: {self.config['command']} "
+                 f"(seed {self.config['seed']})"]
         if isinstance(self.result, dict) and "checks" in self.result:
             lines.extend(_law_report_lines(self.result, indent=2))
         else:
@@ -165,28 +139,28 @@ def _report_result(report: LawReport) -> tuple[dict, bool]:
 # Subcommand implementations: each returns (result dict, passed flag)
 
 
-def cmd_check_monad(cfg: RunConfig, args) -> tuple[dict, bool]:
+def cmd_check_monad(args) -> tuple[dict, bool]:
     M = load_monad(_load_doc(args.monad, "monad"))
-    return _report_result(check_monad_laws(M, cfg.max_size))
+    return _report_result(check_monad_laws(M, args.max_size))
 
 
-def cmd_check_algebra(cfg, args):
+def cmd_check_algebra(args):
     alg = load_algebra(_load_doc(args.algebra, "algebra"))
     return _report_result(check_em_algebra(alg.monad, alg))
 
 
-def cmd_check_distlaw(cfg, args):
+def cmd_check_distlaw(args):
     rest = list(args.args)
     direction = rest.pop(0) if rest and rest[0] in ("em", "kl") else "em"
     if len(rest) != 1:
         raise InputError("usage: check-distlaw [em|kl] LAW")
     doc = _load_doc(rest[0], "law")
     if direction == "em":
-        return _report_result(check_distlaw_em(load_distlaw_em(doc), cfg.max_size))
-    return _report_result(check_distlaw_kl(load_distlaw_kl(doc), cfg.max_size))
+        return _report_result(check_distlaw_em(load_distlaw_em(doc), args.max_size))
+    return _report_result(check_distlaw_kl(load_distlaw_kl(doc), args.max_size))
 
 
-def cmd_lift(cfg, args):
+def cmd_lift(args):
     law = load_distlaw_em(_load_doc(args.law, "law"))
     alg = load_algebra(_load_doc(args.algebra, "algebra"))
     lifted = lift_algebra(law, alg)
@@ -201,9 +175,7 @@ def cmd_lift(cfg, args):
     }, recheck.passed
 
 
-def cmd_diff_liftings(cfg, args):
-    from .jsonio import load_group
-
+def cmd_diff_liftings(args):
     name = args.gset.strip()
     if name.startswith("gset-"):
         name = name[len("gset-"):]
@@ -225,15 +197,15 @@ def cmd_diff_liftings(cfg, args):
         "liftings_differ": witness is not None,
         "witness": witness,
         "laws_pass": {
-            "mult": check_distlaw_em(law_mult, cfg.max_size).passed,
-            "conj": check_distlaw_em(law_conj, cfg.max_size).passed,
+            "mult": check_distlaw_em(law_mult, args.max_size).passed,
+            "conj": check_distlaw_em(law_conj, args.max_size).passed,
         },
     }, True
 
 
-def cmd_chain(cfg, args):
+def cmd_chain(args):
     H = load_functor(_load_doc(args.functor, "functor"))
-    chain = build_terminal_chain(H, cfg.depth)
+    chain = build_terminal_chain(H, args.depth)
     result = {
         "functor": str(H),
         "depth": chain.depth,
@@ -246,12 +218,10 @@ def cmd_chain(cfg, args):
     return result, True
 
 
-def cmd_anamorphism(cfg, args):
-    from .chains import anamorphism
-
+def cmd_anamorphism(args):
     aut = load_automaton(_load_doc(args.automaton, "automaton"))
     C, xi = aut.as_coalgebra()
-    chain = build_terminal_chain(aut.functor(), max(args.level, cfg.depth))
+    chain = build_terminal_chain(aut.functor(), max(args.level, args.depth))
     leg = anamorphism(C, xi, args.level, chain)
     state = args.state
     if state not in C:
@@ -260,91 +230,90 @@ def cmd_anamorphism(cfg, args):
             "element": encode_element(leg(state))}, True
 
 
-def cmd_behavior(cfg, args):
+def cmd_behavior(args):
     aut = load_automaton(_load_doc(args.automaton, "automaton"))
     if args.state not in aut.states:
         raise InputError(f"state {args.state!r} not in the automaton")
-    return dump_series(behavior(aut, args.state, cfg.depth)), True
+    return dump_series(behavior(aut, args.state, args.depth)), True
 
 
-def cmd_distance(cfg, args):
+def cmd_distance(args):
     left = load_series(_load_doc(args.left, "left series"))
     right = load_series(_load_doc(args.right, "right series"))
     return series_distance(left, right).to_json(), True
 
 
-def cmd_limit(cfg, args):
+def cmd_limit(args):
     doc = _load_doc(args.sequence, "sequence")
     if not isinstance(doc, dict) or "polynomials" not in doc:
         raise InputError("sequence document needs a 'polynomials' array")
     polys = [load_polynomial(p, path=f"polynomials[{i}]")
              for i, p in enumerate(doc["polynomials"])]
     modulus = doc.get("modulus")
-    limit = cauchy_limit_series(polys, cfg.depth, modulus=modulus)
+    limit = cauchy_limit_series(polys, args.depth, modulus=modulus)
     return dump_series(limit), True
 
 
-def cmd_density(cfg, args):
+def cmd_density(args):
     source = args.law or args.functor
     if source is None:
         raise InputError("density needs --functor SHORTHAND or --law DOC")
     law = load_distlaw_em(_load_doc(source, "law"))
-    chain = build_terminal_chain(law.H, cfg.depth + 1)
+    chain = build_terminal_chain(law.H, args.depth + 1)
     ic = build_initial_chain(law, chain)
-    rng = random.Random(cfg.seed)
-    x = colim_to_lim(ic, rng.choice(chain.level(cfg.depth).elements), cfg.depth)
+    rng = random.Random(args.seed)
+    x = colim_to_lim(ic, rng.choice(chain.level(args.depth).elements), args.depth)
     n = args.n
     y = density_map(ic, x, n)
     projections_match = y.rep(n) == x.rep(n)
-    dist = distance(x, y, cfg.probe)
+    dist = distance(x, y, args.probe_depth)
     ok = projections_match and dist.leq_pow(n)
     return {
         "level": n,
-        "point": encode_element(x.rep(cfg.depth)),
-        "approximant": encode_element(y.rep(cfg.depth)),
+        "point": encode_element(x.rep(args.depth)),
+        "approximant": encode_element(y.rep(args.depth)),
         "projection_matches": projections_match,
         "distance": dist.to_json(),
         "bound": f"2^-{n}",
     }, ok
 
 
-def cmd_lemma(cfg, args):
+def cmd_lemma(args):
     law = load_distlaw_em(_load_doc(args.law, "law"))
-    depth = args.levels if args.levels is not None else 3
-    chain = build_terminal_chain(law.H, depth + 1)
-    if args.which == "lemma1":
-        return _report_result(check_cone_coincidence(law, chain, depth))
-    return _report_result(check_projection_morphisms(law, chain, depth))
+    chain = build_terminal_chain(law.H, args.levels + 1)
+    check = check_cone_coincidence if args.command == "lemma1" else check_projection_morphisms
+    return _report_result(check(law, chain, args.levels))
 
 
-def cmd_commute(cfg, args):
-    if args.mode == "check":
-        cand = load_candidate(_load_doc(args.candidate, "candidate"))
-        law = load_distlaw_em(_load_doc(args.law, "law")) if args.law else None
-        report = check_commuting(cand, law, cfg.max_size)
-        return _report_result(report)
+def cmd_commute_check(args):
+    cand = load_candidate(_load_doc(args.candidate, "candidate"))
+    law = load_distlaw_em(_load_doc(args.law, "law")) if args.law else None
+    return _report_result(check_commuting(cand, law, args.max_size))
+
+
+def cmd_commute_search(args):
     T = load_functor(_load_doc(args.T, "T"))
     H = load_functor(_load_doc(args.H, "H"))
     law = load_distlaw_em(_load_doc(args.law, "law"))
-    status, cand, tried = search_commuting_sigma(T, H, law.M, law, cfg.max_size,
-                                                 cap=cfg.search_cap)
+    status, cand, tried = search_commuting_sigma(T, H, law.M, law, args.max_size,
+                                                 cap=args.search_cap)
     if status == "unknown":
-        raise SearchCapReached(f"commute search stopped at --search-cap {cfg.search_cap} "
+        raise SearchCapReached(f"commute search stopped at --search-cap {args.search_cap} "
                                f"with tried = {tried} and no verdict")
     result = {"status": status, "tried": tried}
     if cand is not None:
         result["sigma"] = {
             f"X{n}": {json.dumps(encode_element(x)): encode_element(y)
                       for x, y in cand.component(carrier(n)).pairs()}
-            for n in range(cfg.max_size + 1)
+            for n in range(args.max_size + 1)
         }
     return result, status == "found"
 
 
-def cmd_words(cfg, args):
+def cmd_words(args):
     letters = tuple(args.alphabet.split(",")) if args.alphabet else standard_alphabet(1)
-    words = initial_words(FinSet("A", letters), cfg.depth)
-    return {"alphabet": list(letters), "depth": cfg.depth,
+    words = initial_words(FinSet("A", letters), args.depth)
+    return {"alphabet": list(letters), "depth": args.depth,
             "count": len(words),
             "words": ["".join(map(str, w)) for w in words]}, True
 
@@ -353,16 +322,52 @@ def cmd_words(cfg, args):
 # Parser
 
 
-# The flags every subcommand takes, after its mode if it has one.
+# The flags every subcommand takes, after its mode if it has one:
+# (flag, whether it is a bound that must be >= 0, argparse options).  The
+# report's config echoes each of them but --format, in this order.
 COMMON_FLAGS = (
-    ("--max-size", {"type": int, "default": 3}),
-    ("--depth", {"type": int, "default": 8}),
-    ("--probe-depth", {"type": int, "default": None}),
-    ("--search-cap", {"type": int, "default": 10**5}),
-    ("--format", {"choices": ("text", "json"), "default": "text"}),
-    ("--seed", {"type": int, "default": 0}),
-    ("--jobs", {"type": int, "default": 1}),
+    ("--max-size", True, {"type": int, "default": 3}),
+    ("--depth", True, {"type": int, "default": 8}),
+    ("--probe-depth", True, {"type": int, "default": None}),
+    ("--search-cap", True, {"type": int, "default": 10**5}),
+    ("--format", False, {"choices": ("text", "json"), "default": "text"}),
+    ("--seed", False, {"type": int, "default": 0}),
+    ("--jobs", False, {"type": int, "default": 1}),
 )
+
+_REQUIRED = {"required": True}
+_LEMMA = (cmd_lemma, [("--law", _REQUIRED), ("--levels", {"type": int, "default": 3})])
+
+# Each subcommand, in `--help` order: its handler and its own arguments, or,
+# for a command with modes, a table of modes in the same form.
+COMMANDS = {
+    "check-monad": (cmd_check_monad, [("monad", {})]),
+    "check-algebra": (cmd_check_algebra, [("algebra", {})]),
+    "check-distlaw": (cmd_check_distlaw, [
+        ("args", {"nargs": "+", "metavar": "[em|kl] LAW",
+                  "help": "optional direction (default em) and the law document"})]),
+    "lift": (cmd_lift, [("law", {}), ("algebra", {})]),
+    "diff-liftings": (cmd_diff_liftings, [
+        ("gset", {"help": "a group shorthand, e.g. gset-s3 or s3"})]),
+    "chain": (cmd_chain, [("mode", {"choices": ("build", "inspect")}),
+                          ("--functor", _REQUIRED), ("--level", {"type": int, "default": None})]),
+    "anamorphism": (cmd_anamorphism, [("--automaton", _REQUIRED), ("--state", _REQUIRED),
+                                      ("--level", {"type": int, "required": True})]),
+    "behavior": (cmd_behavior, [("--automaton", _REQUIRED), ("--state", _REQUIRED)]),
+    "distance": (cmd_distance, [("--left", _REQUIRED), ("--right", _REQUIRED)]),
+    "limit": (cmd_limit, [("--sequence", _REQUIRED)]),
+    "density": (cmd_density, [
+        ("--functor", {"default": None, "help": "a law shorthand such as moore:z2:1letter"}),
+        ("--law", {"default": None}), ("--n", {"type": int, "required": True})]),
+    "lemma1": _LEMMA,
+    "lemma2": _LEMMA,
+    "commute": {
+        "check": (cmd_commute_check, [("candidate", {}), ("--law", {"default": None})]),
+        "search": (cmd_commute_search, [("--T", _REQUIRED), ("--H", _REQUIRED),
+                                        ("--law", _REQUIRED)]),
+    },
+    "words": (cmd_words, [("--alphabet", {"default": None, "help": "comma-separated letters"})]),
+}
 
 
 class _FlagBeforeMode(argparse.Action):
@@ -380,130 +385,79 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exhaustive checks and constructions for monads, "
                     "distributive laws, chains and weighted automata.")
     common = argparse.ArgumentParser(add_help=False)
-    for flag, options in COMMON_FLAGS:
+    for flag, _bound, options in COMMON_FLAGS:
         common.add_argument(flag, **options)
 
+    def add(subparsers, name, fn, arguments):
+        p = subparsers.add_parser(name, parents=[common])
+        for arg, options in arguments:
+            p.add_argument(arg, **options)
+        p.set_defaults(fn=fn)
+
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check-monad", parents=[common])
-    p.add_argument("monad")
-    p.set_defaults(fn=cmd_check_monad)
-
-    p = sub.add_parser("check-algebra", parents=[common])
-    p.add_argument("algebra")
-    p.set_defaults(fn=cmd_check_algebra)
-
-    p = sub.add_parser("check-distlaw", parents=[common])
-    p.add_argument("args", nargs="+", metavar="[em|kl] LAW",
-                   help="optional direction (default em) and the law document")
-    p.set_defaults(fn=cmd_check_distlaw)
-
-    p = sub.add_parser("lift", parents=[common])
-    p.add_argument("law")
-    p.add_argument("algebra")
-    p.set_defaults(fn=cmd_lift)
-
-    p = sub.add_parser("diff-liftings", parents=[common])
-    p.add_argument("gset", help="a group shorthand, e.g. gset-s3 or s3")
-    p.set_defaults(fn=cmd_diff_liftings)
-
-    p = sub.add_parser("chain", parents=[common])
-    p.add_argument("mode", choices=("build", "inspect"))
-    p.add_argument("--functor", required=True)
-    p.add_argument("--level", type=int, default=None)
-    p.set_defaults(fn=cmd_chain)
-
-    p = sub.add_parser("anamorphism", parents=[common])
-    p.add_argument("--automaton", required=True)
-    p.add_argument("--state", required=True)
-    p.add_argument("--level", type=int, required=True)
-    p.set_defaults(fn=cmd_anamorphism)
-
-    p = sub.add_parser("behavior", parents=[common])
-    p.add_argument("--automaton", required=True)
-    p.add_argument("--state", required=True)
-    p.set_defaults(fn=cmd_behavior)
-
-    p = sub.add_parser("distance", parents=[common])
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.set_defaults(fn=cmd_distance)
-
-    p = sub.add_parser("limit", parents=[common])
-    p.add_argument("--sequence", required=True)
-    p.set_defaults(fn=cmd_limit)
-
-    p = sub.add_parser("density", parents=[common])
-    p.add_argument("--functor", default=None,
-                   help="a law shorthand such as moore:z2:1letter")
-    p.add_argument("--law", default=None)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(fn=cmd_density)
-
-    for which in ("lemma1", "lemma2"):
-        p = sub.add_parser(which, parents=[common])
-        p.add_argument("--law", required=True)
-        p.add_argument("--levels", type=int, default=3)
-        p.set_defaults(fn=cmd_lemma, which=which)
-
-    p = sub.add_parser("commute")
-    for flag, _options in COMMON_FLAGS:
-        p.add_argument(flag, action=_FlagBeforeMode, dest=argparse.SUPPRESS,
-                       default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-    modes = p.add_subparsers(dest="mode", required=True)
-    pc = modes.add_parser("check", parents=[common])
-    pc.add_argument("candidate")
-    pc.add_argument("--law", default=None)
-    pc.set_defaults(fn=cmd_commute, mode="check")
-    ps = modes.add_parser("search", parents=[common])
-    ps.add_argument("--T", required=True)
-    ps.add_argument("--H", required=True)
-    ps.add_argument("--law", required=True)
-    ps.set_defaults(fn=cmd_commute, mode="search")
-
-    p = sub.add_parser("words", parents=[common])
-    p.add_argument("--alphabet", default=None, help="comma-separated letters")
-    p.set_defaults(fn=cmd_words)
-
+    for name, spec in COMMANDS.items():
+        if isinstance(spec, tuple):
+            add(sub, name, *spec)
+            continue
+        p = sub.add_parser(name)
+        for flag, _bound, _options in COMMON_FLAGS:
+            p.add_argument(flag, action=_FlagBeforeMode, dest=argparse.SUPPRESS,
+                           default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+        modes = p.add_subparsers(dest="mode", required=True)
+        for mode, (fn, arguments) in spec.items():
+            add(modes, mode, fn, arguments)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first call to `main`."""
+    return build_parser()
+
+
+def _config(argv: list[str], args) -> dict:
+    """The report's echo of the run: the command line, then every common
+    flag but --format."""
+    config = {"command": " ".join(argv)}
+    for flag, _bound, _options in COMMON_FLAGS:
+        if flag != "--format":
+            config[_dest(flag)] = getattr(args, _dest(flag))
+    config["inputs"] = {}
+    return config
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = RunConfig(
-        command=" ".join(argv),
-        max_size=args.max_size,
-        depth=args.depth,
-        probe_depth=args.probe_depth,
-        search_cap=args.search_cap,
-        fmt=args.format,
-        seed=args.seed,
-        jobs=args.jobs,
-    )
+    args = _parser().parse_args(argv)
+    if args.probe_depth is None:
+        args.probe_depth = args.depth
+    config = _config(argv, args)
     started = time.perf_counter()
     try:
-        for flag, value in (("--max-size", cfg.max_size), ("--depth", cfg.depth),
-                            ("--probe-depth", cfg.probe), ("--search-cap", cfg.search_cap)):
-            if value < 0:
+        for flag, bound, _options in COMMON_FLAGS:
+            value = getattr(args, _dest(flag))
+            if bound and value < 0:
                 raise InputError(f"{flag} must be >= 0, got {value}")
-        result, passed = args.fn(cfg, args)
+        result, passed = args.fn(args)
     except BarrlabError as exc:
         payload = {
             "version": __version__,
-            "config": cfg.to_json(),
+            "config": config,
             "error": type(exc).__name__,
             "message": str(exc),
         }
-        if cfg.fmt == "json":
+        if args.format == "json":
             print(json.dumps(payload, indent=2, default=str))
         else:
-            print(f"barrlab {__version__} :: {cfg.command}")
+            print(f"barrlab {__version__} :: {config['command']}")
             print(f"error [{type(exc).__name__}]: {exc}")
         return 2
-    report = Report(cfg, result, passed, (time.perf_counter() - started) * 1000)
-    if cfg.fmt == "json":
+    report = Report(config, result, passed, (time.perf_counter() - started) * 1000)
+    if args.format == "json":
         print(json.dumps(report.to_json(), indent=2, default=str))
     else:
         print(report.render_text())
