@@ -86,8 +86,8 @@ def anamorphism(C: FinSet, xi: FinFn, n: int, chain: TerminalChain) -> FinFn:
     # Not a LazyTable: leg n is built from leg n-1, so the legs are a growing list.
     legs = chain._ana_cache.setdefault(key, [to_terminal(C)])
     while len(legs) <= n:
-        # Leg m is H(leg m-1) after xi, applied on C alone: H(leg m-1) is
-        # never tabulated over all of H C, which is far larger than C.
+        # The next leg is xi followed by H(previous leg), evaluated on C
+        # alone: H(previous leg) is never tabulated over all of H C.
         prev = legs[-1]
         legs.append(FinFn(C, chain.level(len(legs)),
                           {c: map_element(chain.H, prev, xi(c)) for c in C}))
