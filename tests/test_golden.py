@@ -45,6 +45,7 @@ MOORE_LAW = {"monad": "semimodule:z2",
              "family": {"name": "moore", "alphabet": {"elements": ["a"]},
                         "generators": {"elements": ["*"]}}}
 
+
 def _inline(name):
     """A document under golden/inputs, passed inline so that the echoed
     command does not depend on where the checkout lives."""
