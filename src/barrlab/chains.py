@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 from .algebras import EMAlgebra
 from .errors import (DepthExceeded, DomainMismatch, InputError, NotCauchy,
                      ZeroObjectViolation)
 from .finset import EMPTY, TERMINAL, Element, FinFn, FinSet, from_empty, to_terminal
-from .functors import FunctorExpr, eval_functor, eval_functor_map, map_element
+from .functors import FunctorExpr, arrow, eval_functor, eval_functor_map
 from .lifting import DistLawEM, lift_coalgebra
 from .reports import LawReport
 
@@ -88,9 +89,8 @@ def anamorphism(C: FinSet, xi: FinFn, n: int, chain: TerminalChain) -> FinFn:
     while len(legs) <= n:
         # The next leg is xi followed by H(previous leg), evaluated on C
         # alone: H(previous leg) is never tabulated over all of H C.
-        prev = legs[-1]
-        legs.append(FinFn(C, chain.level(len(legs)),
-                          {c: map_element(chain.H, prev, xi(c)) for c in C}))
+        h_prev = arrow(chain.H, legs[-1])
+        legs.append(FinFn(C, chain.level(len(legs)), {c: h_prev(xi(c)) for c in C}))
     return legs[n]
 
 
@@ -218,6 +218,9 @@ class LevelAlgebras:
         # lists of small ints, where a dict would keep every fresh tuple the
         # arrows build as a key and raise peak memory.
         self._tables: list = [None] * (top + 1)
+        # Per level n >= 1: H applied to the structure of level n-1.
+        self._h_structures = [None] + [arrow(law.H, partial(self.structure_at, n - 1))
+                                       for n in range(1, top + 1)]
         self._algebras = [self._make(n) for n in range(top + 1)]
 
     def _make(self, n: int) -> EMAlgebra:
@@ -286,9 +289,7 @@ class LevelAlgebras:
 
     def _distribute(self, n: int, u: Element) -> Element:
         """Level n's structure at u, from the structure of level n-1."""
-        law = self.law
-        return map_element(law.H, lambda v: self.structure_at(n - 1, v),
-                           law.component_at(self.chain.levels[n - 1], u))
+        return self._h_structures[n](self.law.component_at(self.chain.levels[n - 1], u))
 
 
 def level_algebras(law: DistLawEM, chain: TerminalChain) -> LevelAlgebras:

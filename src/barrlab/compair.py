@@ -18,8 +18,7 @@ from typing import Callable, Iterator, Optional
 from .algebras import free_algebra
 from .errors import DomainMismatch, MissingComponent, NotBiproductCompatible
 from .finset import TERMINAL, Element, FinFn, FinSet, canonical_carriers
-from .functors import (Const, Coprod, FunctorExpr, Id, Power, Prod,
-                       eval_functor, map_element)
+from .functors import Const, Coprod, FunctorExpr, Id, Power, Prod, arrow, eval_functor
 from .lifting import (ComponentFamily, Composite, DistLawEM, DistLawKl,
                       SemimoduleFunctorLaw, constant_law, naturality_failures,
                       semimodule_stream_law)
@@ -113,13 +112,13 @@ def check_commuting(cand: CommutingCandidate, law: Optional[DistLawEM] = None,
                       counterexample={"carrier": X.name})
 
         if M.tower_fits(len(HMX), 1):
-            mult_x, mult_tx = M.mult_at(X), M.mult_at(TX)
+            h_mult_x, mult_tx = arrow(cand.H, M.mult_at(X)), M.mult_at(TX)
             m_sigma = M.arrow(sigma, HMX, MTX)
             # law(big) lies in H(M(M X)); flattening it lands in H(M X).
             report.first("algebra-square", X.name, (
                 {"carrier": X.name, "element": big, "lhs": lhs, "rhs": rhs}
                 for big in M.apply(HMX)
-                if (lhs := sigma(map_element(cand.H, mult_x, law.component_at(MX, big))))
+                if (lhs := sigma(h_mult_x(law.component_at(MX, big))))
                 != (rhs := mult_tx(m_sigma(big)))))
         else:
             report.skip("algebra-square", X.name,
@@ -291,8 +290,8 @@ def search_commuting_sigma(T: FunctorExpr, H: FunctorExpr, M: FinMonad,
         if idx not in squares:
             X = carriers[idx]
             MX = M.apply(X)
-            mult_x = M.mult_at(X)
-            squares[idx] = ([], ((big, map_element(H, mult_x, law.component_at(MX, big)))
+            h_mult_x = arrow(H, M.mult_at(X))
+            squares[idx] = ([], ((big, h_mult_x(law.component_at(MX, big)))
                                  for big in M.apply(doms[idx])))
         pairs, source = squares[idx]
         yield from pairs

@@ -2,8 +2,10 @@
 
 Constructors: constant, identity, finite products and coproducts, powers by
 a finite exponent set, and composition.  Expressions evaluate on sets and on
-functions; the arrow action is also available pointwise, which is what the
-larger modules use to avoid materialising huge intermediate tables.
+functions.  The arrow action comes in two forms: `map_element`, pointwise by
+the definition, and `arrow`, which resolves H f once as a function of one
+element; the larger modules use `arrow` to avoid materialising huge
+intermediate tables without re-walking the expression at every element.
 """
 
 from __future__ import annotations
@@ -129,7 +131,8 @@ def _enumerate(expr: FunctorExpr, X: FinSet) -> Iterator[Element]:
 
 
 def map_element(expr: FunctorExpr, fn: Callable, el: Element) -> Element:
-    """The arrow action of the functor on a single element."""
+    """The arrow action of the functor on a single element, by the
+    definition; `arrow` gives the same action resolved once per function."""
     if isinstance(expr, Const):
         return el
     if isinstance(expr, Id):
@@ -146,12 +149,53 @@ def map_element(expr: FunctorExpr, fn: Callable, el: Element) -> Element:
     raise TypeError(f"not a functor expression: {expr!r}")
 
 
+def arrow(expr: FunctorExpr, fn: Callable) -> Callable[[Element], Element]:
+    """The arrow action of the functor on fn, as a function of one element:
+    `map_element(expr, fn, .)` with the dispatch on the expression done
+    once, here, rather than at every element."""
+    if isinstance(expr, Const):
+        return _unchanged
+    if isinstance(expr, Id):
+        return fn
+    if isinstance(expr, Prod):
+        if len(expr.factors) == 2:
+            return _pair_arrow(*expr.factors, fn)
+        parts = tuple(arrow(f, fn) for f in expr.factors)
+        return lambda el: tuple(part(c) for part, c in zip(parts, el))
+    if isinstance(expr, Coprod):
+        parts = tuple(arrow(s, fn) for s in expr.summands)
+        return lambda el: (el[0], parts[el[0]](el[1]))
+    if isinstance(expr, Power):
+        body = arrow(expr.body, fn)
+        return lambda el: tuple(map(body, el))
+    if isinstance(expr, Compose):
+        return arrow(expr.outer, arrow(expr.inner, fn))
+    raise TypeError(f"not a functor expression: {expr!r}")
+
+
+def _unchanged(el: Element) -> Element:
+    return el
+
+
+def _pair_arrow(left: FunctorExpr, right: FunctorExpr, fn: Callable) -> Callable:
+    """A two-factor product's arrow; a constant factor's component passes
+    through without a call."""
+    if isinstance(left, Const):
+        g = arrow(right, fn)
+        return lambda el: (el[0], g(el[1]))
+    f = arrow(left, fn)
+    if isinstance(right, Const):
+        return lambda el: (f(el[0]), el[1])
+    g = arrow(right, fn)
+    return lambda el: (f(el[0]), g(el[1]))
+
+
 def eval_functor_map(expr: FunctorExpr, f: FinFn) -> FinFn:
     """Apply the functor to a function, materialising the full table."""
     dom = eval_functor(expr, f.dom)
     cod = eval_functor(expr, f.cod)
-    return FinFn(dom, cod, {el: map_element(expr, f, el) for el in dom},
-                 name=f"{expr}({f.name})")
+    h_f = arrow(expr, f)
+    return FinFn(dom, cod, {el: h_f(el) for el in dom}, name=f"{expr}({f.name})")
 
 
 def moore_functor(outputs: FinSet, alphabet: FinSet) -> FunctorExpr:

@@ -24,8 +24,7 @@ from typing import Callable, Iterator, Optional
 from .algebras import EMAlgebra
 from .errors import DomainMismatch, MissingComponent
 from .finset import Element, FinFn, FinSet, LazyTable, canonical_carriers, function_values
-from .functors import (Const, FunctorExpr, Id, Prod, eval_functor,
-                       map_element, moore_functor)
+from .functors import Const, FunctorExpr, Id, Prod, arrow, eval_functor, moore_functor
 from .groups import FinGroup, FinMonoid, as_group
 from .monads import ExceptionMonad, FinMonad, SemimoduleMonad, WriterMonad
 from .reports import LawReport
@@ -53,10 +52,8 @@ class Composite:
         """The composite applied to f: X -> Y, as a function of one element."""
         M, E = self.M, self.E
         if self.monad_outer:
-            return M.arrow(lambda w: map_element(E, f, w), self.functor_at(X),
-                           self.functor_at(Y))
-        m_f = M.arrow(f, X, Y)
-        return lambda el: map_element(E, m_f, el)
+            return M.arrow(arrow(E, f), self.functor_at(X), self.functor_at(Y))
+        return arrow(E, M.arrow(f, X, Y))
 
 
 class ComponentFamily:
@@ -339,19 +336,19 @@ def check_distlaw_em(law: DistLawEM, max_size: int) -> LawReport:
     for X in carriers:
         HX = law.functor_at(X)
         MX = M.apply(X)
-        unit_x = lambda x: M.unit_element(X, x)
+        h_unit_x = arrow(H, lambda x: M.unit_element(X, x))
         lam_x = law.lookup(X)
         report.first("unit-axiom", X.name, (
             {"carrier": X.name, "element": w, "lhs": lhs, "rhs": rhs}
             for w in HX
-            if (lhs := lam_x(M.unit_element(HX, w))) != (rhs := map_element(H, unit_x, w))))
+            if (lhs := lam_x(M.unit_element(HX, w))) != (rhs := h_unit_x(w))))
 
         if not law.has_component(MX):
             report.skip("mult-axiom", X.name,
                         f"no component at the derived carrier {MX.name}")
         elif M.tower_fits(len(HX), 2):
             MHX = M.apply(HX)
-            mult_x = M.mult_at(X)
+            h_mult_x = arrow(H, M.mult_at(X))
             mult_hx = M.mult_at(HX)
             lam_mx = law.lookup(MX)
             m_lam_x = M.arrow(lam_x, MHX, eval_functor(H, MX))
@@ -359,7 +356,7 @@ def check_distlaw_em(law: DistLawEM, max_size: int) -> LawReport:
                 {"carrier": X.name, "element": big, "lhs": lhs, "rhs": rhs}
                 for big in M.apply(MHX)
                 if (lhs := lam_x(mult_hx(big)))
-                != (rhs := map_element(H, mult_x, lam_mx(m_lam_x(big))))))
+                != (rhs := h_mult_x(lam_mx(m_lam_x(big))))))
         else:
             report.skip("mult-axiom", X.name,
                         f"|MM(H {X.name})| = {M.tower_card_display(len(HX), 2)} exceeds guard")
@@ -390,24 +387,24 @@ def check_distlaw_kl(law: DistLawKl, max_size: int) -> LawReport:
         MX = M.apply(X)
         TMX = eval_functor(T, MX)
         MTX = M.apply(TX)
-        unit_x = lambda x: M.unit_element(X, x)
+        t_unit_x = arrow(T, lambda x: M.unit_element(X, x))
         lam_x = law.lookup(X)
         report.first("unit-axiom", X.name, (
             {"carrier": X.name, "element": w, "lhs": lhs, "rhs": rhs}
             for w in TX
-            if (lhs := lam_x(map_element(T, unit_x, w))) != (rhs := M.unit_element(TX, w))))
+            if (lhs := lam_x(t_unit_x(w))) != (rhs := M.unit_element(TX, w))))
 
         if not law.has_component(MX):
             report.skip("mult-axiom", X.name,
                         f"no component at the derived carrier {MX.name}")
         elif M.tower_fits(len(X), 2):
-            mult_x, mult_tx = M.mult_at(X), M.mult_at(TX)
+            t_mult_x, mult_tx = arrow(T, M.mult_at(X)), M.mult_at(TX)
             lam_mx = law.lookup(MX)
             # lam_mx(big) lies in M(T(M X)); M(lam_x) takes it to M(M(T X)).
             report.first("mult-axiom", X.name, (
                 {"carrier": X.name, "element": big, "lhs": lhs, "rhs": rhs}
                 for big in eval_functor(T, M.apply(MX))
-                if (lhs := lam_x(map_element(T, mult_x, big)))
+                if (lhs := lam_x(t_mult_x(big)))
                 != (rhs := mult_tx(M.map_element_fn(lam_x, TMX, MTX, lam_mx(big))))))
         else:
             report.skip("mult-axiom", X.name,
@@ -430,9 +427,10 @@ def lift_algebra(law: DistLawEM, a: EMAlgebra) -> EMAlgebra:
     H to the original structure map."""
     X = a.carrier
     carrier = law.functor_at(X)
+    h_structure = arrow(law.H, a.structure_at)
 
     def structure(u):
-        return map_element(law.H, a.structure_at, law.component_at(X, u))
+        return h_structure(law.component_at(X, u))
 
     return EMAlgebra(law.M, carrier, structure, name=f"lift[{law.name}]({a.name})")
 

@@ -3,7 +3,7 @@ import pytest
 from barrlab import (BlowUpGuard, Compose, Const, Coprod, FinSet, Id, Power,
                      Prod, all_functions, carrier, eval_functor,
                      eval_functor_map, identity_fn, moore_functor)
-from barrlab.functors import cardinality
+from barrlab.functors import arrow, cardinality, map_element
 
 A1 = FinSet("A", ("a",))
 K2 = FinSet("k", (0, 1))
@@ -66,6 +66,38 @@ def test_pair_functor_maps_componentwise():
         table = eval_functor_map(pair, f).table
         expected = {(x, y): (f(x), f(y)) for x in X for y in X}
         assert table == expected
+
+
+E2 = FinSet("E", ("u", "v"))
+
+# Every node kind, and each branch `arrow` takes for a two-factor product.
+ARROW_CORPUS = [
+    Const(K2),
+    Id(),
+    Prod(),
+    Prod(Id()),
+    Prod(Const(K2), Id()),
+    Prod(Id(), Const(K2)),
+    Prod(Id(), Id()),
+    Prod(Const(K2), Const(A1)),
+    Prod(Const(K2), Id(), Power(E2, Id())),
+    Coprod(Const(K2), Id(), Prod(Id(), Id())),
+    Power(FinSet("E", ()), Id()),
+    Power(E2, Id()),
+    Power(E2, Coprod(Id(), Const(A1))),
+    Compose(Prod(Const(K2), Id()), Compose(Power(E2, Id()), Coprod(Id(), Const(A1)))),
+]
+
+
+@pytest.mark.parametrize("expr", ARROW_CORPUS, ids=str)
+def test_arrow_agrees_with_map_element(expr):
+    for m in range(3):
+        for n in range(3):
+            X, Y = carrier(m), carrier(n)
+            for f in all_functions(X, Y):
+                h_f = arrow(expr, f)
+                for el in eval_functor(expr, X):
+                    assert h_f(el) == map_element(expr, f, el)
 
 
 def test_coproduct_tags_are_preserved():
