@@ -78,7 +78,7 @@ def build_terminal_chain(H: FunctorExpr, depth: int) -> TerminalChain:
 def anamorphism(C: FinSet, xi: FinFn, n: int, chain: TerminalChain) -> FinFn:
     """The level-n leg of the cone a coalgebra casts on the chain: unfold the
     coalgebra n steps."""
-    if n > chain.depth:
+    if not 0 <= n <= chain.depth:
         raise DepthExceeded(f"level {n} of a depth-{chain.depth} chain")
     HC = eval_functor(chain.H, C)
     if xi.dom != C or xi.cod != HC:

@@ -221,7 +221,8 @@ def cmd_chain(args):
 def cmd_anamorphism(args):
     aut = load_automaton(_load_doc(args.automaton, "automaton"))
     C, xi = aut.as_coalgebra()
-    chain = build_terminal_chain(aut.functor(), max(args.level, args.depth))
+    # Only the leg at --level is read, so the chain stops there.
+    chain = build_terminal_chain(aut.functor(), max(args.level, 0))
     leg = anamorphism(C, xi, args.level, chain)
     state = args.state
     if state not in C:
@@ -279,6 +280,8 @@ def cmd_density(args):
 
 
 def cmd_lemma(args):
+    if args.levels < 0:
+        raise InputError(f"--levels must be >= 0, got {args.levels}")
     law = load_distlaw_em(_load_doc(args.law, "law"))
     chain = build_terminal_chain(law.H, args.levels + 1)
     check = check_cone_coincidence if args.command == "lemma1" else check_projection_morphisms

@@ -77,8 +77,9 @@ def test_anamorphism_depth_guard(z2_setup):
     C = carrier(1)
     HC = eval_functor(chain.H, C)
     xi = FinFn(C, HC, {0: (1, (0,))})
-    with pytest.raises(DepthExceeded):
-        anamorphism(C, xi, chain.depth + 1, chain)
+    for n in (chain.depth + 1, -1):
+        with pytest.raises(DepthExceeded):
+            anamorphism(C, xi, n, chain)
 
 
 def test_single_state_unfolds_to_constant_series(z2_setup):

@@ -137,6 +137,14 @@ def test_lemma_subcommands(capsys):
         assert code == 0
 
 
+@pytest.mark.parametrize("which", ["lemma1", "lemma2"])
+def test_lemma_negative_levels_name_the_flag(capsys, which):
+    code, report = run_json(capsys, which, "--law", "moore:z2:1letter", "--levels", "-1")
+    assert code == 2
+    assert report["error"] == "InputError"
+    assert "--levels" in report["message"]
+
+
 def test_commute_check_and_search(capsys):
     cand = {"monad": "semimodule:z2",
             "partner": {"generators": {"elements": ["*"]},
@@ -189,6 +197,26 @@ def test_anamorphism_subcommand(capsys, tmp_path):
                             "--state", "s", "--level", "2")
     assert code == 0
     assert report["result"]["element"] == [1, [[1, ["*"]]]]
+
+
+def test_anamorphism_negative_level_exits_two(capsys):
+    aut = {"states": ["s"], "alphabet": ["a"], "semiring": "bool",
+           "output": {"s": 1}, "delta": {"s": {"a": "s"}}}
+    code, report = run_json(capsys, "anamorphism", "--automaton", json.dumps(aut),
+                            "--state", "s", "--level", "-1")
+    assert code == 2
+    assert report["error"] == "DepthExceeded"
+
+
+def test_anamorphism_builds_the_chain_to_the_level_only(capsys):
+    # At the default --depth 8 the two-letter chain passes the blow-up guard
+    # at level 5; the leg at level 2 needs only levels 0-2.
+    argv = ("anamorphism", "--automaton", "tests/golden/inputs/automaton-z2-2letter.json",
+            "--state", "s0", "--level", "2")
+    code, report = run_json(capsys, *argv)
+    assert code == 0
+    _, shallow = run_json(capsys, *argv, "--depth", "2")
+    assert report["result"] == shallow["result"]
 
 
 def test_malformed_documents_are_input_errors(capsys):
