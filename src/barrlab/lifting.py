@@ -5,10 +5,11 @@ checkers and the induced liftings.
 Every family here runs between the two composites of a monad M and a
 polynomial functor E: M after E (X |-> M(E X)) and E after M (X |-> E(M X)).
 A `Composite` describes one of them; it gives the set at a carrier and the
-arrow at a function, built through `M.arrow`.  A `ComponentFamily` holds
-its source and target composites and either a formula, evaluated on demand
-and tabulated per carrier when asked for, or explicit per-carrier tables;
-checkers read a component through `lookup`, a `LazyTable` per carrier.
+arrow at a function, built through `M.arrow` and `functors.arrow`.  A
+`ComponentFamily` holds its source and target composites and either a
+formula, evaluated on demand and tabulated per carrier when asked for, or
+explicit per-carrier tables; checkers read a component through `lookup`,
+a `LazyTable` per carrier.
 The algebra-side law M(H X) -> H(M X) (`DistLawEM`, equivalent to lifting H
 to algebras), the Kleisli-side law T(M X) -> M(T X) (`DistLawKl`) and the
 mediating isomorphism H(M X) -> M(T X) of a commuting pair are all
