@@ -23,7 +23,7 @@ from .errors import (BarrlabError, BlowUpGuard, BoundMismatch, DepthExceeded,
                      blowup_limit)
 from .finset import EMPTY, TERMINAL, FinFn, FinSet, all_functions, carrier, identity_fn
 from .functors import (Compose, Const, Coprod, FunctorExpr, Id, Power, Prod,
-                       eval_functor, eval_functor_map, moore_functor)
+                       eval_functor, moore_functor)
 from .groups import FinGroup, FinMonoid, cyclic_group, symmetric_group
 from .lifting import (ComponentFamily, Composite, DistLawEM, DistLawKl,
                       check_distlaw_em, check_distlaw_kl, constant_law,

@@ -19,7 +19,7 @@ from .algebras import EMAlgebra
 from .errors import (DepthExceeded, DomainMismatch, InputError, NotCauchy,
                      ZeroObjectViolation)
 from .finset import EMPTY, TERMINAL, Element, FinFn, FinSet, from_empty, to_terminal
-from .functors import FunctorExpr, arrow, eval_functor, eval_functor_map
+from .functors import FunctorExpr, arrow, eval_functor
 from .lifting import DistLawEM, lift_coalgebra
 from .reports import LawReport
 
@@ -31,7 +31,6 @@ class TerminalChain:
         self.H = H
         self.levels = levels
         self.connect = connect  # connect[n]: levels[n+1] -> levels[n]
-        self._ana_cache: dict = {}
 
     @property
     def depth(self) -> int:
@@ -71,27 +70,31 @@ def build_terminal_chain(H: FunctorExpr, depth: int) -> TerminalChain:
         if n == 0:
             connect.append(to_terminal(levels[1]))
         else:
-            connect.append(eval_functor_map(H, connect[n - 1]))
+            connect.append(_h_map(H, connect[n - 1], levels[n + 1], levels[n]))
     return TerminalChain(H, levels, connect)
 
 
-def anamorphism(C: FinSet, xi: FinFn, n: int, chain: TerminalChain) -> FinFn:
-    """The level-n leg of the cone a coalgebra casts on the chain: unfold the
-    coalgebra n steps."""
+def _h_map(H: FunctorExpr, f: FinFn, dom: FinSet, cod: FinSet) -> FinFn:
+    """H f tabulated on dom = H(f.dom), landing in cod = H(f.cod): both are
+    levels the chain already holds, so H is not evaluated again."""
+    h_f = arrow(H, f)
+    return FinFn(dom, cod, {el: h_f(el) for el in dom}, name=f"{H}({f.name})")
+
+
+def anamorphism(C: FinSet, xi: FinFn, n: int, chain: TerminalChain) -> list[FinFn]:
+    """Legs 0..n of the cone a coalgebra casts on the chain: leg k unfolds
+    the coalgebra k steps."""
     if not 0 <= n <= chain.depth:
         raise DepthExceeded(f"level {n} of a depth-{chain.depth} chain")
-    HC = eval_functor(chain.H, C)
-    if xi.dom != C or xi.cod != HC:
+    if xi.dom != C or xi.cod != eval_functor(chain.H, C):
         raise DomainMismatch(f"coalgebra structure must be {C.name} -> H({C.name})")
-    key = (C, xi)
-    # Not a LazyTable: leg n is built from leg n-1, so the legs are a growing list.
-    legs = chain._ana_cache.setdefault(key, [to_terminal(C)])
-    while len(legs) <= n:
-        # The next leg is xi followed by H(previous leg), evaluated on C
-        # alone: H(previous leg) is never tabulated over all of H C.
+    legs = [to_terminal(C)]
+    for k in range(1, n + 1):
+        # Leg k is xi followed by H(leg k-1), evaluated on C alone:
+        # H(leg k-1) is never tabulated over all of H C.
         h_prev = arrow(chain.H, legs[-1])
-        legs.append(FinFn(C, chain.level(len(legs)), {c: h_prev(xi(c)) for c in C}))
-    return legs[n]
+        legs.append(FinFn(C, chain.levels[k], {c: h_prev(xi(c)) for c in C}))
+    return legs
 
 
 class LimitPoint:
@@ -386,10 +389,9 @@ class InitialChain:
     terminal one; only valid when the free algebra on the empty set is a
     singleton."""
 
-    def __init__(self, chain: TerminalChain, forward: list[FinFn], levels: LevelAlgebras):
+    def __init__(self, chain: TerminalChain, forward: list[FinFn]):
         self.chain = chain
         self.forward = forward  # forward[n]: levels[n] -> levels[n+1]
-        self.level_algebras = levels
 
     def forward_element(self, el: Element, frm: int, to: int) -> Element:
         if to < frm:
@@ -418,8 +420,8 @@ def build_initial_chain(law: DistLawEM, chain: TerminalChain,
     bang = FinFn(chain.level(0), lvl1, {"*": levels.structure_at(1, seed)}, name="!")
     forward = [bang]
     for n in range(1, chain.depth):
-        forward.append(eval_functor_map(chain.H, forward[n - 1]))
-    return InitialChain(chain, forward, levels)
+        forward.append(_h_map(chain.H, forward[n - 1], chain.levels[n], chain.levels[n + 1]))
+    return InitialChain(chain, forward)
 
 
 def colim_to_lim(ic: InitialChain, x: Element, n: int) -> LimitPoint:
@@ -492,8 +494,7 @@ def check_cone_coincidence(law: DistLawEM, chain: TerminalChain, depth: int) -> 
     zeta = lift_coalgebra(law, C, xi)
     MC = M.apply(C)
     report = LawReport(f"cone coincidence for {law.name}")
-    for n in range(depth + 1):
-        alpha_n = anamorphism(MC, zeta, n, chain)
+    for n, alpha_n in enumerate(anamorphism(MC, zeta, depth, chain)):
         level = chain.level(n)
         projected_at = levels.positions_after(n, chain.truncation(depth, n), C)
         report.first("cone-coincidence", f"level {n}", (

@@ -28,8 +28,8 @@ from .errors import BarrlabError, InputError, SearchCapReached
 from .finset import FinSet, carrier
 from .jsonio import (dump_series, encode_element, load_algebra, load_automaton,
                      load_candidate, load_distlaw_em, load_distlaw_kl, load_functor,
-                     load_group, load_monad, load_polynomial, load_series,
-                     standard_alphabet)
+                     load_group, load_int, load_monad, load_polynomial,
+                     load_series, standard_alphabet)
 from .lifting import check_distlaw_em, check_distlaw_kl, gset_distlaws, lift_algebra
 from .monads import check_monad_laws
 from .reports import LawReport
@@ -221,12 +221,12 @@ def cmd_chain(args):
 def cmd_anamorphism(args):
     aut = load_automaton(_load_doc(args.automaton, "automaton"))
     C, xi = aut.as_coalgebra()
-    # Only the leg at --level is read, so the chain stops there.
-    chain = build_terminal_chain(aut.functor(), max(args.level, 0))
-    leg = anamorphism(C, xi, args.level, chain)
     state = args.state
     if state not in C:
         raise InputError(f"state {state!r} not in the automaton")
+    # Only the leg at --level is read, so the chain stops there.
+    chain = build_terminal_chain(aut.functor(), max(args.level, 0))
+    leg = anamorphism(C, xi, args.level, chain)[-1]
     return {"state": state, "level": args.level,
             "element": encode_element(leg(state))}, True
 
@@ -251,6 +251,11 @@ def cmd_limit(args):
     polys = [load_polynomial(p, path=f"polynomials[{i}]")
              for i, p in enumerate(doc["polynomials"])]
     modulus = doc.get("modulus")
+    if modulus is not None:
+        if not isinstance(modulus, list) or len(modulus) < args.depth:
+            raise InputError(f"modulus: expected an array with an entry for each "
+                             f"word length below --depth {args.depth}")
+        modulus = [load_int(m, f"modulus[{i}]") for i, m in enumerate(modulus)]
     limit = cauchy_limit_series(polys, args.depth, modulus=modulus)
     return dump_series(limit), True
 

@@ -1,11 +1,11 @@
 """Polynomial endofunctors on finite sets, given as syntax trees.
 
 Constructors: constant, identity, finite products and coproducts, powers by
-a finite exponent set, and composition.  Expressions evaluate on sets and on
-functions.  The arrow action comes in two forms: `map_element`, pointwise by
-the definition, and `arrow`, which resolves H f once as a function of one
-element; the larger modules use `arrow` to avoid materialising huge
-intermediate tables without re-walking the expression at every element.
+a finite exponent set, and composition.  Expressions evaluate on sets
+(`eval_functor`).  The arrow action comes in two forms: `map_element`,
+pointwise by the definition, and `arrow`, which resolves H f once as a
+function of one element; the library uses `arrow` and tabulates H f, where
+it needs a table, on sets it already holds.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Callable, Iterator
 
 import itertools
 
-from .finset import Element, FinFn, FinSet, guard_size
+from .finset import Element, FinSet, guard_size
 
 
 class FunctorExpr:
@@ -188,14 +188,6 @@ def _pair_arrow(left: FunctorExpr, right: FunctorExpr, fn: Callable) -> Callable
         return lambda el: (f(el[0]), el[1])
     g = arrow(right, fn)
     return lambda el: (f(el[0]), g(el[1]))
-
-
-def eval_functor_map(expr: FunctorExpr, f: FinFn) -> FinFn:
-    """Apply the functor to a function, materialising the full table."""
-    dom = eval_functor(expr, f.dom)
-    cod = eval_functor(expr, f.cod)
-    h_f = arrow(expr, f)
-    return FinFn(dom, cod, {el: h_f(el) for el in dom}, name=f"{expr}({f.name})")
 
 
 def moore_functor(outputs: FinSet, alphabet: FinSet) -> FunctorExpr:

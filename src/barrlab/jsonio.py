@@ -14,7 +14,7 @@ import inspect
 import itertools
 import json
 import re
-from typing import Optional
+from typing import Callable, Optional
 
 from .algebras import EMAlgebra, free_algebra, terminal_algebra
 from .errors import InputError, NonFinitePreserving
@@ -59,6 +59,15 @@ def _resolve_key(key: str, universe: FinSet, path: str) -> Element:
     if key in universe:
         return key
     raise InputError(f"{path}: key {key!r} is not an element of {universe.name}")
+
+
+def load_int(doc, path: str) -> int:
+    """An integer field, read as int() reads it; a value int() rejects is
+    an InputError naming the field's path."""
+    try:
+        return int(doc)
+    except (TypeError, ValueError):
+        raise InputError(f"{path}: expected an integer, got {doc!r}") from None
 
 
 def _names_path(load):
@@ -244,7 +253,10 @@ def load_monad(doc, path: str = "monad") -> FinMonad:
         if name == "semimodule":
             return semimodule_monad(load_semiring(doc["semiring"], f"{path}.semiring"))
         if name == "exception":
-            return exception_monad(int(doc.get("errors", 2)))
+            errors = load_int(doc.get("errors", 2), f"{path}.errors")
+            if errors < 0:
+                raise InputError(f"{path}.errors: must be >= 0, got {errors}")
+            return exception_monad(errors)
         return load_monad(name, path)
     if "tables" in doc:
         return _load_table_monad(doc, path)
@@ -290,7 +302,8 @@ def _load_table_monad(doc, path: str) -> TableMonad:
     maps = {}
     for i, entry in enumerate(doc.get("maps", [])):
         where = f"{path}.maps[{i}].table"
-        dom, cod = int(entry["dom"]), int(entry["cod"])
+        dom = load_int(entry["dom"], f"{path}.maps[{i}].dom")
+        cod = load_int(entry["cod"], f"{path}.maps[{i}].cod")
         universe = FinSet("dom", sizes[dom]["elements"])
         targets = FinSet("cod", sizes[cod]["elements"])
         table = {_resolve_key(k2, universe, where): decode_element(v)
@@ -542,35 +555,50 @@ def word_to_str(w) -> str:
     return "".join(str(a) for a in w)
 
 
-def str_to_word(s: str, alphabet) -> tuple:
-    """Parse a concatenated word back into letters (backtracking match)."""
-    letters = sorted((str(a) for a in alphabet), key=len, reverse=True)
+def word_parser(alphabet) -> Callable[[str], tuple]:
+    """The parser of concatenated words over alphabet back into letters.
+    At each position it takes the longest letter (the first such in the
+    alphabet) whose remainder still parses.  The letter order and the
+    letter map are built here, once per alphabet."""
     by_str = {str(a): a for a in alphabet}
+    # An empty letter is left out: it leaves the position where it was, so
+    # it never completes a split the other letters cannot.
+    letters = sorted((lit for lit in by_str if lit), key=len, reverse=True)
 
-    def match(rest):
-        if not rest:
-            return ()
-        for lit in letters:
-            if rest.startswith(lit):
-                tail = match(rest[len(lit):])
-                if tail is not None:
-                    return (by_str[lit],) + tail
-        return None
+    def parse(s: str) -> tuple:
+        # Depth first, without recursion; `dead` holds the positions from
+        # which no split exists, so each position is entered at most once.
+        dead, path = set(), []
+        pos, first = 0, 0
+        while pos < len(s):
+            for i in range(first, len(letters)):
+                lit = letters[i]
+                if pos + len(lit) not in dead and s.startswith(lit, pos):
+                    path.append((pos, i))
+                    pos, first = pos + len(lit), 0
+                    break
+            else:
+                if not path:
+                    raise InputError(f"cannot parse word {s!r} over alphabet {alphabet}")
+                dead.add(pos)
+                pos, i = path.pop()
+                first = i + 1
+        return tuple(by_str[letters[i]] for _, i in path)
 
-    out = match(s)
-    if out is None:
-        raise InputError(f"cannot parse word {s!r} over alphabet {alphabet}")
-    return out
+    return parse
 
 
 @_names_path
 def load_series(doc, path: str = "series") -> TruncatedSeries:
     alphabet = tuple(doc["alphabet"])
-    bound = int(doc["bound"])
+    bound = load_int(doc["bound"], f"{path}.bound")
+    if bound < 0:
+        raise InputError(f"{path}.bound: must be >= 0, got {bound}")
     zero = decode_element(doc.get("zero", 0))
     coeffs = {w: zero for w in words_below(alphabet, bound)}
+    parse = word_parser(alphabet)
     for key, val in doc.get("coefficients", {}).items():
-        w = str_to_word(key, alphabet)
+        w = parse(key)
         if len(w) >= bound:
             raise InputError(f"{path}.coefficients: word {key!r} is above the bound")
         coeffs[w] = decode_element(val)
@@ -590,8 +618,8 @@ def load_polynomial(doc, k: Optional[Semiring] = None, path: str = "polynomial")
     alphabet = tuple(doc["alphabet"])
     if k is None:
         k = load_semiring(doc.get("semiring", "nat"), f"{path}.semiring")
-    terms = {str_to_word(key, alphabet): decode_element(val)
-             for key, val in doc.get("terms", {}).items()}
+    parse = word_parser(alphabet)
+    terms = {parse(key): decode_element(val) for key, val in doc.get("terms", {}).items()}
     return Polynomial(alphabet, k, terms)
 
 

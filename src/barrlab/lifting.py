@@ -196,7 +196,10 @@ def gset_law(group: FinGroup, rule: Callable, name: str) -> DistLawEM:
 
 def gset_distlaws(group) -> tuple[DistLawEM, DistLawEM]:
     """The two canonical laws for G-sets: one built from the group
-    multiplication, one from conjugation.  They agree iff G is abelian."""
+    multiplication, (g, h) -> (g*h, g), one from conjugation,
+    (g, h) -> (g*h*g^-1, g).  They differ over every nontrivial group,
+    abelian or not: for abelian G conjugation is the swap rule
+    (g, h) -> (h, g), which is not the multiplication rule."""
     G = as_group(group) if isinstance(group, FinMonoid) else group
     if not isinstance(G, FinGroup):
         G = as_group(G)

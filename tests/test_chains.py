@@ -13,7 +13,7 @@ from barrlab import (Const, DepthExceeded, FinSet, Id, MElement, NotCauchy,
                      pointed_law, semimodule_moore_law)
 from barrlab.chains import _standin
 from barrlab.finset import FinFn, to_terminal
-from barrlab.functors import eval_functor_map
+from barrlab.functors import map_element
 from barrlab.jsonio import load_distlaw_em
 from barrlab.lifting import DistLawEM, lift_coalgebra
 from barrlab.series import (TruncatedSeries, decode_series, encode_series,
@@ -68,7 +68,7 @@ def test_anamorphism_base_is_constant(z2_setup):
     C = carrier(3)
     HC = eval_functor(chain.H, C)
     xi = FinFn(C, HC, {c: (1, (c,)) for c in C})
-    a0 = anamorphism(C, xi, 0, chain)
+    (a0,) = anamorphism(C, xi, 0, chain)
     assert set(a0.table.values()) == {"*"}
 
 
@@ -88,8 +88,7 @@ def test_single_state_unfolds_to_constant_series(z2_setup):
     C = FinSet("C", ("c",))
     HC = eval_functor(chain.H, C)
     xi = FinFn(C, HC, {"c": (1, ("c",))})
-    for n in range(6):
-        leg = anamorphism(C, xi, n, chain)
+    for n, leg in enumerate(anamorphism(C, xi, 5, chain)):
         assert decode_series(leg("c"), ("t",), n) == \
             TruncatedSeries.constant(("t",), n, 1)
 
@@ -101,16 +100,16 @@ def test_cone_compatibility_for_coalgebras(z2_setup):
     HC = eval_functor(chain.H, C)
     for _ in range(5):
         xi = FinFn(C, HC, {c: rng.choice(HC.elements) for c in C})
+        legs = anamorphism(C, xi, 5, chain)
         for n in range(5):
-            lower = anamorphism(C, xi, n, chain)
-            upper = anamorphism(C, xi, n + 1, chain)
-            assert upper.then(chain.connect[n]) == lower
+            assert legs[n + 1].then(chain.connect[n]) == legs[n]
 
 
 @pytest.mark.parametrize("shorthand", ["moore:z2:1letter", "pointed:4:maybe"])
 def test_anamorphism_legs_match_the_tabulated_form(shorthand):
     # Reference: leg n = xi ; H(leg n-1), with H(leg n-1) tabulated over all
-    # of H C.  Coalgebras: the lifted ones on M C that lemma1 unfolds.
+    # of H C by the pointwise definition.  Coalgebras: the lifted ones on
+    # M C that lemma1 unfolds.
     law = load_distlaw_em(shorthand)
     depth = 3
     chain = build_terminal_chain(law.H, depth + 1)
@@ -119,9 +118,54 @@ def test_anamorphism_legs_match_the_tabulated_form(shorthand):
     MC = law.M.apply(C)
     legs = [to_terminal(MC)]
     for n in range(1, depth + 1):
-        legs.append(zeta.then(eval_functor_map(chain.H, legs[-1])))
-    for n in range(depth + 1):
-        assert anamorphism(MC, zeta, n, chain) == legs[n]
+        h_leg = FinFn(zeta.cod, chain.level(n),
+                      {el: map_element(chain.H, legs[-1], el) for el in zeta.cod})
+        legs.append(zeta.then(h_leg))
+    assert anamorphism(MC, zeta, depth, chain) == legs
+
+
+def _count_eval_functor(monkeypatch):
+    """Count eval_functor calls, through either module's name for it."""
+    from barrlab import chains, functors
+
+    calls, real = [], functors.eval_functor
+
+    def counted(expr, X):
+        calls.append(X)
+        return real(expr, X)
+
+    monkeypatch.setattr(functors, "eval_functor", counted)
+    monkeypatch.setattr(chains, "eval_functor", counted)
+    return calls
+
+
+def test_chain_maps_are_built_on_the_chain_levels(monkeypatch, z2_monad, one_letter):
+    # H is evaluated once per level; each connect and forward map is
+    # tabulated on the levels the chain already holds.
+    law = semimodule_moore_law(z2_monad, one_letter)
+    calls = _count_eval_functor(monkeypatch)
+    chain = build_terminal_chain(law.H, 6)
+    assert len(calls) == 6
+    levels = level_algebras(law, chain)
+    ic = build_initial_chain(law, chain, levels)
+    assert len(calls) == 6
+    for n in range(6):
+        assert chain.connect[n].dom is chain.levels[n + 1]
+        assert chain.connect[n].cod is chain.levels[n]
+        assert ic.forward[n].dom is chain.levels[n]
+        assert ic.forward[n].cod is chain.levels[n + 1]
+
+
+def test_anamorphism_returns_every_leg_and_keeps_no_state(z2_setup):
+    _, chain, _, _ = z2_setup
+    C = carrier(2)
+    xi = FinFn(C, eval_functor(chain.H, C), {0: (1, (1,)), 1: (0, (0,))})
+    attributes = set(vars(chain))
+    for n in (0, 3, chain.depth):
+        legs = anamorphism(C, xi, n, chain)
+        assert len(legs) == n + 1
+        assert [leg.cod for leg in legs] == chain.levels[:n + 1]
+    assert set(vars(chain)) == attributes == {"H", "levels", "connect"}
 
 
 def test_limit_point_memoizes_and_validates(z2_setup):
@@ -405,8 +449,7 @@ def test_standin_unfolds_to_truncations(z2_setup):
     D = 4
     C = chain.level(D)
     xi = ic.forward[D]
-    for n in range(D + 1):
-        assert anamorphism(C, xi, n, chain) == chain.truncation(D, n)
+    assert anamorphism(C, xi, D, chain) == [chain.truncation(D, n) for n in range(D + 1)]
 
 
 def test_colim_to_lim_zero_pads(z2_setup):

@@ -219,6 +219,64 @@ def test_anamorphism_builds_the_chain_to_the_level_only(capsys):
     assert report["result"] == shallow["result"]
 
 
+def test_anamorphism_checks_the_state_before_the_chain(capsys):
+    # Level 5 of the two-letter chain is past the blow-up guard, so building
+    # the chain first would report BlowUpGuard, not the unknown state.
+    code, report = run_json(capsys, "anamorphism", "--automaton",
+                            "tests/golden/inputs/automaton-z2-2letter.json",
+                            "--state", "nosuch", "--level", "5", "--depth", "5")
+    assert code == 2
+    assert report["error"] == "InputError"
+    assert report["message"] == "state 'nosuch' not in the automaton"
+
+
+def test_unparsable_word_keys_exit_two(capsys):
+    # A 1200-letter key used to end in a RecursionError, and an ambiguous
+    # alphabet with no split used to backtrack without end.
+    long_key = {"alphabet": ["t"], "bound": 3, "coefficients": {"t" * 1200: 1}}
+    no_split = {"alphabet": ["a", "aa", "aaa"], "bound": 3,
+                "coefficients": {"a" * 60 + "b": 1}}
+    for doc, message in ((long_key, "series.coefficients: word "),
+                         (no_split, "cannot parse word ")):
+        code, report = run_json(capsys, "distance", "--left", json.dumps(doc),
+                                "--right", json.dumps(doc))
+        assert code == 2
+        assert report["error"] == "InputError"
+        assert report["message"].startswith(message)
+
+
+def test_bad_integer_fields_exit_two(capsys):
+    path = Path(__file__).parent / "golden" / "inputs" / "maybe-tables-broken-mult.json"
+    table_monad = json.loads(path.read_text())
+    table_monad["maps"][0]["dom"] = "q"
+    series = {"alphabet": ["t"], "bound": 2}
+    poly = {"alphabet": ["t"], "semiring": "nat", "terms": {"": 1}}
+    for argv, message in (
+            (("check-monad", '{"builtin": "exception", "errors": "x"}'),
+             "monad.errors: expected an integer, got 'x'"),
+            (("check-monad", '{"builtin": "exception", "errors": -1}'),
+             "monad.errors: must be >= 0, got -1"),
+            (("check-monad", json.dumps(table_monad)),
+             "monad.maps[0].dom: expected an integer, got 'q'"),
+            (("distance", "--left", json.dumps(dict(series, bound="x")),
+              "--right", json.dumps(series)),
+             "series.bound: expected an integer, got 'x'"),
+            (("distance", "--left", json.dumps(dict(series, bound=-1)),
+              "--right", json.dumps(series)),
+             "series.bound: must be >= 0, got -1"),
+            (("limit", "--sequence", json.dumps({"polynomials": [poly, poly],
+                                                 "modulus": [0, "x"]}), "--depth", "2"),
+             "modulus[1]: expected an integer, got 'x'"),
+            (("limit", "--sequence", json.dumps({"polynomials": [poly], "modulus": [0]}),
+              "--depth", "2"),
+             "modulus: expected an array with an entry for each word length below "
+             "--depth 2")):
+        code, report = run_json(capsys, *argv, "--max-size", "1")
+        assert code == 2, argv
+        assert report["error"] == "InputError", argv
+        assert report["message"] == message
+
+
 def test_malformed_documents_are_input_errors(capsys):
     # a missing key is bad input (exit 2), never a counterexample (exit 1)
     for argv, path in ((("check-distlaw", '{"family":"identity"}'), "law"),

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from barrlab import (InputError, NonFinitePreserving, carrier, check_distlaw_em,
@@ -6,7 +8,7 @@ from barrlab.jsonio import (decode_element, dump_series, encode_element,
                             load_automaton, load_distlaw_em, load_distlaw_kl,
                             load_finset, load_functor, load_monad, load_monoid,
                             load_polynomial, load_semiring, load_series,
-                            standard_alphabet, str_to_word, word_to_str)
+                            standard_alphabet, word_parser, word_to_str)
 
 
 def test_element_codec_roundtrip():
@@ -164,10 +166,48 @@ def test_explicit_law_components_load_and_check(maybe):
 
 def test_word_codec():
     assert word_to_str(("a", "b", "a")) == "aba"
-    assert str_to_word("aba", ("a", "b")) == ("a", "b", "a")
-    assert str_to_word("", ("a",)) == ()
+    parse = word_parser(("a", "b"))
+    assert parse("aba") == ("a", "b", "a")
+    assert parse("") == ()
     with pytest.raises(InputError):
-        str_to_word("abc", ("a", "b"))
+        parse("abc")
+
+
+def _backtracking_str_to_word(s, alphabet):
+    """The recursive matcher word_parser replaced, kept as the reference:
+    at each position the longest letter whose remainder still parses."""
+    letters = sorted((str(a) for a in alphabet), key=len, reverse=True)
+    by_str = {str(a): a for a in alphabet}
+
+    def match(rest):
+        if not rest:
+            return ()
+        for lit in letters:
+            if rest.startswith(lit):
+                tail = match(rest[len(lit):])
+                if tail is not None:
+                    return (by_str[lit],) + tail
+        return None
+
+    return match(s)
+
+
+@pytest.mark.parametrize("alphabet", [("a", "ab", "b", "ba"), ("a", "aa", "aaa", "b"),
+                                      ("ab", "abc", "c", "bc", "a"), ("a", "abc", "bcd", "cd"),
+                                      (0, 1, 10, "01")])
+def test_word_parser_agrees_with_the_backtracking_matcher(alphabet):
+    # Every string of up to 6 characters over the letters' characters and
+    # one character outside them.
+    parse = word_parser(alphabet)
+    chars = sorted(set("".join(str(a) for a in alphabet))) + ["z"]
+    for n in range(7):
+        for s in map("".join, itertools.product(chars, repeat=n)):
+            expected = _backtracking_str_to_word(s, alphabet)
+            if expected is None:
+                with pytest.raises(InputError):
+                    parse(s)
+            else:
+                assert parse(s) == expected
 
 
 def test_series_roundtrip():

@@ -65,8 +65,7 @@ def test_behavior_agrees_with_chain_unfolding():
         aut = random_bool_automaton(rng, 3, ("a", "b"))
         chain = build_terminal_chain(aut.functor(), 4)
         C, xi = aut.as_coalgebra()
-        for n in range(5):
-            leg = anamorphism(C, xi, n, chain)
+        for n, leg in enumerate(anamorphism(C, xi, 4, chain)):
             for s in aut.states:
                 assert leg(s) == encode_series(behavior(aut, s, n))
 
