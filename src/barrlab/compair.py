@@ -7,16 +7,19 @@ The mediating isomorphism sigma: H(M X) -> M(T X) is a `ComponentFamily`
 from H after M to M after T, the same type as a distributive law, so its
 naturality is checked by the same `naturality_failures` sweep: once per
 pair of carriers in `check_commuting`, and in both directions against the
-components already fixed for each candidate in `search_commuting_sigma`.
+components already fixed for each full bijection in `search_commuting_sigma`.
+That search assigns sigma one element at a time and tests each algebra-square
+pair as soon as the positions it reads are assigned.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Callable, Iterator, Optional
+import functools
+import math
+from typing import Optional
 
 from .algebras import free_algebra
-from .errors import DomainMismatch, MissingComponent, NotBiproductCompatible
+from .errors import BarrlabError, DomainMismatch, MissingComponent, NotBiproductCompatible
 from .finset import TERMINAL, Element, FinFn, FinSet, canonical_carriers
 from .functors import Const, Coprod, FunctorExpr, Id, Power, Prod, arrow, eval_functor
 from .lifting import (ComponentFamily, Composite, DistLawEM, DistLawKl,
@@ -229,36 +232,25 @@ def _closed_form_candidate(T: FunctorExpr, H: FunctorExpr,
     return None
 
 
-def _table_lookup(table: dict, name: str) -> Callable[[Element], Element]:
-    """`table` as a function that fails like `FinFn.__call__` on a missing
-    key, without building (and validating) a FinFn."""
-
-    def lookup(x):
-        try:
-            return table[x]
-        except KeyError:
-            raise DomainMismatch(f"{name}: {x!r} not in domain") from None
-
-    return lookup
-
-
 def search_commuting_sigma(T: FunctorExpr, H: FunctorExpr, M: FinMonad,
                            law: DistLawEM, max_size: int,
                            cap: int = 10**5) -> tuple[str, Optional[CommutingCandidate], int]:
-    """Enumerate bijections H(M X) -> M(T X) carrier by carrier in canonical
-    order, pruning with naturality against the components already fixed and
-    the algebra square; gives up with status "unknown" once `cap` candidate
-    bijections have been tried.
+    """Search bijections H(M X) -> M(T X) carrier by carrier in canonical
+    order, pruning with the algebra square and with naturality against the
+    components already fixed; gives up with status "unknown" once `cap`
+    candidate bijections have been tried.
 
-    Half of the algebra square does not depend on the candidate: for each
-    `big` in M(H(M X)), the law's component followed by H(mu_X) gives the
-    same `flat` in H(M X) whatever sigma is.  Those (big, flat) pairs are
-    kept per carrier for the length of the call, so a candidate only looks
-    up sigma(flat) and computes mu(M sigma(big)).  The list is filled
-    lazily, in the enumeration order of M(H(M X)), as far as the candidates
-    get: a law that fails at some `big` fails at the same point as when
-    every candidate recomputed it.  Candidates are tested through a plain
-    table lookup; only those that pass the square become validated FinFns.
+    sigma_X is assigned one element of H(M X) at a time, in
+    `itertools.permutations` order.  The square asks sigma(flat) =
+    mu(M sigma(big)) for each big in M(H(M X)), where flat (the law, then
+    H(mu_X)) does not depend on sigma.  A carrier's pairs are built when its
+    first candidate is tested, each filed under the last position it reads:
+    flat's, or a point `M.map_element_fn` calls its function on for big (the
+    last, if that call fails alone: a table monad looks its arrow up by the
+    whole function).  A pair is tested once that position is assigned; a
+    failure at position i rules out the (n-i-1)! bijections with that
+    prefix, which `tried` counts as the full enumeration would.  Naturality
+    is tested on full bijections.
 
     Returns (status, candidate, tried) with status one of "found",
     "none" (exhausted without success below the cap) or "unknown".
@@ -280,31 +272,25 @@ def search_commuting_sigma(T: FunctorExpr, H: FunctorExpr, M: FinMonad,
 
     tried = 0
     chosen: dict[FinSet, FinFn] = {}
-    # Not LazyTables: each carrier's pairs are produced lazily in enumeration
-    # order, as far as some candidate gets.
-    squares: dict[int, tuple[list, Iterator]] = {}
 
-    def square_pairs(idx):
-        """(big, flat) for each big in M(H(M X)) in enumeration order, with
-        flat = H(mu_X)(law(big)): computed on first demand, then reused."""
-        if idx not in squares:
-            X = carriers[idx]
-            MX = M.apply(X)
-            h_mult_x = arrow(H, M.mult_at(X))
-            squares[idx] = ([], ((big, h_mult_x(law.component_at(MX, big)))
-                                 for big in M.apply(doms[idx])))
-        pairs, source = squares[idx]
-        yield from pairs
-        for pair in source:
-            pairs.append(pair)
-            yield pair
-
-    def square_ok(idx, sigma):
-        dom, cod, TX = doms[idx], cods[idx], tx_sets[idx]
-        for big, flat in square_pairs(idx):
-            if sigma(flat) != M.mult_element(TX, M.map_element_fn(sigma, dom, cod, big)):
-                return False
-        return True
+    def filed_pairs(idx):
+        """The square pairs (big, flat) at carriers[idx], filed by position."""
+        X, dom = carriers[idx], doms[idx]
+        filed: list[list] = [[] for _ in dom]
+        if not M.tower_fits(len(dom), 1):
+            return filed
+        MX, h_mult_x = M.apply(X), arrow(H, M.mult_at(X))
+        for big in M.apply(dom):
+            flat = h_mult_x(law.component_at(MX, big))
+            if flat not in dom:
+                raise DomainMismatch(f"{dom.name}->{cods[idx].name}: {flat!r} not in domain")
+            read = [dom.index(flat)]
+            try:  # M of an identity that records the points it is called on
+                M.map_element_fn(lambda x: read.append(dom.index(x)) or x, dom, dom, big)
+            except BarrlabError:  # then tested on full bijections only
+                read.append(len(dom) - 1)
+            filed[max(read)].append((big, flat))
+        return filed
 
     def natural(X, Y, at_x, at_y):
         return next(naturality_failures(source, target, X, Y, at_x, at_y), None) is None
@@ -312,35 +298,49 @@ def search_commuting_sigma(T: FunctorExpr, H: FunctorExpr, M: FinMonad,
     def natural_against(X, sigma, idx):
         """sigma at X against itself and, both ways, against every
         component already chosen below X."""
-        for Y in carriers[:idx + 1]:
-            other = chosen.get(Y, sigma)
-            if not natural(X, Y, sigma, other) or \
-                    (Y is not X and not natural(Y, X, other, sigma)):
-                return False
-        return True
+        return all(natural(X, Y, sigma, chosen.get(Y, sigma)) and
+                   (Y is X or natural(Y, X, chosen[Y], sigma)) for Y in carriers[:idx + 1])
 
     def assign(idx) -> Optional[str]:
         nonlocal tried
         if idx == len(carriers):
             return "found"
+        if tried >= cap:
+            return "unknown"
         X, dom, cod = carriers[idx], doms[idx], cods[idx]
-        name = f"{dom.name}->{cod.name}"
-        square_fits = M.tower_fits(len(dom), 1)
-        for perm in itertools.permutations(cod.elements):
+        filed, mult_tx = filed_pairs(idx), M.mult_at(tx_sets[idx])
+        n, points, values = len(dom), dom.elements, cod.elements
+        table = dict.fromkeys(points)
+        m_sigma = functools.partial(M.map_element_fn, table.__getitem__, dom, cod)
+        # choice[i] is the position in M(T X) assigned to points[i], or -1.
+        used, choice, i = set(), [-1] * n, 0
+        while i >= 0:
+            if i == n:  # a full bijection
+                tried += 1
+                sigma = FinFn(dom, cod, table)
+                if natural_against(X, sigma, idx):
+                    chosen[X] = sigma
+                    if result := assign(idx + 1):
+                        return result
+                    del chosen[X]
+                i -= 1
+                continue
+            used.discard(choice[i])
+            choice[i] = j = next((k for k in range(choice[i] + 1, n) if k not in used), -1)
+            if j < 0:
+                i -= 1
+                continue
             if tried >= cap:
                 return "unknown"
-            tried += 1
-            table = dict(zip(dom.elements, perm))
-            if square_fits and not square_ok(idx, _table_lookup(table, name)):
-                continue
-            sigma = FinFn(dom, cod, table)
-            if not natural_against(X, sigma, idx):
-                continue
-            chosen[X] = sigma
-            result = assign(idx + 1)
-            if result:
-                return result
-            del chosen[X]
+            used.add(j)
+            table[points[i]] = values[j]
+            if all(table[flat] == mult_tx(m_sigma(big)) for big, flat in filed[i]):
+                i += 1
+            else:
+                tried += math.factorial(n - i - 1)
+                if tried > cap:
+                    tried = cap
+                    return "unknown"
         return None
 
     status = assign(0) or "none"

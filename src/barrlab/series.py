@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .chains import DyadicDist
-from .errors import BoundMismatch, DomainMismatch, InputError, NotCauchy
+from .errors import (BlowUpGuard, BoundMismatch, DomainMismatch, InputError, NotCauchy,
+                     blowup_limit)
 from .finset import Element, FinFn, FinSet
 from .functors import FunctorExpr, eval_functor, moore_functor
 from .monads import SemimoduleMonad
@@ -24,10 +25,27 @@ from .semiring import Semiring
 Word = tuple
 
 
+def _guard_words(alphabet: Sequence, bound: int) -> None:
+    """Trip the blow-up guard if there are too many words of length < bound:
+    sum_{k < bound} |A|^k of them, counted in closed form."""
+    a, n, limit = len(alphabet), max(bound, 0), blowup_limit()
+    if a > 1 and n > limit.bit_length() + 1:
+        # 2^(n-1) words already exceed the guard; the exact count would be
+        # a number of about n * log2(a) bits.
+        size = f"over 2^{n - 1}"
+    else:
+        size = n if a == 1 else (a ** n - 1) // (a - 1)
+        if size <= limit:
+            return
+    raise BlowUpGuard(size, f"listing the words of length < {bound} "
+                            f"over an alphabet of size {a}")
+
+
 def words_below(alphabet: Sequence, bound: int) -> list[Word]:
     """All words of length < bound, in length-lexicographic order."""
+    _guard_words(alphabet, bound)
     out: list[Word] = []
-    for length in range(bound):
+    for length in range(bound if alphabet else min(bound, 1)):
         out.extend(itertools.product(tuple(alphabet), repeat=length))
     return out
 
@@ -150,6 +168,7 @@ def behavior(aut: MooreAutomaton, s: Element, n: int) -> TruncatedSeries:
     truncation levels, not by re-running each word."""
     if s not in aut.states:
         raise DomainMismatch(f"{s!r} is not a state")
+    _guard_words(aut.alphabet, n)
     coeffs: dict[Word, object] = {}
     frontier: dict[Word, Element] = {(): s}
     for _length in range(n):

@@ -230,6 +230,29 @@ def test_anamorphism_checks_the_state_before_the_chain(capsys):
     assert report["message"] == "state 'nosuch' not in the automaton"
 
 
+def test_distance_guards_the_words_below_the_bound(capsys, monkeypatch):
+    # The words of a loaded series are counted before any is listed: at
+    # "bound": 40 the 2^40 - 1 words used to run the process out of memory.
+    # A guard of 10 shows the same trip on 31 words.
+    monkeypatch.setenv("BARRLAB_BLOWUP_GUARD", "10")
+    series = json.dumps({"alphabet": ["a", "b"], "bound": 5})
+    code, report = run_json(capsys, "distance", "--left", series, "--right", series)
+    assert code == 2
+    assert report["error"] == "BlowUpGuard"
+    assert report["message"].startswith("enumeration of 31 elements exceeds the guard (10)")
+
+
+def test_behavior_guards_the_depth(capsys, monkeypatch):
+    # --depth 40 over two letters used to run without end (2^40 words).
+    monkeypatch.setenv("BARRLAB_BLOWUP_GUARD", "10")
+    code, report = run_json(capsys, "behavior", "--automaton",
+                            "tests/golden/inputs/automaton-z2-2letter.json",
+                            "--state", "s0", "--depth", "5")
+    assert code == 2
+    assert report["error"] == "BlowUpGuard"
+    assert report["message"].startswith("enumeration of 31 elements exceeds the guard (10)")
+
+
 def test_unparsable_word_keys_exit_two(capsys):
     # A 1200-letter key used to end in a RecursionError, and an ambiguous
     # alphabet with no split used to backtrack without end.

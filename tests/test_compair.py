@@ -1,17 +1,21 @@
+import itertools
 import json
 
 import pytest
 
-from barrlab import (FinSet, Id, NotBiproductCompatible, TERMINAL, carrier,
-                     check_commuting, check_distlaw_kl, eval_functor,
-                     identity_law, initial_words, kleisli_lift_poly,
-                     partner_for_product, polynomial_embed, search_commuting_sigma,
+from barrlab import (Const, FinFn, FinSet, Id, NotBiproductCompatible, Prod, TERMINAL,
+                     carrier, check_commuting, check_distlaw_kl, cyclic_group,
+                     eval_functor, identity_law, initial_words, kleisli_lift_poly,
+                     maybe_monad, partner_for_product, polynomial_embed,
+                     powerset_monad, search_commuting_sigma, semimodule_monad,
                      series_distance, writer_monad, zmod)
 from barrlab.compair import CommutingCandidate, strength_element, words_functor
 from barrlab.cli import main
 from barrlab.errors import DomainMismatch, MissingComponent
+from barrlab.finset import canonical_carriers
+from barrlab.functors import arrow
 from barrlab.lifting import (ComponentFamily, Composite, DistLawEM, DistLawKl,
-                             product_swap_law)
+                             naturality_failures, product_swap_law)
 from barrlab.series import Polynomial, TruncatedSeries
 
 
@@ -272,3 +276,174 @@ def test_search_does_not_evaluate_the_law_past_the_cap(maybe):
     assert (status, found, tried) == ("unknown", None, 2)
     with pytest.raises(MissingComponent):
         search_commuting_sigma(Id(), Id(), maybe, law, 2)
+
+
+# ---------------------------------------------------------------------------
+# The search over partial bijections against the full-permutation search it
+# replaced: same status, same sigma, same `tried`, capped or not.
+
+
+def full_permutation_search(T, H, M, law, max_size, cap=10**5):
+    """Every bijection H(M X) -> M(T X), carrier by carrier, built in
+    `itertools.permutations` order and only then tested against the algebra
+    square and naturality.  Returns (status, {carrier: table}, tried)."""
+    carriers = canonical_carriers(max_size)
+    source, target = Composite(H, M), Composite(M, T)
+    doms = [source.at(X) for X in carriers]
+    tx_sets = [target.functor_at(X) for X in carriers]
+    cods = [target.at(X) for X in carriers]
+    if any(len(d) != len(c) for d, c in zip(doms, cods)):
+        return "none", None, 0
+    tried = 0
+    chosen = {}
+    squares = {}
+
+    def square_pairs(idx):
+        if idx not in squares:
+            MX, h_mult_x = M.apply(carriers[idx]), arrow(H, M.mult_at(carriers[idx]))
+            squares[idx] = [(big, h_mult_x(law.component_at(MX, big)))
+                            for big in M.apply(doms[idx])]
+        return squares[idx]
+
+    def natural(X, Y, at_x, at_y):
+        return next(naturality_failures(source, target, X, Y, at_x, at_y), None) is None
+
+    def assign(idx):
+        nonlocal tried
+        if idx == len(carriers):
+            return "found"
+        X, dom, cod, TX = carriers[idx], doms[idx], cods[idx], tx_sets[idx]
+        for perm in itertools.permutations(cod.elements):
+            if tried >= cap:
+                return "unknown"
+            tried += 1
+            table = dict(zip(dom.elements, perm))
+            if M.tower_fits(len(dom), 1) and any(
+                    table[flat] != M.mult_element(
+                        TX, M.map_element_fn(table.__getitem__, dom, cod, big))
+                    for big, flat in square_pairs(idx)):
+                continue
+            sigma = FinFn(dom, cod, table)
+            if not all(natural(X, Y, sigma, chosen.get(Y, sigma)) and
+                       (Y is X or natural(Y, X, chosen[Y], sigma))
+                       for Y in carriers[:idx + 1]):
+                continue
+            chosen[X] = sigma
+            result = assign(idx + 1)
+            if result:
+                return result
+            del chosen[X]
+        return None
+
+    status = assign(0) or "none"
+    tables = {X: f.table for X, f in chosen.items()} if status == "found" else None
+    return status, tables, tried
+
+
+def partial_bijection_search(T, H, M, law, max_size, cap=10**5):
+    status, cand, tried = search_commuting_sigma(T, H, M, law, max_size, cap=cap)
+    tables = None if cand is None else {X: cand.component(X).table
+                                        for X in canonical_carriers(max_size)}
+    return status, tables, tried
+
+
+def _product(letters):
+    return Prod(Const(FinSet("A", tuple(letters))), Id())
+
+
+def _writer_swap(group, letters):
+    M = writer_monad(cyclic_group(group))
+    return _product(letters), _product(letters), M, \
+        product_swap_law(M, FinSet("A", tuple(letters)))
+
+
+def _writer_twisted_swap(group, letters):
+    # The swap law with the monoid part shifted by 1: no bijection makes
+    # the square commute at X1, so the search ends in "none".
+    T, H, M, _ = _writer_swap(group, letters)
+    return T, H, M, DistLawEM(H, M, lambda X, el: (el[1][0], ((el[0] + 1) % group,
+                                                             el[1][1])),
+                              name="twisted-swap")
+
+
+def _identity_pair(M):
+    return Id(), Id(), M, identity_law(M)
+
+
+def _table_maybe(drop_identity_arrow=False):
+    # maybe as explicit tables on carriers of size <= 3; without the
+    # identity arrow on M X2, every square pair at X2 is filed at the last
+    # position and the first bijection tested there names the gap.
+    from test_tables import table_monad
+
+    M = table_monad(maybe_monad(), 3)
+    if drop_identity_arrow:
+        del M.maps[(3, 3, (0, 1, 2))]
+    return _identity_pair(M)
+
+
+DIFFERENTIAL_CASES = {
+    "identity-maybe": (lambda: _identity_pair(maybe_monad()), 2),
+    "identity-powerset": (lambda: _identity_pair(powerset_monad()), 2),
+    "identity-semimodule-z2": (lambda: _identity_pair(semimodule_monad(zmod(2))), 2),
+    "swap-writer-z2-p": (lambda: _writer_swap(2, ["p"]), 1),
+    "swap-writer-z5-pq": (lambda: _writer_swap(5, ["p", "q"]), 1),
+    "swap-writer-z3-pqr": (lambda: _writer_swap(3, ["p", "q", "r"]), 1),
+    "none-twisted-writer-z3-pq": (lambda: _writer_twisted_swap(3, ["p", "q"]), 1),
+    "table-maybe": (_table_maybe, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CASES))
+def test_search_matches_the_full_permutation_search(name):
+    make, max_size = DIFFERENTIAL_CASES[name]
+    want = full_permutation_search(*make(), max_size)
+    assert partial_bijection_search(*make(), max_size) == want
+    assert want[0] == ("none" if name.startswith("none") else "found")
+
+
+def test_search_reports_a_table_monad_gap_as_the_full_search_does():
+    with pytest.raises(MissingComponent) as want:
+        full_permutation_search(*_table_maybe(drop_identity_arrow=True), 2)
+    with pytest.raises(MissingComponent) as got:
+        search_commuting_sigma(*_table_maybe(drop_identity_arrow=True), 2)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("make", [lambda: _writer_swap(3, ["p", "q"]),
+                                  lambda: _writer_twisted_swap(2, ["p", "q"])],
+                         ids=["found", "none"])
+def test_search_matches_the_full_permutation_search_at_every_cap(make):
+    _, _, tried = full_permutation_search(*make(), 1)
+    for cap in range(tried + 2):
+        want = full_permutation_search(*make(), 1, cap=cap)
+        assert partial_bijection_search(*make(), 1, cap=cap) == want, cap
+
+
+@pytest.mark.parametrize("cap", [3628, 3629, 3630, 40319, 40320, 40321,
+                                 53041, 53042, 53043])
+def test_search_matches_the_full_permutation_search_at_block_edges(cap):
+    # writer:z5 {p,q} at --max-size 1: sigma_X1 has 10 positions, so the
+    # blocks a prefix rules out are 9!, 8!, ... bijections long.
+    want = full_permutation_search(*_writer_swap(5, ["p", "q"]), 1, cap=cap)
+    assert partial_bijection_search(*_writer_swap(5, ["p", "q"]), 1, cap=cap) == want
+    assert want[2] == min(cap, 53042)
+
+
+def test_search_reaches_max_size_two():
+    T, H, M, law = _writer_swap(3, ["p", "q"])
+    status, found, tried = search_commuting_sigma(T, H, M, law, 2, cap=10**6)
+    assert (status, tried) == ("found", 829479)
+    assert check_commuting(found, law, 2).passed
+
+
+def test_max_size_two_search_stops_at_the_default_cap(capsys):
+    product = json.dumps({"prod": [{"const": {"elements": ["p", "q"]}}, "id"]})
+    law = json.dumps({"monad": "writer:z3",
+                      "family": {"name": "swap", "constant": {"elements": ["p", "q"]}}})
+    code = main(["commute", "search", "--T", product, "--H", product, "--law", law,
+                 "--max-size", "2", "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["error"] == "SearchCapReached"
+    assert "tried = 100000 " in report["message"]
