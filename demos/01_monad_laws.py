@@ -6,20 +6,19 @@ finite table comparison.  Instances whose iterated application would explode
 blow-up guard and reported as such, never silently dropped.
 """
 
-from barrlab import (carrier, check_em_algebra, check_monad_laws,
-                     exception_monad, free_algebra, maybe_monad,
-                     powerset_monad, semimodule_monad, symmetric_group,
-                     terminal_algebra, writer_monad, zmod)
+from barrlab import (PowersetMonad, SemimoduleMonad, WriterMonad, carrier,
+                     check_em_algebra, check_monad_laws, exception_monad, free_algebra,
+                     maybe_monad, symmetric_group, terminal_algebra, zmod)
 from barrlab.monads import ExceptionMonad
 from barrlab.finset import FinSet
 
 monads = {
     "maybe": maybe_monad(),
     "exception (2 errors)": exception_monad(2),
-    "writer over S3": writer_monad(symmetric_group(3)),
-    "finite powerset": powerset_monad(),
-    "Z/2 semimodule": semimodule_monad(zmod(2)),
-    "Z/4 semimodule": semimodule_monad(zmod(4)),
+    "writer over S3": WriterMonad(symmetric_group(3)),
+    "finite powerset": PowersetMonad(),
+    "Z/2 semimodule": SemimoduleMonad(zmod(2)),
+    "Z/4 semimodule": SemimoduleMonad(zmod(4)),
 }
 
 print("=== monad laws, exhaustively on carriers of size <= 3 ===")

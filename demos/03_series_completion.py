@@ -9,14 +9,14 @@ Cauchy sequences of polynomials converge coefficientwise (completeness).
 
 import random
 
-from barrlab import (FinSet, Polynomial, TruncatedSeries, build_initial_chain,
-                     build_terminal_chain, cauchy_limit_point,
-                     cauchy_limit_series, colim_to_lim, density_map, distance,
-                     naturals, polynomial_embed, semimodule_moore_law,
-                     semimodule_monad, series_distance, words_below, zmod)
+from barrlab import (FinSet, Polynomial, SemimoduleMonad, TruncatedSeries,
+                     build_initial_chain, build_terminal_chain, cauchy_limit_point,
+                     cauchy_limit_series, colim_to_lim, density_map, distance, naturals,
+                     polynomial_embed, semimodule_moore_law, series_distance, words_below,
+                     zmod)
 from barrlab.series import decode_series, encode_series
 
-M = semimodule_monad(zmod(2))
+M = SemimoduleMonad(zmod(2))
 law = semimodule_moore_law(M, FinSet("A", ("t",)))
 chain = build_terminal_chain(law.H, 9)
 ic = build_initial_chain(law, chain)

@@ -8,12 +8,11 @@ The behaviours of H-machines are then free-module combinations of the words
 that T generates.
 """
 
-from barrlab import (FinSet, TERMINAL, carrier, check_commuting,
-                     check_distlaw_kl, eval_functor, initial_words,
-                     kleisli_lift_poly, partner_for_product,
-                     search_commuting_sigma, semimodule_monad, zmod)
+from barrlab import (FinSet, SemimoduleMonad, TERMINAL, carrier, check_commuting,
+                     check_distlaw_kl, eval_functor, initial_words, kleisli_lift_poly,
+                     partner_for_product, search_commuting_sigma, zmod)
 
-M = semimodule_monad(zmod(2))
+M = SemimoduleMonad(zmod(2))
 A = FinSet("A", ("a",))
 
 print("=== the words functor has a canonical Kleisli-direction law ===")

@@ -11,10 +11,9 @@ from .chains import (DyadicDist, InitialChain, LevelAlgebras, LimitPoint,
                      build_terminal_chain, cauchy_limit_point,
                      check_cone_coincidence, check_connect_morphisms,
                      check_projection_morphisms, colim_to_lim, density_map,
-                     distance, limit_algebra_level, limit_algebra_point, level_algebras,
-                     m_singleton)
-from .compair import (CommutingCandidate, KleisliLiftPoly, check_commuting,
-                      initial_words, kleisli_lift_poly, partner_for_product,
+                     distance, limit_algebra_level, limit_algebra_point, m_singleton)
+from .compair import (CommutingCandidate, check_commuting, initial_words,
+                      kleisli_lift_poly, partner_for_product,
                       search_commuting_sigma, words_functor)
 from .errors import (BarrlabError, BlowUpGuard, BoundMismatch, DepthExceeded,
                      DomainMismatch, InputError, MissingComponent,
@@ -32,13 +31,11 @@ from .lifting import (ComponentFamily, Composite, DistLawEM, DistLawKl,
                       semimodule_moore_law, semimodule_stream_law,
                       semiring_algebra)
 from .monads import (ExceptionMonad, FinMonad, PowersetMonad, SemimoduleMonad,
-                     WriterMonad, check_monad_laws, exception_monad,
-                     maybe_monad, powerset_monad, semimodule_monad,
-                     writer_monad)
+                     WriterMonad, check_monad_laws, exception_monad, maybe_monad)
 from .reports import LawCheck, LawReport
 from .semiring import (Semiring, boolean_semiring, check_semiring, minplus,
                        naturals, zmod)
 from .series import (MooreAutomaton, Polynomial, SeriesModule, TruncatedSeries,
                      behavior, cauchy_limit_series, decode_series,
-                     encode_series, module_structure, polynomial_embed,
-                     series_distance, words_below)
+                     encode_series, polynomial_embed, series_distance,
+                     words_below)

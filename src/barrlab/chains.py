@@ -207,15 +207,17 @@ class LevelAlgebras:
     is filled on first use from the level n-1 table.  Lookups by position
     (`structure_pos`, `positions_after`) read these tables without building
     elements.  Above the guard the level is evaluated pointwise on every
-    call.
+    call.  Every level up to the chain's depth is covered, and nothing is
+    evaluated on construction: only the entries a caller asks for, and the
+    entries below them they need, are filled.
     """
 
-    def __init__(self, law: DistLawEM, chain: TerminalChain, top: int):
+    def __init__(self, law: DistLawEM, chain: TerminalChain):
         if law.H != chain.H:
             raise DomainMismatch("law and chain are for different functors")
         self.law = law
         self.chain = chain
-        self.top = top
+        top = chain.depth
         # Per level: None until first use, then (M(level), positions) or
         # False when M(level) exceeds the guard.  Not LazyTables: these are
         # lists of small ints, where a dict would keep every fresh tuple the
@@ -231,16 +233,16 @@ class LevelAlgebras:
                          lambda u: self.structure_at(n, u), name=f"level{n}")
 
     def algebra(self, n: int) -> EMAlgebra:
-        if not 0 <= n <= self.top:
-            raise DepthExceeded(f"level algebra {n}; built to {self.top}")
+        if not 0 <= n <= self.chain.depth:
+            raise DepthExceeded(f"level algebra {n}; built to {self.chain.depth}")
         return self._algebras[n]
 
     def _table(self, n: int):
         """Level n's (M(level n), positions), allocated on first use, or
         False above the guard.  Level 0 is the terminal algebra: every
         position is 0."""
-        if not 0 <= n <= self.top:
-            raise DepthExceeded(f"level algebra {n}; built to {self.top}")
+        if not 0 <= n <= self.chain.depth:
+            raise DepthExceeded(f"level algebra {n}; built to {self.chain.depth}")
         table = self._tables[n]
         if table is None:
             M, level = self.law.M, self.chain.levels[n]
@@ -295,20 +297,12 @@ class LevelAlgebras:
         return self._h_structures[n](self.law.component_at(self.chain.levels[n - 1], u))
 
 
-def level_algebras(law: DistLawEM, chain: TerminalChain) -> LevelAlgebras:
-    """Equip every level of the chain with its inherited algebra structure.
-    Nothing is evaluated here: each level's table is allocated on its first
-    structure lookup, and only the entries a caller asks for (and the
-    entries below them they need) are filled."""
-    return LevelAlgebras(law, chain, chain.depth)
-
-
 def check_connect_morphisms(levels: LevelAlgebras, upto: Optional[int] = None) -> LawReport:
     """Each connecting map must be an algebra morphism between consecutive
     level algebras."""
     law, chain = levels.law, levels.chain
     M = law.M
-    top = levels.top if upto is None else upto
+    top = levels.chain.depth if upto is None else upto
     report = LawReport(f"connect maps of {law.name}")
     for n in range(top):
         upper = chain.level(n + 1)
@@ -375,7 +369,7 @@ def limit_algebra_point(law: DistLawEM, chain: TerminalChain, levels: LevelAlgeb
     """Assemble the levelwise evaluations into a limit point; compatibility
     across levels is validated lazily by the point itself."""
     valid_to = min((p.valid_to for p in u.points), default=chain.depth)
-    valid_to = min(valid_to, levels.top)
+    valid_to = min(valid_to, levels.chain.depth)
     return LimitPoint(chain, lambda n: limit_algebra_level(law, chain, levels, u, n),
                       valid_to=valid_to, label="limit-action")
 
@@ -413,7 +407,7 @@ def build_initial_chain(law: DistLawEM, chain: TerminalChain,
     if len(M0) != 1:
         raise ZeroObjectViolation(len(M0))
     if levels is None:
-        levels = level_algebras(law, chain)
+        levels = LevelAlgebras(law, chain)
     zero = M0.elements[0]
     lvl1 = chain.level(1)
     seed = M.map_element_fn(from_empty(lvl1), EMPTY, lvl1, zero)
@@ -478,7 +472,7 @@ def _standin(law: DistLawEM, chain: TerminalChain, depth: int):
     monad image carries the induced coalgebra."""
     if depth + 1 > chain.depth:
         raise DepthExceeded(f"stand-in at depth {depth} needs chain depth {depth + 1}")
-    levels = level_algebras(law, chain)
+    levels = LevelAlgebras(law, chain)
     ic = build_initial_chain(law, chain, levels)
     C = chain.level(depth)
     xi = ic.forward[depth]

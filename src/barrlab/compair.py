@@ -20,7 +20,7 @@ from typing import Optional
 
 from .algebras import free_algebra
 from .errors import BarrlabError, DomainMismatch, MissingComponent, NotBiproductCompatible
-from .finset import TERMINAL, Element, FinFn, FinSet, canonical_carriers
+from .finset import TERMINAL, FinFn, FinSet, canonical_carriers
 from .functors import Const, Coprod, FunctorExpr, Id, Power, Prod, arrow, eval_functor
 from .lifting import (ComponentFamily, Composite, DistLawEM, DistLawKl,
                       SemimoduleFunctorLaw, constant_law, naturality_failures,
@@ -35,34 +35,21 @@ def words_functor(A: FinSet) -> FunctorExpr:
     return Coprod(Const(TERMINAL), Prod(Const(A), Id()))
 
 
-class KleisliLiftPoly(DistLawKl):
+def kleisli_lift_poly(A: FinSet, M: FinMonad) -> DistLawKl:
     """The canonical Kleisli-direction law for 1 + A x X over any monad,
     assembled from the monad's strength on A x X, the unit on the bare
     summand, and the coproduct collapse."""
 
-    def __init__(self, A: FinSet, M: FinMonad):
-        self.A = A
+    def formula(X, el):
+        TX = law.target.functor_at(X)
+        tag, v = el
+        if tag == 0:
+            return M.unit_element(TX, el)
+        a, phi = v
+        return M.map_element_fn(lambda x, _a=a: (1, (_a, x)), X, TX, phi)
 
-        def formula(X, el):
-            TX = self.target.functor_at(X)
-            tag, v = el
-            if tag == 0:
-                return M.unit_element(TX, el)
-            a, phi = v
-            return M.map_element_fn(lambda x, _a=a: (1, (_a, x)), X, TX, phi)
-
-        super().__init__(words_functor(A), M, formula,
-                         name=f"kleisli-words[{A.name}/{M.name}]")
-
-
-def kleisli_lift_poly(A: FinSet, M: FinMonad) -> KleisliLiftPoly:
-    return KleisliLiftPoly(A, M)
-
-
-def strength_element(M: FinMonad, A: FinSet, X: FinSet, a: Element, phi: Element) -> Element:
-    """The canonical strength A x M X -> M(A x X) at one element."""
-    AX = eval_functor(Prod(Const(A), Id()), X)
-    return M.map_element_fn(lambda x, _a=a: (_a, x), X, AX, phi)
+    law = DistLawKl(words_functor(A), M, formula, name=f"kleisli-words[{A.name}/{M.name}]")
+    return law
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ monoids, semirings, monads, distributive laws, algebras, automata, series,
 polynomials and commuting-pair candidates.
 
 Builtin objects have compact string shorthands ("maybe", "writer:s3",
-"semimodule:z2", "gset-s3-conj", "moore:z2:1letter"); everything else comes
-as explicit tables.  Errors cite the offending path and key.
+"semimodule:z2", "gset-s3-conj", "moore:z2:1letter"); each is rewritten to
+the document it stands for and parsed as that document.  Everything else
+comes as explicit tables.  Errors cite the offending path and key.
 """
 
 from __future__ import annotations
@@ -17,16 +18,16 @@ import re
 from typing import Callable, Optional
 
 from .algebras import EMAlgebra, free_algebra, terminal_algebra
+from .compair import CommutingCandidate, kleisli_lift_poly, partner_for_product
 from .errors import InputError, NonFinitePreserving
 from .finset import Element, FinFn, FinSet, carrier
-from .functors import Compose, Const, Coprod, FunctorExpr, Id, Power, Prod, moore_functor
+from .functors import Compose, Const, Coprod, FunctorExpr, Id, Power, Prod
 from .groups import FinGroup, FinMonoid, as_group, cyclic_group, symmetric_group
 from .lifting import (ComponentFamily, Composite, DistLawEM, DistLawKl,
                       constant_law, gset_distlaws, identity_law, pointed_law,
                       product_swap_law, semimodule_moore_law, semimodule_stream_law)
-from .monads import (ExceptionMonad, FinMonad, SemimoduleMonad, TableMonad,
-                     WriterMonad, exception_monad, maybe_monad,
-                     powerset_monad, semimodule_monad, writer_monad)
+from .monads import (ExceptionMonad, FinMonad, PowersetMonad, SemimoduleMonad,
+                     TableMonad, WriterMonad, exception_monad, maybe_monad)
 from .semiring import Semiring, boolean_semiring, minplus, naturals, zmod
 from .series import MooreAutomaton, Polynomial, TruncatedSeries, words_below
 
@@ -215,49 +216,96 @@ def load_semiring(doc, path: str = "semiring") -> Semiring:
 
 
 # ---------------------------------------------------------------------------
+# Shorthands: each stands for a document, and is parsed as that document
+
+
+def _document(text: str, shorthands: tuple, kind: str, path: str):
+    """The document the shorthand `text` stands for: `shorthands` pairs a
+    pattern with the function of its groups that writes the document."""
+    for pattern, document in shorthands:
+        m = re.fullmatch(pattern, text.strip(), flags=re.IGNORECASE)
+        if m:
+            return document(*m.groups())
+    raise InputError(f"{path}: unknown {kind} shorthand {text!r}")
+
+
+def standard_alphabet(n: int) -> tuple:
+    """One letter is 't' (the classic formal-variable); more get a, b, c.."""
+    if n == 1:
+        return ("t",)
+    return tuple("abcdefghijklmnopqrstuvwxyz"[:n])
+
+
+def _alphabet(n) -> dict:
+    """The set document of the standard n-letter alphabet, named A."""
+    return {"name": "A", "elements": list(standard_alphabet(int(n)))}
+
+
+_MOORE = r"moore:([^:]+):(\d+)letters?"
+
+_MONAD_SHORTHANDS = (
+    (r"(maybe|powerset|list)", lambda name: {"builtin": name.lower()}),
+    (r"exception(?::(\d+))?", lambda n: {"builtin": "exception", "errors": int(n or 2)}),
+    (r"writer:(.+)", lambda monoid: {"builtin": "writer", "monoid": monoid}),
+    (r"semimodule:(.+)", lambda k: {"builtin": "semimodule", "semiring": k}),
+)
+
+_LAW_SHORTHANDS = (
+    (r"gset-([a-z0-9]+)-(mult|conj)", lambda group, variant: {
+        "monad": f"writer:{group}", "family": {"name": "gset", "variant": variant.lower()}}),
+    (_MOORE, lambda k, n: {
+        "monad": f"semimodule:{k}", "family": {"name": "moore", "alphabet": _alphabet(n)}}),
+    (r"pointed:(\d+):(.+)", lambda n, monad: {
+        "monad": monad, "family": {"name": "pointed", "outputs": {
+            "name": "k", "elements": list(range(int(n)))}}}),
+)
+
+_KLEISLI_SHORTHANDS = (
+    (r"words:(\d+)letters?:(.+)", lambda n, monad: {
+        "monad": monad, "family": {"name": "words", "alphabet": _alphabet(n)}}),
+)
+
+
+def _moore_functor(path: str, k: str, n: str) -> dict:
+    """The document of the functor k x X^A for the shorthand moore:k:nletter:
+    the constant is k's carrier under k's name, so k is read here."""
+    semiring = load_semiring(k, f"{path}.semiring")
+    if not semiring.finite:
+        raise InputError(f"{path}.semiring: the outputs need a finite semiring, "
+                         f"got {semiring.name}")
+    outputs = {"name": semiring.name, "elements": list(semiring.elements)}
+    return {"prod": [{"const": outputs}, {"power": {"exponent": _alphabet(n), "body": "id"}}]}
+
+
+# ---------------------------------------------------------------------------
 # Monads
 
 
 @_names_path
 def load_monad(doc, path: str = "monad") -> FinMonad:
     if isinstance(doc, str):
-        name = doc.strip()
-        lowered = name.lower()
-        if lowered == "maybe":
-            return maybe_monad()
-        if lowered == "powerset":
-            return powerset_monad()
-        if lowered == "list":
-            raise NonFinitePreserving(
-                "the list monad is not finiteness-preserving and is rejected")
-        m = re.fullmatch(r"exception(?::(\d+))?", lowered)
-        if m:
-            return exception_monad(int(m.group(1) or 2))
-        m = re.fullmatch(r"writer:(.+)", name, flags=re.IGNORECASE)
-        if m:
-            return writer_monad(load_monoid(m.group(1), f"{path}.monoid"))
-        m = re.fullmatch(r"semimodule:(.+)", name, flags=re.IGNORECASE)
-        if m:
-            k = load_semiring(m.group(1), f"{path}.semiring")
-            if not k.finite:
-                raise NonFinitePreserving(
-                    f"{path}: semimodule monad needs a finite semiring")
-            return semimodule_monad(k)
-        raise InputError(f"{path}: unknown monad shorthand {doc!r}")
+        doc = _document(doc, _MONAD_SHORTHANDS, "monad", path)
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected a monad document")
     if "builtin" in doc:
         name = doc["builtin"]
-        if name == "writer":
-            return writer_monad(load_monoid(doc["monoid"], f"{path}.monoid"))
-        if name == "semimodule":
-            return semimodule_monad(load_semiring(doc["semiring"], f"{path}.semiring"))
+        if name == "maybe":
+            return maybe_monad()
+        if name == "powerset":
+            return PowersetMonad()
+        if name == "list":
+            raise NonFinitePreserving(
+                "the list monad is not finiteness-preserving and is rejected")
         if name == "exception":
             errors = load_int(doc.get("errors", 2), f"{path}.errors")
             if errors < 0:
                 raise InputError(f"{path}.errors: must be >= 0, got {errors}")
             return exception_monad(errors)
-        return load_monad(name, path)
+        if name == "writer":
+            return WriterMonad(load_monoid(doc["monoid"], f"{path}.monoid"))
+        if name == "semimodule":
+            return SemimoduleMonad(load_semiring(doc["semiring"], f"{path}.semiring"))
+        raise InputError(f"{path}.builtin: unknown builtin monad {name!r}")
     if "tables" in doc:
         return _load_table_monad(doc, path)
     raise InputError(f"{path}: monad document needs 'builtin' or 'tables'")
@@ -322,28 +370,13 @@ def _load_table_monad(doc, path: str) -> TableMonad:
 # Functor expressions
 
 
-_MOORE_RE = re.compile(r"moore:([^:]+):(\d+)letters?", flags=re.IGNORECASE)
-
-
-def standard_alphabet(n: int) -> tuple:
-    """One letter is 't' (the classic formal-variable); more get a, b, c.."""
-    if n == 1:
-        return ("t",)
-    return tuple("abcdefghijklmnopqrstuvwxyz"[:n])
-
-
 @_names_path
 def load_functor(doc, path: str = "functor") -> FunctorExpr:
     if isinstance(doc, str):
-        name = doc.strip()
-        if name.lower() in ("id", "x"):
+        if doc.strip().lower() in ("id", "x"):
             return Id()
-        m = _MOORE_RE.fullmatch(name)
-        if m:
-            k = load_semiring(m.group(1), f"{path}.semiring")
-            letters = standard_alphabet(int(m.group(2)))
-            return moore_functor(k.as_finset(), FinSet("A", letters))
-        raise InputError(f"{path}: unknown functor shorthand {doc!r}")
+        doc = _document(doc, ((_MOORE, functools.partial(_moore_functor, path)),),
+                        "functor", path)
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected a functor document")
     if "const" in doc:
@@ -379,125 +412,101 @@ def _load_components(doc, source: Composite, target: Composite, path: str) -> di
     return components
 
 
-_GSET_RE = re.compile(r"gset-([a-z0-9]+)-(mult|conj)", flags=re.IGNORECASE)
-_POINTED_RE = re.compile(r"pointed:(\d+):(.+)", flags=re.IGNORECASE)
+def _em_family(name, params: dict, monad: FinMonad, doc: dict, path: str) -> DistLawEM:
+    if name == "identity":
+        return identity_law(monad)
+    if name == "gset":
+        if not (isinstance(monad, WriterMonad) and monad.monoid.is_group()):
+            raise InputError(f"{path}.monad: the gset family needs a writer monad "
+                             f"over a group, got {monad.name}")
+        group = monad.monoid
+        if "group" in params:
+            given = load_group(params["group"], f"{path}.group")
+            if (given.elements, given.table) != (group.elements, group.table):
+                raise InputError(f"{path}.group: {given.name} is not the group "
+                                 f"of {monad.name}")
+        variant = params.get("variant", "mult")
+        if variant not in ("mult", "conj"):
+            raise InputError(f"{path}.variant: expected 'mult' or 'conj', got {variant!r}")
+        return gset_distlaws(group)[variant == "conj"]
+    if name == "moore":
+        if not isinstance(monad, SemimoduleMonad):
+            raise InputError(f"{path}: the moore family needs a semimodule monad")
+        A = load_finset(params.get("alphabet", _alphabet(1)), f"{path}.alphabet")
+        out = None
+        if "generators" in params:
+            out = free_algebra(monad, load_finset(params["generators"], f"{path}.generators"))
+        return semimodule_moore_law(monad, A, out)
+    if name == "stream":
+        if not isinstance(monad, SemimoduleMonad):
+            raise InputError(f"{path}: the stream family needs a semimodule monad")
+        B = load_finset(params["generators"], f"{path}.generators")
+        return semimodule_stream_law(monad, free_algebra(monad, B))
+    if name == "pointed":
+        if not isinstance(monad, ExceptionMonad):
+            raise InputError(f"{path}: the pointed family needs maybe/exception")
+        outputs = load_finset(params["outputs"], f"{path}.outputs")
+        alphabet = params.get("alphabet")
+        A = load_finset(alphabet, f"{path}.alphabet") if alphabet else None
+        return pointed_law(monad, outputs, A)
+    if name == "swap":
+        if not isinstance(monad, WriterMonad):
+            raise InputError(f"{path}: the swap family needs a writer monad")
+        A = load_finset(params["constant"], f"{path}.constant")
+        return product_swap_law(monad, A)
+    if name == "constant":
+        alg = load_algebra({"monad": doc["monad"], **params["algebra"]}, f"{path}.algebra")
+        return constant_law(monad, alg)
+    raise InputError(f"{path}: unknown law family {name!r}")
+
+
+def _kleisli_family(name, params: dict, monad: FinMonad, doc: dict, path: str) -> DistLawKl:
+    if name == "words":
+        A = load_finset(params.get("alphabet", _alphabet(1)), f"{path}.alphabet")
+        return kleisli_lift_poly(A, monad)
+    raise InputError(f"{path}: unknown kleisli family {name!r}")
+
+
+# Per direction: the shorthand kind and table, the family loader, and the
+# default name of a law given by components.
+_LAW_KINDS = {
+    DistLawEM: ("law", _LAW_SHORTHANDS, _em_family, "table-law"),
+    DistLawKl: ("kleisli law", _KLEISLI_SHORTHANDS, _kleisli_family, "table-klaw"),
+}
+
+
+def _load_law(doc, path: str, law_type):
+    """A law of either direction: a shorthand is read as its document, and
+    a document names a family or gives component tables."""
+    kind, shorthands, load_family, default_name = _LAW_KINDS[law_type]
+    if isinstance(doc, str):
+        doc = _document(doc, shorthands, kind, path)
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: expected a law document")
+    monad = load_monad(doc["monad"], f"{path}.monad")
+    family = doc.get("family")
+    if family is not None:
+        name, params = (family["name"], family) if isinstance(family, dict) else (family, {})
+        return load_family(name, params, monad, doc, path)
+    if "components" in doc:
+        F = load_functor(doc["functor"], f"{path}.functor")
+        # An EM law maps M(F X) to F(M X); a Kleisli law the other way.
+        source, target = Composite(monad, F), Composite(F, monad)
+        if law_type is DistLawKl:
+            source, target = target, source
+        components = _load_components(doc["components"], source, target, f"{path}.components")
+        return law_type(F, monad, components=components, name=doc.get("name", default_name))
+    raise InputError(f"{path}: law document needs 'family' or 'components'")
 
 
 @_names_path
 def load_distlaw_em(doc, path: str = "law") -> DistLawEM:
-    if isinstance(doc, str):
-        name = doc.strip()
-        m = _GSET_RE.fullmatch(name)
-        if m:
-            group = load_group(m.group(1), f"{path}.group")
-            law_mult, law_conj = gset_distlaws(group)
-            return law_mult if m.group(2).lower() == "mult" else law_conj
-        m = _MOORE_RE.fullmatch(name)
-        if m:
-            k = load_semiring(m.group(1), f"{path}.semiring")
-            letters = standard_alphabet(int(m.group(2)))
-            return semimodule_moore_law(semimodule_monad(k), FinSet("A", letters))
-        m = _POINTED_RE.fullmatch(name)
-        if m:
-            outputs = FinSet("k", range(int(m.group(1))))
-            monad = load_monad(m.group(2), f"{path}.monad")
-            if not isinstance(monad, ExceptionMonad):
-                raise InputError(f"{path}: pointed laws need a maybe/exception monad")
-            return pointed_law(monad, outputs)
-        raise InputError(f"{path}: unknown law shorthand {doc!r}")
-    if not isinstance(doc, dict):
-        raise InputError(f"{path}: expected a law document")
-    monad = load_monad(doc["monad"], f"{path}.monad")
-    family = doc.get("family")
-    if family is not None:
-        fname = family["name"] if isinstance(family, dict) else family
-        params = family if isinstance(family, dict) else {}
-        if fname == "identity":
-            return identity_law(monad)
-        if fname == "gset":
-            if not (isinstance(monad, WriterMonad) and monad.monoid.is_group()):
-                raise InputError(f"{path}.monad: the gset family needs a writer monad "
-                                 f"over a group, got {monad.name}")
-            group = monad.monoid
-            if "group" in params:
-                given = load_group(params["group"], f"{path}.group")
-                if (given.elements, given.table) != (group.elements, group.table):
-                    raise InputError(f"{path}.group: {given.name} is not the group "
-                                     f"of {monad.name}")
-            laws = gset_distlaws(group)
-            return laws[0] if params.get("variant", "mult") == "mult" else laws[1]
-        if fname == "moore":
-            if not isinstance(monad, SemimoduleMonad):
-                raise InputError(f"{path}: the moore family needs a semimodule monad")
-            A = load_finset(params.get("alphabet", list(standard_alphabet(1))),
-                            f"{path}.alphabet")
-            out = None
-            if "generators" in params:
-                out = free_algebra(monad,
-                                   load_finset(params["generators"], f"{path}.generators"))
-            return semimodule_moore_law(monad, A, out)
-        if fname == "stream":
-            if not isinstance(monad, SemimoduleMonad):
-                raise InputError(f"{path}: the stream family needs a semimodule monad")
-            B = load_finset(params["generators"], f"{path}.generators")
-            return semimodule_stream_law(monad, free_algebra(monad, B))
-        if fname == "pointed":
-            if not isinstance(monad, ExceptionMonad):
-                raise InputError(f"{path}: the pointed family needs maybe/exception")
-            outputs = load_finset(params["outputs"], f"{path}.outputs")
-            alphabet = params.get("alphabet")
-            A = load_finset(alphabet, f"{path}.alphabet") if alphabet else None
-            return pointed_law(monad, outputs, A)
-        if fname == "swap":
-            if not isinstance(monad, WriterMonad):
-                raise InputError(f"{path}: the swap family needs a writer monad")
-            A = load_finset(params["constant"], f"{path}.constant")
-            return product_swap_law(monad, A)
-        if fname == "constant":
-            alg = load_algebra({"monad": doc["monad"], **params["algebra"]},
-                               f"{path}.algebra")
-            return constant_law(monad, alg)
-        raise InputError(f"{path}: unknown law family {fname!r}")
-    if "components" in doc:
-        H = load_functor(doc["functor"], f"{path}.functor")
-        components = _load_components(doc["components"], Composite(monad, H),
-                                      Composite(H, monad), f"{path}.components")
-        return DistLawEM(H, monad, components=components, name=doc.get("name", "table-law"))
-    raise InputError(f"{path}: law document needs 'family' or 'components'")
-
-
-_WORDS_KL_RE = re.compile(r"words:(\d+)letters?:(.+)", flags=re.IGNORECASE)
+    return _load_law(doc, path, DistLawEM)
 
 
 @_names_path
 def load_distlaw_kl(doc, path: str = "law") -> DistLawKl:
-    from .compair import kleisli_lift_poly
-
-    if isinstance(doc, str):
-        m = _WORDS_KL_RE.fullmatch(doc.strip())
-        if m:
-            letters = standard_alphabet(int(m.group(1)))
-            monad = load_monad(m.group(2), f"{path}.monad")
-            return kleisli_lift_poly(FinSet("A", letters), monad)
-        raise InputError(f"{path}: unknown kleisli law shorthand {doc!r}")
-    if not isinstance(doc, dict):
-        raise InputError(f"{path}: expected a law document")
-    monad = load_monad(doc["monad"], f"{path}.monad")
-    family = doc.get("family")
-    if family is not None:
-        fname = family["name"] if isinstance(family, dict) else family
-        params = family if isinstance(family, dict) else {}
-        if fname == "words":
-            A = load_finset(params.get("alphabet", list(standard_alphabet(1))),
-                            f"{path}.alphabet")
-            return kleisli_lift_poly(A, monad)
-        raise InputError(f"{path}: unknown kleisli family {fname!r}")
-    if "components" in doc:
-        T = load_functor(doc["functor"], f"{path}.functor")
-        components = _load_components(doc["components"], Composite(T, monad),
-                                      Composite(monad, T), f"{path}.components")
-        return DistLawKl(T, monad, components=components, name=doc.get("name", "table-klaw"))
-    raise InputError(f"{path}: law document needs 'family' or 'components'")
+    return _load_law(doc, path, DistLawKl)
 
 
 # ---------------------------------------------------------------------------
@@ -628,9 +637,7 @@ def load_polynomial(doc, k: Optional[Semiring] = None, path: str = "polynomial")
 
 
 @_names_path
-def load_candidate(doc, path: str = "candidate"):
-    from .compair import CommutingCandidate, partner_for_product
-
+def load_candidate(doc, path: str = "candidate") -> CommutingCandidate:
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected a candidate document")
     monad = load_monad(doc["monad"], f"{path}.monad")

@@ -391,18 +391,6 @@ class TableMonad(FinMonad):
         return self._level(len(X))["mult"][el2]
 
 
-def semimodule_monad(k: Semiring) -> SemimoduleMonad:
-    return SemimoduleMonad(k)
-
-
-def writer_monad(monoid: FinMonoid) -> WriterMonad:
-    return WriterMonad(monoid)
-
-
-def powerset_monad() -> PowersetMonad:
-    return PowersetMonad()
-
-
 # ---------------------------------------------------------------------------
 # Law checking
 

@@ -26,19 +26,22 @@ Word = tuple
 
 
 def _guard_words(alphabet: Sequence, bound: int) -> None:
-    """Trip the blow-up guard if there are too many words of length < bound:
-    sum_{k < bound} |A|^k of them, counted in closed form."""
+    """Trip the blow-up guard if the listing of the words of length < bound
+    is too large: by its number of words, sum_{k < bound} |A|^k, or by its
+    number of letters, sum_{k < bound} k |A|^k, both in closed form."""
     a, n, limit = len(alphabet), max(bound, 0), blowup_limit()
+    what = f"of length < {bound} over an alphabet of size {a}"
     if a > 1 and n > limit.bit_length() + 1:
         # 2^(n-1) words already exceed the guard; the exact count would be
         # a number of about n * log2(a) bits.
-        size = f"over 2^{n - 1}"
-    else:
-        size = n if a == 1 else (a ** n - 1) // (a - 1)
-        if size <= limit:
-            return
-    raise BlowUpGuard(size, f"listing the words of length < {bound} "
-                            f"over an alphabet of size {a}")
+        raise BlowUpGuard(f"over 2^{n - 1}", f"listing the words {what}")
+    words = n if a == 1 else (a ** n - 1) // (a - 1)
+    if words > limit:
+        raise BlowUpGuard(words, f"listing the words {what}")
+    letters = (n * (n - 1) // 2 if a == 1
+               else (a - n * a ** n + (n - 1) * a ** (n + 1)) // (a - 1) ** 2)
+    if letters > limit:
+        raise BlowUpGuard(letters, f"listing the letters of the words {what}")
 
 
 def words_below(alphabet: Sequence, bound: int) -> list[Word]:
@@ -335,7 +338,6 @@ class SeriesModule:
     semiring: linear combinations are taken coefficientwise."""
 
     def __init__(self, M: SemimoduleMonad, alphabet: Sequence, bound: int):
-        self.M = M
         self.k = M.k
         self.alphabet = tuple(alphabet)
         self.bound = bound
@@ -352,35 +354,3 @@ class SeriesModule:
         return TruncatedSeries.from_fn(
             self.alphabet, self.bound,
             lambda w: k.sum(k.mul(c, s.coefficient(w)) for c, s in terms))
-
-    def space(self) -> FinSet:
-        """All series of this bound, in the canonical chain-level encoding."""
-        from .chains import build_terminal_chain
-
-        kset = self.k.as_finset()
-        chain = build_terminal_chain(moore_functor(kset, FinSet("A", self.alphabet)),
-                                     self.bound)
-        return chain.level(self.bound)
-
-    def em_algebra(self):
-        """The module structure as an algebra on the encoded series space,
-        comparable table-for-table with the chain's level algebras."""
-        from .algebras import EMAlgebra
-
-        space = self.space()
-
-        def structure(phi):
-            terms = [(c, decode_series(el, self.alphabet, self.bound))
-                     for el, c in zip(space.elements, phi) if c != self.k.zero]
-            return encode_series(self.combine(terms))
-
-        return EMAlgebra(self.M, space, structure,
-                         name=f"series-module[{self.k.name};{self.bound}]")
-
-
-def module_structure(coefficients: Union[Semiring, SemimoduleMonad],
-                     alphabet: Sequence, bound: int) -> SeriesModule:
-    """The series module for a coefficient semiring (or its monad)."""
-    if isinstance(coefficients, Semiring):
-        coefficients = SemimoduleMonad(coefficients)
-    return SeriesModule(coefficients, alphabet, bound)

@@ -1,7 +1,7 @@
 import pytest
 
-from barrlab import (FinSet, exception_monad, maybe_monad, powerset_monad,
-                     semimodule_monad, symmetric_group, writer_monad, zmod)
+from barrlab import (FinSet, PowersetMonad, SemimoduleMonad, WriterMonad, exception_monad,
+                     maybe_monad, symmetric_group, zmod)
 
 
 @pytest.fixture(scope="session")
@@ -16,12 +16,12 @@ def maybe():
 
 @pytest.fixture(scope="session")
 def z2_monad():
-    return semimodule_monad(zmod(2))
+    return SemimoduleMonad(zmod(2))
 
 
 @pytest.fixture(scope="session")
 def z4_monad():
-    return semimodule_monad(zmod(4))
+    return SemimoduleMonad(zmod(4))
 
 
 @pytest.fixture(scope="session")
@@ -29,10 +29,10 @@ def bundled_monads(s3):
     return {
         "maybe": maybe_monad(),
         "exception2": exception_monad(2),
-        "writer-s3": writer_monad(s3),
-        "powerset": powerset_monad(),
-        "z2-semimodule": semimodule_monad(zmod(2)),
-        "z4-semimodule": semimodule_monad(zmod(4)),
+        "writer-s3": WriterMonad(s3),
+        "powerset": PowersetMonad(),
+        "z2-semimodule": SemimoduleMonad(zmod(2)),
+        "z4-semimodule": SemimoduleMonad(zmod(4)),
     }
 
 

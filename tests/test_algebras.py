@@ -1,8 +1,7 @@
 import pytest
 
-from barrlab import (DomainMismatch, EMAlgebra, EMPTY, FinFn, carrier,
-                     check_em_algebra, free_algebra, powerset_monad,
-                     terminal_algebra)
+from barrlab import (DomainMismatch, EMAlgebra, EMPTY, FinFn, PowersetMonad, carrier,
+                     check_em_algebra, free_algebra, terminal_algebra)
 
 
 def test_free_algebras_pass_em_laws(bundled_monads):
@@ -26,7 +25,7 @@ def test_free_algebra_on_empty_set_sizes(bundled_monads):
 
 
 def test_non_associative_powerset_table_fails():
-    P = powerset_monad()
+    P = PowersetMonad()
     X = carrier(2)
     PX = P.apply(X)
     # unit law holds by construction; flattening a set of sets disagrees

@@ -2,29 +2,27 @@ import random
 
 import pytest
 
-from barrlab import (Const, DepthExceeded, FinSet, Id, MElement, NotCauchy,
-                     Prod, ZeroObjectViolation, anamorphism,
-                     build_initial_chain, build_terminal_chain,
-                     cauchy_limit_point, check_cone_coincidence,
-                     check_connect_morphisms, check_em_algebra,
-                     check_projection_morphisms, colim_to_lim, carrier,
-                     density_map, distance, eval_functor, limit_algebra_level,
-                     limit_algebra_point, gset_distlaws, level_algebras, m_singleton,
-                     pointed_law, semimodule_moore_law)
+from barrlab import (Const, DepthExceeded, FinSet, Id, LevelAlgebras, MElement, NotCauchy,
+                     Prod, ZeroObjectViolation, anamorphism, build_initial_chain,
+                     build_terminal_chain, carrier, cauchy_limit_point,
+                     check_cone_coincidence, check_connect_morphisms, check_em_algebra,
+                     check_projection_morphisms, colim_to_lim, density_map, distance,
+                     eval_functor, gset_distlaws, limit_algebra_level,
+                     limit_algebra_point, m_singleton, pointed_law, semimodule_moore_law)
 from barrlab.chains import _standin
 from barrlab.finset import FinFn, to_terminal
 from barrlab.functors import map_element
 from barrlab.jsonio import load_distlaw_em
 from barrlab.lifting import DistLawEM, lift_coalgebra
-from barrlab.series import (TruncatedSeries, decode_series, encode_series,
-                            module_structure, words_below)
+from barrlab.series import (SeriesModule, TruncatedSeries, decode_series, encode_series,
+                            words_below)
 
 
 @pytest.fixture(scope="module")
 def z2_setup(z2_monad, one_letter):
     law = semimodule_moore_law(z2_monad, one_letter)
     chain = build_terminal_chain(law.H, 9)
-    levels = level_algebras(law, chain)
+    levels = LevelAlgebras(law, chain)
     ic = build_initial_chain(law, chain, levels)
     return law, chain, levels, ic
 
@@ -33,7 +31,7 @@ def z2_setup(z2_monad, one_letter):
 def maybe_setup(maybe, two_outputs):
     law = pointed_law(maybe, two_outputs)
     chain = build_terminal_chain(law.H, 5)
-    levels = level_algebras(law, chain)
+    levels = LevelAlgebras(law, chain)
     ic = build_initial_chain(law, chain, levels)
     return law, chain, levels, ic
 
@@ -146,7 +144,7 @@ def test_chain_maps_are_built_on_the_chain_levels(monkeypatch, z2_monad, one_let
     calls = _count_eval_functor(monkeypatch)
     chain = build_terminal_chain(law.H, 6)
     assert len(calls) == 6
-    levels = level_algebras(law, chain)
+    levels = LevelAlgebras(law, chain)
     ic = build_initial_chain(law, chain, levels)
     assert len(calls) == 6
     for n in range(6):
@@ -252,7 +250,7 @@ def test_level_algebra_is_coefficientwise_addition(z2_setup, z2_monad):
     # oracle: decode, combine coefficientwise in the series module, encode
     law, chain, levels, _ = z2_setup
     for n in range(4):
-        mod = module_structure(z2_monad, ("t",), n)
+        mod = SeriesModule(z2_monad, ("t",), n)
         lvl = chain.level(n)
         for phi in z2_monad.apply(lvl):
             expected = mod.combine(
@@ -264,7 +262,7 @@ def test_level_algebra_is_coefficientwise_addition(z2_setup, z2_monad):
 def test_gset_level_one_matches_the_pair_rule(s3):
     law_mult, _ = gset_distlaws(s3)
     chain = build_terminal_chain(law_mult.H, 2)
-    levels = level_algebras(law_mult, chain)
+    levels = LevelAlgebras(law_mult, chain)
     a1 = levels.algebra(1).structure()
     for g in s3.elements:
         for h in s3.elements:
@@ -295,7 +293,7 @@ def test_gamma_of_formal_sum_is_coefficientwise_sum(z2_setup, z2_monad):
         g = TruncatedSeries.from_fn(("t",), 7, lambda w: rng.randrange(2))
         u = MElement((series_point(ic, f), series_point(ic, g)), (1, 1))
         point = limit_algebra_point(law, chain, levels, u)
-        mod = module_structure(z2_monad, ("t",), 7)
+        mod = SeriesModule(z2_monad, ("t",), 7)
         assert decode_series(point.rep(7), ("t",), 7) == mod.combine([(1, f), (1, g)])
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -437,6 +438,89 @@ def test_gset_family_takes_its_group_from_the_writer_monad(capsys):
         code, report = run_json(capsys, "check-distlaw", json.dumps(law), "--max-size", "1")
         assert code == 0
         assert report["result"]["subject"] == "distributive law gset-s3-mult"
+
+
+def test_gset_family_rejects_an_unknown_variant(capsys):
+    # Only mult and conj name a gset law; any other variant used to fall
+    # through to conj and pass.
+    law = {"monad": "writer:s3", "family": {"name": "gset", "variant": "bogus"}}
+    code, report = run_json(capsys, "check-distlaw", json.dumps(law), "--max-size", "1")
+    assert code == 2
+    assert report["error"] == "InputError"
+    assert report["message"] == "law.variant: expected 'mult' or 'conj', got 'bogus'"
+
+
+def text_report(capsys, *argv):
+    """The default text report, its closing timing replaced by '<t>'."""
+    code, out = run(capsys, *argv)
+    return code, re.sub(r"\(\d+\.\d ms\)\n$", "(<t> ms)\n", out)
+
+
+def test_text_output_of_chain_inspect(capsys):
+    code, out = text_report(capsys, "chain", "inspect", "--functor", "moore:z2:1letter",
+                            "--depth", "2", "--level", "1")
+    assert code == 0
+    assert out == (
+        "barrlab 0.1.0 :: chain inspect --functor moore:z2:1letter --depth 2 --level 1 "
+        "(seed 0)\n"
+        '  functor: "(z2*(X^A))"\n'
+        "  depth: 2\n"
+        "  level_sizes: [1, 2, 4]\n"
+        "  level: 1\n"
+        '  elements: [[0, ["*"]], [1, ["*"]]]\n'
+        "verdict: PASS (<t> ms)\n")
+
+
+def test_text_output_of_commute_search_with_an_empty_component(capsys):
+    # H(M X0) is empty for H = {p} x X, so sigma at X0 has no entries.
+    product = '{"prod": [{"const": {"elements": ["p"]}}, "id"]}'
+    law = '{"monad": "writer:z2", "family": {"name": "swap", "constant": {"elements": ["p"]}}}'
+    code, out = text_report(capsys, "commute", "search", "--T", product, "--H", product,
+                            "--law", law, "--max-size", "1")
+    assert code == 0
+    assert out == (
+        f"barrlab 0.1.0 :: commute search --T {product} --H {product} --law {law} "
+        "--max-size 1 (seed 0)\n"
+        '  status: "found"\n'
+        "  tried: 2\n"
+        "  sigma:\n"
+        "    X0:\n"
+        "    X1:\n"
+        '      ["p", [0, 0]]: [0, ["p", 0]]\n'
+        '      ["p", [1, 0]]: [1, ["p", 0]]\n'
+        "verdict: PASS (<t> ms)\n")
+
+
+def test_text_output_of_lift_nests_the_law_report(capsys):
+    algebra = '{"monad": "writer:z2", "free_on": "X1"}'
+    code, out = text_report(capsys, "lift", "gset-z2-conj", algebra, "--max-size", "1")
+    assert code == 0
+    carrier = '"(Z2*X)(writer[Z2](X1))"'
+    assert out == (
+        f"barrlab 0.1.0 :: lift gset-z2-conj {algebra} --max-size 1 (seed 0)\n"
+        f"  carrier: {carrier}\n"
+        "  size: 4\n"
+        "  structure:\n"
+        "    [0, [0, [0, 0]]]: [0, [0, 0]]\n"
+        "    [0, [0, [1, 0]]]: [0, [1, 0]]\n"
+        "    [0, [1, [0, 0]]]: [1, [0, 0]]\n"
+        "    [0, [1, [1, 0]]]: [1, [1, 0]]\n"
+        "    [1, [0, [0, 0]]]: [0, [1, 0]]\n"
+        "    [1, [0, [1, 0]]]: [0, [0, 0]]\n"
+        "    [1, [1, [0, 0]]]: [1, [1, 0]]\n"
+        "    [1, [1, [1, 0]]]: [1, [0, 0]]\n"
+        "  algebra_laws:\n"
+        '    subject: "algebra lift[gset-z2-conj](free(X1)) over writer[Z2]"\n'
+        "    passed: true\n"
+        "    checks:\n"
+        '      law: "unit-law"\n'
+        f"      instance: {carrier}\n"
+        '      status: "pass"\n'
+        "      -\n"
+        '      law: "multiplication-law"\n'
+        f"      instance: {carrier}\n"
+        '      status: "pass"\n'
+        "verdict: PASS (<t> ms)\n")
 
 
 def test_search_stopped_at_the_cap_exits_two(capsys):

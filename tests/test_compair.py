@@ -3,13 +3,13 @@ import json
 
 import pytest
 
-from barrlab import (Const, FinFn, FinSet, Id, NotBiproductCompatible, Prod, TERMINAL,
-                     carrier, check_commuting, check_distlaw_kl, cyclic_group,
-                     eval_functor, identity_law, initial_words, kleisli_lift_poly,
-                     maybe_monad, partner_for_product, polynomial_embed,
-                     powerset_monad, search_commuting_sigma, semimodule_monad,
-                     series_distance, writer_monad, zmod)
-from barrlab.compair import CommutingCandidate, strength_element, words_functor
+from barrlab import (Const, FinFn, FinSet, Id, NotBiproductCompatible, PowersetMonad,
+                     Prod, SemimoduleMonad, TERMINAL, WriterMonad, carrier,
+                     check_commuting, check_distlaw_kl, cyclic_group, eval_functor,
+                     identity_law, initial_words, kleisli_lift_poly, maybe_monad,
+                     partner_for_product, polynomial_embed, search_commuting_sigma,
+                     series_distance, zmod)
+from barrlab.compair import CommutingCandidate, words_functor
 from barrlab.cli import main
 from barrlab.errors import DomainMismatch, MissingComponent
 from barrlab.finset import canonical_carriers
@@ -52,7 +52,7 @@ def test_kleisli_lift_full_table_against_hand_composition(maybe, letter):
         else:
             a, phi = v
             AX = eval_functor(words_functor(letter).summands[1], X)
-            st = strength_element(M, letter, X, a, phi)  # strength stage
+            st = M.map_element_fn(lambda x: (a, x), X, AX, phi)  # strength stage
             table[el] = M.map_element_fn(lambda ax: (1, ax), AX, TX, st)  # collapse
     component = law.component(X)
     assert len(component.table) == 3
@@ -123,7 +123,7 @@ def test_identity_pair_commutes(bundled_monads):
 def test_writer_product_pair_commutes(s3):
     # H = T = B x X over the writer monad on B; the mediating map swaps the
     # constant component with the monad component, matching the symmetric law
-    M = writer_monad(s3)
+    M = WriterMonad(s3)
     B = s3.as_finset()
     from barrlab import Const, Prod
 
@@ -352,7 +352,7 @@ def _product(letters):
 
 
 def _writer_swap(group, letters):
-    M = writer_monad(cyclic_group(group))
+    M = WriterMonad(cyclic_group(group))
     return _product(letters), _product(letters), M, \
         product_swap_law(M, FinSet("A", tuple(letters)))
 
@@ -384,8 +384,8 @@ def _table_maybe(drop_identity_arrow=False):
 
 DIFFERENTIAL_CASES = {
     "identity-maybe": (lambda: _identity_pair(maybe_monad()), 2),
-    "identity-powerset": (lambda: _identity_pair(powerset_monad()), 2),
-    "identity-semimodule-z2": (lambda: _identity_pair(semimodule_monad(zmod(2))), 2),
+    "identity-powerset": (lambda: _identity_pair(PowersetMonad()), 2),
+    "identity-semimodule-z2": (lambda: _identity_pair(SemimoduleMonad(zmod(2))), 2),
     "swap-writer-z2-p": (lambda: _writer_swap(2, ["p"]), 1),
     "swap-writer-z5-pq": (lambda: _writer_swap(5, ["p", "q"]), 1),
     "swap-writer-z3-pqr": (lambda: _writer_swap(3, ["p", "q", "r"]), 1),

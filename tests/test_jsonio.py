@@ -61,6 +61,10 @@ def test_load_monad_shorthands():
         load_monad("semimodule:nat")
     with pytest.raises(InputError):
         load_monad("mystery")
+    # A builtin document names its monad exactly; it is not a shorthand.
+    for name in ("Maybe", "writer:z2"):
+        with pytest.raises(InputError, match="monad.builtin: unknown builtin monad"):
+            load_monad({"builtin": name})
 
 
 def test_table_monad_checks_laws():
@@ -108,6 +112,10 @@ def test_load_functor():
     assert str(load_functor("id")) == "X"
     moore = load_functor("moore:z2:1letter")
     assert str(moore) == "(z2*(X^A))"
+    # The outputs of k x X^A are k's carrier, so k must be finite.
+    with pytest.raises(InputError, match="functor.semiring: the outputs need a finite "
+                                         "semiring, got nat"):
+        load_functor("moore:nat:1letter")
     assert standard_alphabet(1) == ("t",)
     assert standard_alphabet(3) == ("a", "b", "c")
     doc = {"coprod": [{"const": {"elements": ["*"]}},

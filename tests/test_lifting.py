@@ -2,12 +2,11 @@ from collections import Counter
 
 import pytest
 
-from barrlab import (FinSet, MissingComponent, carrier, check_distlaw_em,
+from barrlab import (FinSet, MissingComponent, WriterMonad, carrier, check_distlaw_em,
                      check_em_algebra, cyclic_group, eval_functor, free_algebra,
                      gset_distlaws, identity_law, lift_algebra, lift_coalgebra,
                      pointed_law, product_swap_law, semimodule_moore_law,
-                     semimodule_stream_law, semiring_algebra, terminal_algebra,
-                     writer_monad)
+                     semimodule_stream_law, semiring_algebra, terminal_algebra)
 from barrlab.errors import DomainMismatch, NotAGroup
 from barrlab.finset import FinFn
 from barrlab.groups import FinMonoid
@@ -82,7 +81,7 @@ def test_pointed_law_passes(maybe, two_outputs):
 
 
 def test_swap_law_passes_for_monoid_writer(s3):
-    M = writer_monad(s3)
+    M = WriterMonad(s3)
     assert check_distlaw_em(product_swap_law(M, carrier(2)), 2).passed
 
 

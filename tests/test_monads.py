@@ -1,7 +1,7 @@
 import pytest
 
-from barrlab import (EMPTY, NonFinitePreserving, carrier, check_monad_laws,
-                     maybe_monad, semimodule_monad, writer_monad, zmod)
+from barrlab import (EMPTY, NonFinitePreserving, SemimoduleMonad, WriterMonad, carrier,
+                     check_monad_laws, maybe_monad, zmod)
 from barrlab.monads import ExceptionMonad, FinSet
 
 
@@ -68,11 +68,11 @@ def test_max_size_must_be_positive(maybe):
 def test_monad_object_maps():
     maybe = maybe_monad()
     assert len(maybe.apply(EMPTY)) == 1          # the singleton zero object
-    z2 = semimodule_monad(zmod(2))
+    z2 = SemimoduleMonad(zmod(2))
     assert len(z2.apply(EMPTY)) == 1             # the zero module
     assert len(z2.apply(carrier(3))) == 8
     from barrlab import symmetric_group
-    writer = writer_monad(symmetric_group(3))
+    writer = WriterMonad(symmetric_group(3))
     assert len(writer.apply(EMPTY)) == 0         # empty, no unit element exists
 
 
@@ -88,9 +88,9 @@ def test_materialized_tables_agree_with_pointwise(z2_monad):
 
 
 def test_powerset_elements_are_length_lex():
-    from barrlab import powerset_monad
+    from barrlab import PowersetMonad
 
-    P = powerset_monad()
+    P = PowersetMonad()
     assert P.apply(carrier(2)).elements == ((), (0,), (1,), (0, 1))
     f_img = P.map_element_fn(lambda x: 0, carrier(2), carrier(1), (0, 1))
     assert f_img == (0,)

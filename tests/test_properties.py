@@ -3,15 +3,12 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from barrlab import (FinSet, MooreAutomaton, TruncatedSeries,
-                     all_functions, behavior, boolean_semiring, carrier,
-                     eval_functor, moore_functor, series_distance,
-                     words_below, zmod)
+from barrlab import (FinSet, MooreAutomaton, PowersetMonad, SemimoduleMonad,
+                     SeriesModule, TruncatedSeries, all_functions, behavior,
+                     boolean_semiring, carrier, eval_functor, moore_functor,
+                     series_distance, words_below, zmod)
 from barrlab.functors import arrow
 from barrlab.jsonio import word_parser, word_to_str
-from barrlab.monads import powerset_monad
-from barrlab.series import module_structure
-from barrlab import semimodule_monad
 
 settings.register_profile("repro", derandomize=True, max_examples=60,
                           deadline=None)
@@ -45,7 +42,7 @@ def test_series_distance_identity_up_to_probe(f):
 
 @given(z2_series(), z2_series())
 def test_linear_combination_nonexpansive(f, g):
-    mod = module_structure(semimodule_monad(zmod(2)), ("t",), f.bound)
+    mod = SeriesModule(SemimoduleMonad(zmod(2)), ("t",), f.bound)
     zero = mod.zero()
     combined = mod.combine([(1, f), (1, g)])
     e = lambda a: series_distance(a, zero).exponent_lower_bound()
@@ -104,7 +101,7 @@ def test_word_string_roundtrip(letters):
 @given(st.lists(st.integers(0, 2), min_size=0, max_size=3, unique=True),
        st.sampled_from(list(all_functions(carrier(3), carrier(2)))))
 def test_powerset_images_are_canonical(subset, f):
-    P = powerset_monad()
+    P = PowersetMonad()
     X, Y = carrier(3), carrier(2)
     el = tuple(sorted(subset))
     image = P.map_element_fn(f, X, Y, el)

@@ -2,12 +2,11 @@ import random
 
 import pytest
 
-from barrlab import (BoundMismatch, DomainMismatch, FinSet, MooreAutomaton,
-                     NotCauchy, Polynomial, TruncatedSeries, behavior,
-                     boolean_semiring, build_terminal_chain, anamorphism,
-                     cauchy_limit_series, decode_series, encode_series,
-                     module_structure, naturals, polynomial_embed,
-                     series_distance, words_below, zmod)
+from barrlab import (BlowUpGuard, BoundMismatch, DomainMismatch, FinSet, MooreAutomaton,
+                     NotCauchy, Polynomial, SeriesModule, TruncatedSeries, anamorphism,
+                     behavior, boolean_semiring, build_terminal_chain,
+                     cauchy_limit_series, decode_series, encode_series, naturals,
+                     polynomial_embed, series_distance, words_below, zmod)
 from barrlab.series import first_difference_length
 
 BOOL = boolean_semiring()
@@ -24,6 +23,25 @@ def random_bool_automaton(rng, n_states, alphabet):
 def test_words_below_is_length_lex():
     assert words_below(("a", "b"), 3) == [
         (), ("a",), ("b",), ("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
+
+
+def test_words_below_guards_the_letters_of_the_listing(monkeypatch):
+    # One letter below 10^6 is 10^6 words but about 5 * 10^11 letters: the
+    # word count passed the guard, and the listing ran out of memory.
+    with pytest.raises(BlowUpGuard, match=r"enumeration of 499999500000 elements .* "
+                                          r"listing the letters of the words"):
+        words_below(("a",), 10**6)
+    # Under a guard of 10, one letter lists words of total length 10 below 5
+    # and 15 below 6; two letters trip on their 31 words below 5 first.
+    monkeypatch.setenv("BARRLAB_BLOWUP_GUARD", "10")
+    assert sum(map(len, words_below(("a",), 5))) == 10
+    with pytest.raises(BlowUpGuard, match="enumeration of 15 elements"):
+        words_below(("a",), 6)
+    with pytest.raises(BlowUpGuard, match="enumeration of 31 elements"):
+        words_below(("a", "b"), 5)
+    # Two letters below 3 are 7 words of total length 10.
+    assert sum(map(len, words_below(("a", "b"), 3))) == 10
+    assert words_below((), 5) == [()]
 
 
 def test_series_requires_exact_word_domain():
@@ -111,8 +129,7 @@ def test_series_distance_basics():
 
 def test_series_distance_matches_chain_distance_shifted(z2_monad, one_letter):
     # degree-k information sits at chain level k+1
-    from barrlab import (build_initial_chain, colim_to_lim, distance,
-                         level_algebras, semimodule_moore_law)
+    from barrlab import build_initial_chain, colim_to_lim, distance, semimodule_moore_law
 
     law = semimodule_moore_law(z2_monad, one_letter)
     chain = build_terminal_chain(law.H, 8)
@@ -143,7 +160,7 @@ def test_series_distance_strong_triangle():
 
 def test_linear_combinations_are_nonexpansive(z2_monad):
     # the order of a sum is at least the minimum order of the terms
-    mod = module_structure(z2_monad, ("t",), 6)
+    mod = SeriesModule(z2_monad, ("t",), 6)
     zero = mod.zero()
     rng = random.Random(41)
     for _ in range(20):
@@ -221,23 +238,12 @@ def test_first_difference_length():
 
 
 def test_module_structure_zero_and_sum(z2_monad):
-    mod = module_structure(z2_monad, ("t",), 3)
+    mod = SeriesModule(z2_monad, ("t",), 3)
     assert mod.combine([]) == mod.zero()
     one = TruncatedSeries(("t",), 3, {(): 1, ("t",): 0, ("t", "t"): 0})
     one_t = TruncatedSeries(("t",), 3, {(): 1, ("t",): 1, ("t", "t"): 0})
     just_t = TruncatedSeries(("t",), 3, {(): 0, ("t",): 1, ("t", "t"): 0})
     assert mod.combine([(1, one), (1, one_t)]) == just_t
-
-
-def test_module_structure_matches_level_algebras(z2_monad, one_letter):
-    from barrlab import level_algebras, semimodule_moore_law
-
-    law = semimodule_moore_law(z2_monad, one_letter)
-    chain = build_terminal_chain(law.H, 4)
-    levels = level_algebras(law, chain)
-    for n in range(4):
-        mod = module_structure(z2_monad, ("t",), n)
-        assert mod.em_algebra().structure() == levels.algebra(n).structure()
 
 
 def test_polynomial_embed():
@@ -250,8 +256,7 @@ def test_polynomial_embed():
 
 
 def test_polynomial_embed_roundtrips_with_density(z2_monad, one_letter):
-    from barrlab import (build_initial_chain, colim_to_lim, density_map,
-                         level_algebras, semimodule_moore_law)
+    from barrlab import build_initial_chain, colim_to_lim, density_map, semimodule_moore_law
 
     law = semimodule_moore_law(z2_monad, one_letter)
     chain = build_terminal_chain(law.H, 9)
