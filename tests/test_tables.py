@@ -181,10 +181,9 @@ GENERAL_SEMIRINGS = {
 }
 
 
-def check_resolved_forms_pointwise(M, max_size):
-    """`arrow`, `arrow_table` and `mult_at` against `map_element_fn`,
-    `index` and `mult_element` on all of M X, for every function X -> Y
-    with |X|, |Y| <= max_size."""
+def check_arrows_pointwise(M, max_size):
+    """`arrow` and `arrow_table` against `map_element_fn` and `index` on all
+    of M X, for every function X -> Y with |X|, |Y| <= max_size."""
     for m in range(max_size + 1):
         X = carrier(m)
         MX = M.apply(X)
@@ -198,15 +197,33 @@ def check_resolved_forms_pointwise(M, max_size):
                     want = M.map_element_fn(f, X, Y, el)
                     assert arrow(el) == want, (f.table, el)
                     assert table[p] == MY.index(want), (f.table, el)
+
+
+def check_resolved_forms_pointwise(M, max_size):
+    """`check_arrows_pointwise`, and `mult_at` against `mult_element` on
+    M(M X) wherever that tower fits under the guard."""
+    check_arrows_pointwise(M, max_size)
+    for m in range(max_size + 1):
+        X = carrier(m)
         mult = M.mult_at(X)
         if M.tower_fits(m, 2):
-            for el2 in M.apply(MX):
+            for el2 in M.apply(M.apply(X)):
                 assert mult(el2) == M.mult_element(X, el2), el2
 
 
 @pytest.mark.parametrize("name", sorted(MONADS))
-def test_resolved_forms_match_pointwise(name):
-    check_resolved_forms_pointwise(MONADS[name](), 2)
+def test_arrow_matches_map_element_fn(name):
+    check_arrows_pointwise(MONADS[name](), 2)
+
+
+@pytest.mark.parametrize("name", sorted(MONADS))
+def test_mult_at_matches_mult_element(name):
+    M = MONADS[name]()
+    for n in range(3):
+        X = carrier(n)
+        mult = M.mult_at(X)
+        for el2 in M.apply(M.apply(X)):
+            assert mult(el2) == M.mult_element(X, el2), el2
 
 
 @pytest.mark.parametrize("name", sorted(BIT_SEMIRINGS))
