@@ -297,6 +297,12 @@ class LevelAlgebras:
         return self._h_structures[n](self.law.component_at(self.chain.levels[n - 1], u))
 
 
+def level_algebras(law: DistLawEM, chain: TerminalChain) -> LevelAlgebras:
+    """`LevelAlgebras(law, chain)`.  Not exported: the benchmark's tracer
+    (`perfbench/tracer.py`) spans this name and expects it to exist."""
+    return LevelAlgebras(law, chain)
+
+
 def check_connect_morphisms(levels: LevelAlgebras, upto: Optional[int] = None) -> LawReport:
     """Each connecting map must be an algebra morphism between consecutive
     level algebras."""

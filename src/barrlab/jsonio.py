@@ -20,7 +20,7 @@ from typing import Callable, Optional
 from .algebras import EMAlgebra, free_algebra, terminal_algebra
 from .compair import CommutingCandidate, kleisli_lift_poly, partner_for_product
 from .errors import InputError, NonFinitePreserving
-from .finset import Element, FinFn, FinSet, carrier
+from .finset import Element, FinFn, FinSet, carrier, guard_size
 from .functors import Compose, Const, Coprod, FunctorExpr, Id, Power, Prod
 from .groups import FinGroup, FinMonoid, as_group, cyclic_group, symmetric_group
 from .lifting import (ComponentFamily, Composite, DistLawEM, DistLawKl,
@@ -257,7 +257,8 @@ _LAW_SHORTHANDS = (
         "monad": f"semimodule:{k}", "family": {"name": "moore", "alphabet": _alphabet(n)}}),
     (r"pointed:(\d+):(.+)", lambda n, monad: {
         "monad": monad, "family": {"name": "pointed", "outputs": {
-            "name": "k", "elements": list(range(int(n)))}}}),
+            "name": "k",
+            "elements": list(range(guard_size(int(n), "listing pointed:N outputs")))}}}),
 )
 
 _KLEISLI_SHORTHANDS = (

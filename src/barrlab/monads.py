@@ -136,6 +136,7 @@ def maybe_monad() -> ExceptionMonad:
 
 
 def exception_monad(n_errors: int = 2) -> ExceptionMonad:
+    guard_size(n_errors, "listing the exception monad's errors")
     return ExceptionMonad(FinSet("E", [f"e{i}" for i in range(n_errors)]))
 
 

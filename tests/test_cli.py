@@ -254,6 +254,22 @@ def test_behavior_guards_the_depth(capsys, monkeypatch):
     assert report["message"].startswith("enumeration of 31 elements exceeds the guard (10)")
 
 
+@pytest.mark.parametrize("argv", (
+    ("check-distlaw", "pointed:11:maybe"),
+    ("check-monad", "exception:11"),
+    ("check-monad", '{"builtin": "exception", "errors": 11}'),
+))
+def test_sizes_in_a_shorthand_are_guarded_before_listing(capsys, monkeypatch, argv):
+    # A few digits name N outputs or N errors: N is checked against the guard
+    # before the N elements are listed, so a large N exits 2 instead of
+    # running out of memory.
+    monkeypatch.setenv("BARRLAB_BLOWUP_GUARD", "10")
+    code, report = run_json(capsys, *argv)
+    assert code == 2
+    assert report["error"] == "BlowUpGuard"
+    assert report["message"].startswith("enumeration of 11 elements exceeds the guard (10)")
+
+
 def test_unparsable_word_keys_exit_two(capsys):
     # A 1200-letter key used to end in a RecursionError, and an ambiguous
     # alphabet with no split used to backtrack without end.

@@ -199,16 +199,21 @@ def check_arrows_pointwise(M, max_size):
                     assert table[p] == MY.index(want), (f.table, el)
 
 
-def check_resolved_forms_pointwise(M, max_size):
-    """`check_arrows_pointwise`, and `mult_at` against `mult_element` on
-    M(M X) wherever that tower fits under the guard."""
-    check_arrows_pointwise(M, max_size)
+def check_mult_pointwise(M, max_size):
+    """`mult_at` against `mult_element` on all of M(M X), for |X| <= max_size,
+    wherever that tower fits under the guard."""
     for m in range(max_size + 1):
         X = carrier(m)
         mult = M.mult_at(X)
         if M.tower_fits(m, 2):
             for el2 in M.apply(M.apply(X)):
                 assert mult(el2) == M.mult_element(X, el2), el2
+
+
+def check_resolved_forms_pointwise(M, max_size):
+    """`check_arrows_pointwise` and `check_mult_pointwise`."""
+    check_arrows_pointwise(M, max_size)
+    check_mult_pointwise(M, max_size)
 
 
 @pytest.mark.parametrize("name", sorted(MONADS))
@@ -218,12 +223,7 @@ def test_arrow_matches_map_element_fn(name):
 
 @pytest.mark.parametrize("name", sorted(MONADS))
 def test_mult_at_matches_mult_element(name):
-    M = MONADS[name]()
-    for n in range(3):
-        X = carrier(n)
-        mult = M.mult_at(X)
-        for el2 in M.apply(M.apply(X)):
-            assert mult(el2) == M.mult_element(X, el2), el2
+    check_mult_pointwise(MONADS[name](), 2)
 
 
 @pytest.mark.parametrize("name", sorted(BIT_SEMIRINGS))
