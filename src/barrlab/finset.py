@@ -10,7 +10,7 @@ identical tables and counterexamples are reproducible.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from .errors import BlowUpGuard, DomainMismatch, blowup_limit
 
@@ -158,7 +158,7 @@ def function_values(dom: FinSet, cod: FinSet) -> Iterator[tuple]:
     """The value tuple, aligned with dom's enumeration, of every function
     dom -> cod, in lexicographic order; no FinFn is built."""
     guard_size(len(cod) ** len(dom), f"enumerating functions {dom.name}->{cod.name}")
-    yield from itertools.product(cod.elements, repeat=len(dom))
+    return itertools.product(cod.elements, repeat=len(dom))
 
 
 def all_functions(dom: FinSet, cod: FinSet) -> Iterator[FinFn]:
@@ -169,19 +169,24 @@ def all_functions(dom: FinSet, cod: FinSet) -> Iterator[FinFn]:
 
 class LazyTable(dict):
     """A pure function of one element as a table filled on demand:
-    `table[el]` computes `fn(el)` on its first lookup and keeps it, as long
-    as fewer than `capacity` values are kept; past that it computes without
-    storing."""
+    `table[el]` computes `fn(el)` on its first lookup and keeps it.  Tables
+    given a `budget`, a one-item list shared between them, hold sized
+    values: a value is kept while its length fits in the budget, which it
+    then uses up, and is computed without being stored past that."""
 
-    __slots__ = ("fn", "capacity")
+    __slots__ = ("fn", "budget")
 
-    def __init__(self, fn, capacity: float = float("inf")):
+    def __init__(self, fn, budget: Optional[list] = None):
         super().__init__()
         self.fn = fn
-        self.capacity = capacity
+        self.budget = budget
 
     def __missing__(self, el: Element) -> Element:
         out = self.fn(el)
-        if len(self) < self.capacity:
+        budget = self.budget
+        if budget is None:
+            self[el] = out
+        elif len(out) <= budget[0]:
+            budget[0] -= len(out)
             self[el] = out
         return out

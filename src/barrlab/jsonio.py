@@ -447,6 +447,9 @@ def _em_family(name, params: dict, monad: FinMonad, doc: dict, path: str) -> Dis
         if not isinstance(monad, ExceptionMonad):
             raise InputError(f"{path}: the pointed family needs maybe/exception")
         outputs = load_finset(params["outputs"], f"{path}.outputs")
+        if not outputs:
+            # An error value outputs the first of the outputs.
+            raise InputError(f"{path}.outputs: the pointed family needs at least one output")
         alphabet = params.get("alphabet")
         A = load_finset(alphabet, f"{path}.alphabet") if alphabet else None
         return pointed_law(monad, outputs, A)

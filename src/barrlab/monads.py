@@ -1,16 +1,20 @@
 """Finiteness-preserving monads on finite sets, with exhaustive law checking.
 
-Structure maps are exposed in two forms: pointwise (`unit_element`,
-`mult_element`, `map_element_fn`), and resolved once for loops that apply
-them to many elements (`arrow` for M f, `mult_at` for mu_X, and
-`arrow_table` for M f as positions over M dom).  Checkers that
-revisit inputs memoise a resolved map in a `LazyTable`; no structure map is
-materialised as a table.  The pointwise and resolved forms matter:
-iterated applications such as M(M(M X)) explode quickly (powerset towers,
-free semimodules), and the law checker enumerates an instance only while it
-fits under the blow-up guard, recording larger instances as skipped.  A
-monad whose first application M X already exceeds the guard for a carrier
-under the requested bound is rejected outright.
+Structure maps are exposed in three forms: pointwise (`unit_element`,
+`mult_element`, `map_element_fn`); resolved once for loops that apply them
+to many elements (`arrow` for M f, `mult_at` for mu_X); and as tables of
+positions (`arrow_table` for M f, `mult_table` for mu_X and `kleisli_table`
+for mu . M h), each entry the position of one value in the codomain's
+enumeration.  The law checker decides every law by comparing two such
+tables and decodes elements only at the first differing position.  The free
+semimodule monads over Z/2 and the Boolean semiring, and the powerset monad,
+build the tables from bitmasks without enumerating M(M X) or M(M(M X)); the
+other monads fill them element by element.  Iterated applications still
+explode quickly (powerset towers, free semimodules), so the checker runs an
+instance only while its tables fit under the blow-up guard, recording
+larger instances as skipped.  A monad whose first application M X already
+exceeds the guard for a carrier under the requested bound is rejected
+outright.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .finset import (Element, FinSet, LazyTable, canonical_carriers, function_va
                      guard_size)
 from .groups import FinMonoid
 from .reports import LawReport
-from .semiring import Semiring
+from .semiring import Semiring, check_semiring
 
 
 class FinMonad:
@@ -74,9 +78,22 @@ class FinMonad:
 
     def arrow_table(self, fn: Callable, dom: FinSet, cod: FinSet) -> Sequence[int]:
         """M fn as positions: entry p is the position in M cod of M fn
-        applied to the element at position p of M dom."""
-        m_fn, index = self.arrow(fn, dom, cod), self.apply(cod).index
-        return [index(m_fn(el)) for el in self.apply(dom)]
+        applied to the element at position p of M dom.  Tables are tuples,
+        or unsigned arrays where a subclass builds them from bitmasks."""
+        return tuple(map(self.apply(cod).index, map(self.arrow(fn, dom, cod), self.apply(dom))))
+
+    def mult_table(self, X: FinSet) -> Sequence[int]:
+        """mu_X as positions: entry p is the position in M X of mu_X applied
+        to the element at position p of M(M X)."""
+        return tuple(map(self.apply(X).index, map(self.mult_at(X), self.apply(self.apply(X)))))
+
+    def kleisli_table(self, h: Sequence[int], dom: FinSet, cod: FinSet) -> Sequence[int]:
+        """mu_cod . M h as positions over M dom, for h: dom -> M cod given as
+        the position in M cod of each element of dom."""
+        MC = self.apply(cod)
+        m_h = self.arrow(dict(zip(dom.elements, map(MC.elements.__getitem__, h))).__getitem__,
+                         dom, MC)
+        return tuple(map(MC.index, map(self.mult_at(cod), map(m_h, self.apply(dom)))))
 
     def tower_fits(self, n: int, height: int) -> bool:
         limit = blowup_limit()
@@ -166,8 +183,58 @@ class WriterMonad(FinMonad):
         return (self.monoid.op(b1, b2), x)
 
 
+def _reader(t: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """s -> the tuple of s[i] for i in t, built once for a fixed t."""
+    return operator.itemgetter(*t) if len(t) > 1 else lambda s: tuple(map(s.__getitem__, t))
+
+
+def compose(s: Sequence[int], t: Sequence[int]) -> tuple:
+    """s . t for tables of positions: entry p is s[t[p]]."""
+    return _reader(t)(s)
+
+
+def differences(lhs: Sequence[int], rhs: Sequence[int]) -> Iterable[int]:
+    """The positions where two tables of equal length differ, in order."""
+    if lhs == rhs:
+        return ()
+    return (p for p, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+
+
+def _double(op: Callable[[int, int], int], cols: Sequence[int]) -> array.array:
+    """Entry p combines with `op` the columns picked by the bits of p, the
+    first column on the top bit.  The table doubles once per column, the
+    last column (the lowest bit) first.  Entries are kept as unsigned
+    64-bit ints, not as int objects."""
+    table = array.array("Q", [0])
+    for col in reversed(cols):
+        table += array.array("Q", map(op, table, itertools.repeat(col)))
+    return table
+
+
+# The subsets of an n-element set as masks, the first element on the top
+# bit (a subset's mask is the position of its 0/1 vector in the Boolean
+# semimodule), in the powerset's enumeration order; and the inverse.
+# Memoised by n, not by monad, so that no monad is kept alive; n stays
+# small, as every table read through them has 2^n entries.
+@functools.lru_cache(maxsize=None)
+def _subset_masks(n: int) -> tuple:
+    bits = [1 << (n - 1 - i) for i in range(n)]
+    return tuple(itertools.chain.from_iterable(
+        map(sum, itertools.combinations(bits, size)) for size in range(n + 1)))
+
+
+@functools.lru_cache(maxsize=None)
+def _subset_ranks(n: int) -> tuple:
+    masks = _subset_masks(n)
+    return tuple(sorted(range(len(masks)), key=masks.__getitem__))
+
+
 class PowersetMonad(FinMonad):
-    """Finite powerset; subsets are tuples in length-then-index order."""
+    """Finite powerset; subsets are tuples in length-then-index order.
+
+    A subset is also a mask (`_subset_masks`), so the tables are built as
+    for the Boolean semimodule, in mask space, and read back to positions
+    through `_subset_ranks`."""
 
     name = "powerset"
 
@@ -197,6 +264,18 @@ class PowersetMonad(FinMonad):
     def mult_at(self, X):
         index = X.index
         return lambda el2: tuple(sorted({x for subset in el2 for x in subset}, key=index))
+
+    def arrow_table(self, fn, dom, cod):
+        # The singleton {y} follows the empty set at position 1 + index(y).
+        return self.kleisli_table(tuple(1 + cod.index(fn(x)) for x in dom.elements), dom, cod)
+
+    def mult_table(self, X):
+        return self.kleisli_table(range(self.card(len(X))), self.apply(X), X)
+
+    def kleisli_table(self, h, dom, cod):
+        guard_size(self.card(len(cod)), f"positions in {self.name}({cod.name})")
+        by_mask = _double(operator.or_, compose(_subset_masks(len(cod)), h))
+        return compose(_subset_ranks(len(cod)), compose(by_mask, _subset_masks(len(dom))))
 
 
 # _BITS[w][mask] is the w-bit numeral of mask as a tuple, first bit on top:
@@ -248,6 +327,12 @@ class SemimoduleMonad(FinMonad):
     element at position p is the |X|-bit numeral of p, first coordinate on
     top.  The resolved forms then add masks with XOR or OR (`_op`) and
     decode the result through byte tables; M(cod) is never materialised.
+    Over any semiring that passes the semiring laws, the position of a
+    vector is likewise the base-|k| numeral of its coefficients' indices,
+    and the tables of positions are built without materialising M cod: from
+    masks over Z/2 and the Boolean semiring, and on the indices, one
+    coordinate at a time, over the others (`_index_tables`).  Over a table
+    semiring that breaks a law they are read element by element.
     """
 
     def __init__(self, k: Semiring):
@@ -311,21 +396,67 @@ class SemimoduleMonad(FinMonad):
                         out[i] = k.add(out[i], k.mul(c, v))
         return tuple(out)
 
+    @functools.cached_property
+    def _index_tables(self) -> Optional[tuple]:
+        """(sums, products, zero, one) on the indices of k's elements, where
+        sums[e][d] is the index of k[d] + k[e] and products[c][b] that of
+        k[c] * k[b]; None unless k passes the semiring laws on all triples
+        (Z/2 and the Boolean semiring, recognised by `_bit_op`, do).  Only
+        semirings of at most 16 elements are checked, in 16^3 triples at
+        most: over a larger one M(M X1) has at least 17^17 elements, so the
+        tables would serve X0 alone."""
+        k = self.k
+        if self._op is None and (len(k.elements) > 16 or not check_semiring(k).passed):
+            return None
+        ks = FinSet(k.name, k.elements)
+        return ([tuple(ks.index(k.add(a, e)) for a in ks) for e in ks],
+                [[ks.index(k.mul(c, b)) for b in ks] for c in ks],
+                ks.index(k.zero), ks.index(k.one))
+
     def arrow_table(self, fn, dom, cod):
-        if self._op is None:
+        if self._index_tables is None:
             return super().arrow_table(fn, dom, cod)
-        # Positions in M cod exist while M cod fits under the guard, as on
-        # the general path; they are kept as unsigned 64-bit ints, not as
-        # int objects.  The entry at p adds the target mask of p's top bit
-        # to the entry without it, so the table doubles once per coordinate
-        # of dom, the last coordinate (the lowest bit) first.
+        # M fn = mu . M(eta . fn), and eta(y) has digit `one` at y and digit
+        # `zero` elsewhere.
+        base, top, (zero, one) = len(self.k.elements), len(cod) - 1, self._index_tables[2:]
+        zeros = zero * (base ** len(cod) - 1) // (base - 1)
+        return self.kleisli_table(tuple(zeros + (one - zero) * base ** (top - cod.index(fn(x)))
+                                        for x in dom.elements), dom, cod)
+
+    def mult_table(self, X):
+        if self._index_tables is None:
+            return super().mult_table(X)
+        # The vector at position p of M X has the digits of p.
+        return self.kleisli_table(range(self.card(len(X))), self.apply(X), X)
+
+    def kleisli_table(self, h, dom, cod):
+        if self._index_tables is None:
+            return super().kleisli_table(h, dom, cod)
+        # Positions in M cod exist while M cod fits under the guard; M cod
+        # itself is not materialised.  The position of a vector is the
+        # base-|k| numeral of its coefficients' indices, first coordinate on
+        # top.
         guard_size(self.card(len(cod)), f"positions in {self.name}({cod.name})")
-        op, top = self._op, len(cod) - 1
-        table = array.array("Q", [0])
-        for x in reversed(dom.elements):
-            col = 1 << (top - cod.index(fn(x)))
-            table += array.array("Q", map(op, table, itertools.repeat(col)))
-        return table
+        if self._op is not None:
+            # mu . M h adds, for each nonzero coordinate, the mask h assigns
+            # to it: one doubling over the columns h.
+            return _double(self._op, h)
+        # Coordinate j of mu . M h at el is the sum over x of el_x * h(x)_j,
+        # tabulated over M dom one coordinate of dom at a time, like
+        # `_double` with |k| blocks per step; the numerals are then summed
+        # up coordinate by coordinate.
+        sums, products, zero, _ = self._index_tables
+        base, size = len(sums), len(cod)
+        positions = (0,) * self.card(len(dom))
+        for j in range(size):
+            weight, digits = base ** (size - 1 - j), (zero,)
+            for q in reversed(h):
+                b = q // weight % base
+                digits = tuple(itertools.chain.from_iterable(
+                    map(sums[row[b]].__getitem__, digits) for row in products))
+            positions = tuple(map(operator.add, positions,
+                                  map(operator.mul, digits, itertools.repeat(weight))))
+        return positions
 
     def mult_at(self, X):
         if self._op is not None:
@@ -412,10 +543,13 @@ def check_monad_laws(M: FinMonad, max_size: int) -> LawReport:
 
     The elements of a canonical carrier are their own indices, so a function
     between two of them is its value tuple and g.f is `gv[y] for y in fv`.
-    For the length of one call, M h (one per value tuple, through `M.arrow`)
-    and mu_X (one per carrier, through `M.mult_at`) are `LazyTable`s that
-    keep their values as they are first asked for, up to `blowup_limit()`
-    kept values in all.
+    Each law compares two tables of positions (`arrow_table`, `mult_table`,
+    `kleisli_table`) and decodes elements only where they first differ.
+    For the length of one call, M h (one table per value tuple h) and mu_X
+    (one per carrier) are kept in `LazyTable`s while the kept tables hold at
+    most `blowup_limit()` entries in all; past that a table is computed
+    without being stored.  A table monad is asked for its arrow tables in
+    the order of a pointwise check that stops at each law's first failure.
     """
     if max_size < 1:
         raise InputError("max_size must be >= 1")
@@ -427,53 +561,47 @@ def check_monad_laws(M: FinMonad, max_size: int) -> LawReport:
 
     report = LawReport(f"monad {M.name}")
     units = [tuple(M.unit_element(X, x) for x in X) for X in carriers]
-    room = blowup_limit()
+    unit_positions = [tuple(map(M.apply(X).index, units[len(X)])) for X in carriers]
+    budget = [blowup_limit()]
 
-    def memo(fn: Callable, size: int) -> LazyTable:
-        """fn kept on at most `size` values, drawn from the call's budget."""
-        nonlocal room
-        capacity = min(size, room)
-        room -= capacity
-        return LazyTable(fn, capacity)
+    def arrows_into(Y: FinSet) -> LazyTable:
+        """M h for each h: X_m -> Y, keyed by h's value tuple."""
+        return LazyTable(lambda values: tuple(M.arrow_table(
+            values.__getitem__, carriers[len(values)], Y)), budget)
 
-    # arrows[values, n]: M h for h: X_len(values) -> X_n with value tuple
-    # `values`; mults[n]: mu at X_n.
-    arrows = LazyTable(lambda key: memo(
-        M.arrow(key[0].__getitem__, carriers[len(key[0])], carriers[key[1]]),
-        M.card(len(key[0]))))
-    mults = LazyTable(lambda n: memo(
-        M.mult_at(carriers[n]), M.card(M.card(n)) if M.tower_fits(n, 2) else room))
+    arrows = [arrows_into(Y) for Y in carriers]
+    mults = LazyTable(lambda n: M.mult_table(carriers[n]), budget)
 
     for X in carriers:
         MX = M.apply(X)
-        mult_x = mults[len(X)].__getitem__
         # functor preserves identities
-        id_x = arrows[X.elements, len(X)]
+        ids = arrows[len(X)][X.elements]
         report.first("map-identity", X.name, (
-            {"carrier": X.name, "element": el, "got": got}
-            for el in MX if (got := id_x[el]) != el))
+            {"carrier": X.name, "element": MX.elements[p], "got": MX.elements[ids[p]]}
+            for p in differences(ids, tuple(range(len(MX))))))
 
-        # left unit: mult . unit at M X == id
+        # left unit: mult . unit at M X == id; both unit laws run over M X
+        flatten = M.mult_at(X)
         report.first("left-unit", X.name, (
             {"carrier": X.name, "element": el, "got": got}
-            for el in MX if (got := mult_x(M.unit_element(MX, el))) != el))
+            for el in MX if (got := flatten(M.unit_element(MX, el))) != el))
 
         # right unit: mult . M(unit) == id
         m_unit = M.arrow(units[len(X)].__getitem__, X, MX)
         report.first("right-unit", X.name, (
             {"carrier": X.name, "element": el, "got": got}
-            for el in MX if (got := mult_x(m_unit(el))) != el))
+            for el in MX if (got := flatten(m_unit(el))) != el))
 
         # associativity over M(M(M X))
         if M.tower_fits(len(X), 3):
-            MMX = M.apply(MX)
-            mult_mx = M.mult_at(MX)
-            m_mult = M.arrow(mult_x, MMX, MX)
+            mult_x, MMX = mults[len(X)], M.apply(MX)
+            flat = dict(zip(MMX.elements, map(MX.elements.__getitem__, mult_x)))
+            outer = compose(mult_x, M.mult_table(MX))
+            inner = compose(mult_x, M.arrow_table(flat.__getitem__, MMX, MX))
             report.first("mult-associativity", X.name, (
-                {"carrier": X.name, "element": el3,
-                 "outer-first": outer, "inner-first": inner}
-                for el3 in M.apply(MMX)
-                if (outer := mult_x(mult_mx(el3))) != (inner := mult_x(m_mult(el3)))))
+                {"carrier": X.name, "element": M.apply(MMX).elements[p],
+                 "outer-first": MX.elements[outer[p]], "inner-first": MX.elements[inner[p]]}
+                for p in differences(outer, inner)))
         else:
             report.skip("mult-associativity", X.name, _skip_label(M, len(X), 3))
 
@@ -481,35 +609,31 @@ def check_monad_laws(M: FinMonad, max_size: int) -> LawReport:
     for X in carriers:
         for Y in carriers:
             pair = f"{X.name}->{Y.name}"
-            MX = M.apply(X)
-            MY = M.apply(Y)
+            MX, MY, into_y = M.apply(X), M.apply(Y), arrows[len(Y)]
 
             def unit_failures():
-                unit_x, unit_y = units[len(X)], units[len(Y)]
-                for fv in function_values(X, Y):
-                    Mf = arrows[fv, len(Y)]
-                    for x in X:
-                        if (lhs := Mf[unit_x[x]]) != (rhs := unit_y[fv[x]]):
-                            yield {"function": dict(enumerate(fv)), "element": x,
-                                   "lhs": lhs, "rhs": rhs}
+                # M f at the units of X  vs  the units of Y at f; with no
+                # units to read, M f is not asked for
+                at_units, units_y = _reader(unit_positions[len(X)]), unit_positions[len(Y)]
+                for fv in function_values(X, Y) if X else ():
+                    lhs, rhs = at_units(into_y[fv]), compose(units_y, fv)
+                    for x in differences(lhs, rhs):
+                        yield {"function": dict(enumerate(fv)), "element": x,
+                               "lhs": MY.elements[lhs[x]], "rhs": MY.elements[rhs[x]]}
 
             report.first("unit-naturality", pair, unit_failures())
 
             if M.tower_fits(len(X), 2):
-                MMX = M.apply(MX)
-
                 def mult_failures():
                     # M f . mult_X  vs  mult_Y . M(M f)
-                    mult_x, mult_y = mults[len(X)], mults[len(Y)]
+                    mult_x = mults[len(X)]
                     for fv in function_values(X, Y):
-                        Mf = arrows[fv, len(Y)]
-                        m_mf = M.arrow(Mf.__getitem__, MX, MY)
-                        for el2 in MMX:
-                            lhs = Mf[mult_x[el2]]
-                            rhs = mult_y[m_mf(el2)]
-                            if lhs != rhs:
-                                yield {"function": dict(enumerate(fv)), "element": el2,
-                                       "lhs": lhs, "rhs": rhs}
+                        Mf = into_y[fv]
+                        lhs, rhs = compose(Mf, mult_x), tuple(M.kleisli_table(Mf, MX, Y))
+                        for p in differences(lhs, rhs):
+                            yield {"function": dict(enumerate(fv)),
+                                   "element": M.apply(MX).elements[p],
+                                   "lhs": MY.elements[lhs[p]], "rhs": MY.elements[rhs[p]]}
 
                 report.first("mult-naturality", pair, mult_failures())
             else:
@@ -517,17 +641,21 @@ def check_monad_laws(M: FinMonad, max_size: int) -> LawReport:
 
             for Z in carriers:
                 def composition_failures():
+                    into_z, MZ = arrows[len(Z)], M.apply(Z)
                     for fv in function_values(X, Y):
-                        Mf = arrows[fv, len(Y)]
+                        # M(g.f), then M f, then M g: the order in which a
+                        # table monad is first asked for them.
+                        at_f, after_mf = _reader(fv), None
                         for gv in function_values(Y, Z):
-                            Mg = arrows[gv, len(Z)]
-                            Mgf = arrows[tuple(map(gv.__getitem__, fv)), len(Z)]
-                            for el in MX:
-                                lhs = Mgf[el]
-                                rhs = Mg[Mf[el]]
-                                if lhs != rhs:
-                                    yield {"f": dict(enumerate(fv)), "g": dict(enumerate(gv)),
-                                           "element": el, "lhs": lhs, "rhs": rhs}
+                            lhs = into_z[at_f(gv)]
+                            if after_mf is None:
+                                after_mf = _reader(into_y[fv])
+                            rhs = after_mf(into_z[gv])
+                            if lhs != rhs:
+                                p = next(iter(differences(lhs, rhs)))
+                                yield {"f": dict(enumerate(fv)), "g": dict(enumerate(gv)),
+                                       "element": MX.elements[p],
+                                       "lhs": MZ.elements[lhs[p]], "rhs": MZ.elements[rhs[p]]}
 
                 report.first("map-composition", f"{X.name}->{Y.name}->{Z.name}",
                              composition_failures())

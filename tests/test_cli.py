@@ -466,6 +466,21 @@ def test_gset_family_rejects_an_unknown_variant(capsys):
     assert report["message"] == "law.variant: expected 'mult' or 'conj', got 'bogus'"
 
 
+@pytest.mark.parametrize("law", (
+    "pointed:0:maybe",
+    json.dumps({"monad": "maybe", "family": {"name": "pointed", "outputs": {"elements": []}}}),
+    json.dumps({"monad": "exception:2",
+                "family": {"name": "pointed", "outputs": [], "alphabet": ["a"]}}),
+))
+def test_pointed_family_needs_an_output(capsys, law):
+    # An error value outputs the first element of the outputs, so an empty
+    # set of outputs used to end in "law: too few entries".
+    code, report = run_json(capsys, "check-distlaw", law, "--max-size", "1")
+    assert code == 2
+    assert report["error"] == "InputError"
+    assert report["message"] == "law.outputs: the pointed family needs at least one output"
+
+
 def text_report(capsys, *argv):
     """The default text report, its closing timing replaced by '<t>'."""
     code, out = run(capsys, *argv)

@@ -1,6 +1,6 @@
 """Differential tests of the tabulated paths against the pointwise code they
-replace: level-algebra structure tables, and arrows and multiplications
-resolved once."""
+replace: level-algebra structure tables, arrows and multiplications resolved
+once, and M h, mu and mu . M h as tables of positions."""
 
 import functools
 import itertools
@@ -15,7 +15,7 @@ from barrlab import (BlowUpGuard, FinSet, LevelAlgebras, PowersetMonad, Semimodu
                      pointed_law, semimodule_moore_law, zmod)
 from barrlab.functors import map_element
 from barrlab.jsonio import load_semiring
-from barrlab.monads import TableMonad
+from barrlab.monads import TableMonad, _subset_masks, _subset_ranks
 from barrlab.semiring import boolean_semiring
 
 LAWS = {
@@ -104,7 +104,8 @@ def test_positions_after_matches_structure_at(guarded, monkeypatch):
 def table_monad(real, max_size):
     """`real` as explicit tables: the elements of M X_n for n up to
     |M X_max_size|, the multiplication at the carriers of size <= max_size,
-    and an arrow table for every function between those carriers."""
+    and an arrow table for every function between carriers of size up to
+    |M X_max_size| (M h for h: X -> M Y is one of them)."""
     sizes = {n: {"elements": list(real.apply(carrier(n))), "unit": {}, "mult": {}}
              for n in range(real.card(max_size) + 1)}
     for n in range(max_size + 1):
@@ -115,8 +116,8 @@ def table_monad(real, max_size):
         relabel = real.arrow(MX.elements.__getitem__, C, MX)
         sizes[n]["mult"] = {el2: real.mult_element(X, relabel(el2)) for el2 in real.apply(C)}
     maps = {}
-    for m in range(max_size + 1):
-        for n in range(max_size + 1):
+    for m in range(real.card(max_size) + 1):
+        for n in range(real.card(max_size) + 1):
             for f in all_functions(carrier(m), carrier(n)):
                 key = (m, n, tuple(f(i) for i in range(m)))
                 maps[key] = {el: real.map_element_fn(f, f.dom, f.cod, el)
@@ -164,6 +165,8 @@ BIT_SEMIRINGS = {
 # Semirings that keep the general path: Z/3, tables on {0, 1} one entry away
 # from XOR/OR and AND, and Boolean tables that hold JSON booleans as
 # elements, as results, or as both (the outputs must keep those values).
+# Those that pass the semiring laws take the tables of digits; the three
+# tables one entry off are no semirings and are read element by element.
 GENERAL_SEMIRINGS = {
     "z3": lambda: zmod(3),
     "add-one-entry-off": lambda: table_semiring(
@@ -200,20 +203,45 @@ def check_arrows_pointwise(M, max_size):
 
 
 def check_mult_pointwise(M, max_size):
-    """`mult_at` against `mult_element` on all of M(M X), for |X| <= max_size,
-    wherever that tower fits under the guard."""
+    """`mult_at` against `mult_element`, and `mult_table` against `mult_at`
+    and `index`, on all of M(M X), for |X| <= max_size, wherever that tower
+    fits under the guard."""
     for m in range(max_size + 1):
         X = carrier(m)
         mult = M.mult_at(X)
         if M.tower_fits(m, 2):
-            for el2 in M.apply(M.apply(X)):
-                assert mult(el2) == M.mult_element(X, el2), el2
+            MX, MMX = M.apply(X), M.apply(M.apply(X))
+            table = M.mult_table(X)
+            assert len(table) == len(MMX)
+            for p, el2 in enumerate(MMX):
+                want = M.mult_element(X, el2)
+                assert mult(el2) == want, el2
+                assert table[p] == MX.index(want), el2
+
+
+def check_kleisli_pointwise(M, max_size):
+    """`kleisli_table` against `mult_at`, `arrow` and `index` on all of M X,
+    for every h: X -> M Y with |X|, |Y| <= max_size, given as positions."""
+    for m in range(max_size + 1):
+        X = carrier(m)
+        MX = M.apply(X)
+        for n in range(max_size + 1):
+            Y = carrier(n)
+            MY = M.apply(Y)
+            mult = M.mult_at(Y)
+            for h in itertools.product(range(len(MY)), repeat=m):
+                m_h = M.arrow(lambda x: MY.elements[h[x]], X, MY)
+                assert list(M.kleisli_table(h, X, Y)) == [
+                    MY.index(mult(m_h(el))) for el in MX], h
 
 
 def check_resolved_forms_pointwise(M, max_size):
-    """`check_arrows_pointwise` and `check_mult_pointwise`."""
+    """`check_arrows_pointwise`, `check_mult_pointwise` and
+    `check_kleisli_pointwise`, the last up to size 3: there are |M Y|^|X|
+    maps h: X -> M Y."""
     check_arrows_pointwise(M, max_size)
     check_mult_pointwise(M, max_size)
+    check_kleisli_pointwise(M, min(max_size, 3))
 
 
 @pytest.mark.parametrize("name", sorted(MONADS))
@@ -224,6 +252,22 @@ def test_arrow_matches_map_element_fn(name):
 @pytest.mark.parametrize("name", sorted(MONADS))
 def test_mult_at_matches_mult_element(name):
     check_mult_pointwise(MONADS[name](), 2)
+
+
+@pytest.mark.parametrize("name", sorted(MONADS))
+def test_kleisli_table_matches_mult_at_and_arrow(name):
+    check_kleisli_pointwise(MONADS[name](), 2)
+
+
+def test_powerset_ranks_invert_the_masks():
+    # Position p of P(X_n) is the subset with mask masks[p] (element i on
+    # bit n-1-i), and ranks reads a mask back to its position.
+    for n in range(9):
+        masks, ranks = _subset_masks(n), _subset_ranks(n)
+        assert sorted(masks) == list(range(2 ** n))
+        assert [ranks[mask] for mask in masks] == list(range(2 ** n))
+        assert masks == tuple(sum(1 << (n - 1 - i) for i in subset)
+                              for subset in PowersetMonad().apply(carrier(n)))
 
 
 @pytest.mark.parametrize("name", sorted(BIT_SEMIRINGS))
@@ -238,6 +282,7 @@ def test_bit_kernel_matches_pointwise(name):
 def test_other_semirings_keep_the_general_path(name):
     M = SemimoduleMonad(GENERAL_SEMIRINGS[name]())
     assert M._op is None
+    assert (M._index_tables is None) == name.endswith("one-entry-off")
     check_resolved_forms_pointwise(M, 2 if name == "z3" else 3)
 
 
