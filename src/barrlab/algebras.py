@@ -70,6 +70,13 @@ def terminal_algebra(M: FinMonad) -> EMAlgebra:
     return EMAlgebra(M, TERMINAL, lambda _el: "*", name="terminal")
 
 
+def require_monad(M: FinMonad, a: EMAlgebra, why: str = "") -> None:
+    """Raise DomainMismatch, naming both monads, unless a is an algebra for
+    M; `why` says where M comes from."""
+    if a.monad is not M and a.monad.name != M.name:
+        raise DomainMismatch(f"algebra {a.name} belongs to {a.monad.name}, not {M.name}{why}")
+
+
 def check_em_algebra(M: FinMonad, a: EMAlgebra) -> LawReport:
     """Verify the two algebra laws exhaustively.
 
@@ -78,8 +85,7 @@ def check_em_algebra(M: FinMonad, a: EMAlgebra) -> LawReport:
     the structure map is read once on M(carrier), as positions s, and the
     law compares s . mu with s . M s as tables of positions over M(M(carrier)).
     """
-    if a.monad is not M and a.monad.name != M.name:
-        raise DomainMismatch(f"algebra {a.name} belongs to {a.monad.name}, not {M.name}")
+    require_monad(M, a)
     C = a.carrier
     report = LawReport(f"algebra {a.name} over {M.name}")
 

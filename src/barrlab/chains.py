@@ -10,6 +10,7 @@ validated for compatibility as they are queried.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -21,6 +22,7 @@ from .errors import (DepthExceeded, DomainMismatch, InputError, NotCauchy,
 from .finset import EMPTY, TERMINAL, Element, FinFn, FinSet, from_empty, to_terminal
 from .functors import FunctorExpr, arrow, eval_functor
 from .lifting import DistLawEM, lift_coalgebra
+from .monads import differences
 from .reports import LawReport
 
 
@@ -201,15 +203,10 @@ class LevelAlgebras:
     H(alpha_{n-1}) . lambda_{level n-1}, distributing and then applying the
     functor to the structure one level down.
 
-    The structure maps are a bottom-up dynamic programme.  While M(level n)
-    fits under the blow-up guard, level n keeps a table indexed by position
-    in M(level n) that holds the result as a position in level n; an entry
-    is filled on first use from the level n-1 table.  Lookups by position
-    (`structure_pos`, `positions_after`) read these tables without building
-    elements.  Above the guard the level is evaluated pointwise on every
-    call.  Every level up to the chain's depth is covered, and nothing is
-    evaluated on construction: only the entries a caller asks for, and the
-    entries below them they need, are filled.
+    While M(level n) fits under the blow-up guard, level n's structure is
+    one table of positions (`table`), built whole on first use from level
+    n-1's.  Above the guard the level is evaluated pointwise on every call
+    of `structure_at`.  Nothing is evaluated on construction.
     """
 
     def __init__(self, law: DistLawEM, chain: TerminalChain):
@@ -218,79 +215,42 @@ class LevelAlgebras:
         self.law = law
         self.chain = chain
         top = chain.depth
-        # Per level: None until first use, then (M(level), positions) or
-        # False when M(level) exceeds the guard.  Not LazyTables: these are
-        # lists of small ints, where a dict would keep every fresh tuple the
-        # arrows build as a key and raise peak memory.
+        # Per level: None until first use, then its table, or False when
+        # M(level) exceeds the guard.  Not LazyTables: a dict would keep
+        # every element of M(level) as a key and raise peak memory.
         self._tables: list = [None] * (top + 1)
         # Per level n >= 1: H applied to the structure of level n-1.
         self._h_structures = [None] + [arrow(law.H, partial(self.structure_at, n - 1))
                                        for n in range(1, top + 1)]
-        self._algebras = [self._make(n) for n in range(top + 1)]
-
-    def _make(self, n: int) -> EMAlgebra:
-        return EMAlgebra(self.law.M, self.chain.level(n),
-                         lambda u: self.structure_at(n, u), name=f"level{n}")
 
     def algebra(self, n: int) -> EMAlgebra:
-        if not 0 <= n <= self.chain.depth:
-            raise DepthExceeded(f"level algebra {n}; built to {self.chain.depth}")
-        return self._algebras[n]
+        return EMAlgebra(self.law.M, self.chain.level(n), partial(self.structure_at, n),
+                         name=f"level{n}")
 
-    def _table(self, n: int):
-        """Level n's (M(level n), positions), allocated on first use, or
-        False above the guard.  Level 0 is the terminal algebra: every
-        position is 0."""
-        if not 0 <= n <= self.chain.depth:
-            raise DepthExceeded(f"level algebra {n}; built to {self.chain.depth}")
+    def table(self, n: int) -> array:
+        """Level n's structure as positions: entry p is the position in
+        level n of the structure at the element at position p of M(level
+        n).  Above the guard, building M(level n) raises BlowUpGuard."""
+        level = self.chain.level(n)
         table = self._tables[n]
-        if table is None:
-            M, level = self.law.M, self.chain.levels[n]
-            if M.tower_fits(len(level), 1):
-                domain = M.apply(level)
-                table = (domain, [0 if n == 0 else -1] * len(domain))
+        if not isinstance(table, array):
+            domain = self.law.M.apply(level)
+            if n == 0:
+                table = array("I", [0]) * len(domain)
             else:
-                table = False
+                table = array("I", map(level.index, map(partial(self._distribute, n), domain)))
             self._tables[n] = table
         return table
 
     def structure_at(self, n: int, u: Element) -> Element:
         if n == 0:
             return "*"
-        table = self._table(n)
+        M, level, table = self.law.M, self.chain.level(n), self._tables[n]
+        if table is None:
+            table = self._tables[n] = self.table(n) if M.tower_fits(len(level), 1) else False
         if table is False:
             return self._distribute(n, u)
-        domain, positions = table
-        i = domain.index(u)
-        j = positions[i]
-        return self.chain.levels[n].elements[j if j >= 0 else self.structure_pos(n, i)]
-
-    def structure_pos(self, n: int, i: int) -> int:
-        """The position in level n of the structure at the element at
-        position i of M(level n); level n must fit under the guard."""
-        domain, positions = self._table(n)
-        j = positions[i]
-        if j < 0:
-            j = positions[i] = self.chain.levels[n].index(
-                self._distribute(n, domain.elements[i]))
-        return j
-
-    def positions_after(self, n: int, fn: Callable, dom: FinSet) -> Callable[[int], int]:
-        """p -> the position in level n of the structure at M fn(u), u the
-        element at position p of M dom, for fn: dom -> level n.  M fn is
-        read as positions (`arrow_table`) while level n fits under the
-        guard, and evaluated pointwise above it."""
-        M, level, table = self.law.M, self.chain.levels[n], self._table(n)
-        if table is False:
-            m_fn, elements = M.arrow(fn, dom, level), M.apply(dom).elements
-            return lambda p: level.index(self.structure_at(n, m_fn(elements[p])))
-        positions, m_fn, structure_pos = table[1], M.arrow_table(fn, dom, level), self.structure_pos
-
-        def position(p):
-            j = positions[m_fn[p]]
-            return j if j >= 0 else structure_pos(n, m_fn[p])
-
-        return position
+        return level.elements[table[M.apply(level).index(u)]]
 
     def _distribute(self, n: int, u: Element) -> Element:
         """Level n's structure at u, from the structure of level n-1."""
@@ -303,9 +263,15 @@ def level_algebras(law: DistLawEM, chain: TerminalChain) -> LevelAlgebras:
     return LevelAlgebras(law, chain)
 
 
+def _after(s: Sequence[int], t: Sequence[int]) -> array:
+    """s . t for tables of positions, kept as an unsigned array."""
+    return array("I", map(s.__getitem__, t))
+
+
 def check_connect_morphisms(levels: LevelAlgebras, upto: Optional[int] = None) -> LawReport:
     """Each connecting map must be an algebra morphism between consecutive
-    level algebras."""
+    level algebras: t_n . alpha_{n+1} and alpha_n . M t_n, compared as
+    tables of positions over M(level n+1)."""
     law, chain = levels.law, levels.chain
     M = law.M
     top = levels.chain.depth if upto is None else upto
@@ -318,20 +284,19 @@ def check_connect_morphisms(levels: LevelAlgebras, upto: Optional[int] = None) -
                         f"|M(level {n + 1})| exceeds guard")
             continue
         lower = chain.level(n)
-        down = _positions(t_n, upper, lower)
-        rhs_at = levels.positions_after(n, t_n, upper)
+        lhs = _after(_positions(t_n, upper, lower), levels.table(n + 1))
+        rhs = _after(levels.table(n), M.arrow_table(t_n, upper, lower))
         report.first("connect-is-morphism", f"level {n + 1}->{n}", (
-            {"level": n + 1, "element": u,
-             "lhs": lower.elements[lhs], "rhs": lower.elements[rhs]}
-            for p, u in enumerate(M.apply(upper))
-            if (lhs := down[levels.structure_pos(n + 1, p)]) != (rhs := rhs_at(p))))
+            {"level": n + 1, "element": M.apply(upper).elements[p],
+             "lhs": lower.elements[lhs[p]], "rhs": lower.elements[rhs[p]]}
+            for p in differences(lhs, rhs)))
     return report
 
 
-def _positions(fn: FinFn, dom: FinSet, cod: FinSet) -> list[int]:
+def _positions(fn: FinFn, dom: FinSet, cod: FinSet) -> array:
     """fn as positions: entry i is the position in cod of fn's value at the
     i-th element of dom."""
-    return [cod.index(fn(x)) for x in dom]
+    return array("I", map(cod.index, map(fn, dom)))
 
 
 # ---------------------------------------------------------------------------
@@ -404,20 +369,22 @@ class InitialChain:
         return f"InitialChain(depth {len(self.forward)})"
 
 
-def build_initial_chain(law: DistLawEM, chain: TerminalChain,
-                        levels: Optional[LevelAlgebras] = None) -> InitialChain:
+def build_initial_chain(law: DistLawEM, chain: TerminalChain) -> InitialChain:
     """Build the forward maps; the base map is the unique algebra morphism
     out of the free algebra on the empty set, which must be a singleton."""
+    if law.H != chain.H:
+        raise DomainMismatch("law and chain are for different functors")
     M = law.M
     M0 = M.apply(EMPTY)
     if len(M0) != 1:
         raise ZeroObjectViolation(len(M0))
-    if levels is None:
-        levels = LevelAlgebras(law, chain)
     zero = M0.elements[0]
-    lvl1 = chain.level(1)
+    lvl0, lvl1 = chain.level(0), chain.level(1)
     seed = M.map_element_fn(from_empty(lvl1), EMPTY, lvl1, zero)
-    bang = FinFn(chain.level(0), lvl1, {"*": levels.structure_at(1, seed)}, name="!")
+    # Level 1's structure at the seed by its definition, H(alpha_0) . lambda
+    # with alpha_0 the map onto the terminal level 0: M(level 1) is not built.
+    value = arrow(chain.H, lambda _u: "*")(law.component_at(lvl0, seed))
+    bang = FinFn(lvl0, lvl1, {"*": value}, name="!")
     forward = [bang]
     for n in range(1, chain.depth):
         forward.append(_h_map(chain.H, forward[n - 1], chain.levels[n], chain.levels[n + 1]))
@@ -479,7 +446,7 @@ def _standin(law: DistLawEM, chain: TerminalChain, depth: int):
     if depth + 1 > chain.depth:
         raise DepthExceeded(f"stand-in at depth {depth} needs chain depth {depth + 1}")
     levels = LevelAlgebras(law, chain)
-    ic = build_initial_chain(law, chain, levels)
+    ic = build_initial_chain(law, chain)
     C = chain.level(depth)
     xi = ic.forward[depth]
     return levels, C, xi
@@ -488,7 +455,7 @@ def _standin(law: DistLawEM, chain: TerminalChain, depth: int):
 def check_cone_coincidence(law: DistLawEM, chain: TerminalChain, depth: int) -> LawReport:
     """The cone obtained by unfolding the induced coalgebra on M(points)
     must coincide, level by level, with projecting first and applying the
-    level algebras."""
+    level algebras: both are compared as tables of positions over M C."""
     M = law.M
     levels, C, xi = _standin(law, chain, depth)
     zeta = lift_coalgebra(law, C, xi)
@@ -496,28 +463,30 @@ def check_cone_coincidence(law: DistLawEM, chain: TerminalChain, depth: int) -> 
     report = LawReport(f"cone coincidence for {law.name}")
     for n, alpha_n in enumerate(anamorphism(MC, zeta, depth, chain)):
         level = chain.level(n)
-        projected_at = levels.positions_after(n, chain.truncation(depth, n), C)
+        unfolded = _positions(alpha_n, MC, level)
+        projected = _after(levels.table(n), M.arrow_table(chain.truncation(depth, n), C, level))
         report.first("cone-coincidence", f"level {n}", (
-            {"level": n, "element": u, "unfolded": unfolded, "projected": projected}
-            for p, u in enumerate(MC)
-            if (unfolded := alpha_n(u)) != (projected := level.elements[projected_at(p)])))
+            {"level": n, "element": MC.elements[p], "unfolded": level.elements[unfolded[p]],
+             "projected": level.elements[projected[p]]}
+            for p in differences(unfolded, projected)))
     return report
 
 
 def check_projection_morphisms(law: DistLawEM, chain: TerminalChain, depth: int) -> LawReport:
     """The levelwise evaluations of the limit's algebra structure must form
-    a compatible family, i.e. every projection is an algebra morphism."""
+    a compatible family, i.e. every projection is an algebra morphism: both
+    sides are compared as tables of positions over M C."""
     M = law.M
     levels, C, _xi = _standin(law, chain, depth)
     MC = M.apply(C)
     report = LawReport(f"projection morphisms for {law.name}")
     for n in range(depth):
         upper, lower = chain.level(n + 1), chain.level(n)
-        down = _positions(chain.connect[n], upper, lower)
-        hi = levels.positions_after(n + 1, chain.truncation(depth, n + 1), C)
-        lo = levels.positions_after(n, chain.truncation(depth, n), C)
+        hi = _after(levels.table(n + 1), M.arrow_table(chain.truncation(depth, n + 1), C, upper))
+        connected = _after(_positions(chain.connect[n], upper, lower), hi)
+        direct = _after(levels.table(n), M.arrow_table(chain.truncation(depth, n), C, lower))
         report.first("projection-morphism", f"level {n + 1}->{n}", (
             {"level": n, "element": MC.elements[p],
-             "connected": lower.elements[connected], "direct": lower.elements[direct]}
-            for p in range(len(MC)) if (connected := down[hi(p)]) != (direct := lo(p))))
+             "connected": lower.elements[connected[p]], "direct": lower.elements[direct[p]]}
+            for p in differences(connected, direct)))
     return report

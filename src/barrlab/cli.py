@@ -26,9 +26,9 @@ from .chains import (anamorphism, build_initial_chain, build_terminal_chain,
 from .compair import check_commuting, initial_words, search_commuting_sigma
 from .errors import BarrlabError, InputError, SearchCapReached
 from .finset import FinSet, carrier
-from .jsonio import (dump_series, encode_element, load_algebra, load_automaton,
-                     load_candidate, load_distlaw_em, load_distlaw_kl, load_functor,
-                     load_group, load_int, load_monad, load_polynomial,
+from .jsonio import (distinct_entries, dump_series, encode_element, load_algebra,
+                     load_automaton, load_candidate, load_distlaw_em, load_distlaw_kl,
+                     load_functor, load_group, load_int, load_monad, load_polynomial,
                      load_series, standard_alphabet)
 from .lifting import check_distlaw_em, check_distlaw_kl, gset_distlaws, lift_algebra
 from .monads import check_monad_laws
@@ -319,7 +319,8 @@ def cmd_commute_search(args):
 
 
 def cmd_words(args):
-    letters = tuple(args.alphabet.split(",")) if args.alphabet else standard_alphabet(1)
+    letters = (distinct_entries(args.alphabet.split(","), "--alphabet", "letter")
+               if args.alphabet else standard_alphabet(1))
     words = initial_words(FinSet("A", letters), args.depth)
     return {"alphabet": list(letters), "depth": args.depth,
             "count": len(words),

@@ -71,6 +71,17 @@ def load_int(doc, path: str) -> int:
         raise InputError(f"{path}: expected an integer, got {doc!r}") from None
 
 
+def distinct_entries(doc, path: str, what: str = "element") -> tuple:
+    """The entries of a JSON array as a tuple; an entry given twice is an
+    InputError naming the array's path."""
+    entries, seen = tuple(doc), set()
+    for entry in entries:
+        if entry in seen:
+            raise InputError(f"{path}: {what} {entry!r} is given twice")
+        seen.add(entry)
+    return entries
+
+
 def _names_path(load):
     """Report a missing key, a wrong type or a short array anywhere in the
     document as an InputError that names the document's JSON path."""
@@ -106,15 +117,12 @@ def load_finset(doc, path: str = "set") -> FinSet:
             return carrier(int(m.group(1)))
         raise InputError(f"{path}: unknown set shorthand {doc!r}")
     if isinstance(doc, list):
-        return FinSet(path, [decode_element(e) for e in doc])
+        return FinSet(path, distinct_entries(map(decode_element, doc), path))
     if isinstance(doc, dict):
-        try:
-            return FinSet(doc.get("name", path),
-                          [decode_element(e) for e in doc["elements"]])
-        except KeyError:
-            raise InputError(f"{path}: a set document needs an 'elements' array") from None
-        except ValueError as exc:
-            raise InputError(f"{path}: {exc}") from None
+        if "elements" not in doc:
+            raise InputError(f"{path}: a set document needs an 'elements' array")
+        return FinSet(doc.get("name", path),
+                      distinct_entries(map(decode_element, doc["elements"]), path))
     raise InputError(f"{path}: expected a set document, got {type(doc).__name__}")
 
 
@@ -134,11 +142,7 @@ def load_function(doc, dom: FinSet, cod: FinSet, path: str = "function") -> FinF
 def _load_op_table(doc, elements, path: str):
     """Nested object {a: {b: result}} -> dict[(a, b)] -> result, with an
     entry for every pair of elements and every result an element."""
-    table = {}
-    try:
-        universe = FinSet(path, elements)
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from None
+    table, universe = {}, FinSet(path, distinct_entries(elements, path))
     for ka, row in doc.items():
         a = _resolve_key(ka, universe, path)
         if not isinstance(row, dict):
@@ -170,15 +174,14 @@ def load_monoid(doc, path: str = "monoid") -> FinMonoid:
         if m:
             return cyclic_group(int(m.group(1)))
         raise InputError(f"{path}: unknown monoid shorthand {doc!r}")
+    elements = [decode_element(e) for e in doc["elements"]]
+    op = _load_op_table(doc["op"], elements, f"{path}.op")
     try:
-        elements = [decode_element(e) for e in doc["elements"]]
-        op = _load_op_table(doc["op"], elements, f"{path}.op")
-        unit = decode_element(doc["unit"])
-        return FinMonoid(doc.get("name", path), elements, op, unit)
-    except InputError:
-        raise
+        return FinMonoid(doc.get("name", path), elements, op, decode_element(doc["unit"]))
     except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from None
+        # The monoid's message starts with its name: the path, unless the
+        # document names the monoid.
+        raise InputError(f"{path}: {exc}" if "name" in doc else str(exc)) from None
 
 
 @_names_path
@@ -320,7 +323,8 @@ def _load_table_monad(doc, path: str) -> TableMonad:
             n = int(key)
         except ValueError:
             raise InputError(f"{path}.tables: carrier keys are sizes, got {key!r}") from None
-        elements = [decode_element(e) for e in level["elements"]]
+        elements = distinct_entries(map(decode_element, level["elements"]),
+                                    f"{path}.tables.{n}.elements")
         unit_doc = level.get("unit", [])
         if len(unit_doc) != n:
             raise InputError(f"{path}.tables.{n}: unit must list {n} values")
@@ -393,7 +397,10 @@ def load_functor(doc, path: str = "functor") -> FunctorExpr:
         return Power(load_finset(spec["exponent"], f"{path}.power.exponent"),
                      load_functor(spec["body"], f"{path}.power.body"))
     if "compose" in doc:
-        outer, inner = doc["compose"]
+        parts = doc["compose"]
+        if not isinstance(parts, list) or len(parts) != 2:
+            raise InputError(f"{path}.compose: expected [outer, inner], got {parts!r}")
+        outer, inner = parts
         return Compose(load_functor(outer, f"{path}.compose[0]"),
                        load_functor(inner, f"{path}.compose[1]"))
     raise InputError(f"{path}: unrecognised functor document keys {sorted(doc)}")
@@ -541,7 +548,7 @@ def load_automaton(doc, path: str = "automaton") -> MooreAutomaton:
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected an automaton document")
     states = load_finset(doc["states"], f"{path}.states")
-    alphabet = tuple(doc["alphabet"])
+    alphabet = distinct_entries(doc["alphabet"], f"{path}.alphabet", "letter")
     if "semiring" in doc:
         k = load_semiring(doc["semiring"], f"{path}.semiring")
         if not k.finite:
@@ -603,7 +610,7 @@ def word_parser(alphabet) -> Callable[[str], tuple]:
 
 @_names_path
 def load_series(doc, path: str = "series") -> TruncatedSeries:
-    alphabet = tuple(doc["alphabet"])
+    alphabet = distinct_entries(doc["alphabet"], f"{path}.alphabet", "letter")
     bound = load_int(doc["bound"], f"{path}.bound")
     if bound < 0:
         raise InputError(f"{path}.bound: must be >= 0, got {bound}")
@@ -628,7 +635,7 @@ def dump_series(s: TruncatedSeries) -> dict:
 
 @_names_path
 def load_polynomial(doc, k: Optional[Semiring] = None, path: str = "polynomial") -> Polynomial:
-    alphabet = tuple(doc["alphabet"])
+    alphabet = distinct_entries(doc["alphabet"], f"{path}.alphabet", "letter")
     if k is None:
         k = load_semiring(doc.get("semiring", "nat"), f"{path}.semiring")
     parse = word_parser(alphabet)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Optional
 
-from .algebras import EMAlgebra
+from .algebras import EMAlgebra, require_monad
 from .errors import DomainMismatch, MissingComponent
 from .finset import Element, FinFn, FinSet, LazyTable, canonical_carriers, function_values
 from .functors import Const, FunctorExpr, Id, Prod, arrow, eval_functor, moore_functor
@@ -429,6 +429,7 @@ def check_distlaw_kl(law: DistLawKl, max_size: int) -> LawReport:
 def lift_algebra(law: DistLawEM, a: EMAlgebra) -> EMAlgebra:
     """Equip H(carrier) with the composite structure: distribute, then apply
     H to the original structure map."""
+    require_monad(law.M, a, f", the monad of {law.name}")
     X = a.carrier
     carrier = law.functor_at(X)
     h_structure = arrow(law.H, a.structure_at)

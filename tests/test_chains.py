@@ -3,8 +3,8 @@ import random
 import pytest
 
 from barrlab import (Const, DepthExceeded, FinSet, Id, LevelAlgebras, MElement, NotCauchy,
-                     Prod, ZeroObjectViolation, anamorphism, build_initial_chain,
-                     build_terminal_chain, carrier, cauchy_limit_point,
+                     Prod, SemimoduleMonad, ZeroObjectViolation, anamorphism,
+                     build_initial_chain, build_terminal_chain, carrier, cauchy_limit_point,
                      check_cone_coincidence, check_connect_morphisms, check_em_algebra,
                      check_projection_morphisms, colim_to_lim, density_map, distance,
                      eval_functor, gset_distlaws, limit_algebra_level,
@@ -23,7 +23,7 @@ def z2_setup(z2_monad, one_letter):
     law = semimodule_moore_law(z2_monad, one_letter)
     chain = build_terminal_chain(law.H, 9)
     levels = LevelAlgebras(law, chain)
-    ic = build_initial_chain(law, chain, levels)
+    ic = build_initial_chain(law, chain)
     return law, chain, levels, ic
 
 
@@ -32,7 +32,7 @@ def maybe_setup(maybe, two_outputs):
     law = pointed_law(maybe, two_outputs)
     chain = build_terminal_chain(law.H, 5)
     levels = LevelAlgebras(law, chain)
-    ic = build_initial_chain(law, chain, levels)
+    ic = build_initial_chain(law, chain)
     return law, chain, levels, ic
 
 
@@ -145,7 +145,7 @@ def test_chain_maps_are_built_on_the_chain_levels(monkeypatch, z2_monad, one_let
     chain = build_terminal_chain(law.H, 6)
     assert len(calls) == 6
     levels = LevelAlgebras(law, chain)
-    ic = build_initial_chain(law, chain, levels)
+    ic = build_initial_chain(law, chain)
     assert len(calls) == 6
     for n in range(6):
         assert chain.connect[n].dom is chain.levels[n + 1]
@@ -515,6 +515,25 @@ def test_density_depth_guard(z2_setup):
     x = colim_to_lim(ic, "*", 0)
     with pytest.raises(DepthExceeded):
         density_map(ic, x, chain.depth)
+
+
+def test_density_never_builds_m_of_level_one(monkeypatch):
+    # Level 1 of the Moore law over the free Z/2-module on 4 generators has
+    # 16 elements, so M(level 1) has 2^16.  The base of the initial chain is
+    # read by its definition, and density never enumerates M(level 1).
+    law = load_distlaw_em({"monad": "semimodule:z2",
+                           "family": {"name": "moore", "generators": "X4"}})
+    enumerated = []
+    enumerate_ = SemimoduleMonad._enumerate
+    monkeypatch.setattr(SemimoduleMonad, "_enumerate",
+                        lambda M, X: enumerated.append(X) or enumerate_(M, X))
+    chain = build_terminal_chain(law.H, 3)
+    assert len(chain.level(1)) == 16
+    ic = build_initial_chain(law, chain)
+    x = colim_to_lim(ic, random.Random(5).choice(chain.level(2).elements), 2)
+    for n in range(3):
+        assert density_map(ic, x, n).rep(n) == x.rep(n)
+    assert chain.level(1) not in enumerated
 
 
 def test_cauchy_constant_sequence(z2_setup):

@@ -481,6 +481,84 @@ def test_pointed_family_needs_an_output(capsys, law):
     assert report["message"] == "law.outputs: the pointed family needs at least one output"
 
 
+def _automaton(path, states, letters):
+    path.write_text(json.dumps({"states": states, "alphabet": letters, "semiring": "z2",
+                                "output": {"s": 1}, "delta": {"s": {"a": "s"}}}))
+    return str(path)
+
+
+_SERIES = json.dumps({"alphabet": ["a", "a"], "bound": 2})
+_POLYS = json.dumps({"polynomials": [{"alphabet": ["t", "t"], "terms": {"": 1}}]})
+
+
+@pytest.mark.parametrize("argv, message", (
+    (("check-algebra", '{"monad": "maybe", "carrier": ["a", "a"], "structure": {}}'),
+     "algebra.carrier: element 'a' is given twice"),
+    (("check-algebra", '{"monad": "maybe", "carrier": {"elements": ["a", "a"]}, '
+      '"structure": {}}'), "algebra.carrier: element 'a' is given twice"),
+    (("check-distlaw", '{"monad": "maybe", "family": {"name": "pointed", '
+      '"outputs": ["a", "a"]}}'), "law.outputs: element 'a' is given twice"),
+    (("chain", "build", "--functor", '{"power": {"exponent": ["a", "a"], "body": "id"}}'),
+     "functor.power.exponent: element 'a' is given twice"),
+    (("check-monad", '{"builtin": "writer", "monoid": {"elements": [0, 0], '
+      '"op": {"0": {"0": 0}}, "unit": 0}}'),
+     "monad.monoid.op: element 0 is given twice"),
+    (("behavior", "--automaton", "STATES", "--state", "s"),
+     "automaton.states: element 's' is given twice"),
+    (("behavior", "--automaton", "LETTERS", "--state", "s"),
+     "automaton.alphabet: letter 'a' is given twice"),
+    (("anamorphism", "--automaton", "LETTERS", "--state", "s", "--level", "1"),
+     "automaton.alphabet: letter 'a' is given twice"),
+    (("words", "--alphabet", "a,a"), "--alphabet: letter 'a' is given twice"),
+    (("distance", "--left", _SERIES, "--right", _SERIES),
+     "series.alphabet: letter 'a' is given twice"),
+    (("limit", "--sequence", _POLYS, "--depth", "1"),
+     "polynomials[0].alphabet: letter 't' is given twice"),
+))
+def test_repeated_elements_and_letters_are_input_errors(capsys, tmp_path, argv, message):
+    # A list-form set used to end in a ValueError traceback, and a repeated
+    # letter was accepted and listed duplicate words.
+    files = {"STATES": _automaton(tmp_path / "states.json", ["s", "s"], ["a"]),
+             "LETTERS": _automaton(tmp_path / "letters.json", ["s"], ["a", "a"])}
+    code, report = run_json(capsys, *(files.get(arg, arg) for arg in argv))
+    assert code == 2
+    assert report["error"] == "InputError"
+    assert report["message"] == message
+
+
+@pytest.mark.parametrize("parts", (["id"], ["id", "id", "id"], "ab"))
+def test_compose_needs_two_entries(capsys, parts):
+    functor = json.dumps({"compose": parts})
+    code, report = run_json(capsys, "chain", "build", "--functor", functor)
+    assert code == 2
+    assert report["error"] == "InputError"
+    assert report["message"] == f"functor.compose: expected [outer, inner], got {parts!r}"
+
+
+def test_lift_names_both_monads_when_they_differ(capsys):
+    code, report = run_json(capsys, "lift", "gset-z2-mult",
+                            '{"monad": "maybe", "free_on": "X1"}')
+    assert code == 2
+    assert report["error"] == "DomainMismatch"
+    assert report["message"] == ("algebra free(X1) belongs to maybe, not writer[Z2], "
+                                 "the monad of gset-z2-mult")
+
+
+@pytest.mark.parametrize("name, message", (
+    (None, "monad.monoid: 1 is not a unit at 0"),
+    ("M", "monad.monoid: M: 1 is not a unit at 0"),
+))
+def test_a_broken_writer_monoid_names_its_path_once(capsys, name, message):
+    monoid = {"elements": [0, 1], "op": {"0": {"0": 0, "1": 1}, "1": {"0": 1, "1": 1}},
+              "unit": 1}
+    if name:
+        monoid["name"] = name
+    code, report = run_json(capsys, "check-monad",
+                            json.dumps({"builtin": "writer", "monoid": monoid}))
+    assert code == 2
+    assert report["message"] == message
+
+
 def text_report(capsys, *argv):
     """The default text report, its closing timing replaced by '<t>'."""
     code, out = run(capsys, *argv)

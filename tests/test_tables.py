@@ -82,22 +82,34 @@ def test_levels_above_the_guard_stay_pointwise(name, monkeypatch):
 
 
 @pytest.mark.parametrize("guarded", (False, True))
-def test_positions_after_matches_structure_at(guarded, monkeypatch):
-    # Level 3 of moore:z2:1letter is tabulated, or above the guard (which
-    # admits the level but not M of it) and evaluated pointwise.
+def test_level_tables_after_m_fn_match_structure_at(guarded, monkeypatch):
+    # The structure at M fn(u), for fn: X3 -> level n, read from level n's
+    # table and from structure_at, against the definition evaluated on a law
+    # and chain that share nothing with these.  A guard of 8 admits level 3
+    # but not M(level 2) or M(level 3): their tables raise, and structure_at
+    # evaluates them pointwise.
+    oracle = LAWS["moore:z2:1letter"]()
+    alpha = pointwise_structures(oracle, build_terminal_chain(oracle.H, 3))
     law = LAWS["moore:z2:1letter"]()
     if guarded:
         monkeypatch.setenv("BARRLAB_BLOWUP_GUARD", "8")
     chain = build_terminal_chain(law.H, 3)
     levels = LevelAlgebras(law, chain)
     M, dom = law.M, carrier(3)
+    raised = []
     for n in range(4):
         level = chain.level(n)
         fn = lambda x: level.elements[(3 * x + 1) % len(level)]
-        at = levels.positions_after(n, fn, dom)
-        for p, u in enumerate(M.apply(dom)):
-            want = levels.structure_at(n, M.map_element_fn(fn, dom, level, u))
-            assert level.elements[at(p)] == want, (n, u)
+        pushed = [M.map_element_fn(fn, dom, level, u) for u in M.apply(dom)]
+        want = [level.index(alpha(n, v)) for v in pushed]
+        assert [level.index(levels.structure_at(n, v)) for v in pushed] == want, n
+        try:
+            table = levels.table(n)
+        except BlowUpGuard:
+            raised.append(n)
+            continue
+        assert [table[q] for q in M.arrow_table(fn, dom, level)] == want, n
+    assert raised == ([2, 3] if guarded else [])
     assert (levels._tables[3] is False) == guarded
 
 
