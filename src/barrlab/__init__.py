@@ -20,7 +20,7 @@ from .errors import (BarrlabError, BlowUpGuard, BoundMismatch, DepthExceeded,
                      NonFinitePreserving, NotAGroup, NotBiproductCompatible,
                      NotCauchy, SearchCapReached, ZeroObjectViolation,
                      blowup_limit)
-from .finset import EMPTY, TERMINAL, FinFn, FinSet, all_functions, carrier, identity_fn
+from .finset import EMPTY, TERMINAL, FinFn, FinSet, all_functions, carrier, tabulate
 from .functors import (Compose, Const, Coprod, FunctorExpr, Id, Power, Prod,
                        eval_functor, moore_functor)
 from .groups import FinGroup, FinMonoid, cyclic_group, symmetric_group

@@ -9,10 +9,10 @@ M(M carrier) where it can (`FinMonad.mult_table`, `arrow_table`).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import DomainMismatch, NonFinitePreserving, blowup_limit
-from .finset import TERMINAL, Element, FinFn, FinSet
+from .finset import TERMINAL, Element, FinFn, FinSet, tabulate
 from .monads import FinMonad, compose, differences
 from .reports import LawReport
 
@@ -24,18 +24,15 @@ class EMAlgebra:
         self.monad = monad
         self.carrier = carrier
         self.name = name or f"algebra({carrier.name})"
-        self._table: Optional[FinFn] = None
-        if isinstance(structure, FinFn):
+        self._pointwise: Callable = structure
+        self._table = structure if isinstance(structure, FinFn) else None
+        if self._table is not None:
             if structure.dom != monad.apply(carrier):
                 raise DomainMismatch(
                     f"{self.name}: structure domain {structure.dom.name} is not "
                     f"{monad.name}({carrier.name})")
             if structure.cod != carrier:
                 raise DomainMismatch(f"{self.name}: structure must land in the carrier")
-            self._table = structure
-            self._pointwise: Callable = structure
-        else:
-            self._pointwise = structure
 
     def structure_at(self, el: Element) -> Element:
         return self._pointwise(el)
@@ -43,10 +40,8 @@ class EMAlgebra:
     def structure(self) -> FinFn:
         """The structure map as an explicit table (guarded)."""
         if self._table is None:
-            dom = self.monad.apply(self.carrier)
-            self._table = FinFn(dom, self.carrier,
-                                {el: self._pointwise(el) for el in dom},
-                                name=f"structure_{self.name}")
+            self._table = tabulate(self.monad.apply(self.carrier), self.carrier,
+                                   self._pointwise, name=f"structure_{self.name}")
         return self._table
 
     def same_table_as(self, other: "EMAlgebra") -> bool:
@@ -82,8 +77,9 @@ def check_em_algebra(M: FinMonad, a: EMAlgebra) -> LawReport:
 
     The unit law runs over the carrier; the multiplication law is skipped
     (and reported so) when M(M(carrier)) exceeds the guard.  Where it runs,
-    the structure map is read once on M(carrier), as positions s, and the
-    law compares s . mu with s . M s as tables of positions over M(M(carrier)).
+    the structure map is tabulated once on M(carrier), as positions s, and
+    the law compares s . mu with s . M s as tables of positions over
+    M(M(carrier)).
     """
     require_monad(M, a)
     C = a.carrier
@@ -94,11 +90,10 @@ def check_em_algebra(M: FinMonad, a: EMAlgebra) -> LawReport:
         for x in C if (got := a.structure_at(M.unit_element(C, x))) != x))
 
     if M.tower_fits(len(C), 2):
-        MC = M.apply(C)
-        values = tuple(map(a.structure_at, MC))
-        s = tuple(map(C.index, values))
+        # A tuple: `compose` reads a tuple faster than an array.
+        MC, s = M.apply(C), tuple(a.structure().positions)
         via_mult = compose(s, M.mult_table(C))
-        via_map = compose(s, M.arrow_table(dict(zip(MC.elements, values)).__getitem__, MC, C))
+        via_map = compose(s, M.arrow_table(s, MC, C))
         report.first("multiplication-law", C.name, (
             {"carrier": C.name, "element": M.apply(MC).elements[p],
              "via-mult": C.elements[via_mult[p]], "via-map": C.elements[via_map[p]]}

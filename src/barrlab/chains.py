@@ -16,10 +16,10 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
-from .algebras import EMAlgebra
 from .errors import (DepthExceeded, DomainMismatch, InputError, NotCauchy,
                      ZeroObjectViolation)
-from .finset import EMPTY, TERMINAL, Element, FinFn, FinSet, from_empty, to_terminal
+from .finset import (EMPTY, TERMINAL, Element, FinFn, FinSet, after, from_empty, tabulate,
+                     to_terminal)
 from .functors import FunctorExpr, arrow, eval_functor
 from .lifting import DistLawEM, lift_coalgebra
 from .monads import differences
@@ -51,11 +51,15 @@ class TerminalChain:
         return el
 
     def truncation(self, frm: int, to: int) -> FinFn:
-        """The composite connecting map levels[frm] -> levels[to]."""
-        src = self.level(frm)
-        return FinFn(src, self.level(to),
-                     {el: self.truncate_element(el, frm, to) for el in src},
-                     name=f"trunc[{frm}->{to}]")
+        """The composite connecting map levels[frm] -> levels[to], composed
+        from the connecting maps' positions."""
+        src, dst = self.level(frm), self.level(to)
+        if to > frm:
+            raise DepthExceeded(f"truncation goes down, got {frm} -> {to}")
+        positions = range(len(src))
+        for i in range(frm - 1, to - 1, -1):
+            positions = after(self.connect[i].positions, positions)
+        return FinFn(src, dst, positions, name=f"trunc[{frm}->{to}]")
 
     def __repr__(self):
         return f"TerminalChain({self.H}, depth {self.depth})"
@@ -79,8 +83,7 @@ def build_terminal_chain(H: FunctorExpr, depth: int) -> TerminalChain:
 def _h_map(H: FunctorExpr, f: FinFn, dom: FinSet, cod: FinSet) -> FinFn:
     """H f tabulated on dom = H(f.dom), landing in cod = H(f.cod): both are
     levels the chain already holds, so H is not evaluated again."""
-    h_f = arrow(H, f)
-    return FinFn(dom, cod, {el: h_f(el) for el in dom}, name=f"{H}({f.name})")
+    return tabulate(dom, cod, arrow(H, f), name=f"{H}({f.name})")
 
 
 def anamorphism(C: FinSet, xi: FinFn, n: int, chain: TerminalChain) -> list[FinFn]:
@@ -95,7 +98,7 @@ def anamorphism(C: FinSet, xi: FinFn, n: int, chain: TerminalChain) -> list[FinF
         # Leg k is xi followed by H(leg k-1), evaluated on C alone:
         # H(leg k-1) is never tabulated over all of H C.
         h_prev = arrow(chain.H, legs[-1])
-        legs.append(FinFn(C, chain.levels[k], {c: h_prev(xi(c)) for c in C}))
+        legs.append(tabulate(C, chain.levels[k], lambda c: h_prev(xi(c))))
     return legs
 
 
@@ -223,10 +226,6 @@ class LevelAlgebras:
         self._h_structures = [None] + [arrow(law.H, partial(self.structure_at, n - 1))
                                        for n in range(1, top + 1)]
 
-    def algebra(self, n: int) -> EMAlgebra:
-        return EMAlgebra(self.law.M, self.chain.level(n), partial(self.structure_at, n),
-                         name=f"level{n}")
-
     def table(self, n: int) -> array:
         """Level n's structure as positions: entry p is the position in
         level n of the structure at the element at position p of M(level
@@ -263,11 +262,6 @@ def level_algebras(law: DistLawEM, chain: TerminalChain) -> LevelAlgebras:
     return LevelAlgebras(law, chain)
 
 
-def _after(s: Sequence[int], t: Sequence[int]) -> array:
-    """s . t for tables of positions, kept as an unsigned array."""
-    return array("I", map(s.__getitem__, t))
-
-
 def check_connect_morphisms(levels: LevelAlgebras, upto: Optional[int] = None) -> LawReport:
     """Each connecting map must be an algebra morphism between consecutive
     level algebras: t_n . alpha_{n+1} and alpha_n . M t_n, compared as
@@ -284,19 +278,13 @@ def check_connect_morphisms(levels: LevelAlgebras, upto: Optional[int] = None) -
                         f"|M(level {n + 1})| exceeds guard")
             continue
         lower = chain.level(n)
-        lhs = _after(_positions(t_n, upper, lower), levels.table(n + 1))
-        rhs = _after(levels.table(n), M.arrow_table(t_n, upper, lower))
+        lhs = after(t_n.positions, levels.table(n + 1))
+        rhs = after(levels.table(n), M.arrow_table(t_n.positions, upper, lower))
         report.first("connect-is-morphism", f"level {n + 1}->{n}", (
             {"level": n + 1, "element": M.apply(upper).elements[p],
              "lhs": lower.elements[lhs[p]], "rhs": lower.elements[rhs[p]]}
             for p in differences(lhs, rhs)))
     return report
-
-
-def _positions(fn: FinFn, dom: FinSet, cod: FinSet) -> array:
-    """fn as positions: entry i is the position in cod of fn's value at the
-    i-th element of dom."""
-    return array("I", map(cod.index, map(fn, dom)))
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +318,7 @@ def limit_algebra_level(law: DistLawEM, chain: TerminalChain, levels: LevelAlgeb
     the support down to level n and apply that level's structure map."""
     idx = u.index_set()
     lvl = chain.level(n)
-    proj = FinFn(idx, lvl, {i: u.points[i].rep(n) for i in idx}, name=f"proj{n}")
-    pushed = law.M.map_element_fn(proj, idx, lvl, u.shape)
+    pushed = law.M.map_element_fn(lambda i: u.points[i].rep(n), idx, lvl, u.shape)
     return levels.structure_at(n, pushed)
 
 
@@ -384,7 +371,7 @@ def build_initial_chain(law: DistLawEM, chain: TerminalChain) -> InitialChain:
     # Level 1's structure at the seed by its definition, H(alpha_0) . lambda
     # with alpha_0 the map onto the terminal level 0: M(level 1) is not built.
     value = arrow(chain.H, lambda _u: "*")(law.component_at(lvl0, seed))
-    bang = FinFn(lvl0, lvl1, {"*": value}, name="!")
+    bang = tabulate(lvl0, lvl1, lambda _x: value, name="!")
     forward = [bang]
     for n in range(1, chain.depth):
         forward.append(_h_map(chain.H, forward[n - 1], chain.levels[n], chain.levels[n + 1]))
@@ -463,8 +450,9 @@ def check_cone_coincidence(law: DistLawEM, chain: TerminalChain, depth: int) -> 
     report = LawReport(f"cone coincidence for {law.name}")
     for n, alpha_n in enumerate(anamorphism(MC, zeta, depth, chain)):
         level = chain.level(n)
-        unfolded = _positions(alpha_n, MC, level)
-        projected = _after(levels.table(n), M.arrow_table(chain.truncation(depth, n), C, level))
+        unfolded = alpha_n.positions
+        projected = after(levels.table(n),
+                          M.arrow_table(chain.truncation(depth, n).positions, C, level))
         report.first("cone-coincidence", f"level {n}", (
             {"level": n, "element": MC.elements[p], "unfolded": level.elements[unfolded[p]],
              "projected": level.elements[projected[p]]}
@@ -482,9 +470,11 @@ def check_projection_morphisms(law: DistLawEM, chain: TerminalChain, depth: int)
     report = LawReport(f"projection morphisms for {law.name}")
     for n in range(depth):
         upper, lower = chain.level(n + 1), chain.level(n)
-        hi = _after(levels.table(n + 1), M.arrow_table(chain.truncation(depth, n + 1), C, upper))
-        connected = _after(_positions(chain.connect[n], upper, lower), hi)
-        direct = _after(levels.table(n), M.arrow_table(chain.truncation(depth, n), C, lower))
+        hi = after(levels.table(n + 1),
+                   M.arrow_table(chain.truncation(depth, n + 1).positions, C, upper))
+        connected = after(chain.connect[n].positions, hi)
+        direct = after(levels.table(n),
+                       M.arrow_table(chain.truncation(depth, n).positions, C, lower))
         report.first("projection-morphism", f"level {n + 1}->{n}", (
             {"level": n, "element": MC.elements[p],
              "connected": lower.elements[connected[p]], "direct": lower.elements[direct[p]]}

@@ -28,10 +28,10 @@ from .errors import BarrlabError, InputError, SearchCapReached
 from .finset import FinSet, carrier
 from .jsonio import (distinct_entries, dump_series, encode_element, load_algebra,
                      load_automaton, load_candidate, load_distlaw_em, load_distlaw_kl,
-                     load_functor, load_group, load_int, load_monad, load_polynomial,
-                     load_series, standard_alphabet)
+                     load_functor, load_group, load_monad, load_sequence, load_series,
+                     standard_alphabet)
 from .lifting import check_distlaw_em, check_distlaw_kl, gset_distlaws, lift_algebra
-from .monads import check_monad_laws
+from .monads import check_monad_laws, differences
 from .reports import LawReport
 from .series import behavior, cauchy_limit_series, series_distance
 
@@ -164,13 +164,13 @@ def cmd_lift(args):
     law = load_distlaw_em(_load_doc(args.law, "law"))
     alg = load_algebra(_load_doc(args.algebra, "algebra"))
     lifted = lift_algebra(law, alg)
-    table = lifted.structure()
+    # The structure is tabulated once: the recheck reads the same table.
     recheck = check_em_algebra(law.M, lifted)
     return {
         "carrier": lifted.carrier.name,
         "size": len(lifted.carrier),
         "structure": {json.dumps(encode_element(x)): encode_element(y)
-                      for x, y in table.pairs()},
+                      for x, y in lifted.structure().pairs()},
         "algebra_laws": recheck.to_json(),
     }, recheck.passed
 
@@ -185,13 +185,11 @@ def cmd_diff_liftings(args):
     lifted_mult = lift_algebra(law_mult, base)
     lifted_conj = lift_algebra(law_conj, base)
     t_mult, t_conj = lifted_mult.structure(), lifted_conj.structure()
-    witness = None
-    for el in t_mult.dom:
-        if t_mult(el) != t_conj(el):
-            witness = {"element": encode_element(el),
-                       "mult_law": encode_element(t_mult(el)),
-                       "conj_law": encode_element(t_conj(el))}
-            break
+    # Elements are decoded at the first position where the structures differ.
+    witness = next(({"element": encode_element(el), "mult_law": encode_element(t_mult(el)),
+                     "conj_law": encode_element(t_conj(el))}
+                    for el in map(t_mult.dom.elements.__getitem__,
+                                  differences(t_mult.positions, t_conj.positions))), None)
     return {
         "group": group.name,
         "liftings_differ": witness is not None,
@@ -245,17 +243,7 @@ def cmd_distance(args):
 
 
 def cmd_limit(args):
-    doc = _load_doc(args.sequence, "sequence")
-    if not isinstance(doc, dict) or "polynomials" not in doc:
-        raise InputError("sequence document needs a 'polynomials' array")
-    polys = [load_polynomial(p, path=f"polynomials[{i}]")
-             for i, p in enumerate(doc["polynomials"])]
-    modulus = doc.get("modulus")
-    if modulus is not None:
-        if not isinstance(modulus, list) or len(modulus) < args.depth:
-            raise InputError(f"modulus: expected an array with an entry for each "
-                             f"word length below --depth {args.depth}")
-        modulus = [load_int(m, f"modulus[{i}]") for i, m in enumerate(modulus)]
+    polys, modulus = load_sequence(_load_doc(args.sequence, "sequence"), args.depth)
     limit = cauchy_limit_series(polys, args.depth, modulus=modulus)
     return dump_series(limit), True
 

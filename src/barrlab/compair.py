@@ -304,7 +304,7 @@ def search_commuting_sigma(T: FunctorExpr, H: FunctorExpr, M: FinMonad,
         while i >= 0:
             if i == n:  # a full bijection
                 tried += 1
-                sigma = FinFn(dom, cod, table)
+                sigma = FinFn(dom, cod, choice)
                 if natural_against(X, sigma, idx):
                     chosen[X] = sigma
                     if result := assign(idx + 1):

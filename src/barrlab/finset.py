@@ -10,7 +10,9 @@ identical tables and counterexamples are reproducible.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Optional
+from array import array
+from collections.abc import Mapping
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import BlowUpGuard, DomainMismatch, blowup_limit
 
@@ -81,29 +83,25 @@ def canonical_carriers(max_size: int) -> list[FinSet]:
 
 
 class FinFn:
-    """A total function between finite sets, stored as an explicit table."""
+    """A total function between finite sets, stored as its table of
+    positions: `positions[i]` is the position in cod of the value at dom's
+    i-th element.  `tabulate` builds one from a function or a mapping; code
+    that already holds positions passes them to the constructor, which
+    checks only that they fit."""
 
-    __slots__ = ("name", "dom", "cod", "table")
+    __slots__ = ("name", "dom", "cod", "positions")
 
-    def __init__(self, dom: FinSet, cod: FinSet, table, name: str = ""):
+    def __init__(self, dom: FinSet, cod: FinSet, positions: Iterable[int], name: str = ""):
         self.dom = dom
         self.cod = cod
-        self.table = dict(table)
+        self.positions = array("I", positions)
         self.name = name or f"{dom.name}->{cod.name}"
-        for x in dom:
-            if x not in self.table:
-                raise DomainMismatch(f"{self.name}: no value for {x!r}")
-            if self.table[x] not in cod:
-                raise DomainMismatch(
-                    f"{self.name}: image {self.table[x]!r} of {x!r} not in {cod.name}"
-                )
-        if len(self.table) != len(dom):
-            extra = set(self.table) - set(dom.elements)
-            raise DomainMismatch(f"{self.name}: table keys {extra} outside the domain")
+        if len(self.positions) != len(dom) or max(self.positions, default=-1) >= len(cod):
+            raise DomainMismatch(f"{self.name}: positions do not fit {dom.name}->{cod.name}")
 
     def __call__(self, x: Element) -> Element:
         try:
-            return self.table[x]
+            return self.cod.elements[self.positions[self.dom._index[x]]]
         except KeyError:
             raise DomainMismatch(f"{self.name}: {x!r} not in domain") from None
 
@@ -111,39 +109,68 @@ class FinFn:
         """Diagrammatic composition: first self, then other."""
         if self.cod != other.dom:
             raise DomainMismatch(f"cannot compose {self.name} with {other.name}")
-        return FinFn(
-            self.dom, other.cod, {x: other.table[y] for x, y in self.table.items()},
-            name=f"{other.name}.{self.name}",
-        )
+        return FinFn(self.dom, other.cod, after(other.positions, self.positions),
+                     name=f"{other.name}.{self.name}")
 
     def is_bijection(self) -> bool:
-        return len(set(self.table.values())) == len(self.dom) == len(self.cod)
+        return len(set(self.positions)) == len(self.dom) == len(self.cod)
 
     def pairs(self) -> Iterator[tuple[Element, Element]]:
-        for x in self.dom:
-            yield x, self.table[x]
+        return zip(self.dom.elements, map(self.cod.elements.__getitem__, self.positions))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FinFn)
             and self.dom == other.dom
             and self.cod == other.cod
-            and self.table == other.table
+            and self.positions == other.positions
         )
 
     def __hash__(self) -> int:
-        return hash((self.dom, self.cod, tuple(self.table[x] for x in self.dom)))
+        return hash((self.dom, self.cod, self.positions.tobytes()))
 
     def __repr__(self) -> str:
         return f"FinFn({self.name!r}: {self.dom.name}->{self.cod.name})"
 
 
-def identity_fn(X: FinSet) -> FinFn:
-    return FinFn(X, X, {x: x for x in X}, name=f"id_{X.name}")
+def after(s: Sequence[int], t: Sequence[int]) -> array:
+    """s . t for tables of positions, kept as an unsigned array."""
+    return array("I", map(s.__getitem__, t))
+
+
+def as_function(positions: Sequence[int], dom: FinSet, cod: FinSet) -> Callable:
+    """A table of positions in cod, one per element of dom, as a function of
+    one element of dom: one dict lookup per call."""
+    return dict(zip(dom.elements, map(cod.elements.__getitem__, positions))).__getitem__
+
+
+_NO_VALUE = object()
+
+
+def tabulate(dom: FinSet, cod: FinSet, fn, name: str = "") -> FinFn:
+    """fn evaluated on all of dom, as a FinFn: the one place a function is
+    evaluated on a whole domain.  fn is a function of one element, or a
+    mapping whose keys must be exactly dom's elements."""
+    name = name or f"{dom.name}->{cod.name}"
+    table = fn if isinstance(fn, Mapping) else None
+    if table is not None:
+        fn = lambda x: table.get(x, _NO_VALUE)
+    try:
+        positions = array("I", map(cod._index.__getitem__, map(fn, dom.elements)))
+    except KeyError:
+        # fn is evaluated again, to name the first element whose value is not in cod.
+        x, y = next((x, y) for x in dom.elements if (y := fn(x)) not in cod)
+        if y is _NO_VALUE:
+            raise DomainMismatch(f"{name}: no value for {x!r}") from None
+        raise DomainMismatch(f"{name}: image {y!r} of {x!r} not in {cod.name}") from None
+    if table is not None and len(table) != len(dom):
+        extra = set(table) - set(dom.elements)
+        raise DomainMismatch(f"{name}: table keys {extra} outside the domain")
+    return FinFn(dom, cod, positions, name)
 
 
 def constant_fn(dom: FinSet, cod: FinSet, value: Element) -> FinFn:
-    return FinFn(dom, cod, {x: value for x in dom})
+    return FinFn(dom, cod, array("I", [cod.index(value)]) * len(dom))
 
 
 def to_terminal(X: FinSet) -> FinFn:
@@ -151,7 +178,7 @@ def to_terminal(X: FinSet) -> FinFn:
 
 
 def from_empty(cod: FinSet) -> FinFn:
-    return FinFn(EMPTY, cod, {}, name=f"0->{cod.name}")
+    return FinFn(EMPTY, cod, (), name=f"0->{cod.name}")
 
 
 def function_values(dom: FinSet, cod: FinSet) -> Iterator[tuple]:
@@ -164,7 +191,7 @@ def function_values(dom: FinSet, cod: FinSet) -> Iterator[tuple]:
 def all_functions(dom: FinSet, cod: FinSet) -> Iterator[FinFn]:
     """Every function dom -> cod, in lexicographic order of value tuples."""
     for values in function_values(dom, cod):
-        yield FinFn(dom, cod, dict(zip(dom.elements, values)))
+        yield FinFn(dom, cod, map(cod.index, values))
 
 
 class LazyTable(dict):

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 from .algebras import EMAlgebra, free_algebra, terminal_algebra
 from .compair import CommutingCandidate, kleisli_lift_poly, partner_for_product
 from .errors import InputError, NonFinitePreserving
-from .finset import Element, FinFn, FinSet, carrier, guard_size
+from .finset import Element, FinFn, FinSet, carrier, guard_size, tabulate
 from .functors import Compose, Const, Coprod, FunctorExpr, Id, Power, Prod
 from .groups import FinGroup, FinMonoid, as_group, cyclic_group, symmetric_group
 from .lifting import (ComponentFamily, Composite, DistLawEM, DistLawKl,
@@ -69,6 +69,14 @@ def load_int(doc, path: str) -> int:
         return int(doc)
     except (TypeError, ValueError):
         raise InputError(f"{path}: expected an integer, got {doc!r}") from None
+
+
+def load_object(doc, path: str) -> dict:
+    """An object field; any other value is an InputError naming the field's
+    path."""
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: expected an object, got {type(doc).__name__}")
+    return doc
 
 
 def distinct_entries(doc, path: str, what: str = "element") -> tuple:
@@ -128,13 +136,11 @@ def load_finset(doc, path: str = "set") -> FinSet:
 
 @_names_path
 def load_function(doc, dom: FinSet, cod: FinSet, path: str = "function") -> FinFn:
-    if not isinstance(doc, dict):
-        raise InputError(f"{path}: functions are JSON objects mapping inputs to outputs")
     table = {}
-    for key, val in doc.items():
+    for key, val in load_object(doc, path).items():
         table[_resolve_key(key, dom, path)] = decode_element(val)
     try:
-        return FinFn(dom, cod, table)
+        return tabulate(dom, cod, table)
     except Exception as exc:
         raise InputError(f"{path}: {exc}") from None
 
@@ -143,11 +149,9 @@ def _load_op_table(doc, elements, path: str):
     """Nested object {a: {b: result}} -> dict[(a, b)] -> result, with an
     entry for every pair of elements and every result an element."""
     table, universe = {}, FinSet(path, distinct_entries(elements, path))
-    for ka, row in doc.items():
+    for ka, row in load_object(doc, path).items():
         a = _resolve_key(ka, universe, path)
-        if not isinstance(row, dict):
-            raise InputError(f"{path}: row {ka!r} must be an object")
-        for kb, val in row.items():
+        for kb, val in load_object(row, f"{path}.{ka}").items():
             table[(a, _resolve_key(kb, universe, path))] = decode_element(val)
     for pair in itertools.product(elements, repeat=2):
         if pair not in table:
@@ -316,13 +320,13 @@ def load_monad(doc, path: str = "monad") -> FinMonad:
 
 
 def _load_table_monad(doc, path: str) -> TableMonad:
-    tables = doc["tables"]
     sizes = {}
-    for key, level in tables.items():
+    for key, level in load_object(doc["tables"], f"{path}.tables").items():
         try:
             n = int(key)
         except ValueError:
             raise InputError(f"{path}.tables: carrier keys are sizes, got {key!r}") from None
+        level = load_object(level, f"{path}.tables.{n}")
         elements = distinct_entries(map(decode_element, level["elements"]),
                                     f"{path}.tables.{n}.elements")
         unit_doc = level.get("unit", [])
@@ -330,7 +334,7 @@ def _load_table_monad(doc, path: str) -> TableMonad:
             raise InputError(f"{path}.tables.{n}: unit must list {n} values")
         unit = {i: decode_element(v) for i, v in enumerate(unit_doc)}
         mult = {}
-        for k2, v in level.get("mult", {}).items():
+        for k2, v in load_object(level.get("mult", {}), f"{path}.tables.{n}.mult").items():
             try:
                 key2 = decode_element(json.loads(k2))
             except json.JSONDecodeError:
@@ -360,7 +364,7 @@ def _load_table_monad(doc, path: str) -> TableMonad:
         universe = FinSet("dom", sizes[dom]["elements"])
         targets = FinSet("cod", sizes[cod]["elements"])
         table = {_resolve_key(k2, universe, where): decode_element(v)
-                 for k2, v in entry["table"].items()}
+                 for k2, v in load_object(entry["table"], where).items()}
         for el in universe:
             if el not in table:
                 raise InputError(f"{where}: no value for {el!r}")
@@ -414,7 +418,7 @@ def _load_components(doc, source: Composite, target: Composite, path: str) -> di
     """Component tables source(X) -> target(X), keyed by a carrier size or
     a set document."""
     components = {}
-    for key, table_doc in doc.items():
+    for key, table_doc in load_object(doc, path).items():
         X = carrier(int(key)) if key.isdigit() else load_finset(key, f"{path}.{key}")
         components[X] = load_function(table_doc, source.at(X), target.at(X), f"{path}.{key}")
     return components
@@ -557,13 +561,11 @@ def load_automaton(doc, path: str = "automaton") -> MooreAutomaton:
     else:
         outputs = load_finset(doc["outputs"], f"{path}.outputs")
     output = {_resolve_key(key, states, f"{path}.output"): decode_element(v)
-              for key, v in doc["output"].items()}
+              for key, v in load_object(doc["output"], f"{path}.output").items()}
     step = {}
-    for key, row in doc["delta"].items():
+    for key, row in load_object(doc["delta"], f"{path}.delta").items():
         s = _resolve_key(key, states, f"{path}.delta")
-        if not isinstance(row, dict):
-            raise InputError(f"{path}.delta.{key}: expected an object per letter")
-        for a, target in row.items():
+        for a, target in load_object(row, f"{path}.delta.{key}").items():
             if a not in alphabet:
                 raise InputError(f"{path}.delta.{key}: unknown letter {a!r}")
             step[(s, a)] = _resolve_key(str(target), states, f"{path}.delta.{key}") \
@@ -617,7 +619,7 @@ def load_series(doc, path: str = "series") -> TruncatedSeries:
     zero = decode_element(doc.get("zero", 0))
     coeffs = {w: zero for w in words_below(alphabet, bound)}
     parse = word_parser(alphabet)
-    for key, val in doc.get("coefficients", {}).items():
+    for key, val in load_object(doc.get("coefficients", {}), f"{path}.coefficients").items():
         w = parse(key)
         if len(w) >= bound:
             raise InputError(f"{path}.coefficients: word {key!r} is above the bound")
@@ -639,8 +641,27 @@ def load_polynomial(doc, k: Optional[Semiring] = None, path: str = "polynomial")
     if k is None:
         k = load_semiring(doc.get("semiring", "nat"), f"{path}.semiring")
     parse = word_parser(alphabet)
-    terms = {parse(key): decode_element(val) for key, val in doc.get("terms", {}).items()}
+    terms = {parse(key): decode_element(val)
+             for key, val in load_object(doc.get("terms", {}), f"{path}.terms").items()}
     return Polynomial(alphabet, k, terms)
+
+
+def load_sequence(doc, depth: int) -> tuple[list, Optional[list]]:
+    """The polynomials of a sequence, and its modulus if the document gives
+    one: an integer for each word length below `depth`."""
+    if not isinstance(doc, dict) or "polynomials" not in doc:
+        raise InputError("sequence document needs a 'polynomials' array")
+    polynomials = doc["polynomials"]
+    if not isinstance(polynomials, list):
+        raise InputError(f"polynomials: expected an array, got {type(polynomials).__name__}")
+    polys = [load_polynomial(p, path=f"polynomials[{i}]") for i, p in enumerate(polynomials)]
+    modulus = doc.get("modulus")
+    if modulus is not None:
+        if not isinstance(modulus, list) or len(modulus) < depth:
+            raise InputError(f"modulus: expected an array with an entry for each "
+                             f"word length below --depth {depth}")
+        modulus = [load_int(m, f"modulus[{i}]") for i, m in enumerate(modulus)]
+    return polys, modulus
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,13 @@ function between two carriers.  Checkers record their verdicts through
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Iterator, Optional
 
 from .algebras import EMAlgebra, require_monad
 from .errors import DomainMismatch, MissingComponent
-from .finset import Element, FinFn, FinSet, LazyTable, canonical_carriers, function_values
+from .finset import (Element, FinFn, FinSet, LazyTable, canonical_carriers, function_values,
+                     tabulate)
 from .functors import Const, FunctorExpr, Id, Prod, arrow, eval_functor, moore_functor
 from .groups import FinGroup, FinMonoid, as_group
 from .monads import ExceptionMonad, FinMonad, SemimoduleMonad, WriterMonad
@@ -90,9 +92,8 @@ class ComponentFamily:
     def _tabulate(self, X: FinSet) -> FinFn:
         if self._tabled:
             raise self.missing(X)
-        dom = self.source.at(X)
-        return FinFn(dom, self.target.at(X), {el: self.component_at(X, el) for el in dom},
-                     name=f"{self.name}@{X.name}")
+        return tabulate(self.source.at(X), self.target.at(X), partial(self.component_at, X),
+                        name=f"{self.name}@{X.name}")
 
     def component(self, X: FinSet) -> FinFn:
         """The component at X as an explicit table (memoised)."""
@@ -450,5 +451,5 @@ def lift_coalgebra(law: DistLawEM, C: FinSet, xi: FinFn) -> FinFn:
     MC = M.apply(C)
     HMC = eval_functor(law.H, MC)
     m_xi = M.arrow(xi, C, HC)
-    table = {el: law.component_at(C, m_xi(el)) for el in MC}
-    return FinFn(MC, HMC, table, name=f"lifted-coalgebra[{law.name}]")
+    return tabulate(MC, HMC, lambda el: law.component_at(C, m_xi(el)),
+                    name=f"lifted-coalgebra[{law.name}]")

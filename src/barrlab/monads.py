@@ -26,8 +26,8 @@ import operator
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InputError, MissingComponent, NonFinitePreserving, blowup_limit
-from .finset import (Element, FinSet, LazyTable, canonical_carriers, function_values,
-                     guard_size)
+from .finset import (Element, FinSet, LazyTable, as_function, canonical_carriers,
+                     function_values, guard_size)
 from .groups import FinMonoid
 from .reports import LawReport
 from .semiring import Semiring, check_semiring
@@ -76,11 +76,13 @@ class FinMonad:
         `arrow`; a subclass may resolve M X in advance."""
         return functools.partial(self.mult_element, X)
 
-    def arrow_table(self, fn: Callable, dom: FinSet, cod: FinSet) -> Sequence[int]:
-        """M fn as positions: entry p is the position in M cod of M fn
+    def arrow_table(self, f: Sequence[int], dom: FinSet, cod: FinSet) -> Sequence[int]:
+        """M f as positions, for f: dom -> cod given as the position in cod
+        of each element of dom: entry p is the position in M cod of M f
         applied to the element at position p of M dom.  Tables are tuples,
         or unsigned arrays where a subclass builds them from bitmasks."""
-        return tuple(map(self.apply(cod).index, map(self.arrow(fn, dom, cod), self.apply(dom))))
+        m_f = self.arrow(as_function(f, dom, cod), dom, cod)
+        return tuple(map(self.apply(cod).index, map(m_f, self.apply(dom))))
 
     def mult_table(self, X: FinSet) -> Sequence[int]:
         """mu_X as positions: entry p is the position in M X of mu_X applied
@@ -91,8 +93,7 @@ class FinMonad:
         """mu_cod . M h as positions over M dom, for h: dom -> M cod given as
         the position in M cod of each element of dom."""
         MC = self.apply(cod)
-        m_h = self.arrow(dict(zip(dom.elements, map(MC.elements.__getitem__, h))).__getitem__,
-                         dom, MC)
+        m_h = self.arrow(as_function(h, dom, MC), dom, MC)
         return tuple(map(MC.index, map(self.mult_at(cod), map(m_h, self.apply(dom)))))
 
     def tower_fits(self, n: int, height: int) -> bool:
@@ -265,9 +266,9 @@ class PowersetMonad(FinMonad):
         index = X.index
         return lambda el2: tuple(sorted({x for subset in el2 for x in subset}, key=index))
 
-    def arrow_table(self, fn, dom, cod):
+    def arrow_table(self, f, dom, cod):
         # The singleton {y} follows the empty set at position 1 + index(y).
-        return self.kleisli_table(tuple(1 + cod.index(fn(x)) for x in dom.elements), dom, cod)
+        return self.kleisli_table(tuple(1 + q for q in f), dom, cod)
 
     def mult_table(self, X):
         return self.kleisli_table(range(self.card(len(X))), self.apply(X), X)
@@ -413,15 +414,15 @@ class SemimoduleMonad(FinMonad):
                 [[ks.index(k.mul(c, b)) for b in ks] for c in ks],
                 ks.index(k.zero), ks.index(k.one))
 
-    def arrow_table(self, fn, dom, cod):
+    def arrow_table(self, f, dom, cod):
         if self._index_tables is None:
-            return super().arrow_table(fn, dom, cod)
-        # M fn = mu . M(eta . fn), and eta(y) has digit `one` at y and digit
+            return super().arrow_table(f, dom, cod)
+        # M f = mu . M(eta . f), and eta(y) has digit `one` at y and digit
         # `zero` elsewhere.
         base, top, (zero, one) = len(self.k.elements), len(cod) - 1, self._index_tables[2:]
         zeros = zero * (base ** len(cod) - 1) // (base - 1)
-        return self.kleisli_table(tuple(zeros + (one - zero) * base ** (top - cod.index(fn(x)))
-                                        for x in dom.elements), dom, cod)
+        return self.kleisli_table(tuple(zeros + (one - zero) * base ** (top - q) for q in f),
+                                  dom, cod)
 
     def mult_table(self, X):
         if self._index_tables is None:
@@ -566,8 +567,8 @@ def check_monad_laws(M: FinMonad, max_size: int) -> LawReport:
 
     def arrows_into(Y: FinSet) -> LazyTable:
         """M h for each h: X_m -> Y, keyed by h's value tuple."""
-        return LazyTable(lambda values: tuple(M.arrow_table(
-            values.__getitem__, carriers[len(values)], Y)), budget)
+        return LazyTable(lambda values: tuple(M.arrow_table(values, carriers[len(values)], Y)),
+                         budget)
 
     arrows = [arrows_into(Y) for Y in carriers]
     mults = LazyTable(lambda n: M.mult_table(carriers[n]), budget)
@@ -595,9 +596,8 @@ def check_monad_laws(M: FinMonad, max_size: int) -> LawReport:
         # associativity over M(M(M X))
         if M.tower_fits(len(X), 3):
             mult_x, MMX = mults[len(X)], M.apply(MX)
-            flat = dict(zip(MMX.elements, map(MX.elements.__getitem__, mult_x)))
             outer = compose(mult_x, M.mult_table(MX))
-            inner = compose(mult_x, M.arrow_table(flat.__getitem__, MMX, MX))
+            inner = compose(mult_x, M.arrow_table(mult_x, MMX, MX))
             report.first("mult-associativity", X.name, (
                 {"carrier": X.name, "element": M.apply(MMX).elements[p],
                  "outer-first": MX.elements[outer[p]], "inner-first": MX.elements[inner[p]]}

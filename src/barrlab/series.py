@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 from .chains import DyadicDist
 from .errors import (BlowUpGuard, BoundMismatch, DomainMismatch, InputError, NotCauchy,
                      blowup_limit)
-from .finset import Element, FinFn, FinSet
+from .finset import Element, FinFn, FinSet, tabulate
 from .functors import FunctorExpr, eval_functor, moore_functor
 from .monads import SemimoduleMonad
 from .semiring import Semiring
@@ -157,9 +157,11 @@ class MooreAutomaton:
         """The automaton as a coalgebra: state maps to (output, successors)."""
         H = self.functor()
         HC = eval_functor(H, self.states)
-        table = {s: (self.output[s], tuple(self.step[(s, a)] for a in self.alphabet))
-                 for s in self.states}
-        return self.states, FinFn(self.states, HC, table, name="automaton")
+
+        def unfold(s):
+            return (self.output[s], tuple(self.step[(s, a)] for a in self.alphabet))
+
+        return self.states, tabulate(self.states, HC, unfold, name="automaton")
 
     def __repr__(self):
         return f"MooreAutomaton({len(self.states)} states, |A|={len(self.alphabet)})"

@@ -1,7 +1,7 @@
 import pytest
 
-from barrlab import (DomainMismatch, EMAlgebra, EMPTY, FinFn, PowersetMonad, carrier,
-                     check_em_algebra, free_algebra, terminal_algebra)
+from barrlab import (DomainMismatch, EMAlgebra, EMPTY, PowersetMonad, carrier,
+                     check_em_algebra, free_algebra, tabulate, terminal_algebra)
 
 
 def test_free_algebras_pass_em_laws(bundled_monads):
@@ -30,7 +30,7 @@ def test_non_associative_powerset_table_fails():
     PX = P.apply(X)
     # unit law holds by construction; flattening a set of sets disagrees
     table = {(): 0, (0,): 0, (1,): 1, (0, 1): 0}
-    alg = EMAlgebra(P, X, FinFn(PX, X, table))
+    alg = EMAlgebra(P, X, tabulate(PX, X, table))
     report = check_em_algebra(P, alg)
     assert not report.passed
     first = report.first_failure()
@@ -62,7 +62,7 @@ def test_oversized_multiplication_law_is_skipped(z4_monad):
 def test_structure_domain_is_validated(maybe):
     X = carrier(2)
     with pytest.raises(DomainMismatch):
-        EMAlgebra(maybe, X, FinFn(X, X, {0: 0, 1: 1}))
+        EMAlgebra(maybe, X, tabulate(X, X, {0: 0, 1: 1}))
 
 
 def test_lifted_tables_comparable(maybe):

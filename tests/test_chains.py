@@ -1,16 +1,17 @@
 import random
+from functools import partial
 
 import pytest
 
-from barrlab import (Const, DepthExceeded, FinSet, Id, LevelAlgebras, MElement, NotCauchy,
-                     Prod, SemimoduleMonad, ZeroObjectViolation, anamorphism,
+from barrlab import (Const, DepthExceeded, EMAlgebra, FinSet, Id, LevelAlgebras, MElement,
+                     NotCauchy, Prod, SemimoduleMonad, ZeroObjectViolation, anamorphism,
                      build_initial_chain, build_terminal_chain, carrier, cauchy_limit_point,
                      check_cone_coincidence, check_connect_morphisms, check_em_algebra,
                      check_projection_morphisms, colim_to_lim, density_map, distance,
                      eval_functor, gset_distlaws, limit_algebra_level,
                      limit_algebra_point, m_singleton, pointed_law, semimodule_moore_law)
 from barrlab.chains import _standin
-from barrlab.finset import FinFn, to_terminal
+from barrlab.finset import tabulate, to_terminal
 from barrlab.functors import map_element
 from barrlab.jsonio import load_distlaw_em
 from barrlab.lifting import DistLawEM, lift_coalgebra
@@ -52,7 +53,7 @@ def test_constant_chain_stabilizes():
     for n in range(1, 4):
         t = chain.connect[n]
         assert t.is_bijection()
-        assert t.table == {a: a for a in A}
+        assert dict(t.pairs()) == {a: a for a in A}
 
 
 def test_writer_functor_chain_size(s3):
@@ -65,16 +66,16 @@ def test_anamorphism_base_is_constant(z2_setup):
     _, chain, _, _ = z2_setup
     C = carrier(3)
     HC = eval_functor(chain.H, C)
-    xi = FinFn(C, HC, {c: (1, (c,)) for c in C})
+    xi = tabulate(C, HC, {c: (1, (c,)) for c in C})
     (a0,) = anamorphism(C, xi, 0, chain)
-    assert set(a0.table.values()) == {"*"}
+    assert set(dict(a0.pairs()).values()) == {"*"}
 
 
 def test_anamorphism_depth_guard(z2_setup):
     _, chain, _, _ = z2_setup
     C = carrier(1)
     HC = eval_functor(chain.H, C)
-    xi = FinFn(C, HC, {0: (1, (0,))})
+    xi = tabulate(C, HC, {0: (1, (0,))})
     for n in (chain.depth + 1, -1):
         with pytest.raises(DepthExceeded):
             anamorphism(C, xi, n, chain)
@@ -85,7 +86,7 @@ def test_single_state_unfolds_to_constant_series(z2_setup):
     law, chain, _, _ = z2_setup
     C = FinSet("C", ("c",))
     HC = eval_functor(chain.H, C)
-    xi = FinFn(C, HC, {"c": (1, ("c",))})
+    xi = tabulate(C, HC, {"c": (1, ("c",))})
     for n, leg in enumerate(anamorphism(C, xi, 5, chain)):
         assert decode_series(leg("c"), ("t",), n) == \
             TruncatedSeries.constant(("t",), n, 1)
@@ -97,7 +98,7 @@ def test_cone_compatibility_for_coalgebras(z2_setup):
     C = carrier(3)
     HC = eval_functor(chain.H, C)
     for _ in range(5):
-        xi = FinFn(C, HC, {c: rng.choice(HC.elements) for c in C})
+        xi = tabulate(C, HC, {c: rng.choice(HC.elements) for c in C})
         legs = anamorphism(C, xi, 5, chain)
         for n in range(5):
             assert legs[n + 1].then(chain.connect[n]) == legs[n]
@@ -116,8 +117,8 @@ def test_anamorphism_legs_match_the_tabulated_form(shorthand):
     MC = law.M.apply(C)
     legs = [to_terminal(MC)]
     for n in range(1, depth + 1):
-        h_leg = FinFn(zeta.cod, chain.level(n),
-                      {el: map_element(chain.H, legs[-1], el) for el in zeta.cod})
+        h_leg = tabulate(zeta.cod, chain.level(n),
+                         {el: map_element(chain.H, legs[-1], el) for el in zeta.cod})
         legs.append(zeta.then(h_leg))
     assert anamorphism(MC, zeta, depth, chain) == legs
 
@@ -157,7 +158,7 @@ def test_chain_maps_are_built_on_the_chain_levels(monkeypatch, z2_monad, one_let
 def test_anamorphism_returns_every_leg_and_keeps_no_state(z2_setup):
     _, chain, _, _ = z2_setup
     C = carrier(2)
-    xi = FinFn(C, eval_functor(chain.H, C), {0: (1, (1,)), 1: (0, (0,))})
+    xi = tabulate(C, eval_functor(chain.H, C), {0: (1, (1,)), 1: (0, (0,))})
     attributes = set(vars(chain))
     for n in (0, 3, chain.depth):
         legs = anamorphism(C, xi, n, chain)
@@ -237,7 +238,8 @@ def test_level_algebra_base_case(z2_setup):
 def test_level_algebras_pass_em_checks(z2_setup, maybe_setup):
     for law, chain, levels, _ in (z2_setup, maybe_setup):
         for n in range(4):
-            report = check_em_algebra(law.M, levels.algebra(n))
+            algebra = EMAlgebra(law.M, chain.level(n), partial(levels.structure_at, n))
+            report = check_em_algebra(law.M, algebra)
             assert report.passed, (law.name, n, report.first_failure())
 
 
@@ -263,7 +265,7 @@ def test_gset_level_one_matches_the_pair_rule(s3):
     law_mult, _ = gset_distlaws(s3)
     chain = build_terminal_chain(law_mult.H, 2)
     levels = LevelAlgebras(law_mult, chain)
-    a1 = levels.algebra(1).structure()
+    a1 = EMAlgebra(law_mult.M, chain.level(1), partial(levels.structure_at, 1)).structure()
     for g in s3.elements:
         for h in s3.elements:
             assert a1((g, (h, "*"))) == (s3.op(g, h), "*")
@@ -439,6 +441,21 @@ def test_split_retraction(z2_setup, maybe_setup):
             fwd, t = ic.forward[n], chain.connect[n]
             for x in chain.level(n):
                 assert t(fwd(x)) == x
+
+
+def test_truncation_matches_truncate_element():
+    # truncation composes the connecting maps' positions; the reference
+    # applies the connecting maps one element at a time.
+    law = load_distlaw_em("pointed:2:maybe")
+    chain = build_terminal_chain(law.H, 5)
+    for frm in range(6):
+        for to in range(frm + 1):
+            t = chain.truncation(frm, to)
+            assert (t.dom, t.cod) == (chain.level(frm), chain.level(to))
+            assert [t(el) for el in chain.level(frm)] == [
+                chain.truncate_element(el, frm, to) for el in chain.level(frm)], (frm, to)
+    with pytest.raises(DepthExceeded):
+        chain.truncation(2, 3)
 
 
 def test_standin_unfolds_to_truncations(z2_setup):

@@ -681,3 +681,52 @@ def test_main_can_be_called_again_and_again(capsys):
     first.pop("timing_ms")
     again.pop("timing_ms")
     assert again == first
+
+
+_AUTOMATON = {"states": ["s"], "alphabet": ["a"], "semiring": "bool",
+              "output": {"s": 1}, "delta": {"s": {"a": "s"}}}
+_SEMIRING = {"elements": [0], "add": {"0": {"0": 0}}, "mul": {"0": {"0": 0}},
+             "zero": 0, "one": 0}
+_TABLES = {"0": {"elements": [0], "unit": [], "mult": {"0": 0}}}
+
+
+@pytest.mark.parametrize("argv, path", [
+    (("check-monad", '{"tables": [1]}'), "monad.tables"),
+    (("check-monad", json.dumps({"tables": {"0": dict(_TABLES["0"], mult=[1])}})),
+     "monad.tables.0.mult"),
+    (("check-monad", json.dumps({"tables": _TABLES, "maps": [
+        {"dom": 0, "cod": 0, "values": [], "table": [1]}]})), "monad.maps[0].table"),
+    (("check-monad", '{"builtin":"writer","monoid":{"elements":[0],"op":[1],"unit":0}}'),
+     "monad.monoid.op"),
+    (("check-monad", json.dumps({"builtin": "semimodule",
+                                 "semiring": dict(_SEMIRING, add=[1])})),
+     "monad.semiring.add"),
+    (("check-monad", json.dumps({"builtin": "semimodule",
+                                 "semiring": dict(_SEMIRING, mul=[1])})),
+     "monad.semiring.mul"),
+    (("check-distlaw", '{"monad":"maybe","functor":"id","components":[1]}'),
+     "law.components"),
+    (("commute", "check", '{"monad":"semimodule:z2","T":"id","H":"id","sigma":[1]}'),
+     "candidate.sigma"),
+    (("behavior", "--automaton", json.dumps(dict(_AUTOMATON, output=[1])), "--state", "s"),
+     "automaton.output"),
+    (("behavior", "--automaton", json.dumps(dict(_AUTOMATON, delta=[1])), "--state", "s"),
+     "automaton.delta"),
+    (("distance", "--left", '{"alphabet":["t"],"bound":2,"coefficients":[1]}',
+      "--right", '{"alphabet":["t"],"bound":2}'), "series.coefficients"),
+    (("limit", "--sequence",
+      '{"polynomials": [{"alphabet":["t"],"semiring":"nat","terms":[1]}]}'),
+     "polynomials[0].terms"),
+    (("limit", "--sequence", '{"polynomials": 5}'), "polynomials"),
+])
+def test_non_objects_where_objects_belong_are_input_errors(capsys, argv, path):
+    # A list or a number where a loader reads an object (or, for a sequence's
+    # polynomials, an array) is bad input naming its path: exit 2, never a
+    # traceback.
+    code = main([*argv, "--max-size", "1", "--depth", "1", "--format", "json"])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == 2
+    assert report["error"] == "InputError"
+    assert report["message"].startswith(f"{path}: expected an ")
+    assert "Traceback" not in captured.err

@@ -3,12 +3,12 @@ import json
 
 import pytest
 
-from barrlab import (Const, FinFn, FinSet, Id, NotBiproductCompatible, PowersetMonad,
+from barrlab import (Const, FinSet, Id, NotBiproductCompatible, PowersetMonad,
                      Prod, SemimoduleMonad, TERMINAL, WriterMonad, carrier,
                      check_commuting, check_distlaw_kl, cyclic_group, eval_functor,
                      identity_law, initial_words, kleisli_lift_poly, maybe_monad,
                      partner_for_product, polynomial_embed, search_commuting_sigma,
-                     series_distance, zmod)
+                     series_distance, tabulate, zmod)
 from barrlab.compair import CommutingCandidate, words_functor
 from barrlab.cli import main
 from barrlab.errors import DomainMismatch, MissingComponent
@@ -55,8 +55,8 @@ def test_kleisli_lift_full_table_against_hand_composition(maybe, letter):
             st = M.map_element_fn(lambda x: (a, x), X, AX, phi)  # strength stage
             table[el] = M.map_element_fn(lambda ax: (1, ax), AX, TX, st)  # collapse
     component = law.component(X)
-    assert len(component.table) == 3
-    assert component.table == table
+    assert len(component.dom) == 3
+    assert dict(component.pairs()) == table
 
 
 def test_kleisli_lift_is_linear_over_semimodules(z2_monad, letter):
@@ -197,12 +197,12 @@ def test_search_reports_unknown_at_the_cap(maybe):
 
 def test_search_detects_impossible_cardinalities(maybe):
     # constants of size 2: |H(M X)| = 2 but |M(T X)| = 3 under the maybe monad
-    from barrlab import Const, EMAlgebra, FinFn, constant_law
+    from barrlab import Const, EMAlgebra, constant_law, tabulate
 
     two = carrier(2)
     pointed = EMAlgebra(maybe, two,
-                        FinFn(maybe.apply(two), two,
-                              {(0, "*"): 0, (1, 0): 0, (1, 1): 1}))
+                        tabulate(maybe.apply(two), two,
+                                 {(0, "*"): 0, (1, 0): 0, (1, 1): 1}))
     status, found, _ = search_commuting_sigma(Const(two), Const(two), maybe,
                                               constant_law(maybe, pointed), 1)
     assert status == "none" and found is None
@@ -323,7 +323,7 @@ def full_permutation_search(T, H, M, law, max_size, cap=10**5):
                         TX, M.map_element_fn(table.__getitem__, dom, cod, big))
                     for big, flat in square_pairs(idx)):
                 continue
-            sigma = FinFn(dom, cod, table)
+            sigma = tabulate(dom, cod, table)
             if not all(natural(X, Y, sigma, chosen.get(Y, sigma)) and
                        (Y is X or natural(Y, X, chosen[Y], sigma))
                        for Y in carriers[:idx + 1]):
@@ -336,13 +336,13 @@ def full_permutation_search(T, H, M, law, max_size, cap=10**5):
         return None
 
     status = assign(0) or "none"
-    tables = {X: f.table for X, f in chosen.items()} if status == "found" else None
+    tables = {X: dict(f.pairs()) for X, f in chosen.items()} if status == "found" else None
     return status, tables, tried
 
 
 def partial_bijection_search(T, H, M, law, max_size, cap=10**5):
     status, cand, tried = search_commuting_sigma(T, H, M, law, max_size, cap=cap)
-    tables = None if cand is None else {X: cand.component(X).table
+    tables = None if cand is None else {X: dict(cand.component(X).pairs())
                                         for X in canonical_carriers(max_size)}
     return status, tables, tried
 

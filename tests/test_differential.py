@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from barrlab import (EMAlgebra, FinFn, FinSet, InputError, check_em_algebra,
-                     check_monad_laws, free_algebra, terminal_algebra)
+from barrlab import (EMAlgebra, FinSet, InputError, check_em_algebra, check_monad_laws,
+                     free_algebra, tabulate, terminal_algebra)
 from barrlab.errors import blowup_limit
 from barrlab.finset import LazyTable, canonical_carriers, function_values
 from barrlab.jsonio import load_monad
@@ -198,14 +198,14 @@ def random_algebras(seed):
             if rng.random() < 0.5:
                 # Keep the unit law, so that the multiplication law decides.
                 table.update({M.unit_element(C, x): x for x in C})
-            yield M, EMAlgebra(M, C, FinFn(MC, C, table))
+            yield M, EMAlgebra(M, C, tabulate(MC, C, table))
         for n in (1, 2):
             free = free_algebra(M, FinSet(f"X{n}", range(n)))
             MC = M.apply(free.carrier)
             table = {el: free.structure_at(el) for el in MC}
             el = rng.choice(MC.elements)
             table[el] = rng.choice(free.carrier.elements)
-            yield M, EMAlgebra(M, free.carrier, FinFn(MC, free.carrier, table))
+            yield M, EMAlgebra(M, free.carrier, tabulate(MC, free.carrier, table))
 
 
 @pytest.mark.parametrize("seed", range(10))

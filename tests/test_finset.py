@@ -1,6 +1,9 @@
+import re
+from array import array
+
 import pytest
 
-from barrlab import DomainMismatch, FinFn, FinSet, all_functions, carrier, identity_fn
+from barrlab import DomainMismatch, FinFn, FinSet, all_functions, carrier, tabulate
 from barrlab.finset import constant_fn, from_empty, to_terminal, TERMINAL, EMPTY
 
 
@@ -24,20 +27,52 @@ def test_index_and_membership():
 
 def test_function_validation():
     X, Y = carrier(2), carrier(1)
+    with pytest.raises(DomainMismatch, match=re.escape("X2->X1: no value for 1")):
+        tabulate(X, Y, {0: 0})  # missing 1
+    with pytest.raises(DomainMismatch, match=re.escape("X2->X1: image 5 of 1 not in X1")):
+        tabulate(X, Y, {0: 0, 1: 5})  # image outside codomain
+    with pytest.raises(DomainMismatch,
+                       match=re.escape("X2->X1: table keys {9} outside the domain")):
+        tabulate(X, Y, {0: 0, 1: 0, 9: 0})  # spurious key
+    with pytest.raises(DomainMismatch, match=re.escape("f: image 5 of 0 not in X1")):
+        tabulate(X, Y, lambda x: 5, name="f")
+
+
+def test_tabulate_stores_positions():
+    X, Y = carrier(3), FinSet("Y", ("p", "q"))
+    f = tabulate(X, Y, lambda x: "pq"[x % 2])
+    assert f.positions == array("I", [0, 1, 0])
+    assert tabulate(X, Y, {0: "p", 1: "q", 2: "p"}) == f
+    assert [f(x) for x in X] == ["p", "q", "p"]
+    assert list(f.pairs()) == [(0, "p"), (1, "q"), (2, "p")]
     with pytest.raises(DomainMismatch):
-        FinFn(X, Y, {0: 0})  # missing 1
-    with pytest.raises(DomainMismatch):
-        FinFn(X, Y, {0: 0, 1: 5})  # image outside codomain
-    with pytest.raises(DomainMismatch):
-        FinFn(X, Y, {0: 0, 1: 0, 9: 0})  # spurious key
+        f(3)
+
+
+def test_positions_must_fit():
+    X, Y = carrier(2), carrier(2)
+    assert FinFn(X, Y, [1, 0]).is_bijection()
+    for positions in ([0], [0, 1, 1], [0, 2]):
+        with pytest.raises(DomainMismatch):
+            FinFn(X, Y, positions)
 
 
 def test_composition_order():
     X = carrier(2)
-    f = FinFn(X, X, {0: 1, 1: 0})
+    f = tabulate(X, X, {0: 1, 1: 0})
     g = constant_fn(X, X, 0)
-    assert f.then(g).table == {0: 0, 1: 0}
-    assert f.then(identity_fn(X)) == f
+    assert dict(f.then(g).pairs()) == {0: 0, 1: 0}
+    assert f.then(tabulate(X, X, lambda x: x)) == f
+
+
+def test_composition_matches_pointwise():
+    # f.then(g) composes position arrays; the reference applies f, then g.
+    X, Y, Z = FinSet("X", "abc"), FinSet("Y", (10, 20)), FinSet("Z", ("u", "v", "w"))
+    for f in all_functions(X, Y):
+        for g in all_functions(Y, Z):
+            fg = f.then(g)
+            assert (fg.dom, fg.cod) == (X, Z)
+            assert [fg(x) for x in X] == [g(f(x)) for x in X]
 
 
 def test_all_functions_count_and_order():
@@ -45,15 +80,15 @@ def test_all_functions_count_and_order():
     fns = list(all_functions(X, Y))
     assert len(fns) == 9
     # lexicographic in the value tuples, hence deterministic
-    assert [tuple(f.table[x] for x in X) for f in fns[:4]] == [
+    assert [tuple(dict(f.pairs()).values()) for f in fns[:4]] == [
         (0, 0), (0, 1), (0, 2), (1, 0)]
-    assert list(all_functions(carrier(0), Y))[0].table == {}
+    assert dict(list(all_functions(carrier(0), Y))[0].pairs()) == {}
     assert list(all_functions(X, carrier(0))) == []
 
 
 def test_terminal_and_empty_helpers():
     X = carrier(3)
     t = to_terminal(X)
-    assert t.cod == TERMINAL and set(t.table.values()) == {"*"}
+    assert t.cod == TERMINAL and set(dict(t.pairs()).values()) == {"*"}
     e = from_empty(X)
-    assert e.dom == EMPTY and e.table == {}
+    assert e.dom == EMPTY and dict(e.pairs()) == {}

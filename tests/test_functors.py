@@ -1,7 +1,7 @@
 import pytest
 
 from barrlab import (BlowUpGuard, Compose, Const, Coprod, FinSet, Id, Power,
-                     Prod, all_functions, carrier, eval_functor, identity_fn,
+                     Prod, all_functions, carrier, eval_functor, tabulate,
                      moore_functor)
 from barrlab.functors import arrow, cardinality, map_element
 
@@ -48,7 +48,7 @@ def test_map_preserves_identity_and_composition():
     for expr in CORPUS:
         for n in range(3):
             X = carrier(n)
-            h_id = arrow(expr, identity_fn(X))
+            h_id = arrow(expr, tabulate(X, X, lambda x: x))
             assert all(h_id(el) == el for el in eval_functor(expr, X))
         for (m, n) in sizes:
             X, Y, Z = carrier(m), carrier(n), carrier(2)

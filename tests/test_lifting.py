@@ -8,7 +8,7 @@ from barrlab import (FinSet, MissingComponent, WriterMonad, carrier, check_distl
                      pointed_law, product_swap_law, semimodule_moore_law,
                      semimodule_stream_law, semiring_algebra, terminal_algebra)
 from barrlab.errors import DomainMismatch, NotAGroup
-from barrlab.finset import FinFn
+from barrlab.finset import tabulate
 from barrlab.groups import FinMonoid
 from barrlab.lifting import DistLawEM
 
@@ -141,10 +141,10 @@ def test_two_liftings_differ_on_free_algebra(s3, s3_laws):
 def test_lift_coalgebra_on_empty_carrier(maybe, two_outputs):
     law = pointed_law(maybe, two_outputs)
     empty = carrier(0)
-    xi = FinFn(empty, eval_functor(law.H, empty), {})
+    xi = tabulate(empty, eval_functor(law.H, empty), {})
     lifted = lift_coalgebra(law, empty, xi)
     assert len(lifted.dom) == 1  # only the error value remains
-    assert lifted.table == {(0, "*"): (0, (0, "*"))}
+    assert dict(lifted.pairs()) == {(0, "*"): (0, (0, "*"))}
 
 
 def test_lift_coalgebra_single_state_machine(maybe, two_outputs):
@@ -153,9 +153,9 @@ def test_lift_coalgebra_single_state_machine(maybe, two_outputs):
     law = pointed_law(maybe, two_outputs)
     C = FinSet("S", ("s",))
     HC = eval_functor(law.H, C)
-    xi = FinFn(C, HC, {"s": (1, "s")})
+    xi = tabulate(C, HC, {"s": (1, "s")})
     lifted = lift_coalgebra(law, C, xi)
-    assert lifted.table == {
+    assert dict(lifted.pairs()) == {
         (0, "*"): (0, (0, "*")),
         (1, "s"): (1, (1, "s")),
     }
@@ -165,7 +165,7 @@ def test_lift_coalgebra_validates_domain(maybe, two_outputs):
     law = pointed_law(maybe, two_outputs)
     C = carrier(1)
     with pytest.raises(DomainMismatch):
-        lift_coalgebra(law, C, FinFn(C, C, {0: 0}))
+        lift_coalgebra(law, C, tabulate(C, C, {0: 0}))
 
 
 def test_table_law_missing_component(maybe):
@@ -183,7 +183,7 @@ def test_lookup_matches_component_at(maybe, two_outputs, z2_monad, one_letter):
     X2 = carrier(2)
     source, target = formula.source.at(X2), formula.target.at(X2)
     components = {carrier(n): formula.component(carrier(n)) for n in range(2)}
-    components[X2] = FinFn(source, target, {el: target.elements[-1] for el in source})
+    components[X2] = tabulate(source, target, lambda el: target.elements[-1])
     table = DistLawEM(formula.H, maybe, components=components, name="tabled")
     linear = semimodule_moore_law(z2_monad, one_letter)
     for law in (formula, table, linear):

@@ -9,7 +9,7 @@ import operator
 
 import pytest
 
-from barrlab import (BlowUpGuard, FinSet, LevelAlgebras, PowersetMonad, SemimoduleMonad,
+from barrlab import (BlowUpGuard, EMAlgebra, FinSet, LevelAlgebras, PowersetMonad, SemimoduleMonad,
                      WriterMonad, all_functions, build_terminal_chain, carrier,
                      cyclic_group, exception_monad, gset_distlaws, maybe_monad,
                      pointed_law, semimodule_moore_law, zmod)
@@ -63,7 +63,8 @@ def test_level_tables_match_pointwise(name):
         assert [levels.structure_at(n, u) for u in elements] == values, n
         # A second lookup reads the filled table.
         assert [levels.structure_at(n, u) for u in elements] == values, n
-        assert [levels.algebra(n).structure_at(u) for u in elements] == values, n
+        algebra = EMAlgebra(law.M, chain.level(n), functools.partial(levels.structure_at, n))
+        assert [algebra.structure_at(u) for u in elements] == values, n
 
 
 @pytest.mark.parametrize("name", sorted(LAWS))
@@ -108,7 +109,8 @@ def test_level_tables_after_m_fn_match_structure_at(guarded, monkeypatch):
         except BlowUpGuard:
             raised.append(n)
             continue
-        assert [table[q] for q in M.arrow_table(fn, dom, level)] == want, n
+        f = [level.index(fn(x)) for x in dom]
+        assert [table[q] for q in M.arrow_table(f, dom, level)] == want, n
     assert raised == ([2, 3] if guarded else [])
     assert (levels._tables[3] is False) == guarded
 
@@ -206,12 +208,12 @@ def check_arrows_pointwise(M, max_size):
             Y = carrier(n)
             MY = M.apply(Y)
             for f in all_functions(X, Y):
-                arrow, table = M.arrow(f, X, Y), M.arrow_table(f, X, Y)
+                arrow, table = M.arrow(f, X, Y), M.arrow_table(f.positions, X, Y)
                 assert len(table) == len(MX)
                 for p, el in enumerate(MX):
                     want = M.map_element_fn(f, X, Y, el)
-                    assert arrow(el) == want, (f.table, el)
-                    assert table[p] == MY.index(want), (f.table, el)
+                    assert arrow(el) == want, (dict(f.pairs()), el)
+                    assert table[p] == MY.index(want), (dict(f.pairs()), el)
 
 
 def check_mult_pointwise(M, max_size):
@@ -304,9 +306,9 @@ def test_arrow_table_positions_stay_under_the_guard(monkeypatch):
     monkeypatch.setenv("BARRLAB_BLOWUP_GUARD", "8")
     for k in (zmod(2), zmod(3)):
         M = SemimoduleMonad(k)
-        assert len(M.arrow_table(lambda x: x, carrier(1), carrier(1))) == len(k.elements)
+        assert len(M.arrow_table((0,), carrier(1), carrier(1))) == len(k.elements)
         with pytest.raises(BlowUpGuard):
-            M.arrow_table(lambda x: x, carrier(1), carrier(4))
+            M.arrow_table((0,), carrier(1), carrier(4))
 
 
 def test_bit_kernel_decodes_wide_masks():
