@@ -13,15 +13,15 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
+from .algebras import EMAlgebra, terminal_algebra
 from .errors import (DepthExceeded, DomainMismatch, InputError, NotCauchy,
                      ZeroObjectViolation)
 from .finset import (EMPTY, TERMINAL, Element, FinFn, FinSet, after, from_empty, tabulate,
                      to_terminal)
 from .functors import FunctorExpr, arrow, eval_functor
-from .lifting import DistLawEM, lift_coalgebra
+from .lifting import DistLawEM, lift_algebra, lift_coalgebra
 from .monads import differences
 from .reports import LawReport
 
@@ -201,15 +201,16 @@ def distance(x: LimitPoint, y: LimitPoint, probe_depth: int) -> DyadicDist:
 
 
 class LevelAlgebras:
-    """The algebra structure each chain level inherits from a distributive
-    law: level 0 is the terminal algebra, and level n takes the structure
-    H(alpha_{n-1}) . lambda_{level n-1}, distributing and then applying the
-    functor to the structure one level down.
+    """The algebras the chain levels carry under a distributive law: the
+    terminal sequence of the lifting of H to algebras.  Level 0 is the
+    terminal algebra, and level n is `lift_algebra` of level n-1, that is
+    the lifting applied n times to the terminal algebra, with structure
+    H(alpha_{n-1}) . lambda.
 
-    While M(level n) fits under the blow-up guard, level n's structure is
-    one table of positions (`table`), built whole on first use from level
-    n-1's.  Above the guard the level is evaluated pointwise on every call
-    of `structure_at`.  Nothing is evaluated on construction.
+    While M(level n) fits under the blow-up guard, the lifted structure is
+    tabulated once, on first use, and held on the chain's own level set.
+    Above the guard the level stays pointwise: `structure_at` evaluates the
+    lifted structure on every call.  Nothing is evaluated on construction.
     """
 
     def __init__(self, law: DistLawEM, chain: TerminalChain):
@@ -217,43 +218,31 @@ class LevelAlgebras:
             raise DomainMismatch("law and chain are for different functors")
         self.law = law
         self.chain = chain
-        top = chain.depth
-        # Per level: None until first use, then its table, or False when
-        # M(level) exceeds the guard.  Not LazyTables: a dict would keep
-        # every element of M(level) as a key and raise peak memory.
-        self._tables: list = [None] * (top + 1)
-        # Per level n >= 1: H applied to the structure of level n-1.
-        self._h_structures = [None] + [arrow(law.H, partial(self.structure_at, n - 1))
-                                       for n in range(1, top + 1)]
+        self._algebras = [terminal_algebra(law.M)] + [None] * chain.depth
+
+    def _algebra(self, n: int) -> EMAlgebra:
+        level = self.chain.level(n)
+        algebra = self._algebras[n]
+        if algebra is None:
+            M = self.law.M
+            algebra = lift_algebra(self.law, self._algebra(n - 1))
+            if M.tower_fits(len(level), 1):
+                # lift_algebra's carrier is an equal copy of the level: the
+                # table is kept on the chain's sets.
+                algebra = EMAlgebra(M, level, FinFn(M.apply(level), level,
+                                                    algebra.structure().positions),
+                                    name=f"level {n}")
+            self._algebras[n] = algebra
+        return algebra
 
     def table(self, n: int) -> array:
         """Level n's structure as positions: entry p is the position in
         level n of the structure at the element at position p of M(level
         n).  Above the guard, building M(level n) raises BlowUpGuard."""
-        level = self.chain.level(n)
-        table = self._tables[n]
-        if not isinstance(table, array):
-            domain = self.law.M.apply(level)
-            if n == 0:
-                table = array("I", [0]) * len(domain)
-            else:
-                table = array("I", map(level.index, map(partial(self._distribute, n), domain)))
-            self._tables[n] = table
-        return table
+        return self._algebra(n).structure().positions
 
     def structure_at(self, n: int, u: Element) -> Element:
-        if n == 0:
-            return "*"
-        M, level, table = self.law.M, self.chain.level(n), self._tables[n]
-        if table is None:
-            table = self._tables[n] = self.table(n) if M.tower_fits(len(level), 1) else False
-        if table is False:
-            return self._distribute(n, u)
-        return level.elements[table[M.apply(level).index(u)]]
-
-    def _distribute(self, n: int, u: Element) -> Element:
-        """Level n's structure at u, from the structure of level n-1."""
-        return self._h_structures[n](self.law.component_at(self.chain.levels[n - 1], u))
+        return self._algebra(n).structure_at(u)
 
 
 def level_algebras(law: DistLawEM, chain: TerminalChain) -> LevelAlgebras:
@@ -368,9 +357,9 @@ def build_initial_chain(law: DistLawEM, chain: TerminalChain) -> InitialChain:
     zero = M0.elements[0]
     lvl0, lvl1 = chain.level(0), chain.level(1)
     seed = M.map_element_fn(from_empty(lvl1), EMPTY, lvl1, zero)
-    # Level 1's structure at the seed by its definition, H(alpha_0) . lambda
-    # with alpha_0 the map onto the terminal level 0: M(level 1) is not built.
-    value = arrow(chain.H, lambda _u: "*")(law.component_at(lvl0, seed))
+    # Level 1's structure at the seed, evaluated pointwise: M(level 1) is
+    # not built.
+    value = lift_algebra(law, terminal_algebra(M)).structure_at(seed)
     bang = tabulate(lvl0, lvl1, lambda _x: value, name="!")
     forward = [bang]
     for n in range(1, chain.depth):
@@ -439,6 +428,14 @@ def _standin(law: DistLawEM, chain: TerminalChain, depth: int):
     return levels, C, xi
 
 
+def _projected(levels: LevelAlgebras, depth: int, n: int) -> array:
+    """alpha_n . M(trunc_{depth->n}) as positions over M(level depth): the
+    stand-in's points projected to level n, then level n's structure."""
+    chain = levels.chain
+    return after(levels.table(n), levels.law.M.arrow_table(
+        chain.truncation(depth, n).positions, chain.level(depth), chain.level(n)))
+
+
 def check_cone_coincidence(law: DistLawEM, chain: TerminalChain, depth: int) -> LawReport:
     """The cone obtained by unfolding the induced coalgebra on M(points)
     must coincide, level by level, with projecting first and applying the
@@ -451,8 +448,7 @@ def check_cone_coincidence(law: DistLawEM, chain: TerminalChain, depth: int) -> 
     for n, alpha_n in enumerate(anamorphism(MC, zeta, depth, chain)):
         level = chain.level(n)
         unfolded = alpha_n.positions
-        projected = after(levels.table(n),
-                          M.arrow_table(chain.truncation(depth, n).positions, C, level))
+        projected = _projected(levels, depth, n)
         report.first("cone-coincidence", f"level {n}", (
             {"level": n, "element": MC.elements[p], "unfolded": level.elements[unfolded[p]],
              "projected": level.elements[projected[p]]}
@@ -469,12 +465,9 @@ def check_projection_morphisms(law: DistLawEM, chain: TerminalChain, depth: int)
     MC = M.apply(C)
     report = LawReport(f"projection morphisms for {law.name}")
     for n in range(depth):
-        upper, lower = chain.level(n + 1), chain.level(n)
-        hi = after(levels.table(n + 1),
-                   M.arrow_table(chain.truncation(depth, n + 1).positions, C, upper))
-        connected = after(chain.connect[n].positions, hi)
-        direct = after(levels.table(n),
-                       M.arrow_table(chain.truncation(depth, n).positions, C, lower))
+        lower = chain.level(n)
+        connected = after(chain.connect[n].positions, _projected(levels, depth, n + 1))
+        direct = _projected(levels, depth, n)
         report.first("projection-morphism", f"level {n + 1}->{n}", (
             {"level": n, "element": MC.elements[p],
              "connected": lower.elements[connected[p]], "direct": lower.elements[direct[p]]}

@@ -307,8 +307,12 @@ def cmd_commute_search(args):
 
 
 def cmd_words(args):
-    letters = (distinct_entries(args.alphabet.split(","), "--alphabet", "letter")
-               if args.alphabet else standard_alphabet(1))
+    letters = standard_alphabet(1)
+    if args.alphabet is not None:
+        entries = args.alphabet.split(",")
+        if "" in entries:
+            raise InputError(f"--alphabet: empty letter in {args.alphabet!r}")
+        letters = distinct_entries(entries, "--alphabet", "letter")
     words = initial_words(FinSet("A", letters), args.depth)
     return {"alphabet": list(letters), "depth": args.depth,
             "count": len(words),

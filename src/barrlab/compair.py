@@ -21,9 +21,9 @@ from typing import Optional
 from .algebras import free_algebra
 from .errors import BarrlabError, DomainMismatch, MissingComponent, NotBiproductCompatible
 from .finset import TERMINAL, FinFn, FinSet, canonical_carriers
-from .functors import Const, Coprod, FunctorExpr, Id, Power, Prod, arrow, eval_functor
+from .functors import Const, Coprod, FunctorExpr, Id, Power, Prod, eval_functor
 from .lifting import (ComponentFamily, Composite, DistLawEM, DistLawKl,
-                      SemimoduleFunctorLaw, constant_law, naturality_failures,
+                      SemimoduleFunctorLaw, constant_law, lift_algebra, naturality_failures,
                       semimodule_stream_law)
 from .monads import FinMonad, SemimoduleMonad
 from .reports import LawReport
@@ -102,14 +102,13 @@ def check_commuting(cand: CommutingCandidate, law: Optional[DistLawEM] = None,
                       counterexample={"carrier": X.name})
 
         if M.tower_fits(len(HMX), 1):
-            h_mult_x, mult_tx = arrow(cand.H, M.mult_at(X)), M.mult_at(TX)
-            m_sigma = M.arrow(sigma, HMX, MTX)
-            # law(big) lies in H(M(M X)); flattening it lands in H(M X).
+            # The lifted free algebra on X: the law, then H(mu_X).
+            flat = lift_algebra(law, free_algebra(M, X)).structure_at
+            mult_tx, m_sigma = M.mult_at(TX), M.arrow(sigma, HMX, MTX)
             report.first("algebra-square", X.name, (
                 {"carrier": X.name, "element": big, "lhs": lhs, "rhs": rhs}
                 for big in M.apply(HMX)
-                if (lhs := sigma(h_mult_x(law.component_at(MX, big))))
-                != (rhs := mult_tx(m_sigma(big)))))
+                if (lhs := sigma(flat(big))) != (rhs := mult_tx(m_sigma(big)))))
         else:
             report.skip("algebra-square", X.name,
                         f"|M(H(M {X.name}))| exceeds guard")
@@ -266,9 +265,9 @@ def search_commuting_sigma(T: FunctorExpr, H: FunctorExpr, M: FinMonad,
         filed: list[list] = [[] for _ in dom]
         if not M.tower_fits(len(dom), 1):
             return filed
-        MX, h_mult_x = M.apply(X), arrow(H, M.mult_at(X))
+        flatten = lift_algebra(law, free_algebra(M, X)).structure_at
         for big in M.apply(dom):
-            flat = h_mult_x(law.component_at(MX, big))
+            flat = flatten(big)
             if flat not in dom:
                 raise DomainMismatch(f"{dom.name}->{cods[idx].name}: {flat!r} not in domain")
             read = [dom.index(flat)]

@@ -169,8 +169,6 @@ def _load_op_table(doc, elements, path: str):
 def load_monoid(doc, path: str = "monoid") -> FinMonoid:
     if isinstance(doc, str):
         name = doc.lower()
-        if name == "s3":
-            return symmetric_group(3)
         m = re.fullmatch(r"s(\d+)", name)
         if m:
             return symmetric_group(int(m.group(1)))
@@ -641,9 +639,21 @@ def load_polynomial(doc, k: Optional[Semiring] = None, path: str = "polynomial")
     if k is None:
         k = load_semiring(doc.get("semiring", "nat"), f"{path}.semiring")
     parse = word_parser(alphabet)
-    terms = {parse(key): decode_element(val)
+    terms = {parse(key): _coefficient(decode_element(val), k, f"{path}.terms.{key}")
              for key, val in load_object(doc.get("terms", {}), f"{path}.terms").items()}
     return Polynomial(alphabet, k, terms)
+
+
+def _coefficient(c, k: Semiring, path: str):
+    """c as a coefficient over k: one of k's elements when k is finite, a
+    non-negative integer over nat; anything else is an InputError.  Types
+    are compared too, so neither true nor 1.0 stands for 1."""
+    if k.finite:
+        if not any(type(c) is type(e) and c == e for e in k.elements):
+            raise InputError(f"{path}: coefficient {c!r} is not an element of {k.name}")
+    elif type(c) is not int or c < 0:
+        raise InputError(f"{path}: expected a non-negative integer over {k.name}, got {c!r}")
+    return c
 
 
 def load_sequence(doc, depth: int) -> tuple[list, Optional[list]]:

@@ -16,6 +16,11 @@ mediating isomorphism H(M X) -> M(T X) of a commuting pair are all
 component families; `naturality_failures` checks any of them against every
 function between two carriers.  Checkers record their verdicts through
 `LawReport.first`.
+`lift_algebra` is the one place the lifted structure H(a) . lambda is
+built: the chain's level algebras, the initial chain's base map and the
+commuting-pair square all read it.  Only the law checker's multiplication
+axiom composes H(mu) with lambda itself, through the memoised `lookup`,
+because its inputs repeat.
 """
 
 from __future__ import annotations
@@ -428,8 +433,10 @@ def check_distlaw_kl(law: DistLawKl, max_size: int) -> LawReport:
 
 
 def lift_algebra(law: DistLawEM, a: EMAlgebra) -> EMAlgebra:
-    """Equip H(carrier) with the composite structure: distribute, then apply
-    H to the original structure map."""
+    """The lifting of H to algebras at a: H(carrier) with the structure
+    H(a) . lambda, distribute, then apply H to the original structure map.
+    The structure is pointwise; `structure()` tabulates it under the
+    guard."""
     require_monad(law.M, a, f", the monad of {law.name}")
     X = a.carrier
     carrier = law.functor_at(X)

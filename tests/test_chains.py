@@ -3,13 +3,14 @@ from functools import partial
 
 import pytest
 
-from barrlab import (Const, DepthExceeded, EMAlgebra, FinSet, Id, LevelAlgebras, MElement,
-                     NotCauchy, Prod, SemimoduleMonad, ZeroObjectViolation, anamorphism,
-                     build_initial_chain, build_terminal_chain, carrier, cauchy_limit_point,
-                     check_cone_coincidence, check_connect_morphisms, check_em_algebra,
-                     check_projection_morphisms, colim_to_lim, density_map, distance,
-                     eval_functor, gset_distlaws, limit_algebra_level,
-                     limit_algebra_point, m_singleton, pointed_law, semimodule_moore_law)
+from barrlab import (Const, DepthExceeded, DomainMismatch, EMAlgebra, FinSet, Id,
+                     LevelAlgebras, MElement, NotCauchy, Prod, SemimoduleMonad,
+                     ZeroObjectViolation, anamorphism, build_initial_chain,
+                     build_terminal_chain, carrier, cauchy_limit_point, check_cone_coincidence,
+                     check_connect_morphisms, check_em_algebra, check_projection_morphisms,
+                     colim_to_lim, density_map, distance, eval_functor, gset_distlaws,
+                     limit_algebra_level, limit_algebra_point, m_singleton, maybe_monad,
+                     pointed_law, semimodule_moore_law)
 from barrlab.chains import _standin
 from barrlab.finset import tabulate, to_terminal
 from barrlab.functors import map_element
@@ -241,6 +242,18 @@ def test_level_algebras_pass_em_checks(z2_setup, maybe_setup):
             algebra = EMAlgebra(law.M, chain.level(n), partial(levels.structure_at, n))
             report = check_em_algebra(law.M, algebra)
             assert report.passed, (law.name, n, report.first_failure())
+
+
+def test_a_component_that_leaves_its_level_fails_inside_tabulate():
+    # Level 1 is tabulated as the lifting of the terminal algebra, so a law
+    # whose component lands outside H(M X) is named by tabulate's message.
+    H = Prod(Const(FinSet("k", range(2))), Id())
+    law = DistLawEM(H, maybe_monad(), lambda X, el: (5, (0, "*")), name="escapes")
+    levels = LevelAlgebras(law, build_terminal_chain(H, 2))
+    with pytest.raises(DomainMismatch,
+                       match=r"^structure_lift\[escapes\]\(terminal\): image \(5, '\*'\) "
+                             r"of \(0, '\*'\) not in "):
+        levels.table(1)
 
 
 def test_connect_maps_are_algebra_morphisms(z2_setup, maybe_setup):

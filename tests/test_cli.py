@@ -181,6 +181,15 @@ def test_words_subcommand(capsys):
     assert report["result"]["count"] == 7
 
 
+@pytest.mark.parametrize("alphabet", ("", "a,,b", ","))
+def test_words_rejects_an_empty_letter(capsys, alphabet):
+    # An empty --alphabet used to fall back to the standard alphabet ["t"].
+    code, report = run_json(capsys, "words", "--alphabet", alphabet, "--depth", "2")
+    assert code == 2
+    assert report["error"] == "InputError"
+    assert report["message"] == f"--alphabet: empty letter in {alphabet!r}"
+
+
 def test_reports_are_byte_identical_modulo_timing(capsys):
     _, first = run_json(capsys, "check-monad", "powerset", "--seed", "5")
     _, second = run_json(capsys, "check-monad", "powerset", "--seed", "5")
@@ -310,7 +319,31 @@ def test_bad_integer_fields_exit_two(capsys):
             (("limit", "--sequence", json.dumps({"polynomials": [poly], "modulus": [0]}),
               "--depth", "2"),
              "modulus: expected an array with an entry for each word length below "
-             "--depth 2")):
+             "--depth 2"),
+            # A coefficient is an element of the polynomial's semiring: over
+            # nat a non-negative integer, never a bool.
+            (("limit", "--sequence", json.dumps({"polynomials": [
+                poly, {"alphabet": ["t"], "terms": {"t": "x"}}]}), "--depth", "2"),
+             "polynomials[1].terms.t: expected a non-negative integer over nat, got 'x'"),
+            (("limit", "--sequence", json.dumps({"polynomials": [
+                dict(poly, terms={"": -1})]}), "--depth", "1"),
+             "polynomials[0].terms.: expected a non-negative integer over nat, got -1"),
+            (("limit", "--sequence", json.dumps({"polynomials": [
+                dict(poly, terms={"tt": True})]}), "--depth", "1"),
+             "polynomials[0].terms.tt: expected a non-negative integer over nat, got True"),
+            (("limit", "--sequence", json.dumps({"polynomials": [
+                dict(poly, semiring="z2", terms={"t": 2})]}), "--depth", "1"),
+             "polynomials[0].terms.t: coefficient 2 is not an element of z2"),
+            (("limit", "--sequence", json.dumps({"polynomials": [
+                dict(poly, semiring="bool", terms={"t": [1]})]}), "--depth", "1"),
+             "polynomials[0].terms.t: coefficient (1,) is not an element of bool"),
+            (("limit", "--sequence", json.dumps({"polynomials": [
+                dict(poly, semiring="z3", terms={"t": 1.0})]}), "--depth", "1"),
+             "polynomials[0].terms.t: coefficient 1.0 is not an element of z3"),
+            (("limit", "--sequence", json.dumps({"polynomials": [
+                dict(poly, semiring="minplus:2", terms={"t": "inf", "": True})]}),
+              "--depth", "1"),
+             "polynomials[0].terms.: coefficient True is not an element of minplus2")):
         code, report = run_json(capsys, *argv, "--max-size", "1")
         assert code == 2, argv
         assert report["error"] == "InputError", argv
@@ -542,6 +575,28 @@ def test_lift_names_both_monads_when_they_differ(capsys):
     assert report["error"] == "DomainMismatch"
     assert report["message"] == ("algebra free(X1) belongs to maybe, not writer[Z2], "
                                  "the monad of gset-z2-mult")
+
+
+# T = H = Id over maybe with the identity as sigma at X0 and X1.
+_IDENTITY_PAIR = json.dumps({"monad": "maybe", "T": "id", "H": "id", "sigma": {
+    "0": {json.dumps([0, "*"]): [0, "*"]},
+    "1": {json.dumps([0, "*"]): [0, "*"], json.dumps([1, 0]): [1, 0]}}})
+
+
+def test_commute_law_over_another_monad_exits_two(capsys):
+    # The square flattens through the law's lifting of the free algebra on
+    # X, so a law over another monad is bad input; the identity law over
+    # powerset used to pass by accident.
+    code, report = run_json(capsys, "commute", "check", _IDENTITY_PAIR,
+                            "--law", '{"monad": "powerset", "family": "identity"}',
+                            "--max-size", "1")
+    assert code == 2
+    assert report["error"] == "DomainMismatch"
+    assert report["message"] == ("algebra free(X0) belongs to maybe, not powerset, "
+                                 "the monad of identity[powerset]")
+    code, _ = run_json(capsys, "commute", "check", _IDENTITY_PAIR,
+                       "--law", '{"monad": "maybe", "family": "identity"}', "--max-size", "1")
+    assert code == 0
 
 
 @pytest.mark.parametrize("name, message", (

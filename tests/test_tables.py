@@ -79,7 +79,10 @@ def test_levels_above_the_guard_stay_pointwise(name, monkeypatch):
     levels = LevelAlgebras(law, chain)
     for n, (elements, values) in enumerate(expected):
         assert [levels.structure_at(n, u) for u in elements] == values, n
-    assert levels._tables[top] is False
+    # Every value at the top level matched the oracle, yet its table was
+    # never built: the top level is answered pointwise.
+    with pytest.raises(BlowUpGuard):
+        levels.table(top)
 
 
 @pytest.mark.parametrize("guarded", (False, True))
@@ -112,7 +115,14 @@ def test_level_tables_after_m_fn_match_structure_at(guarded, monkeypatch):
         f = [level.index(fn(x)) for x in dom]
         assert [table[q] for q in M.arrow_table(f, dom, level)] == want, n
     assert raised == ([2, 3] if guarded else [])
-    assert (levels._tables[3] is False) == guarded
+    # After every lookup above, level 3 still has no table above the guard
+    # (structure_at answered it pointwise) and one entry per element of
+    # M(level 3) below it.
+    if guarded:
+        with pytest.raises(BlowUpGuard):
+            levels.table(3)
+    else:
+        assert len(levels.table(3)) == len(M.apply(chain.level(3)))
 
 
 def table_monad(real, max_size):
