@@ -20,7 +20,7 @@ from .errors import (DepthExceeded, DomainMismatch, InputError, NotCauchy,
                      ZeroObjectViolation)
 from .finset import (EMPTY, TERMINAL, Element, FinFn, FinSet, after, from_empty, tabulate,
                      to_terminal)
-from .functors import FunctorExpr, arrow, eval_functor
+from .functors import FunctorExpr, arrow
 from .lifting import DistLawEM, lift_algebra, lift_coalgebra
 from .monads import differences
 from .reports import LawReport
@@ -72,7 +72,7 @@ def build_terminal_chain(H: FunctorExpr, depth: int) -> TerminalChain:
     levels = [TERMINAL]
     connect: list[FinFn] = []
     for n in range(depth):
-        levels.append(eval_functor(H, levels[n]))
+        levels.append(H(levels[n]))
         if n == 0:
             connect.append(to_terminal(levels[1]))
         else:
@@ -91,7 +91,7 @@ def anamorphism(C: FinSet, xi: FinFn, n: int, chain: TerminalChain) -> list[FinF
     the coalgebra k steps."""
     if not 0 <= n <= chain.depth:
         raise DepthExceeded(f"level {n} of a depth-{chain.depth} chain")
-    if xi.dom != C or xi.cod != eval_functor(chain.H, C):
+    if xi.dom != C or xi.cod != chain.H(C):
         raise DomainMismatch(f"coalgebra structure must be {C.name} -> H({C.name})")
     legs = [to_terminal(C)]
     for k in range(1, n + 1):

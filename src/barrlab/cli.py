@@ -223,7 +223,7 @@ def cmd_anamorphism(args):
     if state not in C:
         raise InputError(f"state {state!r} not in the automaton")
     # Only the leg at --level is read, so the chain stops there.
-    chain = build_terminal_chain(aut.functor(), max(args.level, 0))
+    chain = build_terminal_chain(aut.H, max(args.level, 0))
     leg = anamorphism(C, xi, args.level, chain)[-1]
     return {"state": state, "level": args.level,
             "element": encode_element(leg(state))}, True
@@ -249,6 +249,13 @@ def cmd_limit(args):
 
 
 def cmd_density(args):
+    # The chain is built to --depth + 1: the point lives at --depth, its
+    # approximant one level up, and the distance probes no further.
+    if not 0 <= args.n <= args.depth:
+        raise InputError(f"--n must be in 0..{args.depth} (--depth), got {args.n}")
+    if args.probe_depth > args.depth + 1:
+        raise InputError(f"--probe-depth must be <= {args.depth + 1} (--depth + 1), "
+                         f"got {args.probe_depth}")
     source = args.law or args.functor
     if source is None:
         raise InputError("density needs --functor SHORTHAND or --law DOC")

@@ -21,9 +21,9 @@ from typing import Optional
 from .algebras import free_algebra
 from .errors import BarrlabError, DomainMismatch, MissingComponent, NotBiproductCompatible
 from .finset import TERMINAL, FinFn, FinSet, canonical_carriers
-from .functors import Const, Coprod, FunctorExpr, Id, Power, Prod, eval_functor
-from .lifting import (ComponentFamily, Composite, DistLawEM, DistLawKl,
-                      SemimoduleFunctorLaw, constant_law, lift_algebra, naturality_failures,
+from .functors import Const, Coprod, FunctorExpr, Id, Prod
+from .lifting import (ComponentFamily, Composite, DistLawEM, DistLawKl, constant_law,
+                      lift_algebra, naturality_failures, semimodule_moore_law,
                       semimodule_stream_law)
 from .monads import FinMonad, SemimoduleMonad
 from .reports import LawReport
@@ -41,7 +41,7 @@ def kleisli_lift_poly(A: FinSet, M: FinMonad) -> DistLawKl:
     summand, and the coproduct collapse."""
 
     def formula(X, el):
-        TX = law.target.functor_at(X)
+        TX = law.T(X)
         tag, v = el
         if tag == 0:
             return M.unit_element(TX, el)
@@ -85,14 +85,14 @@ def check_commuting(cand: CommutingCandidate, law: Optional[DistLawEM] = None,
         raise MissingComponent("no distributive law supplied for the square")
     if law.H != cand.H:
         raise DomainMismatch("distributive law is for a different functor")
-    M = cand.M
+    M, H = cand.M, law.H
     report = LawReport(f"commuting pair T={cand.T}, H={cand.H} over {M.name}")
     carriers = canonical_carriers(max_size)
 
     for X in carriers:
         MX = M.apply(X)
-        TX = eval_functor(cand.T, X)
-        HMX = eval_functor(cand.H, MX)
+        TX = cand.T(X)
+        HMX = H(MX)
         MTX = M.apply(TX)
         sigma = cand.component(X)
 
@@ -140,12 +140,10 @@ def partner_for_product(B: FinSet, M: FinMonad,
         raise NotBiproductCompatible(
             f"{M.name} is not flagged as a biproduct (free-semimodule) monad")
     out = free_algebra(M, B)
-    C = out.carrier
 
     if alphabet is None:
         T: FunctorExpr = Coprod(Const(B), Id())
-        H: FunctorExpr = Prod(Const(C), Id())
-        law = semimodule_stream_law(M, out)
+        law: DistLawEM = semimodule_stream_law(M, out)
 
         def formula(X, el):
             c, psi = el
@@ -153,7 +151,6 @@ def partner_for_product(B: FinSet, M: FinMonad,
 
     elif len(alphabet) == 0:
         T = Const(B)
-        H = Const(C)
         law = constant_law(M, out)
 
         def formula(X, el):
@@ -161,8 +158,7 @@ def partner_for_product(B: FinSet, M: FinMonad,
 
     else:
         T = Coprod(Const(B), Prod(Const(alphabet), Id()))
-        H = Prod(Const(C), Power(alphabet, Id()))
-        law = SemimoduleFunctorLaw(M, out, alphabet, "moore")
+        law = semimodule_moore_law(M, alphabet, out)
 
         def formula(X, el):
             c, succ = el
@@ -171,8 +167,10 @@ def partner_for_product(B: FinSet, M: FinMonad,
                 flat += tuple(psi)
             return flat
 
-    sigma = ComponentFamily(Composite(H, M), Composite(M, T), formula, name="sigma")
-    return CommutingCandidate(T, H, M, sigma, law=law)
+    # Built on the law's H, so that the candidate, the law and sigma read
+    # one set of kept images.
+    sigma = ComponentFamily(law.target, Composite(M, T), formula, name="sigma")
+    return CommutingCandidate(T, law.H, M, sigma, law=law)
 
 
 def initial_words(A, depth: int) -> list[Word]:
@@ -248,9 +246,8 @@ def search_commuting_sigma(T: FunctorExpr, H: FunctorExpr, M: FinMonad,
         return "found", closed, 0
 
     carriers = canonical_carriers(max_size)
-    source, target = Composite(H, M), Composite(M, T)
+    source, target = law.target, Composite(M, T)
     doms = [source.at(X) for X in carriers]
-    tx_sets = [target.functor_at(X) for X in carriers]
     cods = [target.at(X) for X in carriers]
     for d, c in zip(doms, cods):
         if len(d) != len(c):
@@ -294,7 +291,7 @@ def search_commuting_sigma(T: FunctorExpr, H: FunctorExpr, M: FinMonad,
         if tried >= cap:
             return "unknown"
         X, dom, cod = carriers[idx], doms[idx], cods[idx]
-        filed, mult_tx = filed_pairs(idx), M.mult_at(tx_sets[idx])
+        filed, mult_tx = filed_pairs(idx), M.mult_at(T(X))
         n, points, values = len(dom), dom.elements, cod.elements
         table = dict.fromkeys(points)
         m_sigma = functools.partial(M.map_element_fn, table.__getitem__, dom, cod)

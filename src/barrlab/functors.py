@@ -2,10 +2,13 @@
 
 Constructors: constant, identity, finite products and coproducts, powers by
 a finite exponent set, and composition.  Expressions evaluate on sets
-(`eval_functor`).  The arrow action comes in two forms: `map_element`,
-pointwise by the definition, and `arrow`, which resolves H f once as a
-function of one element; the library uses `arrow` and tabulates H f, where
-it needs a table, on sets it already holds.
+(`eval_functor`), and each expression keeps its images, as a monad keeps
+M X: `H(X)` evaluates H X on the first call at a carrier, and every later
+call there, whoever makes it, reads the same set.  The arrow action comes
+in two forms: `map_element`, pointwise by the definition, and `arrow`,
+which resolves H f once as a function of one element; the library uses
+`arrow` and tabulates H f, where it needs a table, on sets it already
+holds.
 """
 
 from __future__ import annotations
@@ -13,16 +16,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
+import functools
 import itertools
 
-from .finset import Element, FinSet, guard_size
+from .finset import Element, FinSet, LazyTable, guard_size
 
 
 class FunctorExpr:
-    """Base class for functor syntax trees."""
+    """Base class for functor syntax trees.  `H(X)` is H X, kept on the
+    expression once evaluated."""
 
     def __call__(self, X: FinSet) -> FinSet:
-        return eval_functor(self, X)
+        return self._images[X]
+
+    @functools.cached_property
+    def _images(self) -> LazyTable:
+        # eval_functor is looked up at each call, not bound here, so a
+        # wrapper installed on the module name sees every evaluation.
+        return LazyTable(lambda X: eval_functor(self, X))
 
 
 @dataclass(frozen=True)

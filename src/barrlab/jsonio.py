@@ -586,24 +586,24 @@ def word_parser(alphabet) -> Callable[[str], tuple]:
     letters = sorted((lit for lit in by_str if lit), key=len, reverse=True)
 
     def parse(s: str) -> tuple:
-        # Depth first, without recursion; `dead` holds the positions from
-        # which no split exists, so each position is entered at most once.
-        dead, path = set(), []
-        pos, first = 0, 0
-        while pos < len(s):
-            for i in range(first, len(letters)):
-                lit = letters[i]
-                if pos + len(lit) not in dead and s.startswith(lit, pos):
-                    path.append((pos, i))
-                    pos, first = pos + len(lit), 0
+        # Right to left: taken[pos] is the first letter that matches at pos
+        # and whose remainder has a split, or None when s[pos:] has none.
+        n = len(s)
+        taken = [None] * n + [""]
+        for pos in range(n - 1, -1, -1):
+            for lit in letters:
+                if s.startswith(lit, pos) and taken[pos + len(lit)] is not None:
+                    taken[pos] = lit
                     break
-            else:
-                if not path:
-                    raise InputError(f"cannot parse word {s!r} over alphabet {alphabet}")
-                dead.add(pos)
-                pos, i = path.pop()
-                first = i + 1
-        return tuple(by_str[letters[i]] for _, i in path)
+        if taken[0] is None:
+            raise InputError(f"cannot parse word {s!r} over alphabet {alphabet}")
+        # Left to right: read the split off.
+        out, pos = [], 0
+        while pos < n:
+            lit = taken[pos]
+            out.append(by_str[lit])
+            pos += len(lit)
+        return tuple(out)
 
     return parse
 

@@ -4,7 +4,8 @@ checkers and the induced liftings.
 
 Every family here runs between the two composites of a monad M and a
 polynomial functor E: M after E (X |-> M(E X)) and E after M (X |-> E(M X)).
-A `Composite` describes one of them; it gives the set at a carrier and the
+A `Composite` describes one of them; it gives the set at a carrier, read
+from the functor's own images (`H(X)`) and the monad's (`M.apply`), and the
 arrow at a function, built through `M.arrow` and `functors.arrow`.  A
 `ComponentFamily` holds its source and target composites and either a
 formula, evaluated on demand and tabulated per carrier when asked for, or
@@ -17,10 +18,9 @@ component families; `naturality_failures` checks any of them against every
 function between two carriers.  Checkers record their verdicts through
 `LawReport.first`.
 `lift_algebra` is the one place the lifted structure H(a) . lambda is
-built: the chain's level algebras, the initial chain's base map and the
-commuting-pair square all read it.  Only the law checker's multiplication
-axiom composes H(mu) with lambda itself, through the memoised `lookup`,
-because its inputs repeat.
+built: the chain's level algebras, the initial chain's base map, the
+commuting-pair square and the law checker's multiplication axiom all read
+it.
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Iterator, Optional
 
-from .algebras import EMAlgebra, require_monad
+from .algebras import EMAlgebra, free_algebra, require_monad
 from .errors import DomainMismatch, MissingComponent
 from .finset import (Element, FinFn, FinSet, LazyTable, canonical_carriers, function_values,
                      tabulate)
-from .functors import Const, FunctorExpr, Id, Prod, arrow, eval_functor, moore_functor
+from .functors import Const, FunctorExpr, Id, Prod, arrow, moore_functor
 from .groups import FinGroup, FinMonoid, as_group
 from .monads import ExceptionMonad, FinMonad, SemimoduleMonad, WriterMonad
 from .reports import LawReport
@@ -45,22 +45,17 @@ class Composite:
     def __init__(self, outer, inner):
         self.monad_outer = isinstance(outer, FinMonad)
         self.M, self.E = (outer, inner) if self.monad_outer else (inner, outer)
-        self._functor_sets = LazyTable(lambda X: eval_functor(self.E, X))
-
-    def functor_at(self, X: FinSet) -> FinSet:
-        """E X (memoised)."""
-        return self._functor_sets[X]
 
     def at(self, X: FinSet) -> FinSet:
         if self.monad_outer:
-            return self.M.apply(self.functor_at(X))
-        return self.functor_at(self.M.apply(X))
+            return self.M.apply(self.E(X))
+        return self.E(self.M.apply(X))
 
     def arrow(self, f: Callable, X: FinSet, Y: FinSet) -> Callable[[Element], Element]:
         """The composite applied to f: X -> Y, as a function of one element."""
         M, E = self.M, self.E
         if self.monad_outer:
-            return M.arrow(arrow(E, f), self.functor_at(X), self.functor_at(Y))
+            return M.arrow(arrow(E, f), E(X), E(Y))
         return arrow(E, M.arrow(f, X, Y))
 
 
@@ -130,10 +125,6 @@ class DistLawEM(ComponentFamily):
     # Bound on each direction too, so that its calls can be counted per
     # direction by rebinding this attribute (see perfbench/tracer.py).
     component_at = ComponentFamily.component_at
-
-    def functor_at(self, X: FinSet) -> FinSet:
-        """H X (memoised)."""
-        return self.source.functor_at(X)
 
 
 class DistLawKl(ComponentFamily):
@@ -297,7 +288,7 @@ class SemimoduleFunctorLaw(DistLawEM):
     def _projection_arrows(self, X: FinSet) -> tuple:
         """M applied to the output projection and the successor projections
         of H X, built once per carrier (kept in `_arrows`)."""
-        M, HX = self.M, self.functor_at(X)
+        M, HX = self.M, self.H(X)
         out = M.arrow(lambda w: w[0], HX, self.out.carrier)
         if self.shape == "times":
             succ = M.arrow(lambda w: w[1], HX, X)
@@ -335,7 +326,8 @@ def check_distlaw_em(law: DistLawEM, max_size: int) -> LawReport:
 
     The axioms revisit few distinct component inputs many times, so every
     component is read through `law.lookup`, memoised for the law's
-    lifetime."""
+    lifetime, and the multiplication axiom reads H(mu_X) . lambda_{MX}, the
+    lifted free algebra on X, through one table per carrier."""
     M, H = law.M, law.H
     report = LawReport(f"distributive law {law.name}")
     carriers = canonical_carriers(max_size)
@@ -344,7 +336,7 @@ def check_distlaw_em(law: DistLawEM, max_size: int) -> LawReport:
             raise law.missing(X)
 
     for X in carriers:
-        HX = law.functor_at(X)
+        HX = H(X)
         MX = M.apply(X)
         h_unit_x = arrow(H, lambda x: M.unit_element(X, x))
         lam_x = law.lookup(X)
@@ -358,15 +350,13 @@ def check_distlaw_em(law: DistLawEM, max_size: int) -> LawReport:
                         f"no component at the derived carrier {MX.name}")
         elif M.tower_fits(len(HX), 2):
             MHX = M.apply(HX)
-            h_mult_x = arrow(H, M.mult_at(X))
             mult_hx = M.mult_at(HX)
-            lam_mx = law.lookup(MX)
-            m_lam_x = M.arrow(lam_x, MHX, eval_functor(H, MX))
+            lifted = LazyTable(lift_algebra(law, free_algebra(M, X)).structure_at)
+            m_lam_x = M.arrow(lam_x, MHX, H(MX))
             report.first("mult-axiom", X.name, (
                 {"carrier": X.name, "element": big, "lhs": lhs, "rhs": rhs}
                 for big in M.apply(MHX)
-                if (lhs := lam_x(mult_hx(big)))
-                != (rhs := h_mult_x(lam_mx(m_lam_x(big))))))
+                if (lhs := lam_x(mult_hx(big))) != (rhs := lifted[m_lam_x(big)])))
         else:
             report.skip("mult-axiom", X.name,
                         f"|MM(H {X.name})| = {M.tower_card_display(len(HX), 2)} exceeds guard")
@@ -374,7 +364,7 @@ def check_distlaw_em(law: DistLawEM, max_size: int) -> LawReport:
     for X in carriers:
         for Y in carriers:
             pair = f"{X.name}->{Y.name}"
-            if not M.tower_fits(len(law.functor_at(X)), 1):
+            if not M.tower_fits(len(H(X)), 1):
                 report.skip("naturality", pair, f"|M(H {X.name})| exceeds guard")
                 continue
             report.first("naturality", pair, naturality_failures(
@@ -393,9 +383,9 @@ def check_distlaw_kl(law: DistLawKl, max_size: int) -> LawReport:
             raise law.missing(X)
 
     for X in carriers:
-        TX = eval_functor(T, X)
+        TX = T(X)
         MX = M.apply(X)
-        TMX = eval_functor(T, MX)
+        TMX = T(MX)
         MTX = M.apply(TX)
         t_unit_x = arrow(T, lambda x: M.unit_element(X, x))
         lam_x = law.lookup(X)
@@ -413,7 +403,7 @@ def check_distlaw_kl(law: DistLawKl, max_size: int) -> LawReport:
             # lam_mx(big) lies in M(T(M X)); M(lam_x) takes it to M(M(T X)).
             report.first("mult-axiom", X.name, (
                 {"carrier": X.name, "element": big, "lhs": lhs, "rhs": rhs}
-                for big in eval_functor(T, M.apply(MX))
+                for big in T(M.apply(MX))
                 if (lhs := lam_x(t_mult_x(big)))
                 != (rhs := mult_tx(M.map_element_fn(lam_x, TMX, MTX, lam_mx(big))))))
         else:
@@ -439,7 +429,7 @@ def lift_algebra(law: DistLawEM, a: EMAlgebra) -> EMAlgebra:
     guard."""
     require_monad(law.M, a, f", the monad of {law.name}")
     X = a.carrier
-    carrier = law.functor_at(X)
+    carrier = law.H(X)
     h_structure = arrow(law.H, a.structure_at)
 
     def structure(u):
@@ -450,13 +440,13 @@ def lift_algebra(law: DistLawEM, a: EMAlgebra) -> EMAlgebra:
 
 def lift_coalgebra(law: DistLawEM, C: FinSet, xi: FinFn) -> FinFn:
     """Extend a coalgebra C -> H C to M C -> H(M C) along the law."""
-    HC = law.functor_at(C)
+    HC = law.H(C)
     if xi.dom != C or xi.cod != HC:
         raise DomainMismatch(
             f"coalgebra structure must be {C.name} -> {law.H}({C.name})")
     M = law.M
     MC = M.apply(C)
-    HMC = eval_functor(law.H, MC)
+    HMC = law.H(MC)
     m_xi = M.arrow(xi, C, HC)
     return tabulate(MC, HMC, lambda el: law.component_at(C, m_xi(el)),
                     name=f"lifted-coalgebra[{law.name}]")

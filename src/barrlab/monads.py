@@ -252,19 +252,11 @@ class PowersetMonad(FinMonad):
     def map_element_fn(self, fn, dom, cod, el):
         return self._canonical(cod, (fn(x) for x in el))
 
-    def arrow(self, fn, dom, cod):
-        index = cod.index
-        return lambda el: tuple(sorted({fn(x) for x in el}, key=index))
-
     def unit_element(self, X, x):
         return (x,)
 
     def mult_element(self, X, el2):
         return self._canonical(X, (x for subset in el2 for x in subset))
-
-    def mult_at(self, X):
-        index = X.index
-        return lambda el2: tuple(sorted({x for subset in el2 for x in subset}, key=index))
 
     def arrow_table(self, f, dom, cod):
         # The singleton {y} follows the empty set at position 1 + index(y).

@@ -18,7 +18,7 @@ from .chains import DyadicDist
 from .errors import (BlowUpGuard, BoundMismatch, DomainMismatch, InputError, NotCauchy,
                      blowup_limit)
 from .finset import Element, FinFn, FinSet, tabulate
-from .functors import FunctorExpr, eval_functor, moore_functor
+from .functors import moore_functor
 from .monads import SemimoduleMonad
 from .semiring import Semiring
 
@@ -140,9 +140,8 @@ class MooreAutomaton:
                     raise DomainMismatch(f"no transition for ({s!r}, {a!r})")
                 if self.step[(s, a)] not in states:
                     raise DomainMismatch(f"transition from {s!r} leaves the state set")
-
-    def alphabet_set(self) -> FinSet:
-        return FinSet("A", self.alphabet)
+        # Built once, so its kept images serve every caller.
+        self.H = moore_functor(outputs, FinSet("A", self.alphabet))
 
     def run(self, s: Element, w: Word) -> Element:
         """Follow a whole word letter by letter (the word-simulation oracle)."""
@@ -150,13 +149,9 @@ class MooreAutomaton:
             s = self.step[(s, a)]
         return s
 
-    def functor(self) -> FunctorExpr:
-        return moore_functor(self.outputs, self.alphabet_set())
-
     def as_coalgebra(self) -> tuple[FinSet, FinFn]:
         """The automaton as a coalgebra: state maps to (output, successors)."""
-        H = self.functor()
-        HC = eval_functor(H, self.states)
+        HC = self.H(self.states)
 
         def unfold(s):
             return (self.output[s], tuple(self.step[(s, a)] for a in self.alphabet))

@@ -116,11 +116,33 @@ def test_not_cauchy_is_a_validation_error(capsys, tmp_path):
     assert "NotCauchy" in out
 
 
-def test_density_subcommand(capsys):
-    code, report = run_json(capsys, "density", "--functor", "moore:z2:1letter",
-                            "--depth", "8", "--n", "3")
+@pytest.mark.parametrize("bounds", (
+    ("--depth", "8", "--n", "3"),
+    # The extremes: --n at 0 and at --depth, --probe-depth at --depth + 1.
+    ("--depth", "3", "--n", "0", "--probe-depth", "4", "--seed", "2"),
+    ("--depth", "3", "--n", "3", "--probe-depth", "4", "--seed", "2"),
+))
+def test_density_subcommand(capsys, bounds):
+    code, report = run_json(capsys, "density", "--functor", "moore:z2:1letter", *bounds)
     assert code == 0
     assert report["result"]["projection_matches"] is True
+
+
+@pytest.mark.parametrize("seed", ("0", "2"))
+@pytest.mark.parametrize("bounds, flag", (
+    (("--n", "1", "--probe-depth", "9"), "--probe-depth"),
+    (("--n", "1", "--probe-depth", "5"), "--probe-depth"),
+    (("--n", "-1"), "--n"),
+    (("--n", "4"), "--n"),
+))
+def test_density_checks_its_bounds_up_front(capsys, seed, bounds, flag):
+    # The chain is built to --depth + 1 = 4: --n runs over 0..--depth and
+    # --probe-depth up to --depth + 1, whatever point --seed picks.
+    code, report = run_json(capsys, "density", "--functor", "moore:z2:1letter",
+                            "--depth", "3", "--seed", seed, *bounds)
+    assert code == 2
+    assert report["error"] == "InputError"
+    assert report["message"].startswith(flag + " ")
 
 
 def test_density_zero_object_violation(capsys):
@@ -704,6 +726,56 @@ def test_search_stopped_at_the_cap_exits_two(capsys):
                             "--law", law, "--max-size", "1")
     assert code == 0
     assert report["result"]["status"] == "found"
+
+
+_PQ = json.dumps({"prod": [{"const": {"elements": ["p", "q"]}}, "id"]})
+_PQR = json.dumps({"prod": [{"const": {"elements": ["p", "q", "r"]}}, "id"]})
+
+
+def _swap(group, letters):
+    return json.dumps({"monad": f"writer:z{group}",
+                       "family": {"name": "swap", "constant": {"elements": letters}}})
+
+
+@pytest.mark.parametrize("argv", (
+    ("commute", "search", "--T", _PQ, "--H", _PQ, "--law", _swap(5, ["p", "q"]),
+     "--max-size", "1"),
+    ("commute", "search", "--T", _PQR, "--H", _PQR, "--law", _swap(3, ["p", "q", "r"]),
+     "--max-size", "1"),
+    ("commute", "check", json.dumps({"monad": "semimodule:z2",
+                                     "partner": {"generators": {"elements": ["*"]},
+                                                 "alphabet": {"elements": ["a"]}}}),
+     "--max-size", "2"),
+    ("check-distlaw", "em", "moore:z2:1letter", "--max-size", "2"),
+    ("check-distlaw", "kl", "words:1letter:semimodule:z2", "--max-size", "3"),
+    ("lemma1", "--law", "moore:z2:1letter", "--levels", "4"),
+    ("lemma2", "--law", "moore:z2:1letter", "--levels", "4"),
+), ids=("search-z5", "search-z3", "partner", "em-moore", "kl-words", "lemma1", "lemma2"))
+def test_each_functor_is_evaluated_once_per_carrier(capsys, monkeypatch, argv):
+    # A spy on every barrlab module's name for eval_functor, as the
+    # benchmark's tracer installs it.  The functor instances are kept in
+    # `seen`, so no id is reused while the request runs.
+    import sys
+
+    from barrlab import functors
+
+    real, seen = functors.eval_functor, {}
+
+    def spy(expr, X):
+        seen.setdefault((id(expr), X), []).append(expr)
+        return real(expr, X)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("barrlab") and module is not None:
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, spy)
+    code, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert seen
+    again = {f"{exprs[0]}({X.name})": len(exprs) for (_, X), exprs in seen.items()
+             if len(exprs) > 1}
+    assert again == {}
 
 
 def test_main_can_be_called_again_and_again(capsys):

@@ -290,7 +290,7 @@ def full_permutation_search(T, H, M, law, max_size, cap=10**5):
     carriers = canonical_carriers(max_size)
     source, target = Composite(H, M), Composite(M, T)
     doms = [source.at(X) for X in carriers]
-    tx_sets = [target.functor_at(X) for X in carriers]
+    tx_sets = [T(X) for X in carriers]
     cods = [target.at(X) for X in carriers]
     if any(len(d) != len(c) for d, c in zip(doms, cods)):
         return "none", None, 0

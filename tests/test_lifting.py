@@ -88,7 +88,7 @@ def test_swap_law_passes_for_monoid_writer(s3):
 def test_broken_unit_axiom_is_located(z2_monad, one_letter):
     base = semimodule_moore_law(z2_monad, one_letter)
     X = carrier(1)
-    HX = base.functor_at(X)
+    HX = base.H(X)
     bad_at = z2_monad.unit_element(HX, HX.elements[0])
 
     class Broken(DistLawEM):

@@ -81,7 +81,7 @@ def test_behavior_agrees_with_chain_unfolding():
     rng = random.Random(29)
     for _ in range(5):
         aut = random_bool_automaton(rng, 3, ("a", "b"))
-        chain = build_terminal_chain(aut.functor(), 4)
+        chain = build_terminal_chain(aut.H, 4)
         C, xi = aut.as_coalgebra()
         for n, leg in enumerate(anamorphism(C, xi, 4, chain)):
             for s in aut.states:
