@@ -7,11 +7,10 @@ __version__ = "0.1.0"
 
 from .algebras import EMAlgebra, check_em_algebra, free_algebra, terminal_algebra
 from .chains import (DyadicDist, InitialChain, LevelAlgebras, LimitPoint,
-                     MElement, TerminalChain, anamorphism, build_initial_chain,
+                     TerminalChain, anamorphism, build_initial_chain,
                      build_terminal_chain, cauchy_limit_point,
-                     check_cone_coincidence, check_connect_morphisms,
-                     check_projection_morphisms, colim_to_lim, density_map,
-                     distance, limit_algebra_level, limit_algebra_point, m_singleton)
+                     check_cone_coincidence, check_projection_morphisms,
+                     colim_to_lim, density_map, distance)
 from .compair import (CommutingCandidate, check_commuting, initial_words,
                       kleisli_lift_poly, partner_for_product,
                       search_commuting_sigma, words_functor)
@@ -35,7 +34,6 @@ from .monads import (ExceptionMonad, FinMonad, PowersetMonad, SemimoduleMonad,
 from .reports import LawCheck, LawReport
 from .semiring import (Semiring, boolean_semiring, check_semiring, minplus,
                        naturals, zmod)
-from .series import (MooreAutomaton, Polynomial, SeriesModule, TruncatedSeries,
-                     behavior, cauchy_limit_series, decode_series,
-                     encode_series, polynomial_embed, series_distance,
-                     words_below)
+from .series import (MooreAutomaton, Polynomial, TruncatedSeries, behavior,
+                     cauchy_limit_series, decode_series, encode_series,
+                     polynomial_embed, series_distance, words_below)

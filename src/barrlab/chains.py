@@ -1,7 +1,8 @@
 """Terminal and initial sequences of a polynomial functor, the dyadic
-ultrametric on the limit, per-level algebra structures, and the finite-depth
-machinery connecting the colimit of the initial sequence to the limit of the
-terminal one: sections, density maps and Cauchy limits.
+ultrametric on the limit, the level algebras as tables of positions, and the
+finite-depth machinery connecting the colimit of the initial sequence to the
+limit of the terminal one: sections, density maps, Cauchy limits and the two
+lemma checks.
 
 The limit itself is never materialised (it is typically uncountable); points
 of the limit are lazy depth-indexed families with memoised representatives,
@@ -207,10 +208,9 @@ class LevelAlgebras:
     the lifting applied n times to the terminal algebra, with structure
     H(alpha_{n-1}) . lambda.
 
-    While M(level n) fits under the blow-up guard, the lifted structure is
-    tabulated once, on first use, and held on the chain's own level set.
-    Above the guard the level stays pointwise: `structure_at` evaluates the
-    lifted structure on every call.  Nothing is evaluated on construction.
+    Each level's structure is tabulated once, on first use, and held on the
+    chain's own level set; a level whose M(level n) exceeds the blow-up
+    guard has no table.  Nothing is evaluated on construction.
     """
 
     def __init__(self, law: DistLawEM, chain: TerminalChain):
@@ -225,13 +225,13 @@ class LevelAlgebras:
         algebra = self._algebras[n]
         if algebra is None:
             M = self.law.M
-            algebra = lift_algebra(self.law, self._algebra(n - 1))
-            if M.tower_fits(len(level), 1):
-                # lift_algebra's carrier is an equal copy of the level: the
-                # table is kept on the chain's sets.
-                algebra = EMAlgebra(M, level, FinFn(M.apply(level), level,
-                                                    algebra.structure().positions),
-                                    name=f"level {n}")
+            # Above the guard this raises before any level below is built.
+            M_level = M.apply(level)
+            lifted = lift_algebra(self.law, self._algebra(n - 1))
+            # lift_algebra's carrier is an equal copy of the level: the
+            # table is kept on the chain's sets.
+            algebra = EMAlgebra(M, level, FinFn(M_level, level, lifted.structure().positions),
+                                name=f"level {n}")
             self._algebras[n] = algebra
         return algebra
 
@@ -241,84 +241,11 @@ class LevelAlgebras:
         n).  Above the guard, building M(level n) raises BlowUpGuard."""
         return self._algebra(n).structure().positions
 
-    def structure_at(self, n: int, u: Element) -> Element:
-        return self._algebra(n).structure_at(u)
-
 
 def level_algebras(law: DistLawEM, chain: TerminalChain) -> LevelAlgebras:
     """`LevelAlgebras(law, chain)`.  Not exported: the benchmark's tracer
     (`perfbench/tracer.py`) spans this name and expects it to exist."""
     return LevelAlgebras(law, chain)
-
-
-def check_connect_morphisms(levels: LevelAlgebras, upto: Optional[int] = None) -> LawReport:
-    """Each connecting map must be an algebra morphism between consecutive
-    level algebras: t_n . alpha_{n+1} and alpha_n . M t_n, compared as
-    tables of positions over M(level n+1)."""
-    law, chain = levels.law, levels.chain
-    M = law.M
-    top = levels.chain.depth if upto is None else upto
-    report = LawReport(f"connect maps of {law.name}")
-    for n in range(top):
-        upper = chain.level(n + 1)
-        t_n = chain.connect[n]
-        if not M.tower_fits(len(upper), 1):
-            report.skip("connect-is-morphism", f"level {n + 1}->{n}",
-                        f"|M(level {n + 1})| exceeds guard")
-            continue
-        lower = chain.level(n)
-        lhs = after(t_n.positions, levels.table(n + 1))
-        rhs = after(levels.table(n), M.arrow_table(t_n.positions, upper, lower))
-        report.first("connect-is-morphism", f"level {n + 1}->{n}", (
-            {"level": n + 1, "element": M.apply(upper).elements[p],
-             "lhs": lower.elements[lhs[p]], "rhs": lower.elements[rhs[p]]}
-            for p in differences(lhs, rhs)))
-    return report
-
-
-# ---------------------------------------------------------------------------
-# The algebra structure of the limit, evaluated levelwise
-
-
-@dataclass
-class MElement:
-    """A monad element over finitely many limit points: the points list the
-    support, `shape` is an element of M applied to their index set."""
-
-    points: tuple
-    shape: Element
-
-    def __post_init__(self):
-        self.points = tuple(self.points)
-
-    def index_set(self) -> FinSet:
-        return FinSet(f"I{len(self.points)}", range(len(self.points)))
-
-
-def m_singleton(M, point: LimitPoint) -> MElement:
-    """The unit of the monad applied to one point."""
-    idx = FinSet("I1", range(1))
-    return MElement((point,), M.unit_element(idx, 0))
-
-
-def limit_algebra_level(law: DistLawEM, chain: TerminalChain, levels: LevelAlgebras,
-                u: MElement, n: int) -> Element:
-    """Evaluate, at level n, the algebra structure the limit inherits: push
-    the support down to level n and apply that level's structure map."""
-    idx = u.index_set()
-    lvl = chain.level(n)
-    pushed = law.M.map_element_fn(lambda i: u.points[i].rep(n), idx, lvl, u.shape)
-    return levels.structure_at(n, pushed)
-
-
-def limit_algebra_point(law: DistLawEM, chain: TerminalChain, levels: LevelAlgebras,
-                u: MElement) -> LimitPoint:
-    """Assemble the levelwise evaluations into a limit point; compatibility
-    across levels is validated lazily by the point itself."""
-    valid_to = min((p.valid_to for p in u.points), default=chain.depth)
-    valid_to = min(valid_to, levels.chain.depth)
-    return LimitPoint(chain, lambda n: limit_algebra_level(law, chain, levels, u, n),
-                      valid_to=valid_to, label="limit-action")
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +338,8 @@ def cauchy_limit_point(seq: Union[Sequence[LimitPoint], Callable[[int], LimitPoi
 
 
 # ---------------------------------------------------------------------------
-# Finite-depth checks of the two structural facts behind the levelwise
-# algebra evaluation (CLI subcommands lemma1 / lemma2)
+# Finite-depth checks of the two structural facts behind the limit's
+# algebra structure (CLI subcommands lemma1 / lemma2)
 
 
 def _standin(law: DistLawEM, chain: TerminalChain, depth: int):
@@ -459,7 +386,12 @@ def check_cone_coincidence(law: DistLawEM, chain: TerminalChain, depth: int) -> 
 def check_projection_morphisms(law: DistLawEM, chain: TerminalChain, depth: int) -> LawReport:
     """The levelwise evaluations of the limit's algebra structure must form
     a compatible family, i.e. every projection is an algebra morphism: both
-    sides are compared as tables of positions over M C."""
+    sides are compared as tables of positions over M C.
+
+    The two sides are t_n . alpha_{n+1} and alpha_n . M t_n, each after
+    M(trunc_{depth->n+1}), which is onto because the truncation has a
+    section.  So level n+1->n passes exactly when the connecting map t_n is
+    an algebra morphism between the two level algebras."""
     M = law.M
     levels, C, _xi = _standin(law, chain, depth)
     MC = M.apply(C)

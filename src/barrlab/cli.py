@@ -29,7 +29,7 @@ from .finset import FinSet, carrier
 from .jsonio import (distinct_entries, dump_series, encode_element, load_algebra,
                      load_automaton, load_candidate, load_distlaw_em, load_distlaw_kl,
                      load_functor, load_group, load_monad, load_sequence, load_series,
-                     standard_alphabet)
+                     resolve_key, standard_alphabet)
 from .lifting import check_distlaw_em, check_distlaw_kl, gset_distlaws, lift_algebra
 from .monads import check_monad_laws, differences
 from .reports import LawReport
@@ -216,24 +216,29 @@ def cmd_chain(args):
     return result, True
 
 
+def _state(aut, text: str):
+    """The state --state names, read as the automaton document's keys are:
+    as JSON when that names a state, else as its label."""
+    try:
+        return resolve_key(text, aut.states, "--state")
+    except (InputError, TypeError):  # TypeError: a JSON object, which is unhashable
+        raise InputError(f"state {text!r} not in the automaton") from None
+
+
 def cmd_anamorphism(args):
     aut = load_automaton(_load_doc(args.automaton, "automaton"))
     C, xi = aut.as_coalgebra()
-    state = args.state
-    if state not in C:
-        raise InputError(f"state {state!r} not in the automaton")
+    state = _state(aut, args.state)
     # Only the leg at --level is read, so the chain stops there.
     chain = build_terminal_chain(aut.H, max(args.level, 0))
     leg = anamorphism(C, xi, args.level, chain)[-1]
-    return {"state": state, "level": args.level,
+    return {"state": encode_element(state), "level": args.level,
             "element": encode_element(leg(state))}, True
 
 
 def cmd_behavior(args):
     aut = load_automaton(_load_doc(args.automaton, "automaton"))
-    if args.state not in aut.states:
-        raise InputError(f"state {args.state!r} not in the automaton")
-    return dump_series(behavior(aut, args.state, args.depth)), True
+    return dump_series(behavior(aut, _state(aut, args.state), args.depth)), True
 
 
 def cmd_distance(args):

@@ -136,6 +136,16 @@ def partner_for_product(B: FinSet, M: FinMonad,
     alphabet=None gives the stream case B + X paired with (free on B) x X;
     an empty alphabet gives the constant pair.
     """
+    T, law, formula = _partner_parts(B, M, alphabet)
+    # Built on the law's H, so that the candidate, the law and sigma read
+    # one set of kept images.
+    sigma = ComponentFamily(law.target, Composite(M, T), formula, name="sigma")
+    return CommutingCandidate(T, law.H, M, sigma, law=law)
+
+
+def _partner_parts(B: FinSet, M: FinMonad, alphabet: Optional[FinSet]):
+    """T, the law on its partner H and sigma's formula for one of the three
+    biproduct shapes of `partner_for_product`."""
     if not isinstance(M, SemimoduleMonad):
         raise NotBiproductCompatible(
             f"{M.name} is not flagged as a biproduct (free-semimodule) monad")
@@ -167,10 +177,7 @@ def partner_for_product(B: FinSet, M: FinMonad,
                 flat += tuple(psi)
             return flat
 
-    # Built on the law's H, so that the candidate, the law and sigma read
-    # one set of kept images.
-    sigma = ComponentFamily(law.target, Composite(M, T), formula, name="sigma")
-    return CommutingCandidate(T, law.H, M, sigma, law=law)
+    return T, law, formula
 
 
 def initial_words(A, depth: int) -> list[Word]:
@@ -184,10 +191,10 @@ def initial_words(A, depth: int) -> list[Word]:
 # Bounded search for a mediating isomorphism
 
 
-def _closed_form_candidate(T: FunctorExpr, H: FunctorExpr,
-                           M: FinMonad) -> Optional[CommutingCandidate]:
+def _closed_form_candidate(T: FunctorExpr, law: DistLawEM) -> Optional[CommutingCandidate]:
     """Recognise the biproduct partner shapes and return their canonical
-    block-concatenation isomorphism."""
+    block-concatenation isomorphism, built on the given law."""
+    M, H = law.M, law.H
     if not isinstance(M, SemimoduleMonad):
         return None
     B = alphabet = None
@@ -207,13 +214,12 @@ def _closed_form_candidate(T: FunctorExpr, H: FunctorExpr,
             return None
     else:
         return None
-    try:
-        cand = partner_for_product(B, M, alphabet)
-    except NotBiproductCompatible:
+    partner_T, partner, formula = _partner_parts(B, M, alphabet)
+    if partner_T != T or partner.H != H:
         return None
-    if cand.T == T and cand.H == H:
-        return cand
-    return None
+    # sigma reads the images the given law's H keeps.
+    sigma = ComponentFamily(law.target, Composite(M, T), formula, name="sigma")
+    return CommutingCandidate(T, H, M, sigma, law=law)
 
 
 def search_commuting_sigma(T: FunctorExpr, H: FunctorExpr, M: FinMonad,
@@ -241,7 +247,7 @@ def search_commuting_sigma(T: FunctorExpr, H: FunctorExpr, M: FinMonad,
     """
     if law.H != H:
         raise DomainMismatch("distributive law is for a different functor")
-    closed = _closed_form_candidate(T, H, M)
+    closed = _closed_form_candidate(T, law)
     if closed is not None and check_commuting(closed, law, max_size).passed:
         return "found", closed, 0
 

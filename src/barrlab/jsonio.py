@@ -48,7 +48,7 @@ def decode_element(doc) -> Element:
     return doc
 
 
-def _resolve_key(key: str, universe: FinSet, path: str) -> Element:
+def resolve_key(key: str, universe: FinSet, path: str) -> Element:
     """Map a JSON object key back to an element: parse as JSON if possible,
     fall back to the raw string label."""
     try:
@@ -138,7 +138,7 @@ def load_finset(doc, path: str = "set") -> FinSet:
 def load_function(doc, dom: FinSet, cod: FinSet, path: str = "function") -> FinFn:
     table = {}
     for key, val in load_object(doc, path).items():
-        table[_resolve_key(key, dom, path)] = decode_element(val)
+        table[resolve_key(key, dom, path)] = decode_element(val)
     try:
         return tabulate(dom, cod, table)
     except Exception as exc:
@@ -150,9 +150,9 @@ def _load_op_table(doc, elements, path: str):
     entry for every pair of elements and every result an element."""
     table, universe = {}, FinSet(path, distinct_entries(elements, path))
     for ka, row in load_object(doc, path).items():
-        a = _resolve_key(ka, universe, path)
+        a = resolve_key(ka, universe, path)
         for kb, val in load_object(row, f"{path}.{ka}").items():
-            table[(a, _resolve_key(kb, universe, path))] = decode_element(val)
+            table[(a, resolve_key(kb, universe, path))] = decode_element(val)
     for pair in itertools.product(elements, repeat=2):
         if pair not in table:
             raise InputError(f"{path}: no entry for {pair!r}")
@@ -361,7 +361,7 @@ def _load_table_monad(doc, path: str) -> TableMonad:
         cod = load_int(entry["cod"], f"{path}.maps[{i}].cod")
         universe = FinSet("dom", sizes[dom]["elements"])
         targets = FinSet("cod", sizes[cod]["elements"])
-        table = {_resolve_key(k2, universe, where): decode_element(v)
+        table = {resolve_key(k2, universe, where): decode_element(v)
                  for k2, v in load_object(entry["table"], where).items()}
         for el in universe:
             if el not in table:
@@ -558,15 +558,15 @@ def load_automaton(doc, path: str = "automaton") -> MooreAutomaton:
         outputs = k.as_finset()
     else:
         outputs = load_finset(doc["outputs"], f"{path}.outputs")
-    output = {_resolve_key(key, states, f"{path}.output"): decode_element(v)
+    output = {resolve_key(key, states, f"{path}.output"): decode_element(v)
               for key, v in load_object(doc["output"], f"{path}.output").items()}
     step = {}
     for key, row in load_object(doc["delta"], f"{path}.delta").items():
-        s = _resolve_key(key, states, f"{path}.delta")
+        s = resolve_key(key, states, f"{path}.delta")
         for a, target in load_object(row, f"{path}.delta.{key}").items():
             if a not in alphabet:
                 raise InputError(f"{path}.delta.{key}: unknown letter {a!r}")
-            step[(s, a)] = _resolve_key(str(target), states, f"{path}.delta.{key}") \
+            step[(s, a)] = resolve_key(str(target), states, f"{path}.delta.{key}") \
                 if isinstance(target, str) else decode_element(target)
     return MooreAutomaton(states, alphabet, outputs, output, step)
 

@@ -1,7 +1,7 @@
-"""Semiring-weighted Moore automata and truncated formal power series on
-finite words, with the order-of-first-difference ultrametric and Cauchy
-limits: the concrete playground where the chain machinery becomes power
-series truncated by degree.
+"""Semiring-weighted Moore automata, truncated formal power series and
+finite-support polynomials on finite words, with the order-of-first-difference
+ultrametric and Cauchy limits of polynomials: the concrete playground where
+the chain machinery becomes power series truncated by degree.
 
 Truncation convention: a series of bound n carries coefficients on exactly
 the words of length strictly below n, so bound 1 holds only the empty-word
@@ -19,7 +19,6 @@ from .errors import (BlowUpGuard, BoundMismatch, DomainMismatch, InputError, Not
                      blowup_limit)
 from .finset import Element, FinFn, FinSet, tabulate
 from .functors import moore_functor
-from .monads import SemimoduleMonad
 from .semiring import Semiring
 
 Word = tuple
@@ -324,30 +323,3 @@ def cauchy_limit_series(seq: Sequence[Polynomial], depth: int,
     alphabet = seq[0].alphabet
     return TruncatedSeries.from_fn(
         alphabet, depth, lambda w: seq[stable_at[len(w)]].coefficient(w))
-
-
-# ---------------------------------------------------------------------------
-# The semimodule structure on truncated series
-
-
-class SeriesModule:
-    """Truncated series of a fixed bound as a module over the coefficient
-    semiring: linear combinations are taken coefficientwise."""
-
-    def __init__(self, M: SemimoduleMonad, alphabet: Sequence, bound: int):
-        self.k = M.k
-        self.alphabet = tuple(alphabet)
-        self.bound = bound
-
-    def zero(self) -> TruncatedSeries:
-        return TruncatedSeries.constant(self.alphabet, self.bound, self.k.zero)
-
-    def combine(self, terms: Sequence[tuple]) -> TruncatedSeries:
-        """Pointwise linear combination of (coefficient, series) pairs."""
-        k = self.k
-        for _c, s in terms:
-            if s.alphabet != self.alphabet or s.bound != self.bound:
-                raise BoundMismatch("series must share this module's alphabet and bound")
-        return TruncatedSeries.from_fn(
-            self.alphabet, self.bound,
-            lambda w: k.sum(k.mul(c, s.coefficient(w)) for c, s in terms))

@@ -262,6 +262,30 @@ def test_anamorphism_checks_the_state_before_the_chain(capsys):
     assert report["message"] == "state 'nosuch' not in the automaton"
 
 
+# States 0 and 1, written "0" and "1" as the document's keys.
+_INT_STATES = json.dumps({"states": [0, 1], "alphabet": ["a"], "semiring": "bool",
+                          "output": {"0": 1, "1": 0},
+                          "delta": {"0": {"a": 1}, "1": {"a": 0}}})
+
+
+def test_behavior_reads_an_integer_state_as_a_document_key(capsys):
+    code, report = run_json(capsys, "behavior", "--automaton", _INT_STATES,
+                            "--state", "0", "--depth", "3")
+    assert code == 0
+    assert report["result"]["coefficients"] == {"": 1, "a": 0, "aa": 1}
+    code, report = run_json(capsys, "behavior", "--automaton", _INT_STATES,
+                            "--state", "2", "--depth", "3")
+    assert code == 2
+    assert report["message"] == "state '2' not in the automaton"
+
+
+def test_anamorphism_reads_an_integer_state_as_a_document_key(capsys):
+    code, report = run_json(capsys, "anamorphism", "--automaton", _INT_STATES,
+                            "--state", "1", "--level", "2")
+    assert code == 0
+    assert report["result"] == {"state": 1, "level": 2, "element": [0, [[1, ["*"]]]]}
+
+
 def test_distance_guards_the_words_below_the_bound(capsys, monkeypatch):
     # The words of a loaded series are counted before any is listed: at
     # "bound": 40 the 2^40 - 1 words used to run the process out of memory.
@@ -732,6 +756,16 @@ _PQ = json.dumps({"prod": [{"const": {"elements": ["p", "q"]}}, "id"]})
 _PQR = json.dumps({"prod": [{"const": {"elements": ["p", "q", "r"]}}, "id"]})
 
 
+# The biproduct pair 1 + a x X and z2[*] x X^a, with sigma in closed form.
+_WORDS_A = json.dumps({"coprod": [{"const": {"elements": ["*"]}},
+                                  {"prod": [{"const": {"elements": ["a"]}}, "id"]}]})
+_MOORE_A = json.dumps({"prod": [{"const": {"elements": [[0], [1]]}},
+                                {"power": {"exponent": {"elements": ["a"]}, "body": "id"}}]})
+_MOORE_LAW_A = json.dumps({"monad": "semimodule:z2",
+                           "family": {"name": "moore", "alphabet": {"elements": ["a"]},
+                                      "generators": {"elements": ["*"]}}})
+
+
 def _swap(group, letters):
     return json.dumps({"monad": f"writer:z{group}",
                        "family": {"name": "swap", "constant": {"elements": letters}}})
@@ -750,11 +784,15 @@ def _swap(group, letters):
     ("check-distlaw", "kl", "words:1letter:semimodule:z2", "--max-size", "3"),
     ("lemma1", "--law", "moore:z2:1letter", "--levels", "4"),
     ("lemma2", "--law", "moore:z2:1letter", "--levels", "4"),
-), ids=("search-z5", "search-z3", "partner", "em-moore", "kl-words", "lemma1", "lemma2"))
+    ("commute", "search", "--T", _WORDS_A, "--H", _MOORE_A, "--law", _MOORE_LAW_A,
+     "--max-size", "2"),
+), ids=("search-z5", "search-z3", "partner", "em-moore", "kl-words", "lemma1", "lemma2",
+        "search-biproduct"))
 def test_each_functor_is_evaluated_once_per_carrier(capsys, monkeypatch, argv):
     # A spy on every barrlab module's name for eval_functor, as the
-    # benchmark's tracer installs it.  The functor instances are kept in
-    # `seen`, so no id is reused while the request runs.
+    # benchmark's tracer installs it.  Evaluations are keyed by the functor's
+    # value and the carrier's name and elements, so two equal instances that
+    # each evaluate one carrier count as a repeat.
     import sys
 
     from barrlab import functors
@@ -762,7 +800,7 @@ def test_each_functor_is_evaluated_once_per_carrier(capsys, monkeypatch, argv):
     real, seen = functors.eval_functor, {}
 
     def spy(expr, X):
-        seen.setdefault((id(expr), X), []).append(expr)
+        seen.setdefault((expr, X.name, X), []).append(expr)
         return real(expr, X)
 
     for name, module in list(sys.modules.items()):
@@ -773,7 +811,7 @@ def test_each_functor_is_evaluated_once_per_carrier(capsys, monkeypatch, argv):
     code, _ = run_json(capsys, *argv)
     assert code == 0
     assert seen
-    again = {f"{exprs[0]}({X.name})": len(exprs) for (_, X), exprs in seen.items()
+    again = {f"{exprs[0]}({name})": len(exprs) for (_, name, _), exprs in seen.items()
              if len(exprs) > 1}
     assert again == {}
 

@@ -9,7 +9,7 @@ import operator
 
 import pytest
 
-from barrlab import (BlowUpGuard, EMAlgebra, FinSet, LevelAlgebras, PowersetMonad, SemimoduleMonad,
+from barrlab import (BlowUpGuard, FinSet, LevelAlgebras, PowersetMonad, SemimoduleMonad,
                      WriterMonad, all_functions, build_terminal_chain, carrier,
                      cyclic_group, exception_monad, gset_distlaws, maybe_monad,
                      pointed_law, semimodule_moore_law, zmod)
@@ -53,6 +53,13 @@ def expected_structures(name, top):
     return out
 
 
+def read_table(levels, n):
+    """Level n's structure read from its table: the value at each element
+    of M(level n), in enumeration order."""
+    level = levels.chain.level(n)
+    return [level.elements[p] for p in levels.table(n)]
+
+
 @pytest.mark.parametrize("name", sorted(LAWS))
 def test_level_tables_match_pointwise(name):
     top = TOPS[name]
@@ -60,15 +67,14 @@ def test_level_tables_match_pointwise(name):
     chain = build_terminal_chain(law.H, top)
     levels = LevelAlgebras(law, chain)
     for n, (elements, values) in enumerate(expected_structures(name, top)):
-        assert [levels.structure_at(n, u) for u in elements] == values, n
-        # A second lookup reads the filled table.
-        assert [levels.structure_at(n, u) for u in elements] == values, n
-        algebra = EMAlgebra(law.M, chain.level(n), functools.partial(levels.structure_at, n))
-        assert [algebra.structure_at(u) for u in elements] == values, n
+        assert law.M.apply(chain.level(n)).elements == elements, n
+        assert read_table(levels, n) == values, n
+        # A second lookup reads the same table.
+        assert levels.table(n) is levels.table(n)
 
 
 @pytest.mark.parametrize("name", sorted(LAWS))
-def test_levels_above_the_guard_stay_pointwise(name, monkeypatch):
+def test_levels_above_the_guard_have_no_table(name, monkeypatch):
     top = 3
     expected = expected_structures(name, top)
     law = LAWS[name]()
@@ -78,20 +84,23 @@ def test_levels_above_the_guard_stay_pointwise(name, monkeypatch):
     chain = build_terminal_chain(law.H, top)
     levels = LevelAlgebras(law, chain)
     for n, (elements, values) in enumerate(expected):
-        assert [levels.structure_at(n, u) for u in elements] == values, n
-    # Every value at the top level matched the oracle, yet its table was
-    # never built: the top level is answered pointwise.
-    with pytest.raises(BlowUpGuard):
-        levels.table(top)
+        size = len(elements)
+        if size <= guard:
+            assert read_table(levels, n) == values, n
+        else:
+            # Raised by building M(level n), before any level below.
+            with pytest.raises(BlowUpGuard) as err:
+                levels.table(n)
+            assert err.value.size == size, n
+    assert len(expected[top][0]) > guard
 
 
 @pytest.mark.parametrize("guarded", (False, True))
-def test_level_tables_after_m_fn_match_structure_at(guarded, monkeypatch):
+def test_level_tables_after_m_fn_match_pointwise(guarded, monkeypatch):
     # The structure at M fn(u), for fn: X3 -> level n, read from level n's
-    # table and from structure_at, against the definition evaluated on a law
-    # and chain that share nothing with these.  A guard of 8 admits level 3
-    # but not M(level 2) or M(level 3): their tables raise, and structure_at
-    # evaluates them pointwise.
+    # table, against the definition evaluated on a law and chain that share
+    # nothing with these.  A guard of 8 admits level 3 but not M(level 2) or
+    # M(level 3): their tables raise.
     oracle = LAWS["moore:z2:1letter"]()
     alpha = pointwise_structures(oracle, build_terminal_chain(oracle.H, 3))
     law = LAWS["moore:z2:1letter"]()
@@ -103,26 +112,17 @@ def test_level_tables_after_m_fn_match_structure_at(guarded, monkeypatch):
     raised = []
     for n in range(4):
         level = chain.level(n)
-        fn = lambda x: level.elements[(3 * x + 1) % len(level)]
-        pushed = [M.map_element_fn(fn, dom, level, u) for u in M.apply(dom)]
-        want = [level.index(alpha(n, v)) for v in pushed]
-        assert [level.index(levels.structure_at(n, v)) for v in pushed] == want, n
         try:
             table = levels.table(n)
         except BlowUpGuard:
             raised.append(n)
             continue
+        fn = lambda x: level.elements[(3 * x + 1) % len(level)]
+        pushed = [M.map_element_fn(fn, dom, level, u) for u in M.apply(dom)]
+        want = [level.index(alpha(n, v)) for v in pushed]
         f = [level.index(fn(x)) for x in dom]
         assert [table[q] for q in M.arrow_table(f, dom, level)] == want, n
     assert raised == ([2, 3] if guarded else [])
-    # After every lookup above, level 3 still has no table above the guard
-    # (structure_at answered it pointwise) and one entry per element of
-    # M(level 3) below it.
-    if guarded:
-        with pytest.raises(BlowUpGuard):
-            levels.table(3)
-    else:
-        assert len(levels.table(3)) == len(M.apply(chain.level(3)))
 
 
 def table_monad(real, max_size):
