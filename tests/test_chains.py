@@ -245,6 +245,20 @@ def test_level_algebras_pass_em_checks(z2_setup, maybe_setup):
             assert report.passed, (law.name, n, report.first_failure())
 
 
+def test_connect_maps_are_algebra_morphisms(z2_setup, maybe_setup):
+    # t_n . alpha_{n+1} = alpha_n . M t_n, one element of M(level n+1) at a
+    # time, for the connecting maps up to level 4.
+    for law, chain, levels, _ in (z2_setup, maybe_setup):
+        M = law.M
+        for n in range(4):
+            upper, lower, t = chain.level(n + 1), chain.level(n), chain.connect[n]
+            alpha_upper, alpha_lower = (level_algebra(levels, k).structure()
+                                        for k in (n + 1, n))
+            for phi in M.apply(upper):
+                assert t(alpha_upper(phi)) == \
+                    alpha_lower(M.map_element_fn(t, upper, lower, phi)), (law.name, n)
+
+
 def test_a_component_that_leaves_its_level_fails_inside_tabulate():
     # Level 1 is tabulated as the lifting of the terminal algebra, so a law
     # whose component lands outside H(M X) is named by tabulate's message.
@@ -276,6 +290,58 @@ def test_gset_level_one_matches_the_pair_rule(s3):
     for g in s3.elements:
         for h in s3.elements:
             assert a1((g, (h, "*"))) == (s3.op(g, h), "*")
+
+
+def act_at_level(levels, points, shape, n):
+    """The structure the limit inherits, read at level n: push the support
+    `points` down to level n along `shape`, an element of M over their
+    indices, and apply level n's structure."""
+    M, level = levels.law.M, levels.chain.level(n)
+    idx = FinSet(f"I{len(points)}", range(len(points)))
+    pushed = M.map_element_fn(lambda i: points[i].rep(n), idx, level, shape)
+    return level_algebra(levels, n).structure()(pushed)
+
+
+def unit_shape(M):
+    return M.unit_element(FinSet("I1", range(1)), 0)
+
+
+def test_gamma_unit_recovers_the_point(z2_setup):
+    law, chain, levels, ic = z2_setup
+    x = series_point(ic, TruncatedSeries.constant(("t",), 6, 1))
+    for n in range(5):
+        assert act_at_level(levels, (x,), unit_shape(law.M), n) == x.rep(n)
+
+
+def test_gamma_missing_value_gives_basepoint(maybe_setup):
+    law, chain, levels, ic = maybe_setup
+    base = colim_to_lim(ic, "*", 0)
+    for n in range(4):
+        assert act_at_level(levels, (), (0, "*"), n) == base.rep(n)
+
+
+def test_gamma_of_formal_sum_is_coefficientwise_sum(z2_setup):
+    # level 4 is the highest whose M(level) fits under the default guard
+    law, chain, levels, ic = z2_setup
+    rng = random.Random(23)
+    for _ in range(10):
+        f = TruncatedSeries.from_fn(("t",), 4, lambda w: rng.randrange(2))
+        g = TruncatedSeries.from_fn(("t",), 4, lambda w: rng.randrange(2))
+        points = (series_point(ic, f), series_point(ic, g))
+        total = TruncatedSeries.from_fn(
+            ("t",), 4, lambda w: (f.coefficient(w) + g.coefficient(w)) % 2)
+        assert decode_series(act_at_level(levels, points, (1, 1), 4), ("t",), 4) == total
+
+
+def test_gamma_is_levelwise_continuous(z2_setup):
+    # combinations over points that agree up to level n evaluate equal up to n
+    law, chain, levels, ic = z2_setup
+    f = TruncatedSeries(("t",), 3, {(): 1, ("t",): 1, ("t", "t"): 0})
+    x = series_point(ic, f)
+    y = density_map(ic, x, 3)  # same rep up to 3, different beyond
+    for n in range(4):
+        assert act_at_level(levels, (x,), unit_shape(law.M), n) == \
+            act_at_level(levels, (y,), unit_shape(law.M), n)
 
 
 def test_cone_and_projection_checks_pass(z2_setup, maybe_setup):

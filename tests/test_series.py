@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from barrlab import (BlowUpGuard, BoundMismatch, DomainMismatch, FinSet, MooreAutomaton,
-                     NotCauchy, Polynomial, TruncatedSeries, anamorphism,
+from barrlab import (BlowUpGuard, BoundMismatch, DomainMismatch, FinSet, LevelAlgebras,
+                     MooreAutomaton, NotCauchy, Polynomial, TruncatedSeries, anamorphism,
                      behavior, boolean_semiring, build_terminal_chain,
                      cauchy_limit_series, decode_series, encode_series, naturals,
-                     polynomial_embed, series_distance, words_below, zmod)
+                     polynomial_embed, semimodule_moore_law, series_distance, words_below,
+                     zmod)
 from barrlab.series import first_difference_length
 
 BOOL = boolean_semiring()
@@ -235,6 +236,26 @@ def test_first_difference_length():
     q = Polynomial(("t",), NAT, {(): 1})
     assert first_difference_length(p, q) == 1
     assert first_difference_length(p, p) is None
+
+
+def test_module_structure_zero_and_sum(z2_monad, one_letter):
+    # level 3 of the z2 Moore law's terminal sequence adds series
+    # coefficientwise: the empty sum is zero, and 1 + (1 + t) is t.
+    law = semimodule_moore_law(z2_monad, one_letter)
+    chain = build_terminal_chain(law.H, 3)
+    level, table = chain.level(3), LevelAlgebras(law, chain).table(3)
+    M_level = z2_monad.apply(level)
+
+    def combine(*terms):
+        phi = tuple(sum(encode_series(s) == el for s in terms) % 2 for el in level)
+        return decode_series(level.elements[table[M_level.index(phi)]], ("t",), 3)
+
+    zero = TruncatedSeries.constant(("t",), 3, 0)
+    one = TruncatedSeries(("t",), 3, {(): 1, ("t",): 0, ("t", "t"): 0})
+    one_t = TruncatedSeries(("t",), 3, {(): 1, ("t",): 1, ("t", "t"): 0})
+    just_t = TruncatedSeries(("t",), 3, {(): 0, ("t",): 1, ("t", "t"): 0})
+    assert combine() == zero
+    assert combine(one, one_t) == just_t
 
 
 def test_polynomial_embed():
