@@ -4,9 +4,9 @@ finite-depth machinery connecting the colimit of the initial sequence to the
 limit of the terminal one: sections, density maps, Cauchy limits and the two
 lemma checks.
 
-The limit itself is never materialised (it is typically uncountable); points
-of the limit are lazy depth-indexed families with memoised representatives,
-validated for compatibility as they are queried.
+The limit itself is never materialised (it is typically uncountable); a
+point of the limit at finite depth is its representative at the top level,
+from which the connecting maps give the ones below.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .algebras import EMAlgebra, terminal_algebra
 from .errors import (DepthExceeded, DomainMismatch, InputError, NotCauchy,
@@ -104,39 +104,27 @@ def anamorphism(C: FinSet, xi: FinFn, n: int, chain: TerminalChain) -> list[FinF
 
 
 class LimitPoint:
-    """A point of the limit, given by a lazy depth-indexed representative
-    family; compatibility with the connecting maps is checked as neighbours
-    get evaluated."""
+    """A point of the limit at finite depth, held as its representative
+    `el` at level `top`; the representative at level n <= top is the
+    truncation of `el`.
 
-    def __init__(self, chain: TerminalChain, provider: Callable[[int], Element],
-                 valid_to: Optional[int] = None, label: str = ""):
+    A compatible family is fixed by its top element, and the families the
+    constructors below build are compatible: the forward maps are sections
+    of the connecting maps, t_n . f_n = H^n(t_0 . f_0) = id."""
+
+    def __init__(self, chain: TerminalChain, top: int, el: Element, label: str = ""):
         self.chain = chain
-        self.provider = provider
-        self.valid_to = chain.depth if valid_to is None else min(valid_to, chain.depth)
+        self.top = top
+        self.el = el
         self.label = label
-        # Not a LazyTable: a new entry is validated against its neighbours.
-        self._memo: dict[int, Element] = {}
 
     def rep(self, n: int) -> Element:
-        if n < 0 or n > self.valid_to:
-            raise DepthExceeded(
-                f"representative at {n}; point is valid to depth {self.valid_to}")
-        el = self._memo.get(n)
-        if el is None:
-            el = self.provider(n)
-            if el not in self.chain.level(n):
-                raise DomainMismatch(f"representative {el!r} not in level {n}")
-            below = self._memo.get(n - 1)
-            if below is not None and self.chain.connect[n - 1](el) != below:
-                raise ValueError(f"incompatible family at levels {n}->{n - 1}")
-            above = self._memo.get(n + 1)
-            if above is not None and self.chain.connect[n](above) != el:
-                raise ValueError(f"incompatible family at levels {n + 1}->{n}")
-            self._memo[n] = el
-        return el
+        if not 0 <= n <= self.top:
+            raise DepthExceeded(f"representative at {n}; point is valid to depth {self.top}")
+        return self.chain.truncate_element(self.el, self.top, n)
 
     def __repr__(self):
-        return f"LimitPoint({self.label or hex(id(self))}, valid to {self.valid_to})"
+        return f"LimitPoint({self.label or hex(id(self))}, valid to {self.top})"
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +260,22 @@ class InitialChain:
         return f"InitialChain(depth {len(self.forward)})"
 
 
+def _zero_object(M) -> Element:
+    """The one element of the free algebra on the empty set; any other
+    size raises ZeroObjectViolation."""
+    M0 = M.apply(EMPTY)
+    if len(M0) != 1:
+        raise ZeroObjectViolation(len(M0))
+    return M0.elements[0]
+
+
 def build_initial_chain(law: DistLawEM, chain: TerminalChain) -> InitialChain:
     """Build the forward maps; the base map is the unique algebra morphism
     out of the free algebra on the empty set, which must be a singleton."""
     if law.H != chain.H:
         raise DomainMismatch("law and chain are for different functors")
     M = law.M
-    M0 = M.apply(EMPTY)
-    if len(M0) != 1:
-        raise ZeroObjectViolation(len(M0))
-    zero = M0.elements[0]
+    zero = _zero_object(M)
     lvl0, lvl1 = chain.level(0), chain.level(1)
     seed = M.map_element_fn(from_empty(lvl1), EMPTY, lvl1, zero)
     # Level 1's structure at the seed, evaluated pointwise: M(level 1) is
@@ -295,20 +289,15 @@ def build_initial_chain(law: DistLawEM, chain: TerminalChain) -> InitialChain:
 
 
 def colim_to_lim(ic: InitialChain, x: Element, n: int) -> LimitPoint:
-    """The limit point a finite stage maps to: x at level n, truncations
-    below, forward images above.  Retracts onto x under the projection."""
+    """The limit point a finite stage maps to: x pushed forward to the
+    chain's top.  Its representatives are the forward images of x above n
+    and, since t_m . f_m = id, the truncations of x below; so it retracts
+    onto x under the projection."""
     chain = ic.chain
     if x not in chain.level(n):
         raise DomainMismatch(f"{x!r} is not in level {n}")
-
-    def provider(m):
-        if m == n:
-            return x
-        if m < n:
-            return chain.truncate_element(x, n, m)
-        return ic.forward_element(x, n, m)
-
-    return LimitPoint(chain, provider, label=f"sect({n})")
+    return LimitPoint(chain, chain.depth, ic.forward_element(x, n, chain.depth),
+                      label=f"sect({n})")
 
 
 def density_map(ic: InitialChain, x: LimitPoint, n: int) -> LimitPoint:
@@ -320,12 +309,14 @@ def density_map(ic: InitialChain, x: LimitPoint, n: int) -> LimitPoint:
     return colim_to_lim(ic, ic.forward[n](x.rep(n)), n + 1)
 
 
-def cauchy_limit_point(seq: Union[Sequence[LimitPoint], Callable[[int], LimitPoint]],
-                       depth: int) -> LimitPoint:
-    """Diagonal of a sequence with modulus d(seq(i), seq(j)) < 2^-min(i,j),
-    i.e. representatives agree at every level up to min(i, j)."""
-    points = [seq(i) if callable(seq) else seq[i] for i in range(depth + 1)]
-    chain = points[0].chain
+def cauchy_limit_point(points: Sequence[LimitPoint], depth: int) -> LimitPoint:
+    """Diagonal of a sequence with modulus d(points[i], points[j]) < 2^-min(i, j),
+    i.e. representatives agree at every level up to min(i, j).
+
+    The diagonal is the point whose top representative is points[depth]'s
+    at level depth: a point's representatives truncate to each other, since
+    t_n . f_n = id, and the modulus makes points[depth] agree with
+    points[n] at level n."""
     for j in range(depth + 1):
         for i in range(j):
             for m in range(i + 1):
@@ -333,8 +324,7 @@ def cauchy_limit_point(seq: Union[Sequence[LimitPoint], Callable[[int], LimitPoi
                     raise NotCauchy(
                         {"i": i, "j": j, "level": m},
                         f"terms {i} and {j} differ at level {m} <= min(i, j)")
-    return LimitPoint(chain, lambda n: points[n].rep(n), valid_to=depth,
-                      label="cauchy-limit")
+    return LimitPoint(points[0].chain, depth, points[depth].rep(depth), label="cauchy-limit")
 
 
 # ---------------------------------------------------------------------------
@@ -343,16 +333,15 @@ def cauchy_limit_point(seq: Union[Sequence[LimitPoint], Callable[[int], LimitPoi
 
 
 def _standin(law: DistLawEM, chain: TerminalChain, depth: int):
-    """Depth-bounded stand-in for the limit: the level-`depth` set carries a
-    coalgebra structure via the forward map (the split section), and its
-    monad image carries the induced coalgebra."""
+    """Depth-bounded stand-in for the limit: the level-`depth` set and the
+    level algebras.  The set carries a coalgebra structure via the forward
+    map (the split section), which needs the free algebra on the empty set
+    to be a singleton; only lemma1 reads it, so lemma1 builds that map."""
     if depth + 1 > chain.depth:
         raise DepthExceeded(f"stand-in at depth {depth} needs chain depth {depth + 1}")
     levels = LevelAlgebras(law, chain)
-    ic = build_initial_chain(law, chain)
-    C = chain.level(depth)
-    xi = ic.forward[depth]
-    return levels, C, xi
+    _zero_object(law.M)
+    return levels, chain.level(depth)
 
 
 def _projected(levels: LevelAlgebras, depth: int, n: int) -> array:
@@ -368,8 +357,8 @@ def check_cone_coincidence(law: DistLawEM, chain: TerminalChain, depth: int) -> 
     must coincide, level by level, with projecting first and applying the
     level algebras: both are compared as tables of positions over M C."""
     M = law.M
-    levels, C, xi = _standin(law, chain, depth)
-    zeta = lift_coalgebra(law, C, xi)
+    levels, C = _standin(law, chain, depth)
+    zeta = lift_coalgebra(law, C, build_initial_chain(law, chain).forward[depth])
     MC = M.apply(C)
     report = LawReport(f"cone coincidence for {law.name}")
     for n, alpha_n in enumerate(anamorphism(MC, zeta, depth, chain)):
@@ -393,13 +382,14 @@ def check_projection_morphisms(law: DistLawEM, chain: TerminalChain, depth: int)
     section.  So level n+1->n passes exactly when the connecting map t_n is
     an algebra morphism between the two level algebras."""
     M = law.M
-    levels, C, _xi = _standin(law, chain, depth)
+    levels, C = _standin(law, chain, depth)
     MC = M.apply(C)
+    projected = [_projected(levels, depth, n) for n in range(depth + 1)]
     report = LawReport(f"projection morphisms for {law.name}")
     for n in range(depth):
         lower = chain.level(n)
-        connected = after(chain.connect[n].positions, _projected(levels, depth, n + 1))
-        direct = _projected(levels, depth, n)
+        connected = after(chain.connect[n].positions, projected[n + 1])
+        direct = projected[n]
         report.first("projection-morphism", f"level {n + 1}->{n}", (
             {"level": n, "element": MC.elements[p],
              "connected": lower.elements[connected[p]], "direct": lower.elements[direct[p]]}

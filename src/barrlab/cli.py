@@ -221,7 +221,7 @@ def _state(aut, text: str):
     as JSON when that names a state, else as its label."""
     try:
         return resolve_key(text, aut.states, "--state")
-    except (InputError, TypeError):  # TypeError: a JSON object, which is unhashable
+    except InputError:
         raise InputError(f"state {text!r} not in the automaton") from None
 
 

@@ -53,10 +53,10 @@ def resolve_key(key: str, universe: FinSet, path: str) -> Element:
     fall back to the raw string label."""
     try:
         el = decode_element(json.loads(key))
-    except (json.JSONDecodeError, ValueError):
-        el = key
-    if el in universe:
-        return el
+        if el in universe:
+            return el
+    except (ValueError, TypeError):  # TypeError: a JSON object, which is unhashable
+        pass
     if key in universe:
         return key
     raise InputError(f"{path}: key {key!r} is not an element of {universe.name}")
@@ -334,12 +334,11 @@ def _load_table_monad(doc, path: str) -> TableMonad:
         mult = {}
         for k2, v in load_object(level.get("mult", {}), f"{path}.tables.{n}.mult").items():
             try:
-                key2 = decode_element(json.loads(k2))
-            except json.JSONDecodeError:
+                mult[decode_element(json.loads(k2))] = decode_element(v)
+            except (json.JSONDecodeError, TypeError):  # TypeError: a JSON object
                 raise InputError(
                     f"{path}.tables.{n}.mult: keys are JSON-encoded elements, "
                     f"got {k2!r}") from None
-            mult[key2] = decode_element(v)
         sizes[n] = {"elements": elements, "unit": unit, "mult": mult}
     for n, level in sizes.items():
         # unit_n: X_n -> M X_n and mult_n: M(M X_n) -> M X_n land in level n;

@@ -305,6 +305,10 @@ def cauchy_limit_series(seq: Sequence[Polynomial], depth: int,
         mod = modulus
     else:
         mod = lambda r, _m=tuple(modulus): _m[r]
+    # Length r is stable from n_r on exactly when no neighbouring pair from
+    # n_r on differs at length <= r; the first pair that does differs from
+    # term n_r where it differs from its predecessor.
+    gaps = [first_difference_length(seq[n], seq[n + 1]) for n in range(len(seq) - 1)]
     stable_at = []
     for r in range(depth):
         n_r = mod(r)
@@ -313,8 +317,8 @@ def cauchy_limit_series(seq: Sequence[Polynomial], depth: int,
                 f"modulus at word length {r} is {n_r}, outside the sequence "
                 f"of length {len(seq)}")
         stable_at.append(n_r)
-        for n in range(n_r, len(seq)):
-            d = first_difference_length(seq[n], seq[n_r])
+        for n in range(n_r + 1, len(seq)):
+            d = gaps[n - 1]
             if d is not None and d <= r:
                 raise NotCauchy({"word_length": r, "base_index": n_r,
                                  "index": n, "difference_at": d},

@@ -110,8 +110,8 @@ def test_anamorphism_legs_match_the_tabulated_form(shorthand):
     law = load_distlaw_em(shorthand)
     depth = 3
     chain = build_terminal_chain(law.H, depth + 1)
-    _levels, C, xi = _standin(law, chain, depth)
-    zeta = lift_coalgebra(law, C, xi)
+    _levels, C = _standin(law, chain, depth)
+    zeta = lift_coalgebra(law, C, build_initial_chain(law, chain).forward[depth])
     MC = law.M.apply(C)
     legs = [to_terminal(MC)]
     for n in range(1, depth + 1):
@@ -163,37 +163,6 @@ def test_anamorphism_returns_every_leg_and_keeps_no_state(z2_setup):
         assert len(legs) == n + 1
         assert [leg.cod for leg in legs] == chain.levels[:n + 1]
     assert set(vars(chain)) == attributes == {"H", "levels", "connect"}
-
-
-def test_limit_point_memoizes_and_validates(z2_setup):
-    from barrlab import LimitPoint
-
-    _, chain, _, ic = z2_setup
-    base = colim_to_lim(ic, "*", 0)
-    calls = []
-
-    def provider(n):
-        calls.append(n)
-        return base.rep(n)
-
-    pt = LimitPoint(chain, provider)
-    assert pt.rep(3) == pt.rep(3)
-    assert calls == [3]
-    with pytest.raises(DepthExceeded):
-        pt.rep(chain.depth + 1)
-
-
-def test_incompatible_family_detected(z2_setup):
-    _, chain, _, _ = z2_setup
-    from barrlab import LimitPoint
-
-    # representative at level 2 does not truncate to the one at level 1
-    lvl1, lvl2 = chain.level(1), chain.level(2)
-    bad = LimitPoint(chain, lambda n: {0: "*", 1: lvl1.elements[0],
-                                       2: lvl2.elements[-1]}[n], valid_to=2)
-    bad.rep(1)
-    with pytest.raises(ValueError):
-        bad.rep(2)
 
 
 def test_distance_reflexive_and_symmetric(z2_setup):
@@ -518,6 +487,37 @@ def test_split_retraction_through_points(z2_setup):
     for n in range(4):
         for x in chain.level(n):
             assert colim_to_lim(ic, x, n).rep(n) == x
+
+
+def test_limit_points_are_their_top_representative(z2_monad, one_letter):
+    # Below its level a point's representatives are truncations and above
+    # it forward images; a density approximant and a Cauchy limit are read
+    # the same way.
+    law = semimodule_moore_law(z2_monad, one_letter)
+    chain = build_terminal_chain(law.H, 6)
+    ic = build_initial_chain(law, chain)
+
+    def family(x, n):
+        return [chain.truncate_element(x, n, m) if m < n else ic.forward_element(x, n, m)
+                for m in range(7)]
+
+    for n in range(7):
+        with pytest.raises(DomainMismatch):
+            colim_to_lim(ic, "nosuch", n)
+        for x in chain.level(n):
+            pt = colim_to_lim(ic, x, n)
+            assert [pt.rep(m) for m in range(7)] == family(x, n)
+            with pytest.raises(DepthExceeded):
+                pt.rep(7)
+            points = [density_map(ic, pt, k) for k in range(6)]
+            for k, y in enumerate(points):
+                assert [y.rep(m) for m in range(7)] == family(ic.forward[k](pt.rep(k)), k + 1)
+            for d in range(6):
+                lim = cauchy_limit_point(points, d)
+                assert [lim.rep(m) for m in range(d + 1)] == [points[m].rep(m)
+                                                               for m in range(d + 1)]
+                with pytest.raises(DepthExceeded):
+                    lim.rep(d + 1)
 
 
 def test_density_base_case(z2_setup):

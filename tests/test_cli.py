@@ -286,6 +286,28 @@ def test_anamorphism_reads_an_integer_state_as_a_document_key(capsys):
     assert report["result"] == {"state": 1, "level": 2, "element": [0, [[1, ["*"]]]]}
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("behavior", "--state", "s", "--automaton", json.dumps({
+        "states": ["s"], "alphabet": ["a"], "semiring": "bool",
+        "output": {"s": 1, '{"a": 1}': 0}, "delta": {"s": {"a": "s"}}})),
+     """automaton.output: key '{"a": 1}' is not an element of automaton.states"""),
+    (("check-monad", "--max-size", "1", json.dumps({"tables": {"1": {
+        "elements": [[0, "*"], [1, 0]], "unit": [[1, 0]], "mult": {'{"a":1}': [1, 0]}}}})),
+     """monad.tables.1.mult: keys are JSON-encoded elements, got '{"a":1}'"""),
+    (("behavior", "--automaton", "tests/golden/inputs/automaton-z2-2letter.json",
+      "--state", '{"a": 1}'), """state '{"a": 1}' not in the automaton"""),
+])
+def test_keys_that_decode_to_json_objects_are_named(capsys, argv, message):
+    # A JSON object decodes to an unhashable value, which is no element:
+    # the error names the field and the key.
+    code = main([*argv, "--format", "json"])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == 2
+    assert (report["error"], report["message"]) == ("InputError", message)
+    assert "Traceback" not in captured.err
+
+
 def test_distance_guards_the_words_below_the_bound(capsys, monkeypatch):
     # The words of a loaded series are counted before any is listed: at
     # "bound": 40 the 2^40 - 1 words used to run the process out of memory.

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from barrlab import (BlowUpGuard, BoundMismatch, DomainMismatch, FinSet, LevelAlgebras,
-                     MooreAutomaton, NotCauchy, Polynomial, TruncatedSeries, anamorphism,
+from barrlab import (BlowUpGuard, BoundMismatch, DomainMismatch, FinSet, InputError,
+                     LevelAlgebras, MooreAutomaton, NotCauchy, Polynomial, TruncatedSeries, anamorphism,
                      behavior, boolean_semiring, build_terminal_chain,
                      cauchy_limit_series, decode_series, encode_series, naturals,
                      polynomial_embed, semimodule_moore_law, series_distance, words_below,
@@ -229,6 +229,69 @@ def test_cauchy_violation_carries_witness():
         cauchy_limit_series(seq, 1, modulus=lambda r: 0)
     assert err.value.witness == {"word_length": 0, "base_index": 0,
                                  "index": 1, "difference_at": 0}
+
+
+def _all_pairs_cauchy_limit(seq, depth, modulus):
+    """Reference: compare every term from each modulus index on with the
+    term at that index."""
+    if not seq:
+        raise InputError("empty polynomial sequence")
+    mod = (lambda r: r) if modulus is None else (lambda r: modulus[r])
+    stable_at = []
+    for r in range(depth):
+        n_r = mod(r)
+        if not 0 <= n_r < len(seq):
+            raise InputError(
+                f"modulus at word length {r} is {n_r}, outside the sequence "
+                f"of length {len(seq)}")
+        stable_at.append(n_r)
+        for n in range(n_r, len(seq)):
+            d = first_difference_length(seq[n], seq[n_r])
+            if d is not None and d <= r:
+                raise NotCauchy({"word_length": r, "base_index": n_r,
+                                 "index": n, "difference_at": d},
+                                f"coefficients of length <= {r} change between "
+                                f"terms {n_r} and {n}")
+    return TruncatedSeries.from_fn(
+        seq[0].alphabet, depth, lambda w: seq[stable_at[len(w)]].coefficient(w))
+
+
+def _outcome(limit, *args):
+    try:
+        return "limit", limit(*args)
+    except NotCauchy as err:
+        return "NotCauchy", err.witness, str(err)
+    except InputError as err:
+        return "InputError", str(err)
+
+
+def test_cauchy_limit_series_matches_the_all_pairs_scan():
+    # Each term changes the one before it at a few random words, so some
+    # sequences settle in time for the modulus and others break it, some
+    # two or more terms after the base.  Moduli include indices outside the
+    # sequence and one-term sequences.
+    rng = random.Random(2024)
+    kinds = set()
+    for alphabet in (("t",), ("a", "b")):
+        for _ in range(1500):
+            depth = rng.randrange(5)
+            words = words_below(alphabet, depth + 1)
+            terms = {w: rng.randrange(2) for w in words}
+            seq = []
+            for _n in range(rng.randrange(1, 6)):
+                for _k in range(rng.randrange(3)):
+                    w = rng.choice(words)
+                    terms[w] = 1 - terms[w]
+                seq.append(Polynomial(alphabet, NAT, terms))
+            modulus = rng.choice([None, [rng.randrange(-1, len(seq) + 1) for _ in range(depth)],
+                                  sorted(rng.randrange(len(seq)) for _ in range(depth))])
+            expected = _outcome(_all_pairs_cauchy_limit, seq, depth, modulus)
+            assert _outcome(cauchy_limit_series, seq, depth, modulus) == expected
+            kinds.add((expected[0], len(seq) == 1,
+                       expected[0] == "NotCauchy" and
+                       expected[1]["index"] - expected[1]["base_index"] > 1))
+    assert {kind for kind, _, _ in kinds} == {"limit", "NotCauchy", "InputError"}
+    assert ("limit", True, False) in kinds and ("NotCauchy", False, True) in kinds
 
 
 def test_first_difference_length():
