@@ -15,6 +15,7 @@ import inspect
 import itertools
 import json
 import re
+from collections import Counter
 from typing import Callable, Optional
 
 from .algebras import EMAlgebra, free_algebra, terminal_algebra
@@ -614,22 +615,28 @@ def load_series(doc, path: str = "series") -> TruncatedSeries:
     if bound < 0:
         raise InputError(f"{path}.bound: must be >= 0, got {bound}")
     zero = decode_element(doc.get("zero", 0))
-    coeffs = {w: zero for w in words_below(alphabet, bound)}
+    rank = {w: i for i, w in enumerate(words_below(alphabet, bound))}
+    coeffs = [zero] * len(rank)
     parse = word_parser(alphabet)
     for key, val in load_object(doc.get("coefficients", {}), f"{path}.coefficients").items():
         w = parse(key)
         if len(w) >= bound:
             raise InputError(f"{path}.coefficients: word {key!r} is above the bound")
-        coeffs[w] = decode_element(val)
+        coeffs[rank[w]] = decode_element(val)
     return TruncatedSeries(alphabet, bound, coeffs)
 
 
 def dump_series(s: TruncatedSeries) -> dict:
-    return {
-        "alphabet": list(s.alphabet),
-        "bound": s.bound,
-        "coefficients": {word_to_str(w): encode_element(c) for w, c in s.items()},
-    }
+    """The series document of s.  Where two words concatenate to the same
+    key, as ("a", "a") and ("aa",) do over the alphabet ["a", "aa"], the
+    document cannot hold both coefficients: an input error names the key."""
+    keys = [word_to_str(w) for w in words_below(s.alphabet, s.bound)]
+    coefficients = dict(zip(keys, map(encode_element, s.coeffs)))
+    if len(coefficients) < len(keys):
+        key = next(k for k, n in Counter(keys).items() if n > 1)
+        raise InputError(f"series: more than one word over the alphabet "
+                         f"{list(s.alphabet)} serializes to the key {key!r}")
+    return {"alphabet": list(s.alphabet), "bound": s.bound, "coefficients": coefficients}
 
 
 @_names_path

@@ -6,6 +6,16 @@ the chain machinery becomes power series truncated by degree.
 Truncation convention: a series of bound n carries coefficients on exactly
 the words of length strictly below n, so bound 1 holds only the empty-word
 coefficient.  Under the canonical encoding this matches chain level n.
+
+A truncated series is its coefficient tuple: one entry per word of length
+< bound, in length-lexicographic order (`words_below`), so no word is
+stored.  The word w sits at (number of shorter words) + (w read as a
+base-|A| numeral in the alphabet's order), a truncation is a prefix of the
+tuple, the words of one length are one slice, and the successors of the
+word of rank r among its length have ranks r |A| + i in the next length.
+`behavior`, `series_distance` and the chain encoding work on these
+positions; only `items`, `from_fn` and the document loader and dump list
+words.
 """
 
 from __future__ import annotations
@@ -24,6 +34,13 @@ from .semiring import Semiring
 Word = tuple
 
 
+def _word_count(letters: int, bound: int) -> int:
+    """The number of words of length < bound over `letters` letters,
+    sum_{k < bound} letters^k, in closed form."""
+    n = max(bound, 0)
+    return n if letters == 1 else (letters ** n - 1) // (letters - 1)
+
+
 def _guard_words(alphabet: Sequence, bound: int) -> None:
     """Trip the blow-up guard if the listing of the words of length < bound
     is too large: by its number of words, sum_{k < bound} |A|^k, or by its
@@ -34,7 +51,7 @@ def _guard_words(alphabet: Sequence, bound: int) -> None:
         # 2^(n-1) words already exceed the guard; the exact count would be
         # a number of about n * log2(a) bits.
         raise BlowUpGuard(f"over 2^{n - 1}", f"listing the words {what}")
-    words = n if a == 1 else (a ** n - 1) // (a - 1)
+    words = _word_count(a, n)
     if words > limit:
         raise BlowUpGuard(words, f"listing the words {what}")
     letters = (n * (n - 1) // 2 if a == 1
@@ -53,62 +70,60 @@ def words_below(alphabet: Sequence, bound: int) -> list[Word]:
 
 
 class TruncatedSeries:
-    """Coefficients on all words of length < bound over a fixed alphabet."""
+    """Coefficients on all words of length < bound over a fixed alphabet,
+    held as one tuple in the order of `words_below`: the word w sits at
+    (number of shorter words) + (w read as a base-|A| numeral)."""
 
-    __slots__ = ("alphabet", "bound", "_coeffs")
+    __slots__ = ("alphabet", "bound", "coeffs")
 
-    def __init__(self, alphabet: Sequence, bound: int, coeffs: Mapping):
+    def __init__(self, alphabet: Sequence, bound: int, coeffs: Sequence):
         self.alphabet = tuple(alphabet)
         self.bound = bound
-        table = dict(coeffs)
-        expected = words_below(self.alphabet, bound)
-        if set(table) != set(expected):
+        _guard_words(self.alphabet, bound)
+        if isinstance(coeffs, Mapping):
+            # tuple() of a mapping would read its words as coefficients.
+            raise TypeError("series coefficients are a sequence in words_below order")
+        self.coeffs = tuple(coeffs)
+        if len(self.coeffs) != _word_count(len(self.alphabet), bound):
             raise DomainMismatch(
                 f"series of bound {bound} must assign exactly the words of "
                 f"length < {bound}")
-        self._coeffs = table
 
     @classmethod
     def from_fn(cls, alphabet: Sequence, bound: int, fn: Callable[[Word], object]):
-        return cls(alphabet, bound, {w: fn(w) for w in words_below(alphabet, bound)})
+        return cls(alphabet, bound, map(fn, words_below(alphabet, bound)))
 
     @classmethod
     def constant(cls, alphabet: Sequence, bound: int, value):
         return cls.from_fn(alphabet, bound, lambda _w: value)
 
     def coefficient(self, w: Word):
-        try:
-            return self._coeffs[tuple(w)]
-        except KeyError:
-            raise DomainMismatch(f"word {w!r} not below bound {self.bound}") from None
+        w, a = tuple(w), len(self.alphabet)
+        if len(w) >= self.bound or any(letter not in self.alphabet for letter in w):
+            raise DomainMismatch(f"word {w!r} not below bound {self.bound}")
+        rank = 0
+        for letter in w:
+            rank = rank * a + self.alphabet.index(letter)
+        return self.coeffs[_word_count(a, len(w)) + rank]
 
     def items(self):
         """(word, coefficient) pairs in length-lexicographic order."""
-        for w in words_below(self.alphabet, self.bound):
-            yield w, self._coeffs[w]
+        return zip(words_below(self.alphabet, self.bound), self.coeffs)
 
     def truncate(self, m: int) -> "TruncatedSeries":
         if m > self.bound:
             raise BoundMismatch(f"cannot extend bound {self.bound} to {m}")
         return TruncatedSeries(self.alphabet, m,
-                               {w: self._coeffs[w] for w in words_below(self.alphabet, m)})
-
-    def derivative(self, letter) -> "TruncatedSeries":
-        """The series of coefficients after a leading letter; bound drops by one."""
-        if letter not in self.alphabet:
-            raise DomainMismatch(f"{letter!r} is not in the alphabet")
-        return TruncatedSeries.from_fn(self.alphabet, self.bound - 1,
-                                       lambda w: self._coeffs[(letter,) + w])
+                               self.coeffs[:_word_count(len(self.alphabet), m)])
 
     def __eq__(self, other):
         return (isinstance(other, TruncatedSeries)
                 and self.alphabet == other.alphabet
                 and self.bound == other.bound
-                and self._coeffs == other._coeffs)
+                and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((self.alphabet, self.bound,
-                     tuple(self._coeffs[w] for w in words_below(self.alphabet, self.bound))))
+        return hash((self.alphabet, self.bound, self.coeffs))
 
     def __repr__(self):
         inside = ", ".join(f"{''.join(map(str, w)) or 'e'}:{c}" for w, c in self.items())
@@ -163,21 +178,17 @@ class MooreAutomaton:
 
 def behavior(aut: MooreAutomaton, s: Element, n: int) -> TruncatedSeries:
     """Unfold the automaton n steps from a state: the coefficient of a word
-    is the output reached after reading it.  Computed breadth-first over
-    truncation levels, not by re-running each word."""
+    is the output reached after reading it.  Computed breadth-first, one
+    layer of states per word length below n and one transition per word
+    after the empty one, not by re-running each word."""
     if s not in aut.states:
         raise DomainMismatch(f"{s!r} is not a state")
     _guard_words(aut.alphabet, n)
-    coeffs: dict[Word, object] = {}
-    frontier: dict[Word, Element] = {(): s}
-    for _length in range(n):
-        next_frontier: dict[Word, Element] = {}
-        for w, st in frontier.items():
-            coeffs[w] = aut.output[st]
-            for a in aut.alphabet:
-                next_frontier[w + (a,)] = aut.step[(st, a)]
-        frontier = next_frontier
-    return TruncatedSeries(aut.alphabet, n, coeffs)
+    layers = [[s]]
+    for _length in range(1, n):
+        layers.append([aut.step[(st, a)] for st in layers[-1] for a in aut.alphabet])
+    return TruncatedSeries(aut.alphabet, n,
+                           [aut.output[st] for layer in layers[:n] for st in layer])
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +201,11 @@ def series_distance(f: TruncatedSeries, g: TruncatedSeries) -> DyadicDist:
     bound, never reported as zero."""
     if f.alphabet != g.alphabet or f.bound != g.bound:
         raise BoundMismatch("series must share alphabet and bound")
-    for w in words_below(f.alphabet, f.bound):
-        if f.coefficient(w) != g.coefficient(w):
-            return DyadicDist(len(w), f.bound, len(w))
+    a = len(f.alphabet)
+    for length in range(f.bound):
+        words = slice(_word_count(a, length), _word_count(a, length + 1))
+        if f.coeffs[words] != g.coeffs[words]:
+            return DyadicDist(length, f.bound, length)
     return DyadicDist(None, f.bound, f.bound)
 
 
@@ -202,26 +215,31 @@ def series_distance(f: TruncatedSeries, g: TruncatedSeries) -> DyadicDist:
 
 
 def encode_series(s: TruncatedSeries) -> Element:
-    if s.bound == 0:
-        return "*"
-    return (s.coefficient(()),
-            tuple(encode_series(s.derivative(a)) for a in s.alphabet))
+    """The series as a chain-level element: the empty word's coefficient
+    and, for each letter, the encoding of the series after that letter.
+    The node of the word of rank r among the words of its length reads
+    the coefficient after the shorter words; its successors have ranks
+    r |A| + i."""
+    a = len(s.alphabet)
+
+    def node(length: int, rank: int) -> Element:
+        if length == s.bound:
+            return "*"
+        return (s.coeffs[_word_count(a, length) + rank],
+                tuple(node(length + 1, rank * a + i) for i in range(a)))
+
+    return node(0, 0)
 
 
 def decode_series(el: Element, alphabet: Sequence, bound: int) -> TruncatedSeries:
-    alphabet = tuple(alphabet)
-    coeffs: dict[Word, object] = {}
-
-    def walk(node, prefix: Word, remaining: int):
-        if remaining == 0:
-            return
-        head, succ = node
-        coeffs[prefix] = head
-        for a, sub in zip(alphabet, succ):
-            walk(sub, prefix + (a,), remaining - 1)
-
-    walk(el, (), bound)
-    return TruncatedSeries(alphabet, bound, coeffs)
+    """The series a chain-level element encodes, read layer by layer: the
+    successors of the nodes of one word length, in order, are the nodes of
+    the next, in length-lexicographic order."""
+    layers = [[el]]
+    for _length in range(1, bound):
+        layers.append([sub for _head, succ in layers[-1] for sub in succ])
+    return TruncatedSeries(alphabet, bound,
+                           [head for layer in layers[:bound] for head, _succ in layer])
 
 
 # ---------------------------------------------------------------------------

@@ -177,8 +177,8 @@ def test_distance_reflexive_and_symmetric(z2_setup):
 def test_distance_one_vs_one_plus_t(z2_setup):
     # degree-1 information lives at chain level 2
     _, chain, _, ic = z2_setup
-    one = TruncatedSeries(("t",), 3, {(): 1, ("t",): 0, ("t", "t"): 0})
-    one_t = TruncatedSeries(("t",), 3, {(): 1, ("t",): 1, ("t", "t"): 0})
+    one = TruncatedSeries(("t",), 3, (1, 0, 0))
+    one_t = TruncatedSeries(("t",), 3, (1, 1, 0))
     d = distance(series_point(ic, one), series_point(ic, one_t), 8)
     assert d.agree_depth == 2
     assert d.value().denominator == 4
@@ -305,7 +305,7 @@ def test_gamma_of_formal_sum_is_coefficientwise_sum(z2_setup):
 def test_gamma_is_levelwise_continuous(z2_setup):
     # combinations over points that agree up to level n evaluate equal up to n
     law, chain, levels, ic = z2_setup
-    f = TruncatedSeries(("t",), 3, {(): 1, ("t",): 1, ("t", "t"): 0})
+    f = TruncatedSeries(("t",), 3, (1, 1, 0))
     x = series_point(ic, f)
     y = density_map(ic, x, 3)  # same rep up to 3, different beyond
     for n in range(4):
@@ -474,7 +474,7 @@ def test_standin_unfolds_to_truncations(z2_setup):
 
 def test_colim_to_lim_zero_pads(z2_setup):
     _, chain, _, ic = z2_setup
-    s = TruncatedSeries(("t",), 3, {(): 1, ("t",): 1, ("t", "t"): 0})
+    s = TruncatedSeries(("t",), 3, (1, 1, 0))
     pt = colim_to_lim(ic, encode_series(s), 3)
     assert pt.rep(3) == encode_series(s)
     padded = decode_series(pt.rep(8), ("t",), 8)

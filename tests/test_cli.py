@@ -279,6 +279,38 @@ def test_behavior_reads_an_integer_state_as_a_document_key(capsys):
     assert report["message"] == "state '2' not in the automaton"
 
 
+def _one_state(alphabet):
+    return json.dumps({"states": ["s"], "alphabet": alphabet, "semiring": "bool",
+                       "output": {"s": 1}, "delta": {"s": {a: "s" for a in alphabet}}})
+
+
+_COLLISION = "series: more than one word over the alphabet {} serializes to the key {!r}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # ("a", "a") and ("aa",) both write "aa".
+    (("behavior", "--automaton", _one_state(["a", "aa"]), "--state", "s",
+      "--depth", "3"), _COLLISION.format(["a", "aa"], "aa")),
+    # ("",) writes "", the key of the empty word.
+    (("behavior", "--automaton", _one_state(["a", ""]), "--state", "s",
+      "--depth", "2"), _COLLISION.format(["a", ""], "")),
+    (("limit", "--depth", "3", "--sequence", json.dumps({"polynomials": [
+        {"alphabet": ["a", "aa"], "terms": {"": 1, "aa": 1}}], "modulus": [0, 0, 0]})),
+     _COLLISION.format(["a", "aa"], "aa")),
+])
+def test_a_dump_whose_words_collide_is_an_input_error(capsys, argv, message):
+    code, report = run_json(capsys, *argv)
+    assert code == 2
+    assert (report["error"], report["message"]) == ("InputError", message)
+
+
+def test_a_dump_whose_words_are_distinct_keeps_every_coefficient(capsys):
+    code, report = run_json(capsys, "behavior", "--automaton", _one_state(["a", "aa"]),
+                            "--state", "s", "--depth", "2")
+    assert code == 0
+    assert report["result"]["coefficients"] == {"": 1, "a": 1, "aa": 1}
+
+
 def test_anamorphism_reads_an_integer_state_as_a_document_key(capsys):
     code, report = run_json(capsys, "anamorphism", "--automaton", _INT_STATES,
                             "--state", "1", "--level", "2")

@@ -1,6 +1,8 @@
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from barrlab import (BlowUpGuard, BoundMismatch, DomainMismatch, FinSet, InputError,
                      LevelAlgebras, MooreAutomaton, NotCauchy, Polynomial, TruncatedSeries, anamorphism,
@@ -8,6 +10,7 @@ from barrlab import (BlowUpGuard, BoundMismatch, DomainMismatch, FinSet, InputEr
                      cauchy_limit_series, decode_series, encode_series, naturals,
                      polynomial_embed, semimodule_moore_law, series_distance, words_below,
                      zmod)
+from barrlab.chains import DyadicDist
 from barrlab.series import first_difference_length
 
 BOOL = boolean_semiring()
@@ -47,7 +50,9 @@ def test_words_below_guards_the_letters_of_the_listing(monkeypatch):
 
 def test_series_requires_exact_word_domain():
     with pytest.raises(DomainMismatch):
-        TruncatedSeries(("t",), 2, {(): 1})
+        TruncatedSeries(("t",), 2, (1,))
+    with pytest.raises(TypeError):
+        TruncatedSeries(("t",), 2, {(): 1, ("t",): 0})
 
 
 def test_constant_output_self_loop():
@@ -89,6 +94,29 @@ def test_behavior_agrees_with_chain_unfolding():
                 assert leg(s) == encode_series(behavior(aut, s, n))
 
 
+class CountingDict(dict):
+    """A dict that counts its lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def test_behavior_reads_one_transition_per_word_after_the_empty_one():
+    # The words of length n are not in a series of bound n, so no transition
+    # into them is read: two letters at depth 11 are 2,047 words and 2,046
+    # lookups.
+    rng = random.Random(19)
+    for alphabet in (("a",), ("a", "b"), ("a", "b", "c")):
+        aut = random_bool_automaton(rng, 3, alphabet)
+        for n in range(1, 12 if len(alphabet) < 3 else 7):
+            aut.step = CountingDict(aut.step)
+            behavior(aut, "s0", n)
+            assert aut.step.lookups == len(words_below(alphabet, n)) - 1
+
+
 def test_behavior_truncations_are_compatible():
     rng = random.Random(31)
     aut = random_bool_automaton(rng, 4, ("a",))
@@ -119,8 +147,8 @@ def test_quotient_homomorphism_preserves_behavior():
 
 
 def test_series_distance_basics():
-    one = TruncatedSeries(("t",), 3, {(): 1, ("t",): 0, ("t", "t"): 0})
-    one_t = TruncatedSeries(("t",), 3, {(): 1, ("t",): 1, ("t", "t"): 0})
+    one = TruncatedSeries(("t",), 3, (1, 0, 0))
+    one_t = TruncatedSeries(("t",), 3, (1, 1, 0))
     assert series_distance(one, one).to_json() == {"gt_probe": 3}
     d = series_distance(one, one_t)
     assert d.agree_depth == 1 and d.value().denominator == 2
@@ -314,9 +342,9 @@ def test_module_structure_zero_and_sum(z2_monad, one_letter):
         return decode_series(level.elements[table[M_level.index(phi)]], ("t",), 3)
 
     zero = TruncatedSeries.constant(("t",), 3, 0)
-    one = TruncatedSeries(("t",), 3, {(): 1, ("t",): 0, ("t", "t"): 0})
-    one_t = TruncatedSeries(("t",), 3, {(): 1, ("t",): 1, ("t", "t"): 0})
-    just_t = TruncatedSeries(("t",), 3, {(): 0, ("t",): 1, ("t", "t"): 0})
+    one = TruncatedSeries(("t",), 3, (1, 0, 0))
+    one_t = TruncatedSeries(("t",), 3, (1, 1, 0))
+    just_t = TruncatedSeries(("t",), 3, (0, 1, 0))
     assert combine() == zero
     assert combine(one, one_t) == just_t
 
@@ -326,7 +354,7 @@ def test_polynomial_embed():
     assert polynomial_embed(zero, 3).series == TruncatedSeries.constant(("t",), 3, 0)
     p = Polynomial(("t",), NAT, {(): 1, ("t",): 1})
     res = polynomial_embed(p, 1)
-    assert res.series == TruncatedSeries(("t",), 1, {(): 1})
+    assert res.series == TruncatedSeries(("t",), 1, (1,))
     assert res.discarded == (("t",),)
 
 
@@ -347,3 +375,148 @@ def test_polynomial_embed_roundtrips_with_density(z2_monad, one_letter):
             embedded = polynomial_embed(trunc_poly, 8).series
             approx = decode_series(density_map(ic, x, n).rep(8), ("t",), 8)
             assert approx == embedded
+
+
+# ---------------------------------------------------------------------------
+# Reference: the word-keyed series, with behavior, series_distance,
+# truncation, derivatives and the chain encoding computed word by word.
+
+
+class WordKeyedSeries:
+    """Coefficients kept in a dict from words to values."""
+
+    def __init__(self, alphabet, bound, coeffs):
+        self.alphabet, self.bound = tuple(alphabet), bound
+        self.coeffs = dict(coeffs)
+        if set(self.coeffs) != set(words_below(self.alphabet, bound)):
+            raise DomainMismatch(f"series of bound {bound} must assign exactly the words of "
+                                 f"length < {bound}")
+
+    def coefficient(self, w):
+        try:
+            return self.coeffs[tuple(w)]
+        except KeyError:
+            raise DomainMismatch(f"word {w!r} not below bound {self.bound}") from None
+
+    def truncate(self, m):
+        if m > self.bound:
+            raise BoundMismatch(f"cannot extend bound {self.bound} to {m}")
+        return WordKeyedSeries(self.alphabet, m,
+                               {w: self.coeffs[w] for w in words_below(self.alphabet, m)})
+
+    def derivative(self, letter):
+        return WordKeyedSeries(self.alphabet, self.bound - 1,
+                               {w: self.coeffs[(letter,) + w]
+                                for w in words_below(self.alphabet, self.bound - 1)})
+
+    def positions(self):
+        return tuple(self.coeffs[w] for w in words_below(self.alphabet, self.bound))
+
+
+def reference_behavior(aut, s, n):
+    coeffs, frontier = {}, {(): s}
+    for _length in range(n):
+        next_frontier = {}
+        for w, st in frontier.items():
+            coeffs[w] = aut.output[st]
+            for a in aut.alphabet:
+                next_frontier[w + (a,)] = aut.step[(st, a)]
+        frontier = next_frontier
+    return WordKeyedSeries(aut.alphabet, n, coeffs)
+
+
+def reference_distance(f, g):
+    for w in words_below(f.alphabet, f.bound):
+        if f.coefficient(w) != g.coefficient(w):
+            return DyadicDist(len(w), f.bound, len(w))
+    return DyadicDist(None, f.bound, f.bound)
+
+
+def reference_encode(s):
+    if s.bound == 0:
+        return "*"
+    return (s.coefficient(()), tuple(reference_encode(s.derivative(a)) for a in s.alphabet))
+
+
+def reference_decode(el, alphabet, bound):
+    coeffs = {}
+
+    def walk(node, prefix, remaining):
+        if remaining:
+            head, succ = node
+            coeffs[prefix] = head
+            for a, sub in zip(alphabet, succ):
+                walk(sub, prefix + (a,), remaining - 1)
+
+    walk(el, (), bound)
+    return WordKeyedSeries(alphabet, bound, coeffs)
+
+
+DIFFERENTIAL = settings(derandomize=True, max_examples=150, deadline=None)
+# Up to three letters, some of them longer than one character.
+ALPHABETS = st.lists(st.sampled_from(["a", "b", "ab", "ba", "aab"]), max_size=3, unique=True)
+
+
+@st.composite
+def series_pairs(draw):
+    """A series of bound 0..6 as a word-keyed reference and as positions."""
+    alphabet = draw(ALPHABETS)
+    bound = draw(st.integers(0, 6))
+    words = words_below(alphabet, bound)
+    values = draw(st.lists(st.integers(0, 2), min_size=len(words), max_size=len(words)))
+    ref = WordKeyedSeries(alphabet, bound, zip(words, values))
+    return ref, TruncatedSeries(alphabet, bound, values)
+
+
+def _coefficient_or_error(s, w):
+    try:
+        return s.coefficient(w)
+    except DomainMismatch as err:
+        return str(err)
+
+
+def _same(ref, s):
+    return (s.alphabet, s.bound, s.coeffs) == (ref.alphabet, ref.bound, ref.positions())
+
+
+@DIFFERENTIAL
+@given(series_pairs(), st.data())
+def test_coefficient_and_truncate_match_the_word_keyed_series(pair, data):
+    ref, s = pair
+    for w in words_below(s.alphabet, s.bound + 1) + [("x",)]:
+        assert _coefficient_or_error(s, w) == _coefficient_or_error(ref, w)
+    m = data.draw(st.integers(0, s.bound))
+    assert _same(ref.truncate(m), s.truncate(m))
+    with pytest.raises(BoundMismatch):
+        s.truncate(s.bound + 1)
+
+
+@DIFFERENTIAL
+@given(series_pairs(), st.data())
+def test_series_distance_matches_the_word_keyed_series(pair, data):
+    ref, s = pair
+    # The second series changes a few coefficients of the first, or none.
+    changed = list(s.coeffs)
+    for i in data.draw(st.lists(st.integers(0, max(len(changed) - 1, 0)), max_size=3)):
+        if changed:
+            changed[i] = (changed[i] + 1) % 3
+    t = TruncatedSeries(s.alphabet, s.bound, changed)
+    ref_t = WordKeyedSeries(s.alphabet, s.bound, zip(words_below(s.alphabet, s.bound), changed))
+    assert series_distance(s, t) == reference_distance(ref, ref_t)
+
+
+@DIFFERENTIAL
+@given(series_pairs())
+def test_encode_and_decode_match_the_word_keyed_series(pair):
+    ref, s = pair
+    el = encode_series(s)
+    assert el == reference_encode(ref)
+    assert _same(reference_decode(el, s.alphabet, s.bound), decode_series(el, s.alphabet, s.bound))
+
+
+@DIFFERENTIAL
+@given(ALPHABETS, st.integers(1, 4), st.integers(0, 6), st.randoms(use_true_random=False))
+def test_behavior_matches_the_word_keyed_series(alphabet, n_states, n, rng):
+    aut = random_bool_automaton(rng, n_states, alphabet)
+    for s in aut.states:
+        assert _same(reference_behavior(aut, s, n), behavior(aut, s, n))
