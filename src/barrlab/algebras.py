@@ -1,15 +1,19 @@
 """Eilenberg-Moore algebras for a finite-set monad, checked exhaustively.
 
 An algebra's structure map is held pointwise so that free algebras over
-large carriers stay representable; the table form is materialised on demand
-under the blow-up guard.  The multiplication law is decided on tables of
-positions over M(M carrier), which the monad builds without enumerating
-M(M carrier) where it can (`FinMonad.mult_table`, `arrow_table`).
+large carriers stay representable.  Its table of positions over
+M(carrier) (`EMAlgebra.table`) is built on demand under the blow-up guard:
+by a builder the algebra was given, which need not enumerate M(carrier) (a
+lifted algebra's is H(a) after the law's table of lambda), or else by
+evaluating the structure on every element of M(carrier).  The
+multiplication law is decided on tables of positions over M(M carrier),
+which the monad builds without enumerating M(M carrier) where it can
+(`FinMonad.mult_table`, `arrow_table`).
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional, Sequence
 
 from .errors import DomainMismatch, NonFinitePreserving, blowup_limit
 from .finset import TERMINAL, Element, FinFn, FinSet, tabulate
@@ -18,14 +22,21 @@ from .reports import LawReport
 
 
 class EMAlgebra:
-    """A carrier together with a structure map M(carrier) -> carrier."""
+    """A carrier together with a structure map M(carrier) -> carrier.
 
-    def __init__(self, monad: FinMonad, carrier: FinSet, structure, name: str = ""):
+    The structure is a function of one element, a `FinFn`, or None when a
+    `positions` builder is given: a function of no arguments returning the
+    table of positions, read pointwise through M(carrier) on demand."""
+
+    def __init__(self, monad: FinMonad, carrier: FinSet, structure, name: str = "",
+                 positions: Optional[Callable[[], Sequence[int]]] = None):
         self.monad = monad
         self.carrier = carrier
         self.name = name or f"algebra({carrier.name})"
-        self._pointwise: Callable = structure
+        self._pointwise: Callable = structure or (lambda el: self.structure()(el))
         self._table = structure if isinstance(structure, FinFn) else None
+        self._build = positions
+        self._positions: Optional[Sequence[int]] = None
         if self._table is not None:
             if structure.dom != monad.apply(carrier):
                 raise DomainMismatch(
@@ -37,11 +48,25 @@ class EMAlgebra:
     def structure_at(self, el: Element) -> Element:
         return self._pointwise(el)
 
+    def table(self) -> Sequence[int]:
+        """The structure map as positions: entry p is the position in the
+        carrier of the structure at the element at position p of
+        M(carrier).  Built once, through the builder when there is one."""
+        if self._positions is None:
+            if self._table is None and self._build is not None:
+                self._positions = self._build()
+            else:
+                self._positions = self.structure().positions
+        return self._positions
+
     def structure(self) -> FinFn:
         """The structure map as an explicit table (guarded)."""
         if self._table is None:
-            self._table = tabulate(self.monad.apply(self.carrier), self.carrier,
-                                   self._pointwise, name=f"structure_{self.name}")
+            name = f"structure_{self.name}"
+            MC = self.monad.apply(self.carrier)
+            self._table = (FinFn(MC, self.carrier, self.table(), name=name)
+                           if self._build is not None
+                           else tabulate(MC, self.carrier, self._pointwise, name=name))
         return self._table
 
     def same_table_as(self, other: "EMAlgebra") -> bool:
@@ -91,7 +116,7 @@ def check_em_algebra(M: FinMonad, a: EMAlgebra) -> LawReport:
 
     if M.tower_fits(len(C), 2):
         # A tuple: `compose` reads a tuple faster than an array.
-        MC, s = M.apply(C), tuple(a.structure().positions)
+        MC, s = M.apply(C), tuple(a.table())
         via_mult = compose(s, M.mult_table(C))
         via_map = compose(s, M.arrow_table(s, MC, C))
         report.first("multiplication-law", C.name, (

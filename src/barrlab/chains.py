@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 from .algebras import EMAlgebra, terminal_algebra
 from .errors import (DepthExceeded, DomainMismatch, InputError, NotCauchy,
                      ZeroObjectViolation)
-from .finset import (EMPTY, TERMINAL, Element, FinFn, FinSet, after, from_empty, tabulate,
-                     to_terminal)
+from .finset import (EMPTY, TERMINAL, Element, FinFn, FinSet, after, from_empty, guard_size,
+                     tabulate, to_terminal)
 from .functors import FunctorExpr, arrow
 from .lifting import DistLawEM, lift_algebra, lift_coalgebra
 from .monads import differences
@@ -196,9 +196,12 @@ class LevelAlgebras:
     the lifting applied n times to the terminal algebra, with structure
     H(alpha_{n-1}) . lambda.
 
-    Each level's structure is tabulated once, on first use, and held on the
-    chain's own level set; a level whose M(level n) exceeds the blow-up
-    guard has no table.  Nothing is evaluated on construction.
+    Each level keeps one table of positions over M(level n), built once on
+    first use as `lift_algebra`'s table: H(alpha_{n-1}), tabulated on
+    H(M(level n-1)), after the law's table of lambda at level n-1.  So
+    M(level n) itself is not built (M(level n-1) is, to read alpha_{n-1}).
+    A level whose M(level n) exceeds the blow-up guard has no table.
+    Nothing is evaluated on construction.
     """
 
     def __init__(self, law: DistLawEM, chain: TerminalChain):
@@ -214,20 +217,25 @@ class LevelAlgebras:
         if algebra is None:
             M = self.law.M
             # Above the guard this raises before any level below is built.
-            M_level = M.apply(level)
+            _guard_m(M, level)
             lifted = lift_algebra(self.law, self._algebra(n - 1))
             # lift_algebra's carrier is an equal copy of the level: the
             # table is kept on the chain's sets.
-            algebra = EMAlgebra(M, level, FinFn(M_level, level, lifted.structure().positions),
-                                name=f"level {n}")
+            algebra = EMAlgebra(M, level, None, name=f"level {n}", positions=lifted.table)
             self._algebras[n] = algebra
         return algebra
 
-    def table(self, n: int) -> array:
+    def table(self, n: int) -> Sequence[int]:
         """Level n's structure as positions: entry p is the position in
         level n of the structure at the element at position p of M(level
-        n).  Above the guard, building M(level n) raises BlowUpGuard."""
-        return self._algebra(n).structure().positions
+        n).  Where M(level n) exceeds the guard this raises BlowUpGuard."""
+        return self._algebra(n).table()
+
+
+def _guard_m(M, level: FinSet) -> None:
+    """Raise BlowUpGuard, as building M(level) would, where M(level)
+    exceeds the guard: a table over M(level) has an entry per element."""
+    guard_size(M.card(len(level)), f"building {M.name}({level.name})")
 
 
 def level_algebras(law: DistLawEM, chain: TerminalChain) -> LevelAlgebras:
@@ -383,7 +391,8 @@ def check_projection_morphisms(law: DistLawEM, chain: TerminalChain, depth: int)
     an algebra morphism between the two level algebras."""
     M = law.M
     levels, C = _standin(law, chain, depth)
-    MC = M.apply(C)
+    # M C is built only to decode the first position where two tables differ.
+    _guard_m(M, C)
     projected = [_projected(levels, depth, n) for n in range(depth + 1)]
     report = LawReport(f"projection morphisms for {law.name}")
     for n in range(depth):
@@ -391,7 +400,7 @@ def check_projection_morphisms(law: DistLawEM, chain: TerminalChain, depth: int)
         connected = after(chain.connect[n].positions, projected[n + 1])
         direct = projected[n]
         report.first("projection-morphism", f"level {n + 1}->{n}", (
-            {"level": n, "element": MC.elements[p],
+            {"level": n, "element": M.apply(C).elements[p],
              "connected": lower.elements[connected[p]], "direct": lower.elements[direct[p]]}
             for p in differences(connected, direct)))
     return report

@@ -30,7 +30,7 @@ from .lifting import (ComponentFamily, Composite, DistLawEM, DistLawKl,
 from .monads import (ExceptionMonad, FinMonad, PowersetMonad, SemimoduleMonad,
                      TableMonad, WriterMonad, exception_monad, maybe_monad)
 from .semiring import Semiring, boolean_semiring, minplus, naturals, zmod
-from .series import MooreAutomaton, Polynomial, TruncatedSeries, words_below
+from .series import MooreAutomaton, Polynomial, TruncatedSeries, word_strings, words_below
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +572,31 @@ def load_automaton(doc, path: str = "automaton") -> MooreAutomaton:
 
 
 def word_to_str(w) -> str:
-    return "".join(str(a) for a in w)
+    """The key of one word, its letters' strings joined; a series lists
+    the keys of all its words at once (`series.word_strings`)."""
+    return "".join(map(str, w))
+
+
+def _prefix_code(alphabet) -> bool:
+    """True when no letter's string is empty or a prefix of another's (two
+    equal strings included): then distinct words write distinct keys.  In
+    sorted order a letter that is a prefix of another is a prefix of the
+    next one."""
+    strs = sorted(map(str, alphabet))
+    return all(strs) and not any(b.startswith(a) for a, b in zip(strs, strs[1:]))
+
+
+def _refuse_colliding_keys(alphabet, bound: int, path: str) -> None:
+    """Raise an InputError naming the first key that two words below bound
+    write, as ("a", "a") and ("aa",) do over the alphabet ["a", "aa"]: a
+    series document cannot hold both coefficients.  The keys are listed
+    only when the letters are not a prefix code."""
+    if _prefix_code(alphabet):
+        return
+    key = next((k for k, n in Counter(word_strings(alphabet, bound)).items() if n > 1), None)
+    if key is not None:
+        raise InputError(f"{path}: more than one word over the alphabet "
+                         f"{list(alphabet)} serializes to the key {key!r}")
 
 
 def word_parser(alphabet) -> Callable[[str], tuple]:
@@ -623,20 +647,17 @@ def load_series(doc, path: str = "series") -> TruncatedSeries:
         if len(w) >= bound:
             raise InputError(f"{path}.coefficients: word {key!r} is above the bound")
         coeffs[rank[w]] = decode_element(val)
+    _refuse_colliding_keys(alphabet, bound, path)
     return TruncatedSeries(alphabet, bound, coeffs)
 
 
 def dump_series(s: TruncatedSeries) -> dict:
-    """The series document of s.  Where two words concatenate to the same
-    key, as ("a", "a") and ("aa",) do over the alphabet ["a", "aa"], the
-    document cannot hold both coefficients: an input error names the key."""
-    keys = [word_to_str(w) for w in words_below(s.alphabet, s.bound)]
-    coefficients = dict(zip(keys, map(encode_element, s.coeffs)))
-    if len(coefficients) < len(keys):
-        key = next(k for k, n in Counter(keys).items() if n > 1)
-        raise InputError(f"series: more than one word over the alphabet "
-                         f"{list(s.alphabet)} serializes to the key {key!r}")
-    return {"alphabet": list(s.alphabet), "bound": s.bound, "coefficients": coefficients}
+    """The series document of s; where two words write the same key, an
+    input error names the key (`_refuse_colliding_keys`)."""
+    _refuse_colliding_keys(s.alphabet, s.bound, "series")
+    return {"alphabet": list(s.alphabet), "bound": s.bound,
+            "coefficients": dict(zip(word_strings(s.alphabet, s.bound),
+                                     map(encode_element, s.coeffs)))}
 
 
 @_names_path

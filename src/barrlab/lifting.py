@@ -10,7 +10,11 @@ arrow at a function, built through `M.arrow` and `functors.arrow`.  A
 `ComponentFamily` holds its source and target composites and either a
 formula, evaluated on demand and tabulated per carrier when asked for, or
 explicit per-carrier tables; checkers read a component through `lookup`,
-a `LazyTable` per carrier.
+a `LazyTable` per carrier, or as a table of positions (`table`).  A law
+tabulates lambda_X by evaluating it through `lookup` on every element of
+M(H X), except the linear laws of the free semimodule monads
+(`SemimoduleFunctorLaw`), which build the table from M of H X's
+projections as positions and never evaluate a component.
 The algebra-side law M(H X) -> H(M X) (`DistLawEM`, equivalent to lifting H
 to algebras), the Kleisli-side law T(M X) -> M(T X) (`DistLawKl`) and the
 mediating isomorphism H(M X) -> M(T X) of a commuting pair are all
@@ -20,21 +24,26 @@ function between two carriers.  Checkers record their verdicts through
 `lift_algebra` is the one place the lifted structure H(a) . lambda is
 built: the chain's level algebras, the initial chain's base map, the
 commuting-pair square and the law checker's multiplication axiom all read
-it.
+it.  For the linear laws its table is H(a), tabulated on the small set
+H(M X), after the law's table of lambda_X; the multiplication axiom
+compares two tables over M(M(H X)) built from those tables and decodes
+elements only where they differ.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Callable, Iterator, Optional
+import itertools
+import operator
+from typing import Callable, Iterator, Optional, Sequence
 
 from .algebras import EMAlgebra, free_algebra, require_monad
 from .errors import DomainMismatch, MissingComponent
-from .finset import (Element, FinFn, FinSet, LazyTable, canonical_carriers, function_values,
-                     tabulate)
+from .finset import (Element, FinFn, FinSet, LazyTable, after, canonical_carriers,
+                     function_values, tabulate)
 from .functors import Const, FunctorExpr, Id, Prod, arrow, moore_functor
 from .groups import FinGroup, FinMonoid, as_group
-from .monads import ExceptionMonad, FinMonad, SemimoduleMonad, WriterMonad
+from .monads import (ExceptionMonad, FinMonad, SemimoduleMonad, WriterMonad, compose,
+                     differences)
 from .reports import LawReport
 
 
@@ -66,8 +75,12 @@ class ComponentFamily:
     A formula family (or a subclass that defines `component_at` itself)
     covers every carrier and tabulates a component on request; a table
     family covers exactly the carriers it was given.  `lookup` memoises
-    `component_at` per carrier for the family's lifetime.
+    `component_at` per carrier for the family's lifetime.  `positional` is
+    True for a family whose `table` is built from positions, without
+    evaluating a component.
     """
+
+    positional = False
 
     def __init__(self, source: Composite, target: Composite,
                  formula: Optional[Callable] = None, components: Optional[dict] = None,
@@ -92,12 +105,19 @@ class ComponentFamily:
     def _tabulate(self, X: FinSet) -> FinFn:
         if self._tabled:
             raise self.missing(X)
-        return tabulate(self.source.at(X), self.target.at(X), partial(self.component_at, X),
+        return tabulate(self.source.at(X), self.target.at(X), self.lookup(X),
                         name=f"{self.name}@{X.name}")
 
     def component(self, X: FinSet) -> FinFn:
-        """The component at X as an explicit table (memoised)."""
+        """The component at X as an explicit table (memoised), evaluated
+        through `lookup`."""
         return self._tables[X]
+
+    def table(self, X: FinSet) -> Sequence[int]:
+        """The component at X as positions: entry p is the position in
+        target(X) of the component at the element at position p of
+        source(X)."""
+        return self.component(X).positions
 
     def lookup(self, X: FinSet) -> Callable[[Element], Element]:
         """The component at X as a function of one element, memoised for the
@@ -260,14 +280,21 @@ def semiring_algebra(M: SemimoduleMonad) -> EMAlgebra:
     return EMAlgebra(M, kset, structure, name=f"{k.name}-as-algebra")
 
 
+# The output projection of H X = C x X^A (or C x X).
+_output = operator.itemgetter(0)
+
+
 class SemimoduleFunctorLaw(DistLawEM):
     """Law for H = C x X^A (or C x X, or constant C) over a free-semimodule
     monad, where C carries an algebra structure.
 
     A formal combination of H-structures splits into the combination of the
     outputs, evaluated through C's structure map, and the per-letter
-    pushforward of the weights onto successor states.
+    pushforward of the weights onto successor states.  Its table of
+    lambda_X is built from M of H X's projections as positions.
     """
+
+    positional = True
 
     def __init__(self, M: SemimoduleMonad, out: EMAlgebra,
                  alphabet: Optional[FinSet], shape: str):
@@ -285,17 +312,41 @@ class SemimoduleFunctorLaw(DistLawEM):
         # Few distinct combinations of outputs reach C's structure map.
         self._out_structure = LazyTable(out.structure_at)
 
+    def _successors(self) -> tuple:
+        """The successor projections of H X: one per letter, or one for the
+        shape C x X."""
+        if self.shape == "times":
+            return (lambda w: w[1],)
+        return tuple((lambda w, i=i: w[1][i]) for i in range(len(self.alphabet)))
+
     def _projection_arrows(self, X: FinSet) -> tuple:
         """M applied to the output projection and the successor projections
         of H X, built once per carrier (kept in `_arrows`)."""
         M, HX = self.M, self.H(X)
-        out = M.arrow(lambda w: w[0], HX, self.out.carrier)
-        if self.shape == "times":
-            succ = M.arrow(lambda w: w[1], HX, X)
-        else:
-            succ = tuple(M.arrow(lambda w, i=i: w[1][i], HX, X)
-                         for i in range(len(self.alphabet)))
-        return (out, succ)
+        succ = tuple(M.arrow(s, HX, X) for s in self._successors())
+        return (M.arrow(_output, HX, self.out.carrier),
+                succ[0] if self.shape == "times" else succ)
+
+    def table(self, X: FinSet) -> Sequence[int]:
+        """lambda_X as positions over M(H X), read off M of the projections
+        of H X as positions (`M.arrow_table`): the output part through the
+        output algebra's table, the successor parts as they are, combined
+        by mixed radix in H(M X)'s product order, the output most
+        significant.  No component is evaluated.  Where M C exceeds the
+        guard, C has no table, and lambda_X is tabulated through `lookup`."""
+        M, C, HX = self.M, self.out.carrier, self.H(X)
+        if not M.tower_fits(len(C), 1):
+            return super().table(X)
+
+        def positions(proj, cod):
+            return M.arrow_table(tuple(map(cod.index, map(proj, HX))), HX, cod)
+
+        table = compose(self.out.table(), positions(_output, C))
+        radix = itertools.repeat(M.card(len(X)))
+        for succ in self._successors():
+            table = tuple(map(operator.add, map(operator.mul, table, radix),
+                              positions(succ, X)))
+        return table
 
     def component_at(self, X, phi):
         out, succ = self._arrows[X]
@@ -324,10 +375,13 @@ def check_distlaw_em(law: DistLawEM, max_size: int) -> LawReport:
     """Exhaustively verify the unit axiom, the multiplication axiom and
     naturality on all canonical carriers of size <= max_size.
 
-    The axioms revisit few distinct component inputs many times, so every
-    component is read through `law.lookup`, memoised for the law's
-    lifetime, and the multiplication axiom reads H(mu_X) . lambda_{MX}, the
-    lifted free algebra on X, through one table per carrier."""
+    The unit axiom and naturality read every component through
+    `law.lookup`, memoised for the law's lifetime.  The multiplication
+    axiom compares two tables of positions over M(M(H X)):
+    lambda_X . mu_{HX} against H(mu_X) . lambda_{MX} . M(lambda_X), where
+    H(mu_X) . lambda_{MX} is the lifted free algebra on X, read from its
+    table, or pointwise where M(H M X) has more elements than M(M(H X)).
+    Elements are decoded only at the first position where they differ."""
     M, H = law.M, law.H
     report = LawReport(f"distributive law {law.name}")
     carriers = canonical_carriers(max_size)
@@ -349,14 +403,21 @@ def check_distlaw_em(law: DistLawEM, max_size: int) -> LawReport:
             report.skip("mult-axiom", X.name,
                         f"no component at the derived carrier {MX.name}")
         elif M.tower_fits(len(HX), 2):
-            MHX = M.apply(HX)
-            mult_hx = M.mult_at(HX)
-            lifted = LazyTable(lift_algebra(law, free_algebra(M, X)).structure_at)
-            m_lam_x = M.arrow(lam_x, MHX, H(MX))
+            MHX, HMX, lam_table = M.apply(HX), H(MX), law.table(X)
+            lhs = compose(lam_table, M.mult_table(HX))
+            lifted = lift_algebra(law, free_algebra(M, X))
+            if M.card(len(HMX)) <= len(lhs):
+                rhs = compose(lifted.table(), M.arrow_table(lam_table, MHX, HMX))
+            else:
+                # The lifted free algebra would have a larger table than the
+                # two sides: it is read only where M(lambda_X) lands.
+                lifted_at = LazyTable(lambda u: HMX.index(lifted.structure_at(u)))
+                rhs = tuple(map(lifted_at.__getitem__,
+                                map(M.arrow(lam_x, MHX, HMX), M.apply(MHX))))
             report.first("mult-axiom", X.name, (
-                {"carrier": X.name, "element": big, "lhs": lhs, "rhs": rhs}
-                for big in M.apply(MHX)
-                if (lhs := lam_x(mult_hx(big))) != (rhs := lifted[m_lam_x(big)])))
+                {"carrier": X.name, "element": M.apply(MHX).elements[p],
+                 "lhs": HMX.elements[lhs[p]], "rhs": HMX.elements[rhs[p]]}
+                for p in differences(lhs, rhs)))
         else:
             report.skip("mult-axiom", X.name,
                         f"|MM(H {X.name})| = {M.tower_card_display(len(HX), 2)} exceeds guard")
@@ -425,17 +486,25 @@ def check_distlaw_kl(law: DistLawKl, max_size: int) -> LawReport:
 def lift_algebra(law: DistLawEM, a: EMAlgebra) -> EMAlgebra:
     """The lifting of H to algebras at a: H(carrier) with the structure
     H(a) . lambda, distribute, then apply H to the original structure map.
-    The structure is pointwise; `structure()` tabulates it under the
-    guard."""
+    The structure is pointwise.  For a law whose table of lambda is built
+    from positions (`positional`), the lifted table is H(a), tabulated on
+    H(M carrier), after that table, and M(H carrier) is not enumerated; for
+    any other law it is the structure evaluated on every element of M(H
+    carrier), which costs less than tabulating lambda and H(a) apart."""
     require_monad(law.M, a, f", the monad of {law.name}")
-    X = a.carrier
-    carrier = law.H(X)
-    h_structure = arrow(law.H, a.structure_at)
+    M, X, H = law.M, a.carrier, law.H
+    carrier = H(X)
+    h_structure = arrow(H, a.structure_at)
+    name = f"lift[{law.name}]({a.name})"
 
     def structure(u):
         return h_structure(law.component_at(X, u))
 
-    return EMAlgebra(law.M, carrier, structure, name=f"lift[{law.name}]({a.name})")
+    def positions():
+        return after(tabulate(H(M.apply(X)), carrier, h_structure).positions, law.table(X))
+
+    return EMAlgebra(M, carrier, structure, name=name,
+                     positions=positions if law.positional else None)
 
 
 def lift_coalgebra(law: DistLawEM, C: FinSet, xi: FinFn) -> FinFn:

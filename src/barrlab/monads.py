@@ -267,6 +267,7 @@ class PowersetMonad(FinMonad):
 
     def kleisli_table(self, h, dom, cod):
         guard_size(self.card(len(cod)), f"positions in {self.name}({cod.name})")
+        guard_size(self.card(len(dom)), f"positions over {self.name}({dom.name})")
         by_mask = _double(operator.or_, compose(_subset_masks(len(cod)), h))
         return compose(_subset_ranks(len(cod)), compose(by_mask, _subset_masks(len(dom))))
 
@@ -428,8 +429,9 @@ class SemimoduleMonad(FinMonad):
         # Positions in M cod exist while M cod fits under the guard; M cod
         # itself is not materialised.  The position of a vector is the
         # base-|k| numeral of its coefficients' indices, first coordinate on
-        # top.
+        # top.  The table has one entry per element of M dom.
         guard_size(self.card(len(cod)), f"positions in {self.name}({cod.name})")
+        guard_size(self.card(len(dom)), f"positions over {self.name}({dom.name})")
         if self._op is not None:
             # mu . M h adds, for each nonzero coordinate, the mask h assigns
             # to it: one doubling over the columns h.

@@ -69,6 +69,22 @@ def words_below(alphabet: Sequence, bound: int) -> list[Word]:
     return out
 
 
+def word_strings(alphabet: Sequence, bound: int) -> list[str]:
+    """The string of each word of length < bound, its letters' strings
+    joined, in `words_below` order.  The strings of length n are those of
+    length n-1, each extended by every letter's string: one concatenation
+    per word rather than one join over its letters."""
+    _guard_words(alphabet, bound)
+    letters = [str(a) for a in alphabet]
+    out: list[str] = []
+    layer = [""]
+    for length in range(bound if alphabet else min(bound, 1)):
+        if length:
+            layer = [w + a for w in layer for a in letters]
+        out += layer
+    return out
+
+
 class TruncatedSeries:
     """Coefficients on all words of length < bound over a fixed alphabet,
     held as one tuple in the order of `words_below`: the word w sits at

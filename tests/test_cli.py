@@ -304,6 +304,17 @@ def test_a_dump_whose_words_collide_is_an_input_error(capsys, argv, message):
     assert (report["error"], report["message"]) == ("InputError", message)
 
 
+def test_a_series_document_whose_words_collide_is_an_input_error(capsys):
+    # Over the letters a and aa no document can set the coefficient of
+    # (a, a): the key "aa" reads as (aa).
+    left = {"alphabet": ["a", "aa"], "bound": 3, "coefficients": {"aa": 1}}
+    code, report = run_json(capsys, "distance", "--left", json.dumps(left),
+                            "--right", json.dumps({"alphabet": ["a", "aa"], "bound": 3}))
+    assert code == 2
+    assert (report["error"], report["message"]) == (
+        "InputError", _COLLISION.format(["a", "aa"], "aa"))
+
+
 def test_a_dump_whose_words_are_distinct_keeps_every_coefficient(capsys):
     code, report = run_json(capsys, "behavior", "--automaton", _one_state(["a", "aa"]),
                             "--state", "s", "--depth", "2")

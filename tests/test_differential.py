@@ -1,6 +1,7 @@
 """The law checkers, which compare tables of positions, against pointwise
 reference checkers that evaluate every law element by element: identical
-JSON reports, or the same error, on the same inputs."""
+JSON reports, or the same error, on the same inputs.  The monad laws, the
+algebra laws and the axioms of a distributive law are compared."""
 
 import json
 import random
@@ -8,11 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from barrlab import (EMAlgebra, FinSet, InputError, check_em_algebra, check_monad_laws,
-                     free_algebra, tabulate, terminal_algebra)
+from barrlab import (EMAlgebra, FinSet, InputError, carrier, check_distlaw_em,
+                     check_em_algebra, check_monad_laws, free_algebra, tabulate,
+                     terminal_algebra)
 from barrlab.errors import blowup_limit
 from barrlab.finset import LazyTable, canonical_carriers, function_values
-from barrlab.jsonio import load_monad
+from barrlab.functors import arrow
+from barrlab.jsonio import load_distlaw_em, load_monad
+from barrlab.lifting import (DistLawEM, SemimoduleFunctorLaw, lift_algebra,
+                             naturality_failures, semiring_algebra)
 from barrlab.monads import _skip_label
 from barrlab.reports import LawReport
 
@@ -133,6 +138,55 @@ def pointwise_em_algebra(M, a):
     return report
 
 
+def pointwise_distlaw_em(law, max_size):
+    """`check_distlaw_em` evaluated element by element: the multiplication
+    axiom compares lambda_X . mu_{HX} with the lifted free algebra after
+    M(lambda_X) at every element of M(M(H X)), the lifted structure read
+    pointwise through one `LazyTable` per carrier."""
+    M, H = law.M, law.H
+    report = LawReport(f"distributive law {law.name}")
+    carriers = canonical_carriers(max_size)
+    for X in carriers:
+        if not law.has_component(X):
+            raise law.missing(X)
+
+    for X in carriers:
+        HX = H(X)
+        MX = M.apply(X)
+        h_unit_x = arrow(H, lambda x: M.unit_element(X, x))
+        lam_x = law.lookup(X)
+        report.first("unit-axiom", X.name, (
+            {"carrier": X.name, "element": w, "lhs": lhs, "rhs": rhs}
+            for w in HX
+            if (lhs := lam_x(M.unit_element(HX, w))) != (rhs := h_unit_x(w))))
+
+        if not law.has_component(MX):
+            report.skip("mult-axiom", X.name,
+                        f"no component at the derived carrier {MX.name}")
+        elif M.tower_fits(len(HX), 2):
+            MHX = M.apply(HX)
+            mult_hx = M.mult_at(HX)
+            lifted = LazyTable(lift_algebra(law, free_algebra(M, X)).structure_at)
+            m_lam_x = M.arrow(lam_x, MHX, H(MX))
+            report.first("mult-axiom", X.name, (
+                {"carrier": X.name, "element": big, "lhs": lhs, "rhs": rhs}
+                for big in M.apply(MHX)
+                if (lhs := lam_x(mult_hx(big))) != (rhs := lifted[m_lam_x(big)])))
+        else:
+            report.skip("mult-axiom", X.name,
+                        f"|MM(H {X.name})| = {M.tower_card_display(len(HX), 2)} exceeds guard")
+
+    for X in carriers:
+        for Y in carriers:
+            pair = f"{X.name}->{Y.name}"
+            if not M.tower_fits(len(H(X)), 1):
+                report.skip("naturality", pair, f"|M(H {X.name})| exceeds guard")
+                continue
+            report.first("naturality", pair, naturality_failures(
+                law.source, law.target, X, Y, law.lookup(X), law.lookup(Y)))
+    return report
+
+
 def outcome(check, *args):
     """The JSON report of a check, or the error it raised."""
     try:
@@ -151,6 +205,13 @@ def assert_monad_checks_agree(make_monad, max_size):
 def assert_algebra_checks_agree(M, algebra):
     got = outcome(check_em_algebra, M, algebra)
     assert got == outcome(pointwise_em_algebra, M, algebra)
+    return got
+
+
+def assert_distlaw_checks_agree(make_law, max_size):
+    # Fresh laws on each side, so that neither reads the other's memos.
+    got = outcome(check_distlaw_em, make_law(), max_size)
+    assert got == outcome(pointwise_distlaw_em, make_law(), max_size)
     return got
 
 
@@ -296,3 +357,80 @@ def test_kernel_monads_never_enumerate_the_towers(monkeypatch):
         assert check_em_algebra(M, free_algebra(M, FinSet("X2", range(2)))).passed
         # M C has 16 points; M(M C) would have 2^16.
         assert max(built) == 16
+
+
+# Builtin laws at the largest size whose multiplication axiom runs in a
+# second or so pointwise: M(M(H X2)) has 2^16 elements for the one-letter
+# Moore law over Z/2.  For four letters M(H(M X1)) has 2^32 elements, more
+# than M(M(H X1)): the lifted free algebra is read pointwise there.
+BUILTIN_LAWS = [
+    ("moore:z2:1letter", 2), ("moore:bool:1letter", 2), ("moore:z3:1letter", 1),
+    ("moore:z2:2letters", 1), ("moore:z2:4letters", 1), ("pointed:2:maybe", 2),
+    ("gset-s3-conj", 1),
+    ({"monad": "semimodule:z2", "family": {"name": "stream",
+                                           "generators": {"elements": ["p"]}}}, 2),
+    ({"monad": "semimodule:z2", "family": {"name": "moore", "alphabet": {"elements": ["a"]},
+                                           "generators": {"elements": ["p", "q"]}}}, 1),
+    ({"monad": "powerset", "family": "identity"}, 2),
+]
+
+
+@pytest.mark.parametrize("doc,max_size", BUILTIN_LAWS,
+                         ids=[f"{d if isinstance(d, str) else d['monad'] + '-' + str(i)}-max{n}"
+                              for i, (d, n) in enumerate(BUILTIN_LAWS)])
+def test_builtin_laws_match_the_pointwise_checker(doc, max_size):
+    report = json.loads(assert_distlaw_checks_agree(lambda: load_distlaw_em(doc), max_size))
+    assert report["passed"]
+
+
+# (1, 1) in M(H X1) for H X = z2 x X^{t}: the sum of the two elements of
+# H X1, of support 2.
+SUPPORT_TWO = (1, 1)
+
+
+def moore_broken_at_support_two(shorthand="moore:z2:1letter"):
+    """A Moore law over Z/2 with lambda_{X1} changed at one element of
+    support 2, its output flipped; a formula law, tabulated through
+    `lookup`."""
+    base = load_distlaw_em(shorthand)
+    X1 = carrier(1)
+
+    def formula(X, el):
+        out, succ = base.component_at(X, el)
+        if X == X1 and el == SUPPORT_TWO:
+            return (1 - out, succ)
+        return (out, succ)
+
+    return DistLawEM(base.H, base.M, formula, name="moore-broken-at-support-2")
+
+
+def moore_with_broken_outputs():
+    """The one-letter Moore law over Z/2 whose outputs, Z/2 as an algebra,
+    send (1, 1), of support 2, to 0 rather than 1; a linear law, tabulated
+    from its projections."""
+    M = load_monad("semimodule:z2")
+    k = semiring_algebra(M)
+    out = EMAlgebra(M, k.carrier, lambda vec: 0 if vec == SUPPORT_TWO else k.structure_at(vec),
+                    name="z2-broken-at-support-2")
+    return SemimoduleFunctorLaw(M, out, FinSet("A", ("t",)), "moore")
+
+
+@pytest.mark.parametrize("make_law", (moore_broken_at_support_two, moore_with_broken_outputs))
+def test_a_law_broken_at_support_two_fails_the_mult_axiom_as_pointwise(make_law):
+    # The lifted free algebra is read from its table at X1.
+    report = json.loads(assert_distlaw_checks_agree(make_law, 2))
+    failed = [c for c in report["checks"] if c["status"] == "fail"]
+    # Both checkers name the same element of M(M(H X1)): (1, 0) + (1, 1),
+    # which M(lambda_X1) reads at (1, 1), where lambda_X1 is changed.
+    assert (failed[0]["law"], failed[0]["instance"]) == ("mult-axiom", "X1")
+    assert failed[0]["counterexample"] == {"carrier": "X1", "element": [0, 0, 1, 1],
+                                           "lhs": [1, [[1]]], "rhs": [0, [[1]]]}
+
+
+def test_a_law_broken_where_the_lifted_algebra_is_read_pointwise_fails_as_pointwise():
+    # Four letters: at X1 the lifted free algebra is read where M(lambda_X1)
+    # lands, not from a table of 2^32 entries.
+    report = json.loads(assert_distlaw_checks_agree(
+        lambda: moore_broken_at_support_two("moore:z2:4letters"), 1))
+    failed = [c for c in report["checks"] if c["status"] == "fail"]
+    assert (failed[0]["law"], failed[0]["instance"]) == ("mult-axiom", "X1")

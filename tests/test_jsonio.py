@@ -229,6 +229,40 @@ def test_series_roundtrip():
         load_series({"alphabet": ["t"], "bound": 1, "coefficients": {"t": 1}})
 
 
+@pytest.mark.parametrize("alphabet, key", [
+    (["a", "aa"], "aa"),  # ("a", "a") and ("aa",)
+    (["a", ""], ""),  # () and ("",)
+    (["ab", "b", "a"], "ab"),  # ("a", "b") and ("ab",)
+])
+def test_a_series_whose_words_collide_is_refused_on_load(alphabet, key):
+    # The same error as dump_series gives: no document sets every
+    # coefficient of such a series.
+    with pytest.raises(InputError, match=rf"^series: more than one word over the alphabet "
+                                         rf"\[.*\] serializes to the key '{key}'$"):
+        load_series({"alphabet": alphabet, "bound": 3})
+    # Below bound 2 the words are the empty word and the letters.
+    if key:
+        assert load_series({"alphabet": alphabet, "bound": 2}).bound == 2
+
+
+def test_a_prefix_code_alphabet_lists_no_keys(monkeypatch):
+    # No letter is empty or a prefix of another, so distinct words write
+    # distinct keys: the collision check lists no words.
+    import barrlab.jsonio as jsonio
+
+    assert jsonio._prefix_code(["a", "ba", "bb"])
+    assert not jsonio._prefix_code(["b", "ab", "a"])
+    assert not jsonio._prefix_code([1, "1"])
+
+    def no_listing(*args):
+        raise AssertionError("words listed")
+
+    monkeypatch.setattr(jsonio, "word_strings", no_listing)
+    jsonio._refuse_colliding_keys(["a", "ba", "bb"], 40, "series")
+    with pytest.raises(AssertionError):
+        jsonio._refuse_colliding_keys(["a", "ab"], 40, "series")
+
+
 def test_polynomial_loading():
     p = load_polynomial({"alphabet": ["t"], "semiring": "nat",
                          "terms": {"": 2, "ttt": 1}})

@@ -11,7 +11,8 @@ from barrlab import (BlowUpGuard, BoundMismatch, DomainMismatch, FinSet, InputEr
                      polynomial_embed, semimodule_moore_law, series_distance, words_below,
                      zmod)
 from barrlab.chains import DyadicDist
-from barrlab.series import first_difference_length
+from barrlab.jsonio import word_to_str
+from barrlab.series import first_difference_length, word_strings
 
 BOOL = boolean_semiring()
 NAT = naturals()
@@ -27,6 +28,22 @@ def random_bool_automaton(rng, n_states, alphabet):
 def test_words_below_is_length_lex():
     assert words_below(("a", "b"), 3) == [
         (), ("a",), ("b",), ("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
+
+
+@pytest.mark.parametrize("alphabet", [("a", "b"), ("t",), (0, 1, 2), ("ab", "b", ""), ()])
+def test_word_strings_join_the_words_below(alphabet):
+    # The reference joins each word's letters; the listing extends the
+    # strings one length shorter.
+    for bound in range(5):
+        assert word_strings(alphabet, bound) == [
+            word_to_str(w) for w in words_below(alphabet, bound)], bound
+
+
+def test_word_strings_are_guarded_as_the_words_are():
+    with pytest.raises(BlowUpGuard, match="listing the words"):
+        word_strings(("a", "b"), 40)
+    with pytest.raises(BlowUpGuard, match="listing the letters of the words"):
+        word_strings(("a",), 10**6)
 
 
 def test_words_below_guards_the_letters_of_the_listing(monkeypatch):

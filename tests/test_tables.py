@@ -1,6 +1,7 @@
 """Differential tests of the tabulated paths against the pointwise code they
-replace: level-algebra structure tables, arrows and multiplications resolved
-once, and M h, mu and mu . M h as tables of positions."""
+replace: level-algebra structure tables, a law's components as tables of
+positions, arrows and multiplications resolved once, and M h, mu and
+mu . M h as tables of positions."""
 
 import functools
 import itertools
@@ -13,18 +14,51 @@ from barrlab import (BlowUpGuard, FinSet, LevelAlgebras, PowersetMonad, Semimodu
                      WriterMonad, all_functions, build_terminal_chain, carrier,
                      cyclic_group, exception_monad, gset_distlaws, maybe_monad,
                      pointed_law, semimodule_moore_law, zmod)
+from barrlab.finset import canonical_carriers
 from barrlab.functors import map_element
-from barrlab.jsonio import load_semiring
-from barrlab.monads import TableMonad, _subset_masks, _subset_ranks
+from barrlab.jsonio import load_distlaw_em, load_semiring
+from barrlab.lifting import SemimoduleFunctorLaw
+from barrlab.monads import FinMonad, TableMonad, _subset_masks, _subset_ranks
 from barrlab.semiring import boolean_semiring
 
-LAWS = {
+
+def stream_law(k, generators):
+    """The stream law C x X over semimodule:k, C the free algebra on
+    `generators`."""
+    return load_distlaw_em({"monad": f"semimodule:{k}", "family": {
+        "name": "stream", "generators": {"elements": list(generators)}}})
+
+
+def moore_on(k, generators):
+    """The one-letter Moore law over semimodule:k whose outputs are the free
+    algebra on `generators`."""
+    return load_distlaw_em({"monad": f"semimodule:{k}", "family": {
+        "name": "moore", "alphabet": {"elements": ["a"]},
+        "generators": {"elements": list(generators)}}})
+
+
+# The builtin linear laws, whose components are tabulated from M of H X's
+# projections, and three laws tabulated through `lookup`.
+LINEAR_LAWS = {
     "moore:z2:1letter": lambda: semimodule_moore_law(SemimoduleMonad(zmod(2)),
                                                      FinSet("A", ("t",))),
+    **{name: functools.partial(load_distlaw_em, name)
+       for name in ("moore:bool:1letter", "moore:z3:1letter", "moore:z2:2letters",
+                    "moore:bool:2letters", "moore:z3:2letters")},
+    "stream:z2:p": lambda: stream_law("z2", "p"),
+    "stream:z3:p": lambda: stream_law("z3", "p"),
+    "moore:z2:1letter:pq": lambda: moore_on("z2", "pq"),
+}
+LAWS = {
+    **LINEAR_LAWS,
     "pointed:4:maybe": lambda: pointed_law(maybe_monad(), FinSet("k", range(4))),
     "gset-z2-conj": lambda: gset_distlaws(cyclic_group(2))[1],
 }
-TOPS = {"moore:z2:1letter": 4, "pointed:4:maybe": 3, "gset-z2-conj": 3}
+# The top level whose M(level) fits under the default guard, for the laws
+# the level tables are compared on.
+TOPS = {"moore:z2:1letter": 4, "moore:bool:1letter": 4, "moore:z3:1letter": 2,
+        "moore:z2:2letters": 2, "stream:z2:p": 4, "moore:z2:1letter:pq": 2,
+        "pointed:4:maybe": 3, "gset-z2-conj": 3}
 
 
 def pointwise_structures(law, chain):
@@ -60,7 +94,7 @@ def read_table(levels, n):
     return [level.elements[p] for p in levels.table(n)]
 
 
-@pytest.mark.parametrize("name", sorted(LAWS))
+@pytest.mark.parametrize("name", sorted(TOPS))
 def test_level_tables_match_pointwise(name):
     top = TOPS[name]
     law = LAWS[name]()
@@ -73,9 +107,9 @@ def test_level_tables_match_pointwise(name):
         assert levels.table(n) is levels.table(n)
 
 
-@pytest.mark.parametrize("name", sorted(LAWS))
+@pytest.mark.parametrize("name", sorted(TOPS))
 def test_levels_above_the_guard_have_no_table(name, monkeypatch):
-    top = 3
+    top = min(3, TOPS[name])
     expected = expected_structures(name, top)
     law = LAWS[name]()
     # The guard admits the chain's top level but not M of it.
@@ -93,6 +127,79 @@ def test_levels_above_the_guard_have_no_table(name, monkeypatch):
                 levels.table(n)
             assert err.value.size == size, n
     assert len(expected[top][0]) > guard
+
+
+def test_the_top_level_table_does_not_build_m_of_its_level(monkeypatch):
+    # Level 4's table has 2^16 entries, one per element of M(level 4), read
+    # off the law's table at level 3: M(level 3) is built (2^8 elements),
+    # to read level 3's structure, but M(level 4) is not.
+    built = []
+    materialise = FinMonad._materialise
+
+    def spy(self, X):
+        built.append(self.card(len(X)))
+        return materialise(self, X)
+
+    monkeypatch.setattr(FinMonad, "_materialise", spy)
+    law = LAWS["moore:z2:1letter"]()
+    levels = LevelAlgebras(law, build_terminal_chain(law.H, 4))
+    assert len(levels.table(4)) == 2 ** 16
+    assert max(built) == 2 ** 8
+
+
+def test_a_level_above_the_guard_is_refused_by_its_cardinality():
+    # M(level 5) has 2^32 elements: refused before any table is built, with
+    # the message building it would give.
+    law = LAWS["moore:z2:1letter"]()
+    chain = build_terminal_chain(law.H, 5)
+    levels = LevelAlgebras(law, chain)
+    with pytest.raises(BlowUpGuard, match=r"^enumeration of 4294967296 elements exceeds "
+                                          r"the guard \(\d+\) while building "
+                                          r"semimodule\[z2\]\("):
+        levels.table(5)
+    assert levels._algebras[4] is None
+
+
+def component_positions(law, X):
+    """lambda_X by its definition: `component_at` on every element of
+    M(H X), read as positions in H(M X)."""
+    target = law.target.at(X)
+    return [target.index(law.component_at(X, el)) for el in law.source.at(X)]
+
+
+# Carriers whose M(H X) has more elements are left out, to keep the test
+# quick: X3 for two letters over Z/2 and the Booleans (2^18 elements), X2
+# and X3 for two letters over Z/3 (3^12 and 3^27).
+LAMBDA_TABLE_LIMIT = 2 ** 16
+
+
+@pytest.mark.parametrize("name", sorted(LINEAR_LAWS))
+def test_linear_law_tables_match_component_at(name, monkeypatch):
+    # The table is built without a component, from a law that shares
+    # nothing with the reference.
+    oracle, law = LINEAR_LAWS[name](), LINEAR_LAWS[name]()
+    assert isinstance(law, SemimoduleFunctorLaw)
+
+    def no_component(*args):
+        raise AssertionError("component_at called")
+
+    monkeypatch.setattr(law, "component_at", no_component)
+    compared = 0
+    for X in canonical_carriers(3):
+        if law.M.card(len(law.H(X))) <= LAMBDA_TABLE_LIMIT:
+            assert list(law.table(X)) == component_positions(oracle, X), X.name
+            compared += 1
+    assert compared >= 2
+
+
+def test_a_linear_law_whose_outputs_have_no_table_reads_its_components(monkeypatch):
+    # M C has 2^8 elements for the free algebra C on three generators: under
+    # a guard of 100 the law tabulates lambda_X at X0 through lookup.
+    monkeypatch.setenv("BARRLAB_BLOWUP_GUARD", "100")
+    oracle, law = moore_on("z2", "pqr"), moore_on("z2", "pqr")
+    X = carrier(0)
+    assert list(law.table(X)) == component_positions(oracle, X)
+    assert len(law._lookups[X]) == len(law.source.at(X))
 
 
 @pytest.mark.parametrize("guarded", (False, True))
@@ -319,6 +426,20 @@ def test_arrow_table_positions_stay_under_the_guard(monkeypatch):
         assert len(M.arrow_table((0,), carrier(1), carrier(1))) == len(k.elements)
         with pytest.raises(BlowUpGuard):
             M.arrow_table((0,), carrier(1), carrier(4))
+
+
+@pytest.mark.parametrize("name", ("semimodule-z2", "semimodule-z3", "semimodule-bool",
+                                  "powerset"))
+def test_position_tables_guard_their_domain(name, monkeypatch):
+    # A table over M dom has an entry per element of M dom: M X4 has 16 or
+    # more elements, above a guard of 8, while M X1 fits.  The builders
+    # refuse before they allocate.
+    monkeypatch.setenv("BARRLAB_BLOWUP_GUARD", "8")
+    M, dom, cod = MONADS[name](), carrier(4), carrier(1)
+    for build in (M.arrow_table, M.kleisli_table):
+        with pytest.raises(BlowUpGuard, match=r"while positions over .*\(X4\)$") as err:
+            build((0,) * 4, dom, cod)
+        assert err.value.size == M.card(4)
 
 
 def test_bit_kernel_decodes_wide_masks():
