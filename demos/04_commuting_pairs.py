@@ -9,8 +9,8 @@ that T generates.
 """
 
 from barrlab import (FinSet, SemimoduleMonad, TERMINAL, carrier, check_commuting,
-                     check_distlaw_kl, eval_functor, initial_words, kleisli_lift_poly,
-                     partner_for_product, search_commuting_sigma, zmod)
+                     check_distlaw_kl, eval_functor, kleisli_lift_poly, partner_for_product,
+                     search_commuting_sigma, words_below, zmod)
 
 M = SemimoduleMonad(zmod(2))
 A = FinSet("A", ("a",))
@@ -39,11 +39,11 @@ for n in range(4):
 
 print()
 print("=== searching for the isomorphism from scratch ===")
-status, found, tried = search_commuting_sigma(cand.T, cand.H, M, cand.law, 2)
+status, found, tried = search_commuting_sigma(cand.T, cand.law, 2)
 print(f"  status: {status} (closed form recognised, {tried} bijections tried)")
 
 print()
 print("=== the word stages T generates ===")
 for depth in (1, 2, 3):
-    ws = initial_words(FinSet("A", ("a", "b")), depth)
+    ws = words_below(("a", "b"), depth)
     print(f"  words below length {depth}: {[''.join(w) or 'e' for w in ws]}")

@@ -11,9 +11,8 @@ from .chains import (DyadicDist, InitialChain, LevelAlgebras, LimitPoint,
                      build_terminal_chain, cauchy_limit_point,
                      check_cone_coincidence, check_projection_morphisms,
                      colim_to_lim, density_map, distance)
-from .compair import (CommutingCandidate, check_commuting, initial_words,
-                      kleisli_lift_poly, partner_for_product,
-                      search_commuting_sigma, words_functor)
+from .compair import (CommutingCandidate, check_commuting, kleisli_lift_poly,
+                      partner_for_product, search_commuting_sigma, words_functor)
 from .errors import (BarrlabError, BlowUpGuard, BoundMismatch, DepthExceeded,
                      DomainMismatch, InputError, MissingComponent,
                      NonFinitePreserving, NotAGroup, NotBiproductCompatible,

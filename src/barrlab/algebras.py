@@ -1,11 +1,12 @@
 """Eilenberg-Moore algebras for a finite-set monad, checked exhaustively.
 
 An algebra's structure map is held pointwise so that free algebras over
-large carriers stay representable.  Its table of positions over
-M(carrier) (`EMAlgebra.table`) is built on demand under the blow-up guard:
+large carriers stay representable.  It keeps one table of positions over
+M(carrier) (`EMAlgebra.table`), built on first use under the blow-up guard:
 by a builder the algebra was given, which need not enumerate M(carrier) (a
-lifted algebra's is H(a) after the law's table of lambda), or else by
-evaluating the structure on every element of M(carrier).  The
+free algebra's is the monad's `mult_table`, a lifted algebra's is H(a)
+after the law's table of lambda), or else read off a `FinFn` structure or
+tabulated from the structure on every element of M(carrier).  The
 multiplication law is decided on tables of positions over M(M carrier),
 which the monad builds without enumerating M(M carrier) where it can
 (`FinMonad.mult_table`, `arrow_table`).
@@ -24,26 +25,26 @@ from .reports import LawReport
 class EMAlgebra:
     """A carrier together with a structure map M(carrier) -> carrier.
 
-    The structure is a function of one element, a `FinFn`, or None when a
-    `positions` builder is given: a function of no arguments returning the
-    table of positions, read pointwise through M(carrier) on demand."""
+    The structure is a `FinFn` or a function of one element; `positions`,
+    a function of no arguments returning the table of positions, builds
+    the table in place of tabulating the structure."""
 
     def __init__(self, monad: FinMonad, carrier: FinSet, structure, name: str = "",
                  positions: Optional[Callable[[], Sequence[int]]] = None):
         self.monad = monad
         self.carrier = carrier
         self.name = name or f"algebra({carrier.name})"
-        self._pointwise: Callable = structure or (lambda el: self.structure()(el))
-        self._table = structure if isinstance(structure, FinFn) else None
+        self._pointwise: Callable = structure
         self._build = positions
-        self._positions: Optional[Sequence[int]] = None
-        if self._table is not None:
+        self._table: Optional[Sequence[int]] = None
+        if isinstance(structure, FinFn):
             if structure.dom != monad.apply(carrier):
                 raise DomainMismatch(
                     f"{self.name}: structure domain {structure.dom.name} is not "
                     f"{monad.name}({carrier.name})")
             if structure.cod != carrier:
                 raise DomainMismatch(f"{self.name}: structure must land in the carrier")
+            self._table = structure.positions
 
     def structure_at(self, el: Element) -> Element:
         return self._pointwise(el)
@@ -52,22 +53,16 @@ class EMAlgebra:
         """The structure map as positions: entry p is the position in the
         carrier of the structure at the element at position p of
         M(carrier).  Built once, through the builder when there is one."""
-        if self._positions is None:
-            if self._table is None and self._build is not None:
-                self._positions = self._build()
-            else:
-                self._positions = self.structure().positions
-        return self._positions
+        if self._table is None:
+            self._table = (self._build() if self._build is not None else
+                           tabulate(self.monad.apply(self.carrier), self.carrier,
+                                    self._pointwise, name=f"structure_{self.name}").positions)
+        return self._table
 
     def structure(self) -> FinFn:
-        """The structure map as an explicit table (guarded)."""
-        if self._table is None:
-            name = f"structure_{self.name}"
-            MC = self.monad.apply(self.carrier)
-            self._table = (FinFn(MC, self.carrier, self.table(), name=name)
-                           if self._build is not None
-                           else tabulate(MC, self.carrier, self._pointwise, name=name))
-        return self._table
+        """The structure map as a `FinFn` view of its table (guarded)."""
+        return FinFn(self.monad.apply(self.carrier), self.carrier, self.table(),
+                     name=f"structure_{self.name}")
 
     def same_table_as(self, other: "EMAlgebra") -> bool:
         return self.carrier == other.carrier and self.structure() == other.structure()
@@ -81,8 +76,8 @@ def free_algebra(M: FinMonad, X: FinSet) -> EMAlgebra:
     if M.card(len(X)) > blowup_limit():
         raise NonFinitePreserving(
             f"{M.name}: free algebra carrier on {X.name} exceeds the guard")
-    carrier = M.apply(X)
-    return EMAlgebra(M, carrier, M.mult_at(X), name=f"free({X.name})")
+    return EMAlgebra(M, M.apply(X), M.mult_at(X), name=f"free({X.name})",
+                     positions=lambda: M.mult_table(X))
 
 
 def terminal_algebra(M: FinMonad) -> EMAlgebra:

@@ -6,7 +6,9 @@ lemma checks.
 
 The limit itself is never materialised (it is typically uncountable); a
 point of the limit at finite depth is its representative at the top level,
-from which the connecting maps give the ones below.
+from which the connecting maps give the ones below.  Each level algebra is
+`lift_algebra` of the one below, kept as it returns it, and holds its
+structure as one table of positions.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from typing import Optional, Sequence
 from .algebras import EMAlgebra, terminal_algebra
 from .errors import (DepthExceeded, DomainMismatch, InputError, NotCauchy,
                      ZeroObjectViolation)
-from .finset import (EMPTY, TERMINAL, Element, FinFn, FinSet, after, from_empty, guard_size,
-                     tabulate, to_terminal)
+from .finset import (EMPTY, TERMINAL, Element, FinFn, FinSet, after, from_empty, tabulate,
+                     to_terminal)
 from .functors import FunctorExpr, arrow
 from .lifting import DistLawEM, lift_algebra, lift_coalgebra
 from .monads import differences
@@ -192,16 +194,17 @@ def distance(x: LimitPoint, y: LimitPoint, probe_depth: int) -> DyadicDist:
 class LevelAlgebras:
     """The algebras the chain levels carry under a distributive law: the
     terminal sequence of the lifting of H to algebras.  Level 0 is the
-    terminal algebra, and level n is `lift_algebra` of level n-1, that is
-    the lifting applied n times to the terminal algebra, with structure
-    H(alpha_{n-1}) . lambda.
+    terminal algebra, and level n is `lift_algebra` of level n-1, kept as
+    it returns it: the lifting applied n times to the terminal algebra,
+    with structure H(alpha_{n-1}) . lambda, on a carrier equal to level n.
 
-    Each level keeps one table of positions over M(level n), built once on
-    first use as `lift_algebra`'s table: H(alpha_{n-1}), tabulated on
-    H(M(level n-1)), after the law's table of lambda at level n-1.  So
-    M(level n) itself is not built (M(level n-1) is, to read alpha_{n-1}).
-    A level whose M(level n) exceeds the blow-up guard has no table.
-    Nothing is evaluated on construction.
+    Each level keeps its algebra's one table of positions over M(level n),
+    built once on first use: for a law with a positional table of lambda,
+    H(alpha_{n-1}), tabulated on H(M(level n-1)) from level n-1's table,
+    after the law's table of lambda at level n-1.  So M(level n) itself is
+    not built (M(level n-1) is, to read alpha_{n-1}).  A level whose
+    M(level n) exceeds the blow-up guard has no table.  Nothing is
+    evaluated on construction.
     """
 
     def __init__(self, law: DistLawEM, chain: TerminalChain):
@@ -215,14 +218,9 @@ class LevelAlgebras:
         level = self.chain.level(n)
         algebra = self._algebras[n]
         if algebra is None:
-            M = self.law.M
             # Above the guard this raises before any level below is built.
-            _guard_m(M, level)
-            lifted = lift_algebra(self.law, self._algebra(n - 1))
-            # lift_algebra's carrier is an equal copy of the level: the
-            # table is kept on the chain's sets.
-            algebra = EMAlgebra(M, level, None, name=f"level {n}", positions=lifted.table)
-            self._algebras[n] = algebra
+            self.law.M.guard(level)
+            algebra = self._algebras[n] = lift_algebra(self.law, self._algebra(n - 1))
         return algebra
 
     def table(self, n: int) -> Sequence[int]:
@@ -230,12 +228,6 @@ class LevelAlgebras:
         level n of the structure at the element at position p of M(level
         n).  Where M(level n) exceeds the guard this raises BlowUpGuard."""
         return self._algebra(n).table()
-
-
-def _guard_m(M, level: FinSet) -> None:
-    """Raise BlowUpGuard, as building M(level) would, where M(level)
-    exceeds the guard: a table over M(level) has an entry per element."""
-    guard_size(M.card(len(level)), f"building {M.name}({level.name})")
 
 
 def level_algebras(law: DistLawEM, chain: TerminalChain) -> LevelAlgebras:
@@ -392,7 +384,7 @@ def check_projection_morphisms(law: DistLawEM, chain: TerminalChain, depth: int)
     M = law.M
     levels, C = _standin(law, chain, depth)
     # M C is built only to decode the first position where two tables differ.
-    _guard_m(M, C)
+    M.guard(C)
     projected = [_projected(levels, depth, n) for n in range(depth + 1)]
     report = LawReport(f"projection morphisms for {law.name}")
     for n in range(depth):

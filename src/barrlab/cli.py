@@ -23,9 +23,9 @@ from .algebras import check_em_algebra, free_algebra
 from .chains import (anamorphism, build_initial_chain, build_terminal_chain,
                      check_cone_coincidence, check_projection_morphisms, colim_to_lim,
                      density_map, distance)
-from .compair import check_commuting, initial_words, search_commuting_sigma
-from .errors import BarrlabError, InputError, SearchCapReached
-from .finset import FinSet, carrier
+from .compair import check_commuting, search_commuting_sigma
+from .errors import BarrlabError, DomainMismatch, InputError, SearchCapReached
+from .finset import carrier
 from .jsonio import (distinct_entries, dump_series, encode_element, load_algebra,
                      load_automaton, load_candidate, load_distlaw_em, load_distlaw_kl,
                      load_functor, load_group, load_monad, load_sequence, load_series,
@@ -33,7 +33,7 @@ from .jsonio import (distinct_entries, dump_series, encode_element, load_algebra
 from .lifting import check_distlaw_em, check_distlaw_kl, gset_distlaws, lift_algebra
 from .monads import check_monad_laws, differences
 from .reports import LawReport
-from .series import behavior, cauchy_limit_series, series_distance
+from .series import behavior, cauchy_limit_series, series_distance, word_strings
 
 
 @dataclass
@@ -303,8 +303,9 @@ def cmd_commute_search(args):
     T = load_functor(_load_doc(args.T, "T"))
     H = load_functor(_load_doc(args.H, "H"))
     law = load_distlaw_em(_load_doc(args.law, "law"))
-    status, cand, tried = search_commuting_sigma(T, H, law.M, law, args.max_size,
-                                                 cap=args.search_cap)
+    if law.H != H:
+        raise DomainMismatch("distributive law is for a different functor")
+    status, cand, tried = search_commuting_sigma(T, law, args.max_size, cap=args.search_cap)
     if status == "unknown":
         raise SearchCapReached(f"commute search stopped at --search-cap {args.search_cap} "
                                f"with tried = {tried} and no verdict")
@@ -312,7 +313,7 @@ def cmd_commute_search(args):
     if cand is not None:
         result["sigma"] = {
             f"X{n}": {json.dumps(encode_element(x)): encode_element(y)
-                      for x, y in cand.component(carrier(n)).pairs()}
+                      for x, y in cand.sigma.component(carrier(n)).pairs()}
             for n in range(args.max_size + 1)
         }
     return result, status == "found"
@@ -325,10 +326,9 @@ def cmd_words(args):
         if "" in entries:
             raise InputError(f"--alphabet: empty letter in {args.alphabet!r}")
         letters = distinct_entries(entries, "--alphabet", "letter")
-    words = initial_words(FinSet("A", letters), args.depth)
+    words = word_strings(letters, args.depth)
     return {"alphabet": list(letters), "depth": args.depth,
-            "count": len(words),
-            "words": ["".join(map(str, w)) for w in words]}, True
+            "count": len(words), "words": words}, True
 
 
 # ---------------------------------------------------------------------------

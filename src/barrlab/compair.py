@@ -8,7 +8,11 @@ from H after M to M after T, the same type as a distributive law, so its
 naturality is checked by the same `naturality_failures` sweep: once per
 pair of carriers in `check_commuting`, and in both directions against the
 components already fixed for each full bijection in `search_commuting_sigma`.
-That search assigns sigma one element at a time and tests each algebra-square
+A `CommutingCandidate` is sigma and the law it may carry: T, H and M are
+read off sigma's composites, and the search takes H and M from its law.
+`check_commuting` decides the algebra square on tables of positions over
+M(H(M X)), read off the lifted free algebra's table and sigma's positions.
+The search assigns sigma one element at a time and tests each algebra-square
 pair as soon as the positions it reads are assigned.
 """
 
@@ -25,9 +29,8 @@ from .functors import Const, Coprod, FunctorExpr, Id, Prod
 from .lifting import (ComponentFamily, Composite, DistLawEM, DistLawKl, constant_law,
                       lift_algebra, naturality_failures, semimodule_moore_law,
                       semimodule_stream_law)
-from .monads import FinMonad, SemimoduleMonad
+from .monads import FinMonad, SemimoduleMonad, compose, differences
 from .reports import LawReport
-from .series import Word, words_below
 
 
 def words_functor(A: FinSet) -> FunctorExpr:
@@ -57,19 +60,25 @@ def kleisli_lift_poly(A: FinSet, M: FinMonad) -> DistLawKl:
 
 
 class CommutingCandidate:
-    """A pair (T, H) with a claimed isomorphism H(M X) = M(T X), optionally
-    bundled with the distributive law that makes the square meaningful."""
+    """A claimed isomorphism sigma: H(M X) = M(T X), a family from H after M
+    to M after T, optionally bundled with the distributive law that makes
+    the square meaningful.  T, H and M are read off sigma's composites."""
 
-    def __init__(self, T: FunctorExpr, H: FunctorExpr, M: FinMonad,
-                 sigma: ComponentFamily, law: Optional[DistLawEM] = None):
-        self.T = T
-        self.H = H
-        self.M = M
+    def __init__(self, sigma: ComponentFamily, law: Optional[DistLawEM] = None):
         self.sigma = sigma
         self.law = law
 
-    def component(self, X: FinSet) -> FinFn:
-        return self.sigma.component(X)
+    @property
+    def T(self) -> FunctorExpr:
+        return self.sigma.target.E
+
+    @property
+    def H(self) -> FunctorExpr:
+        return self.sigma.source.E
+
+    @property
+    def M(self) -> FinMonad:
+        return self.sigma.M
 
     def __repr__(self):
         return f"CommutingCandidate(T={self.T}, H={self.H}, M={self.M.name})"
@@ -79,13 +88,18 @@ def check_commuting(cand: CommutingCandidate, law: Optional[DistLawEM] = None,
                     max_size: int = 2) -> LawReport:
     """Verify that the claimed components are bijective, natural, and make
     the algebra square commute: distributing-then-flattening on the functor
-    side matches flattening after the isomorphism."""
+    side matches flattening after the isomorphism.
+
+    The square compares two tables of positions over M(H(M X)): sigma after
+    the lifted free algebra on X (the law, then H(mu_X)), and mu_{TX} . M
+    sigma.  Elements are decoded only at the first position where they
+    differ."""
     law = law or cand.law
     if law is None:
         raise MissingComponent("no distributive law supplied for the square")
     if law.H != cand.H:
         raise DomainMismatch("distributive law is for a different functor")
-    M, H = cand.M, law.H
+    M, H, family = cand.M, law.H, cand.sigma
     report = LawReport(f"commuting pair T={cand.T}, H={cand.H} over {M.name}")
     carriers = canonical_carriers(max_size)
 
@@ -94,7 +108,7 @@ def check_commuting(cand: CommutingCandidate, law: Optional[DistLawEM] = None,
         TX = cand.T(X)
         HMX = H(MX)
         MTX = M.apply(TX)
-        sigma = cand.component(X)
+        sigma = family.component(X)
 
         report.record("cardinality", X.name, len(HMX) == len(MTX),
                       counterexample={"H(MX)": len(HMX), "M(TX)": len(MTX)})
@@ -102,22 +116,22 @@ def check_commuting(cand: CommutingCandidate, law: Optional[DistLawEM] = None,
                       counterexample={"carrier": X.name})
 
         if M.tower_fits(len(HMX), 1):
-            # The lifted free algebra on X: the law, then H(mu_X).
-            flat = lift_algebra(law, free_algebra(M, X)).structure_at
-            mult_tx, m_sigma = M.mult_at(TX), M.arrow(sigma, HMX, MTX)
+            lifted = lift_algebra(law, free_algebra(M, X)).table()
+            lhs = compose(sigma.positions, lifted)
+            # A tuple, as lhs is: `differences` compares equal tables at once.
+            rhs = tuple(M.kleisli_table(sigma.positions, HMX, TX))
             report.first("algebra-square", X.name, (
-                {"carrier": X.name, "element": big, "lhs": lhs, "rhs": rhs}
-                for big in M.apply(HMX)
-                if (lhs := sigma(flat(big))) != (rhs := mult_tx(m_sigma(big)))))
+                {"carrier": X.name, "element": M.apply(HMX).elements[p],
+                 "lhs": MTX.elements[lhs[p]], "rhs": MTX.elements[rhs[p]]}
+                for p in differences(lhs, rhs)))
         else:
             report.skip("algebra-square", X.name,
                         f"|M(H(M {X.name}))| exceeds guard")
 
-    family = cand.sigma
     for X in carriers:
         for Y in carriers:
             report.first("naturality", f"{X.name}->{Y.name}", naturality_failures(
-                family.source, family.target, X, Y, cand.component(X), cand.component(Y)))
+                family.source, family.target, X, Y, family.component(X), family.component(Y)))
 
     return report
 
@@ -140,7 +154,7 @@ def partner_for_product(B: FinSet, M: FinMonad,
     # Built on the law's H, so that the candidate, the law and sigma read
     # one set of kept images.
     sigma = ComponentFamily(law.target, Composite(M, T), formula, name="sigma")
-    return CommutingCandidate(T, law.H, M, sigma, law=law)
+    return CommutingCandidate(sigma, law=law)
 
 
 def _partner_parts(B: FinSet, M: FinMonad, alphabet: Optional[FinSet]):
@@ -180,13 +194,6 @@ def _partner_parts(B: FinSet, M: FinMonad, alphabet: Optional[FinSet]):
     return T, law, formula
 
 
-def initial_words(A, depth: int) -> list[Word]:
-    """Finite stage of the word algebra for 1 + A x X: words of length
-    < depth in length-lexicographic order."""
-    letters = A.elements if isinstance(A, FinSet) else tuple(A)
-    return words_below(letters, depth)
-
-
 # ---------------------------------------------------------------------------
 # Bounded search for a mediating isomorphism
 
@@ -194,17 +201,15 @@ def initial_words(A, depth: int) -> list[Word]:
 def _closed_form_candidate(T: FunctorExpr, law: DistLawEM) -> Optional[CommutingCandidate]:
     """Recognise the biproduct partner shapes and return their canonical
     block-concatenation isomorphism, built on the given law."""
-    M, H = law.M, law.H
+    M = law.M
     if not isinstance(M, SemimoduleMonad):
         return None
-    B = alphabet = None
-    if isinstance(T, Const) and isinstance(H, Const):
+    if isinstance(T, Const):
         B, alphabet = T.value, FinSet("A0", ())
     elif (isinstance(T, Coprod) and len(T.summands) == 2
           and isinstance(T.summands[0], Const)):
-        B = T.summands[0].value
-        rest = T.summands[1]
-        if isinstance(rest, Id) and H == Prod(Const(M.apply(B)), Id()):
+        B, rest = T.summands[0].value, T.summands[1]
+        if isinstance(rest, Id):
             alphabet = None
         elif (isinstance(rest, Prod) and len(rest.factors) == 2
               and isinstance(rest.factors[0], Const)
@@ -215,20 +220,19 @@ def _closed_form_candidate(T: FunctorExpr, law: DistLawEM) -> Optional[Commuting
     else:
         return None
     partner_T, partner, formula = _partner_parts(B, M, alphabet)
-    if partner_T != T or partner.H != H:
+    if partner_T != T or partner.H != law.H:
         return None
     # sigma reads the images the given law's H keeps.
     sigma = ComponentFamily(law.target, Composite(M, T), formula, name="sigma")
-    return CommutingCandidate(T, H, M, sigma, law=law)
+    return CommutingCandidate(sigma, law=law)
 
 
-def search_commuting_sigma(T: FunctorExpr, H: FunctorExpr, M: FinMonad,
-                           law: DistLawEM, max_size: int,
+def search_commuting_sigma(T: FunctorExpr, law: DistLawEM, max_size: int,
                            cap: int = 10**5) -> tuple[str, Optional[CommutingCandidate], int]:
-    """Search bijections H(M X) -> M(T X) carrier by carrier in canonical
-    order, pruning with the algebra square and with naturality against the
-    components already fixed; gives up with status "unknown" once `cap`
-    candidate bijections have been tried.
+    """Search bijections H(M X) -> M(T X), for the law's H and M, carrier
+    by carrier in canonical order, pruning with the algebra square and with
+    naturality against the components already fixed; gives up with status
+    "unknown" once `cap` candidate bijections have been tried.
 
     sigma_X is assigned one element of H(M X) at a time, in
     `itertools.permutations` order.  The square asks sigma(flat) =
@@ -245,8 +249,7 @@ def search_commuting_sigma(T: FunctorExpr, H: FunctorExpr, M: FinMonad,
     Returns (status, candidate, tried) with status one of "found",
     "none" (exhausted without success below the cap) or "unknown".
     """
-    if law.H != H:
-        raise DomainMismatch("distributive law is for a different functor")
+    M = law.M
     closed = _closed_form_candidate(T, law)
     if closed is not None and check_commuting(closed, law, max_size).passed:
         return "found", closed, 0
@@ -335,6 +338,5 @@ def search_commuting_sigma(T: FunctorExpr, H: FunctorExpr, M: FinMonad,
     status = assign(0) or "none"
     if status == "found":
         sigma = ComponentFamily(source, target, components=dict(chosen), name="sigma")
-        cand = CommutingCandidate(T, H, M, sigma, law=law)
-        return "found", cand, tried
+        return "found", CommutingCandidate(sigma, law=law), tried
     return status, None, tried

@@ -722,4 +722,4 @@ def load_candidate(doc, path: str = "candidate") -> CommutingCandidate:
     source, target = Composite(H, monad), Composite(monad, T)
     components = _load_components(doc.get("sigma", {}), source, target, f"{path}.sigma")
     sigma = ComponentFamily(source, target, components=components, name="sigma")
-    return CommutingCandidate(T, H, monad, sigma, law=law)
+    return CommutingCandidate(sigma, law=law)

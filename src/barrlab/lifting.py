@@ -25,9 +25,10 @@ function between two carriers.  Checkers record their verdicts through
 built: the chain's level algebras, the initial chain's base map, the
 commuting-pair square and the law checker's multiplication axiom all read
 it.  For the linear laws its table is H(a), tabulated on the small set
-H(M X), after the law's table of lambda_X; the multiplication axiom
-compares two tables over M(M(H X)) built from those tables and decodes
-elements only where they differ.
+H(M X) from a's table, after the law's table of lambda_X; the
+multiplication axiom compares two tables over M(M(H X)) built from those
+tables, and the commuting-pair square two tables over M(H(M X)), and both
+decode elements only where they differ.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ import operator
 from typing import Callable, Iterator, Optional, Sequence
 
 from .algebras import EMAlgebra, free_algebra, require_monad
-from .errors import DomainMismatch, MissingComponent
+from .errors import DomainMismatch, MissingComponent, blowup_limit
 from .finset import (Element, FinFn, FinSet, LazyTable, after, canonical_carriers,
                      function_values, tabulate)
-from .functors import Const, FunctorExpr, Id, Prod, arrow, moore_functor
+from .functors import Const, FunctorExpr, Id, Prod, arrow, cardinality, moore_functor
 from .groups import FinGroup, FinMonoid, as_group
 from .monads import (ExceptionMonad, FinMonad, SemimoduleMonad, WriterMonad, compose,
                      differences)
@@ -285,8 +286,9 @@ _output = operator.itemgetter(0)
 
 
 class SemimoduleFunctorLaw(DistLawEM):
-    """Law for H = C x X^A (or C x X, or constant C) over a free-semimodule
-    monad, where C carries an algebra structure.
+    """Law for H = C x X^A (constant C for an empty alphabet A, and C x X
+    where `alphabet` is None) over a free-semimodule monad, where C carries
+    an algebra structure.
 
     A formal combination of H-structures splits into the combination of the
     outputs, evaluated through C's structure map, and the per-letter
@@ -296,17 +298,13 @@ class SemimoduleFunctorLaw(DistLawEM):
 
     positional = True
 
-    def __init__(self, M: SemimoduleMonad, out: EMAlgebra,
-                 alphabet: Optional[FinSet], shape: str):
+    def __init__(self, M: SemimoduleMonad, out: EMAlgebra, alphabet: Optional[FinSet]):
         self.out = out
         self.alphabet = alphabet
-        self.shape = shape
-        if shape == "moore":
-            H = moore_functor(out.carrier, alphabet)
-        elif shape == "times":
-            H = Prod(Const(out.carrier), Id())
+        if alphabet is None:
+            H, shape = Prod(Const(out.carrier), Id()), "times"
         else:
-            raise ValueError(f"unknown shape {shape!r}")
+            H, shape = moore_functor(out.carrier, alphabet), "moore"
         super().__init__(H, M, name=f"linear[{out.carrier.name};{shape}/{M.name}]")
         self._arrows = LazyTable(self._projection_arrows)
         # Few distinct combinations of outputs reach C's structure map.
@@ -315,7 +313,7 @@ class SemimoduleFunctorLaw(DistLawEM):
     def _successors(self) -> tuple:
         """The successor projections of H X: one per letter, or one for the
         shape C x X."""
-        if self.shape == "times":
+        if self.alphabet is None:
             return (lambda w: w[1],)
         return tuple((lambda w, i=i: w[1][i]) for i in range(len(self.alphabet)))
 
@@ -325,7 +323,7 @@ class SemimoduleFunctorLaw(DistLawEM):
         M, HX = self.M, self.H(X)
         succ = tuple(M.arrow(s, HX, X) for s in self._successors())
         return (M.arrow(_output, HX, self.out.carrier),
-                succ[0] if self.shape == "times" else succ)
+                succ[0] if self.alphabet is None else succ)
 
     def table(self, X: FinSet) -> Sequence[int]:
         """lambda_X as positions over M(H X), read off M of the projections
@@ -351,7 +349,7 @@ class SemimoduleFunctorLaw(DistLawEM):
     def component_at(self, X, phi):
         out, succ = self._arrows[X]
         out_part = self._out_structure[out(phi)]
-        if self.shape == "times":
+        if self.alphabet is None:
             return (out_part, succ(phi))
         return (out_part, tuple(s(phi) for s in succ))
 
@@ -359,12 +357,12 @@ class SemimoduleFunctorLaw(DistLawEM):
 def semimodule_moore_law(M: SemimoduleMonad, alphabet: FinSet,
                          out: Optional[EMAlgebra] = None) -> DistLawEM:
     """The coefficientwise-linear law for H = k x X^A (or C x X^A)."""
-    return SemimoduleFunctorLaw(M, out or semiring_algebra(M), alphabet, "moore")
+    return SemimoduleFunctorLaw(M, out or semiring_algebra(M), alphabet)
 
 
 def semimodule_stream_law(M: SemimoduleMonad, out: EMAlgebra) -> DistLawEM:
     """The coefficientwise-linear law for H = C x X."""
-    return SemimoduleFunctorLaw(M, out, None, "times")
+    return SemimoduleFunctorLaw(M, out, None)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +400,12 @@ def check_distlaw_em(law: DistLawEM, max_size: int) -> LawReport:
         if not law.has_component(MX):
             report.skip("mult-axiom", X.name,
                         f"no component at the derived carrier {MX.name}")
-        elif M.tower_fits(len(HX), 2):
+        elif not M.tower_fits(len(HX), 2):
+            report.skip("mult-axiom", X.name,
+                        f"|MM(H {X.name})| = {M.tower_card_display(len(HX), 2)} exceeds guard")
+        elif (size := cardinality(H, len(MX))) > blowup_limit():
+            report.skip("mult-axiom", X.name, f"|H(M {X.name})| = {size} exceeds guard")
+        else:
             MHX, HMX, lam_table = M.apply(HX), H(MX), law.table(X)
             lhs = compose(lam_table, M.mult_table(HX))
             lifted = lift_algebra(law, free_algebra(M, X))
@@ -418,9 +421,6 @@ def check_distlaw_em(law: DistLawEM, max_size: int) -> LawReport:
                 {"carrier": X.name, "element": M.apply(MHX).elements[p],
                  "lhs": HMX.elements[lhs[p]], "rhs": HMX.elements[rhs[p]]}
                 for p in differences(lhs, rhs)))
-        else:
-            report.skip("mult-axiom", X.name,
-                        f"|MM(H {X.name})| = {M.tower_card_display(len(HX), 2)} exceeds guard")
 
     for X in carriers:
         for Y in carriers:
@@ -488,9 +488,10 @@ def lift_algebra(law: DistLawEM, a: EMAlgebra) -> EMAlgebra:
     H(a) . lambda, distribute, then apply H to the original structure map.
     The structure is pointwise.  For a law whose table of lambda is built
     from positions (`positional`), the lifted table is H(a), tabulated on
-    H(M carrier), after that table, and M(H carrier) is not enumerated; for
-    any other law it is the structure evaluated on every element of M(H
-    carrier), which costs less than tabulating lambda and H(a) apart."""
+    H(M carrier) from a's table, after that table, and M(H carrier) is not
+    enumerated; for any other law it is the structure evaluated on every
+    element of M(H carrier), which costs less than tabulating lambda and
+    H(a) apart."""
     require_monad(law.M, a, f", the monad of {law.name}")
     M, X, H = law.M, a.carrier, law.H
     carrier = H(X)
@@ -501,7 +502,10 @@ def lift_algebra(law: DistLawEM, a: EMAlgebra) -> EMAlgebra:
         return h_structure(law.component_at(X, u))
 
     def positions():
-        return after(tabulate(H(M.apply(X)), carrier, h_structure).positions, law.table(X))
+        # H(a) reads a's table: a lifted a's pointwise structure would
+        # evaluate lambda again at every level below it.
+        h_table = arrow(H, a.structure())
+        return after(tabulate(H(M.apply(X)), carrier, h_table).positions, law.table(X))
 
     return EMAlgebra(M, carrier, structure, name=name,
                      positions=positions if law.positional else None)

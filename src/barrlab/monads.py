@@ -57,8 +57,13 @@ class FinMonad:
     def __init__(self):
         self._apply_cache = LazyTable(self._materialise)
 
-    def _materialise(self, X: FinSet) -> FinSet:
+    def guard(self, X: FinSet) -> None:
+        """Raise BlowUpGuard, as building M X would, where M X exceeds the
+        guard: a table over M X has an entry per element."""
         guard_size(self.card(len(X)), f"building {self.name}({X.name})")
+
+    def _materialise(self, X: FinSet) -> FinSet:
+        self.guard(X)
         return FinSet(f"{self.name}({X.name})", self._enumerate(X))
 
     def apply(self, X: FinSet) -> FinSet:

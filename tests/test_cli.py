@@ -390,6 +390,17 @@ def test_sizes_in_a_shorthand_are_guarded_before_listing(capsys, monkeypatch, ar
     assert report["message"].startswith("enumeration of 11 elements exceeds the guard (10)")
 
 
+def test_a_mult_axiom_whose_h_of_m_x_exceeds_the_guard_is_skipped(capsys):
+    # Nineteen letters: |M(M(H X1))| = 16, but H(M X1) has 2 * 2^19 elements.
+    # The axiom at X1 is skipped by that cardinality before H(M X1) is built;
+    # it used to stop the whole run with BlowUpGuard.
+    code, report = run_json(capsys, "check-distlaw", "moore:z2:19letters", "--max-size", "1")
+    assert code == 0
+    skipped = [c for c in report["result"]["checks"] if c["status"] == "skipped"]
+    assert skipped == [{"law": "mult-axiom", "instance": "X1", "status": "skipped",
+                        "detail": "|H(M X1)| = 1048576 exceeds guard"}]
+
+
 def test_unparsable_word_keys_exit_two(capsys):
     # A 1200-letter key used to end in a RecursionError, and an ambiguous
     # alphabet with no split used to backtrack without end.

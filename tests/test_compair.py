@@ -6,7 +6,7 @@ import pytest
 from barrlab import (Const, FinSet, Id, NotBiproductCompatible, PowersetMonad,
                      Prod, SemimoduleMonad, TERMINAL, WriterMonad, carrier,
                      check_commuting, check_distlaw_kl, cyclic_group, eval_functor,
-                     identity_law, initial_words, kleisli_lift_poly, maybe_monad,
+                     identity_law, kleisli_lift_poly, maybe_monad,
                      partner_for_product, polynomial_embed, search_commuting_sigma,
                      series_distance, tabulate, zmod)
 from barrlab.compair import CommutingCandidate, words_functor
@@ -16,7 +16,7 @@ from barrlab.finset import canonical_carriers
 from barrlab.functors import arrow
 from barrlab.lifting import (ComponentFamily, Composite, DistLawEM, DistLawKl,
                              naturality_failures, product_swap_law)
-from barrlab.series import Polynomial, TruncatedSeries
+from barrlab.series import Polynomial, TruncatedSeries, words_below
 
 
 @pytest.fixture(scope="module")
@@ -112,8 +112,7 @@ def test_broken_kleisli_multiplication_caught(maybe, letter):
 
 def test_identity_pair_commutes(bundled_monads):
     for M in bundled_monads.values():
-        cand = CommutingCandidate(Id(), Id(), M,
-                                  ComponentFamily(Composite(Id(), M), Composite(M, Id()),
+        cand = CommutingCandidate(ComponentFamily(Composite(Id(), M), Composite(M, Id()),
                                                   lambda X, el: el, name="sigma"),
                                   law=identity_law(M))
         report = check_commuting(cand, max_size=2)
@@ -130,7 +129,7 @@ def test_writer_product_pair_commutes(s3):
     expr = Prod(Const(B), Id())
     swap = ComponentFamily(Composite(expr, M), Composite(M, expr),
                            lambda X, el: (el[1][0], (el[0], el[1][1])), name="sigma")
-    cand = CommutingCandidate(expr, expr, M, swap, law=product_swap_law(M, B))
+    cand = CommutingCandidate(swap, law=product_swap_law(M, B))
     report = check_commuting(cand, max_size=2)
     assert report.passed, report.first_failure()
 
@@ -166,30 +165,27 @@ def test_partner_requires_biproducts(maybe):
 
 def test_commuting_check_requires_a_law(z2_monad, letter):
     cand = partner_for_product(TERMINAL, z2_monad, letter)
-    cand_bare = CommutingCandidate(cand.T, cand.H, z2_monad, cand.sigma)
+    cand_bare = CommutingCandidate(cand.sigma)
     with pytest.raises(MissingComponent):
         check_commuting(cand_bare)
 
 
 def test_search_finds_closed_form_immediately(z2_monad, letter):
     cand = partner_for_product(TERMINAL, z2_monad, letter)
-    status, found, tried = search_commuting_sigma(cand.T, cand.H, z2_monad,
-                                                  cand.law, 2)
+    status, found, tried = search_commuting_sigma(cand.T, cand.law, 2)
     assert status == "found" and tried == 0
     assert check_commuting(found, cand.law, 2).passed
 
 
 def test_search_brute_force_on_identity_pair(maybe):
-    status, found, tried = search_commuting_sigma(Id(), Id(), maybe,
-                                                  identity_law(maybe), 1)
+    status, found, tried = search_commuting_sigma(Id(), identity_law(maybe), 1)
     assert status == "found"
     assert tried == 2
     assert check_commuting(found, identity_law(maybe), 1).passed
 
 
 def test_search_reports_unknown_at_the_cap(maybe):
-    status, found, tried = search_commuting_sigma(Id(), Id(), maybe,
-                                                  identity_law(maybe), 2, cap=1)
+    status, found, tried = search_commuting_sigma(Id(), identity_law(maybe), 2, cap=1)
     assert status == "unknown" and found is None
     # only the one bijection the cap allows was tested
     assert tried == 1
@@ -203,15 +199,14 @@ def test_search_detects_impossible_cardinalities(maybe):
     pointed = EMAlgebra(maybe, two,
                         tabulate(maybe.apply(two), two,
                                  {(0, "*"): 0, (1, 0): 0, (1, 1): 1}))
-    status, found, _ = search_commuting_sigma(Const(two), Const(two), maybe,
-                                              constant_law(maybe, pointed), 1)
+    status, found, _ = search_commuting_sigma(Const(two), constant_law(maybe, pointed), 1)
     assert status == "none" and found is None
 
 
 def test_initial_words():
-    assert initial_words(FinSet("A", ("a",)), 1) == [()]
-    assert len(initial_words(FinSet("A", ("a", "b")), 3)) == 7
-    assert initial_words(FinSet("A", ("a", "b")), 2) == [(), ("a",), ("b",)]
+    assert words_below(("a",), 1) == [()]
+    assert len(words_below(("a", "b"), 3)) == 7
+    assert words_below(("a", "b"), 2) == [(), ("a",), ("b",)]
 
 
 def test_word_stages_embed_densely(z2_monad):
@@ -223,7 +218,7 @@ def test_word_stages_embed_densely(z2_monad):
     for _ in range(5):
         s = TruncatedSeries.from_fn(("t",), 8, lambda w: rng.randrange(2))
         for n in range(9):
-            stage = {w: s.coefficient(w) for w in initial_words(("t",), min(n, 8))}
+            stage = {w: s.coefficient(w) for w in words_below(("t",), min(n, 8))}
             p = Polynomial(("t",), k, stage)
             emb = polynomial_embed(p, 8).series
             assert series_distance(s, emb).leq_pow(n)
@@ -245,7 +240,7 @@ def _leaky_identity_law(M):
 
 def test_search_reports_a_law_leaving_h_of_m_x(maybe):
     with pytest.raises(DomainMismatch) as info:
-        search_commuting_sigma(Id(), Id(), maybe, _leaky_identity_law(maybe), 2)
+        search_commuting_sigma(Id(), _leaky_identity_law(maybe), 2)
     assert str(info.value) == "X(maybe(X1))->maybe(X1): (1, 'ghost') not in domain"
 
 
@@ -260,6 +255,16 @@ def test_leaky_law_search_exits_two(capsys, monkeypatch, maybe):
     assert report["message"] == "X(maybe(X1))->maybe(X1): (1, 'ghost') not in domain"
 
 
+def test_search_with_a_law_for_another_functor_exits_two(capsys):
+    # The search takes H from the law; the CLI checks --H against it.
+    code = main(["commute", "search", "--T", "id", "--H", "id", "--law", "moore:z2:1letter",
+                 "--max-size", "1", "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert (report["error"], report["message"]) == (
+        "DomainMismatch", "distributive law is for a different functor")
+
+
 def test_search_does_not_evaluate_the_law_past_the_cap(maybe):
     # The cap stops the search before any candidate at X2 is tested, so a
     # law that fails at M X2 is never asked for that component.
@@ -272,10 +277,10 @@ def test_search_does_not_evaluate_the_law_past_the_cap(maybe):
         return base.component_at(Y, el)
 
     law = DistLawEM(Id(), maybe, formula, name="partial")
-    status, found, tried = search_commuting_sigma(Id(), Id(), maybe, law, 2, cap=2)
+    status, found, tried = search_commuting_sigma(Id(), law, 2, cap=2)
     assert (status, found, tried) == ("unknown", None, 2)
     with pytest.raises(MissingComponent):
-        search_commuting_sigma(Id(), Id(), maybe, law, 2)
+        search_commuting_sigma(Id(), law, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +346,8 @@ def full_permutation_search(T, H, M, law, max_size, cap=10**5):
 
 
 def partial_bijection_search(T, H, M, law, max_size, cap=10**5):
-    status, cand, tried = search_commuting_sigma(T, H, M, law, max_size, cap=cap)
-    tables = None if cand is None else {X: dict(cand.component(X).pairs())
+    status, cand, tried = search_commuting_sigma(T, law, max_size, cap=cap)
+    tables = None if cand is None else {X: dict(cand.sigma.component(X).pairs())
                                         for X in canonical_carriers(max_size)}
     return status, tables, tried
 
@@ -405,8 +410,9 @@ def test_search_matches_the_full_permutation_search(name):
 def test_search_reports_a_table_monad_gap_as_the_full_search_does():
     with pytest.raises(MissingComponent) as want:
         full_permutation_search(*_table_maybe(drop_identity_arrow=True), 2)
+    T, _, _, law = _table_maybe(drop_identity_arrow=True)
     with pytest.raises(MissingComponent) as got:
-        search_commuting_sigma(*_table_maybe(drop_identity_arrow=True), 2)
+        search_commuting_sigma(T, law, 2)
     assert str(got.value) == str(want.value)
 
 
@@ -431,8 +437,8 @@ def test_search_matches_the_full_permutation_search_at_block_edges(cap):
 
 
 def test_search_reaches_max_size_two():
-    T, H, M, law = _writer_swap(3, ["p", "q"])
-    status, found, tried = search_commuting_sigma(T, H, M, law, 2, cap=10**6)
+    T, _, _, law = _writer_swap(3, ["p", "q"])
+    status, found, tried = search_commuting_sigma(T, law, 2, cap=10**6)
     assert (status, tried) == ("found", 829479)
     assert check_commuting(found, law, 2).passed
 

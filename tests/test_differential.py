@@ -1,7 +1,9 @@
 """The law checkers, which compare tables of positions, against pointwise
 reference checkers that evaluate every law element by element: identical
 JSON reports, or the same error, on the same inputs.  The monad laws, the
-algebra laws and the axioms of a distributive law are compared."""
+algebra laws, the axioms of a distributive law and the commuting-pair
+square are compared, and an algebra's table against its tabulated
+structure."""
 
 import json
 import random
@@ -9,14 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from barrlab import (EMAlgebra, FinSet, InputError, carrier, check_distlaw_em,
-                     check_em_algebra, check_monad_laws, free_algebra, tabulate,
-                     terminal_algebra)
+from barrlab import (TERMINAL, EMAlgebra, FinFn, FinSet, InputError, carrier, check_commuting,
+                     check_distlaw_em, check_em_algebra, check_monad_laws, free_algebra,
+                     partner_for_product, tabulate, terminal_algebra)
+from barrlab.compair import CommutingCandidate
 from barrlab.errors import blowup_limit
 from barrlab.finset import LazyTable, canonical_carriers, function_values
 from barrlab.functors import arrow
-from barrlab.jsonio import load_distlaw_em, load_monad
-from barrlab.lifting import (DistLawEM, SemimoduleFunctorLaw, lift_algebra,
+from barrlab.jsonio import load_candidate, load_distlaw_em, load_monad
+from barrlab.lifting import (ComponentFamily, DistLawEM, SemimoduleFunctorLaw, lift_algebra,
                              naturality_failures, semiring_algebra)
 from barrlab.monads import _skip_label
 from barrlab.reports import LawReport
@@ -187,6 +190,42 @@ def pointwise_distlaw_em(law, max_size):
     return report
 
 
+def pointwise_commuting(cand, law=None, max_size=2):
+    """`check_commuting` with the algebra square evaluated element by
+    element: sigma after the lifted free algebra on X, read pointwise,
+    against mu_{TX} . M sigma at every element of M(H(M X))."""
+    law = law or cand.law
+    M, H = cand.M, law.H
+    report = LawReport(f"commuting pair T={cand.T}, H={cand.H} over {M.name}")
+    carriers = canonical_carriers(max_size)
+    for X in carriers:
+        MX = M.apply(X)
+        TX = cand.T(X)
+        HMX = H(MX)
+        MTX = M.apply(TX)
+        sigma = cand.sigma.component(X)
+        report.record("cardinality", X.name, len(HMX) == len(MTX),
+                      counterexample={"H(MX)": len(HMX), "M(TX)": len(MTX)})
+        report.record("bijection", X.name, sigma.is_bijection(),
+                      counterexample={"carrier": X.name})
+        if M.tower_fits(len(HMX), 1):
+            flat = lift_algebra(law, free_algebra(M, X)).structure_at
+            mult_tx, m_sigma = M.mult_at(TX), M.arrow(sigma, HMX, MTX)
+            report.first("algebra-square", X.name, (
+                {"carrier": X.name, "element": big, "lhs": lhs, "rhs": rhs}
+                for big in M.apply(HMX)
+                if (lhs := sigma(flat(big))) != (rhs := mult_tx(m_sigma(big)))))
+        else:
+            report.skip("algebra-square", X.name,
+                        f"|M(H(M {X.name}))| exceeds guard")
+    family = cand.sigma
+    for X in carriers:
+        for Y in carriers:
+            report.first("naturality", f"{X.name}->{Y.name}", naturality_failures(
+                family.source, family.target, X, Y, family.component(X), family.component(Y)))
+    return report
+
+
 def outcome(check, *args):
     """The JSON report of a check, or the error it raised."""
     try:
@@ -212,6 +251,13 @@ def assert_distlaw_checks_agree(make_law, max_size):
     # Fresh laws on each side, so that neither reads the other's memos.
     got = outcome(check_distlaw_em, make_law(), max_size)
     assert got == outcome(pointwise_distlaw_em, make_law(), max_size)
+    return got
+
+
+def assert_commuting_checks_agree(make_candidate, max_size):
+    # Fresh candidates on each side, so that neither reads the other's memos.
+    got = outcome(check_commuting, make_candidate(), None, max_size)
+    assert got == outcome(pointwise_commuting, make_candidate(), None, max_size)
     return got
 
 
@@ -412,7 +458,7 @@ def moore_with_broken_outputs():
     k = semiring_algebra(M)
     out = EMAlgebra(M, k.carrier, lambda vec: 0 if vec == SUPPORT_TWO else k.structure_at(vec),
                     name="z2-broken-at-support-2")
-    return SemimoduleFunctorLaw(M, out, FinSet("A", ("t",)), "moore")
+    return SemimoduleFunctorLaw(M, out, FinSet("A", ("t",)))
 
 
 @pytest.mark.parametrize("make_law", (moore_broken_at_support_two, moore_with_broken_outputs))
@@ -434,3 +480,80 @@ def test_a_law_broken_where_the_lifted_algebra_is_read_pointwise_fails_as_pointw
         lambda: moore_broken_at_support_two("moore:z2:4letters"), 1))
     failed = [c for c in report["checks"] if c["status"] == "fail"]
     assert (failed[0]["law"], failed[0]["instance"]) == ("mult-axiom", "X1")
+
+
+# ---------------------------------------------------------------------------
+# The commuting-pair square
+
+
+def _z2():
+    return load_monad("semimodule:z2")
+
+
+# The builtin biproduct partners: stream, one- and two-letter Moore and
+# constant.  For two letters M(H(M X2)) has 2^32 elements: both skip it.
+PARTNERS = {
+    "stream": lambda: partner_for_product(FinSet("B", ("b0", "b1")), _z2()),
+    "moore-1letter": lambda: partner_for_product(TERMINAL, _z2(), FinSet("A", ("a",))),
+    "moore-2letters": lambda: partner_for_product(TERMINAL, _z2(), FinSet("A", ("a", "b"))),
+    "constant": lambda: partner_for_product(FinSet("B", ("b",)), _z2(), FinSet("A0", ())),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARTNERS))
+def test_builtin_partners_match_the_pointwise_square(name):
+    report = json.loads(assert_commuting_checks_agree(PARTNERS[name], 2))
+    assert report["passed"]
+
+
+def test_the_broken_sigma_golden_matches_the_pointwise_square():
+    from test_golden import BROKEN_SIGMA
+
+    report = json.loads(assert_commuting_checks_agree(lambda: load_candidate(BROKEN_SIGMA), 1))
+    failed = [c for c in report["checks"] if c["status"] == "fail"]
+    assert (failed[0]["law"], failed[0]["instance"]) == ("algebra-square", "X1")
+
+
+def moore_partner_with_one_entry_moved():
+    """The one-letter Moore partner with the last entry of sigma at X1 sent
+    to the next element of M(T X1): no longer a bijection, and the square
+    fails where flattening reaches that entry."""
+    cand = PARTNERS["moore-1letter"]()
+    components = {X: cand.sigma.component(X) for X in canonical_carriers(2)}
+    X1 = carrier(1)
+    good = components[X1]
+    positions = list(good.positions)
+    positions[-1] = (positions[-1] + 1) % len(good.cod)
+    components[X1] = FinFn(good.dom, good.cod, positions)
+    sigma = ComponentFamily(cand.sigma.source, cand.sigma.target, components=components,
+                            name="sigma")
+    return CommutingCandidate(sigma, law=cand.law)
+
+
+def test_a_mutated_sigma_entry_fails_the_square_as_pointwise():
+    report = json.loads(assert_commuting_checks_agree(moore_partner_with_one_entry_moved, 2))
+    failed = [(c["law"], c["instance"]) for c in report["checks"] if c["status"] == "fail"]
+    assert ("bijection", "X1") in failed and ("algebra-square", "X1") in failed
+
+
+# ---------------------------------------------------------------------------
+# An algebra's one table
+
+
+@pytest.mark.parametrize("shorthand", ("semimodule:z2", "semimodule:z3", "powerset", "maybe",
+                                       "writer:s3"))
+def test_algebra_tables_match_their_tabulated_structure(shorthand):
+    # A free algebra's table is the monad's mult table, and a FinFn
+    # structure's is its positions: both equal the structure tabulated
+    # element by element, and structure() gives the FinFn back.
+    rng = random.Random(7)
+    M = load_monad(shorthand)
+    for n in (0, 1, 2):
+        free = free_algebra(M, carrier(n))
+        MC = M.apply(free.carrier)
+        assert list(free.table()) == list(tabulate(MC, free.carrier, free.structure_at).positions)
+        C = FinSet("C", range(n + 1))
+        given = tabulate(M.apply(C), C, {el: rng.randrange(n + 1) for el in M.apply(C)})
+        algebra = EMAlgebra(M, C, given)
+        assert algebra.structure() == given
+        assert list(algebra.table()) == list(EMAlgebra(M, C, given.__call__).table())
