@@ -199,12 +199,13 @@ class LevelAlgebras:
     with structure H(alpha_{n-1}) . lambda, on a carrier equal to level n.
 
     Each level keeps its algebra's one table of positions over M(level n),
-    built once on first use: for a law with a positional table of lambda,
-    H(alpha_{n-1}), tabulated on H(M(level n-1)) from level n-1's table,
-    after the law's table of lambda at level n-1.  So M(level n) itself is
-    not built (M(level n-1) is, to read alpha_{n-1}).  A level whose
-    M(level n) exceeds the blow-up guard has no table.  Nothing is
-    evaluated on construction.
+    built once on first use and reading H(alpha_{n-1}) off level n-1's
+    table, so lambda is not evaluated again at the levels below.  For a law
+    with a positional table of lambda it is H(alpha_{n-1}), tabulated on
+    H(M(level n-1)), after the law's table of lambda at level n-1, and
+    M(level n) itself is not built (M(level n-1) is, to read alpha_{n-1}).
+    A level whose M(level n) exceeds the blow-up guard has no table.
+    Nothing is evaluated on construction.
     """
 
     def __init__(self, law: DistLawEM, chain: TerminalChain):

@@ -11,7 +11,8 @@ components already fixed for each full bijection in `search_commuting_sigma`.
 A `CommutingCandidate` is sigma and the law it may carry: T, H and M are
 read off sigma's composites, and the search takes H and M from its law.
 `check_commuting` decides the algebra square on tables of positions over
-M(H(M X)), read off the lifted free algebra's table and sigma's positions.
+M(H(M X)), read off the lifted free algebra (`lifted_free_positions`) and
+sigma's positions.
 The search assigns sigma one element at a time and tests each algebra-square
 pair as soon as the positions it reads are assigned.
 """
@@ -19,6 +20,7 @@ pair as soon as the positions it reads are assigned.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import Optional
 
@@ -26,9 +28,9 @@ from .algebras import free_algebra
 from .errors import BarrlabError, DomainMismatch, MissingComponent, NotBiproductCompatible
 from .finset import TERMINAL, FinFn, FinSet, canonical_carriers
 from .functors import Const, Coprod, FunctorExpr, Id, Prod
-from .lifting import (ComponentFamily, Composite, DistLawEM, DistLawKl, constant_law,
-                      lift_algebra, naturality_failures, semimodule_moore_law,
-                      semimodule_stream_law)
+from .lifting import (ComponentFamily, Composite, DistLawEM, DistLawKl,
+                      SemimoduleFunctorLaw, constant_law, lift_algebra, lifted_free_positions,
+                      naturality_failures)
 from .monads import FinMonad, SemimoduleMonad, compose, differences
 from .reports import LawReport
 
@@ -116,12 +118,14 @@ def check_commuting(cand: CommutingCandidate, law: Optional[DistLawEM] = None,
                       counterexample={"carrier": X.name})
 
         if M.tower_fits(len(HMX), 1):
-            lifted = lift_algebra(law, free_algebra(M, X)).table()
+            MHMX = M.apply(HMX)
+            lifted = lifted_free_positions(law, free_algebra(M, X), len(MHMX),
+                                           lambda: range(len(MHMX)), lambda: MHMX)
             lhs = compose(sigma.positions, lifted)
             # A tuple, as lhs is: `differences` compares equal tables at once.
             rhs = tuple(M.kleisli_table(sigma.positions, HMX, TX))
             report.first("algebra-square", X.name, (
-                {"carrier": X.name, "element": M.apply(HMX).elements[p],
+                {"carrier": X.name, "element": MHMX.elements[p],
                  "lhs": MTX.elements[lhs[p]], "rhs": MTX.elements[rhs[p]]}
                 for p in differences(lhs, rhs)))
         else:
@@ -164,34 +168,17 @@ def _partner_parts(B: FinSet, M: FinMonad, alphabet: Optional[FinSet]):
         raise NotBiproductCompatible(
             f"{M.name} is not flagged as a biproduct (free-semimodule) monad")
     out = free_algebra(M, B)
+    if alphabet is not None and len(alphabet) == 0:
+        return Const(B), constant_law(M, out), lambda X, el: el
+    stream = alphabet is None
+    T = Coprod(Const(B), Id() if stream else Prod(Const(alphabet), Id()))
 
-    if alphabet is None:
-        T: FunctorExpr = Coprod(Const(B), Id())
-        law: DistLawEM = semimodule_stream_law(M, out)
+    def formula(X, el):
+        # The coefficient blocks of the output and of each successor, in turn.
+        c, succ = el
+        return tuple(itertools.chain(c, *([succ] if stream else succ)))
 
-        def formula(X, el):
-            c, psi = el
-            return tuple(c) + tuple(psi)
-
-    elif len(alphabet) == 0:
-        T = Const(B)
-        law = constant_law(M, out)
-
-        def formula(X, el):
-            return el
-
-    else:
-        T = Coprod(Const(B), Prod(Const(alphabet), Id()))
-        law = semimodule_moore_law(M, alphabet, out)
-
-        def formula(X, el):
-            c, succ = el
-            flat = tuple(c)
-            for psi in succ:
-                flat += tuple(psi)
-            return flat
-
-    return T, law, formula
+    return T, SemimoduleFunctorLaw(M, out, alphabet), formula
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +205,10 @@ def _closed_form_candidate(T: FunctorExpr, law: DistLawEM) -> Optional[Commuting
         else:
             return None
     else:
+        return None
+    # The partner's H is constant exactly where T is: another law's H is
+    # turned away before the partner, and M B with it, is built.
+    if isinstance(law.H, Const) != isinstance(T, Const):
         return None
     partner_T, partner, formula = _partner_parts(B, M, alphabet)
     if partner_T != T or partner.H != law.H:

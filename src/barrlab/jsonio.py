@@ -24,9 +24,9 @@ from .errors import InputError, NonFinitePreserving
 from .finset import Element, FinFn, FinSet, carrier, guard_size, tabulate
 from .functors import Compose, Const, Coprod, FunctorExpr, Id, Power, Prod
 from .groups import FinGroup, FinMonoid, as_group, cyclic_group, symmetric_group
-from .lifting import (ComponentFamily, Composite, DistLawEM, DistLawKl,
+from .lifting import (ComponentFamily, Composite, DistLawEM, DistLawKl, SemimoduleFunctorLaw,
                       constant_law, gset_distlaws, identity_law, pointed_law,
-                      product_swap_law, semimodule_moore_law, semimodule_stream_law)
+                      product_swap_law, semiring_algebra)
 from .monads import (ExceptionMonad, FinMonad, PowersetMonad, SemimoduleMonad,
                      TableMonad, WriterMonad, exception_monad, maybe_monad)
 from .semiring import Semiring, boolean_semiring, minplus, naturals, zmod
@@ -439,19 +439,14 @@ def _em_family(name, params: dict, monad: FinMonad, doc: dict, path: str) -> Dis
         if variant not in ("mult", "conj"):
             raise InputError(f"{path}.variant: expected 'mult' or 'conj', got {variant!r}")
         return gset_distlaws(group)[variant == "conj"]
-    if name == "moore":
+    if name in ("moore", "stream"):
         if not isinstance(monad, SemimoduleMonad):
-            raise InputError(f"{path}: the moore family needs a semimodule monad")
-        A = load_finset(params.get("alphabet", _alphabet(1)), f"{path}.alphabet")
-        out = None
-        if "generators" in params:
-            out = free_algebra(monad, load_finset(params["generators"], f"{path}.generators"))
-        return semimodule_moore_law(monad, A, out)
-    if name == "stream":
-        if not isinstance(monad, SemimoduleMonad):
-            raise InputError(f"{path}: the stream family needs a semimodule monad")
-        B = load_finset(params["generators"], f"{path}.generators")
-        return semimodule_stream_law(monad, free_algebra(monad, B))
+            raise InputError(f"{path}: the {name} family needs a semimodule monad")
+        A = (load_finset(params.get("alphabet", _alphabet(1)), f"{path}.alphabet")
+             if name == "moore" else None)
+        out = (free_algebra(monad, load_finset(params["generators"], f"{path}.generators"))
+               if name == "stream" or "generators" in params else semiring_algebra(monad))
+        return SemimoduleFunctorLaw(monad, out, A)
     if name == "pointed":
         if not isinstance(monad, ExceptionMonad):
             raise InputError(f"{path}: the pointed family needs maybe/exception")

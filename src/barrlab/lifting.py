@@ -24,18 +24,21 @@ function between two carriers.  Checkers record their verdicts through
 `lift_algebra` is the one place the lifted structure H(a) . lambda is
 built: the chain's level algebras, the initial chain's base map, the
 commuting-pair square and the law checker's multiplication axiom all read
-it.  For the linear laws its table is H(a), tabulated on the small set
-H(M X) from a's table, after the law's table of lambda_X; the
-multiplication axiom compares two tables over M(M(H X)) built from those
-tables, and the commuting-pair square two tables over M(H(M X)), and both
-decode elements only where they differ.
+it.  Its table reads H(a) off a's table.  For the linear laws that table
+is H(a), tabulated on the small set H(M X), after the law's table of
+lambda_X.  The multiplication axiom compares two tables over M(M(H X)),
+and the commuting-pair square two tables over M(H(M X)); both read the
+lifted free algebra through `lifted_free_positions`, pointwise where its
+table would outgrow the points read, and decode elements only where the
+tables differ.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .algebras import EMAlgebra, free_algebra, require_monad
 from .errors import DomainMismatch, MissingComponent, blowup_limit
@@ -377,9 +380,9 @@ def check_distlaw_em(law: DistLawEM, max_size: int) -> LawReport:
     `law.lookup`, memoised for the law's lifetime.  The multiplication
     axiom compares two tables of positions over M(M(H X)):
     lambda_X . mu_{HX} against H(mu_X) . lambda_{MX} . M(lambda_X), where
-    H(mu_X) . lambda_{MX} is the lifted free algebra on X, read from its
-    table, or pointwise where M(H M X) has more elements than M(M(H X)).
-    Elements are decoded only at the first position where they differ."""
+    H(mu_X) . lambda_{MX} is the lifted free algebra on X, read through
+    `lifted_free_positions`.  Elements are decoded only at the first
+    position where they differ."""
     M, H = law.M, law.H
     report = LawReport(f"distributive law {law.name}")
     carriers = canonical_carriers(max_size)
@@ -408,15 +411,10 @@ def check_distlaw_em(law: DistLawEM, max_size: int) -> LawReport:
         else:
             MHX, HMX, lam_table = M.apply(HX), H(MX), law.table(X)
             lhs = compose(lam_table, M.mult_table(HX))
-            lifted = lift_algebra(law, free_algebra(M, X))
-            if M.card(len(HMX)) <= len(lhs):
-                rhs = compose(lifted.table(), M.arrow_table(lam_table, MHX, HMX))
-            else:
-                # The lifted free algebra would have a larger table than the
-                # two sides: it is read only where M(lambda_X) lands.
-                lifted_at = LazyTable(lambda u: HMX.index(lifted.structure_at(u)))
-                rhs = tuple(map(lifted_at.__getitem__,
-                                map(M.arrow(lam_x, MHX, HMX), M.apply(MHX))))
+            # M(lambda_X) takes each element of M(M(H X)) into M(H(M X)).
+            rhs = lifted_free_positions(
+                law, free_algebra(M, X), len(lhs), lambda: M.arrow_table(lam_table, MHX, HMX),
+                lambda: map(M.arrow(lam_x, MHX, HMX), M.apply(MHX)))
             report.first("mult-axiom", X.name, (
                 {"carrier": X.name, "element": M.apply(MHX).elements[p],
                  "lhs": HMX.elements[lhs[p]], "rhs": HMX.elements[rhs[p]]}
@@ -486,9 +484,11 @@ def check_distlaw_kl(law: DistLawKl, max_size: int) -> LawReport:
 def lift_algebra(law: DistLawEM, a: EMAlgebra) -> EMAlgebra:
     """The lifting of H to algebras at a: H(carrier) with the structure
     H(a) . lambda, distribute, then apply H to the original structure map.
-    The structure is pointwise.  For a law whose table of lambda is built
-    from positions (`positional`), the lifted table is H(a), tabulated on
-    H(M carrier) from a's table, after that table, and M(H carrier) is not
+    The structure is pointwise.  Its table reads H(a) off a's table, built
+    on first use: a lifted a's pointwise structure would evaluate lambda
+    again at every level below it.  For a law whose table of lambda is
+    built from positions (`positional`), the lifted table is H(a),
+    tabulated on H(M carrier), after that table, and M(H carrier) is not
     enumerated; for any other law it is the structure evaluated on every
     element of M(H carrier), which costs less than tabulating lambda and
     H(a) apart."""
@@ -502,13 +502,32 @@ def lift_algebra(law: DistLawEM, a: EMAlgebra) -> EMAlgebra:
         return h_structure(law.component_at(X, u))
 
     def positions():
-        # H(a) reads a's table: a lifted a's pointwise structure would
-        # evaluate lambda again at every level below it.
-        h_table = arrow(H, a.structure())
-        return after(tabulate(H(M.apply(X)), carrier, h_table).positions, law.table(X))
+        # a's table is built when H(a) first reads it: a constant H reads none.
+        a_view = functools.cache(a.structure)
+        h_table = arrow(H, lambda el: a_view()(el))
+        if law.positional:
+            return after(tabulate(H(M.apply(X)), carrier, h_table).positions, law.table(X))
+        return tabulate(M.apply(carrier), carrier, lambda u: h_table(law.component_at(X, u)),
+                        name=f"structure_{name}").positions
 
-    return EMAlgebra(M, carrier, structure, name=name,
-                     positions=positions if law.positional else None)
+    return EMAlgebra(M, carrier, structure, name=name, positions=positions)
+
+
+def lifted_free_positions(law: DistLawEM, free: EMAlgebra, size: int,
+                          positions: Callable[[], Sequence[int]],
+                          elements: Callable[[], Iterable[Element]]) -> Sequence[int]:
+    """The lifting of a free algebra on X at `size` points of M(H(M X)),
+    as positions in H(M X): its table read at the points' `positions()`,
+    or, where that table or a set its builder reads, M(M X) or H(M(M X)),
+    has more elements than there are points, its structure evaluated at
+    the points' `elements()`, once per distinct point."""
+    lifted = lift_algebra(law, free)
+    M, H, MX = law.M, law.H, free.carrier
+    HMX, MMX = lifted.carrier, M.card(len(MX))
+    if max(M.card(len(HMX)), MMX, cardinality(H, MMX)) <= size:
+        return compose(lifted.table(), positions())
+    lifted_at = LazyTable(lambda u: HMX.index(lifted.structure_at(u)))
+    return tuple(map(lifted_at.__getitem__, elements()))
 
 
 def lift_coalgebra(law: DistLawEM, C: FinSet, xi: FinFn) -> FinFn:

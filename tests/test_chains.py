@@ -240,6 +240,19 @@ def test_a_component_that_leaves_its_level_fails_inside_tabulate():
         levels.table(1)
 
 
+def test_a_level_table_evaluates_the_law_once_per_element(maybe, two_outputs):
+    # Level n+1's table evaluates lambda at level n once per element of
+    # M(level n+1) and reads H(alpha_n) off level n's table, so lambda is
+    # not evaluated again at the levels below.
+    law = pointed_law(maybe, two_outputs, FinSet("A", ("a", "b")))
+    chain = build_terminal_chain(law.H, 3)
+    calls = []
+    evaluate = law.component_at
+    law.component_at = lambda X, el: calls.append(X) or evaluate(X, el)
+    LevelAlgebras(law, chain).table(3)
+    assert len(calls) == sum(len(maybe.apply(chain.level(n))) for n in (1, 2, 3))
+
+
 def test_level_algebra_is_coefficientwise_addition(z2_setup, z2_monad):
     # oracle: decode, add coefficientwise mod 2, encode
     law, chain, levels, _ = z2_setup

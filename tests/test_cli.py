@@ -401,6 +401,15 @@ def test_a_mult_axiom_whose_h_of_m_x_exceeds_the_guard_is_skipped(capsys):
                         "detail": "|H(M X1)| = 1048576 exceeds guard"}]
 
 
+def test_a_law_whose_h_ignores_x_checks_its_mult_axiom_without_building_m_m_x(capsys):
+    # No letters: H X = z2 for every X, but M(M X5) has 2^32 elements.  The
+    # lifted free algebra is read at the 16 points of M(M(H X5)) rather than
+    # tabulated from the free algebra's table over M(M X5).
+    code, report = run_json(capsys, "check-distlaw", "moore:z2:0letters", "--max-size", "5")
+    assert code == 0
+    assert all(c["status"] == "pass" for c in report["result"]["checks"])
+
+
 def test_unparsable_word_keys_exit_two(capsys):
     # A 1200-letter key used to end in a RecursionError, and an ambiguous
     # alphabet with no split used to backtrack without end.
@@ -475,6 +484,8 @@ def test_bad_integer_fields_exit_two(capsys):
 def test_malformed_documents_are_input_errors(capsys):
     # a missing key is bad input (exit 2), never a counterexample (exit 1)
     for argv, path in ((("check-distlaw", '{"family":"identity"}'), "law"),
+                       (("check-distlaw", '{"monad": "semimodule:z2", "family": "stream"}'),
+                        "law"),
                        (("check-monad", '{"builtin":"writer"}'), "monad")):
         code, report = run_json(capsys, *argv)
         assert code == 2

@@ -3,15 +3,15 @@ import json
 
 import pytest
 
-from barrlab import (Const, FinSet, Id, NotBiproductCompatible, PowersetMonad,
+from barrlab import (Const, Coprod, FinSet, Id, NotBiproductCompatible, PowersetMonad,
                      Prod, SemimoduleMonad, TERMINAL, WriterMonad, carrier,
                      check_commuting, check_distlaw_kl, cyclic_group, eval_functor,
                      identity_law, kleisli_lift_poly, maybe_monad,
                      partner_for_product, polynomial_embed, search_commuting_sigma,
                      series_distance, tabulate, zmod)
-from barrlab.compair import CommutingCandidate, words_functor
+from barrlab.compair import CommutingCandidate, _closed_form_candidate, words_functor
 from barrlab.cli import main
-from barrlab.errors import DomainMismatch, MissingComponent
+from barrlab.errors import BlowUpGuard, DomainMismatch, MissingComponent, NonFinitePreserving
 from barrlab.finset import canonical_carriers
 from barrlab.functors import arrow
 from barrlab.lifting import (ComponentFamily, Composite, DistLawEM, DistLawKl,
@@ -263,6 +263,39 @@ def test_search_with_a_law_for_another_functor_exits_two(capsys):
     assert code == 2
     assert (report["error"], report["message"]) == (
         "DomainMismatch", "distributive law is for a different functor")
+
+
+def test_commute_check_on_a_19_letter_partner_at_x0_exits_zero(capsys):
+    partner = {"monad": "semimodule:z2", "partner": {
+        "generators": {"elements": ["*"]},
+        "alphabet": {"elements": [f"a{i}" for i in range(19)]}}}
+    code = main(["commute", "check", json.dumps(partner), "--max-size", "0",
+                 "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert [c["status"] for c in report["result"]["checks"]] == ["pass"] * 4
+
+
+# Twenty generators: M B, over Z/2, has 2^20 elements, above the guard.
+_B20 = FinSet("B", tuple(f"b{i}" for i in range(20)))
+
+
+def test_closed_form_turns_away_a_law_whose_h_is_not_constant_before_building_m_b(z2_monad):
+    # T is constant and the law's H is not: no closed form, and the search
+    # stops at the guard on M(T X0), as it did when the H shapes were
+    # checked one by one.
+    law = partner_for_product(TERMINAL, z2_monad).law
+    assert _closed_form_candidate(Const(_B20), law) is None
+    with pytest.raises(BlowUpGuard, match=r"while building semimodule\[z2\]\(B\(X0\)\)$"):
+        search_commuting_sigma(Const(_B20), law, 0)
+
+
+def test_closed_form_stops_at_the_partners_free_algebra_above_the_guard(z2_monad):
+    # B + X with a law whose H has the partner's shape: the partner is built,
+    # and its free algebra on B is above the guard.
+    law = partner_for_product(TERMINAL, z2_monad).law
+    with pytest.raises(NonFinitePreserving, match="free algebra carrier on B exceeds"):
+        search_commuting_sigma(Coprod(Const(_B20), Id()), law, 0)
 
 
 def test_search_does_not_evaluate_the_law_past_the_cap(maybe):

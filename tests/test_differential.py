@@ -506,6 +506,16 @@ def test_builtin_partners_match_the_pointwise_square(name):
     assert report["passed"]
 
 
+def test_a_19_letter_partner_reads_the_lifted_free_algebra_pointwise():
+    # At X0, M(H(M X0)) has 4 elements, while the lifted table's builder
+    # would tabulate H(M(M X0)), 2 * 2^19 of them: the square reads the
+    # lifted structure at the 4 points instead.
+    letters = FinSet("A", tuple(f"a{i}" for i in range(19)))
+    report = json.loads(assert_commuting_checks_agree(
+        lambda: partner_for_product(TERMINAL, _z2(), letters), 0))
+    assert report["passed"]
+
+
 def test_the_broken_sigma_golden_matches_the_pointwise_square():
     from test_golden import BROKEN_SIGMA
 
