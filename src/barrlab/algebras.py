@@ -17,9 +17,9 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from .errors import DomainMismatch, NonFinitePreserving, blowup_limit
-from .finset import TERMINAL, Element, FinFn, FinSet, tabulate
-from .monads import FinMonad, compose, differences
-from .reports import LawReport
+from .finset import TERMINAL, Element, FinFn, FinSet, compose, tabulate
+from .monads import FinMonad
+from .reports import LawReport, table_failures
 
 
 class EMAlgebra:
@@ -114,10 +114,9 @@ def check_em_algebra(M: FinMonad, a: EMAlgebra) -> LawReport:
         MC, s = M.apply(C), tuple(a.table())
         via_mult = compose(s, M.mult_table(C))
         via_map = compose(s, M.arrow_table(s, MC, C))
-        report.first("multiplication-law", C.name, (
-            {"carrier": C.name, "element": M.apply(MC).elements[p],
-             "via-mult": C.elements[via_mult[p]], "via-map": C.elements[via_map[p]]}
-            for p in differences(via_mult, via_map)))
+        report.first("multiplication-law", C.name, table_failures(
+            {"carrier": C.name}, lambda p: M.apply(MC).elements[p], C, via_mult, via_map,
+            ("via-mult", "via-map")))
     else:
         report.skip("multiplication-law", C.name,
                     f"|MM({C.name})| = {M.tower_card_display(len(C), 2)} exceeds guard")

@@ -8,12 +8,13 @@ The limit itself is never materialised (it is typically uncountable); a
 point of the limit at finite depth is its representative at the top level,
 from which the connecting maps give the ones below.  Each level algebra is
 `lift_algebra` of the one below, kept as it returns it, and holds its
-structure as one table of positions.
+structure as one table of positions.  The two lemma checks state each law
+as two such tables over M C, composed and compared in `finset`, and
+`reports.table_failures` decodes the first position where they differ.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -21,12 +22,11 @@ from typing import Optional, Sequence
 from .algebras import EMAlgebra, terminal_algebra
 from .errors import (DepthExceeded, DomainMismatch, InputError, NotCauchy,
                      ZeroObjectViolation)
-from .finset import (EMPTY, TERMINAL, Element, FinFn, FinSet, after, from_empty, tabulate,
+from .finset import (EMPTY, TERMINAL, Element, FinFn, FinSet, compose, from_empty, tabulate,
                      to_terminal)
 from .functors import FunctorExpr, arrow
 from .lifting import DistLawEM, lift_algebra, lift_coalgebra
-from .monads import differences
-from .reports import LawReport
+from .reports import LawReport, table_failures
 
 
 class TerminalChain:
@@ -61,7 +61,7 @@ class TerminalChain:
             raise DepthExceeded(f"truncation goes down, got {frm} -> {to}")
         positions = range(len(src))
         for i in range(frm - 1, to - 1, -1):
-            positions = after(self.connect[i].positions, positions)
+            positions = compose(self.connect[i].positions, positions)
         return FinFn(src, dst, positions, name=f"trunc[{frm}->{to}]")
 
     def __repr__(self):
@@ -345,11 +345,11 @@ def _standin(law: DistLawEM, chain: TerminalChain, depth: int):
     return levels, chain.level(depth)
 
 
-def _projected(levels: LevelAlgebras, depth: int, n: int) -> array:
+def _projected(levels: LevelAlgebras, depth: int, n: int) -> tuple:
     """alpha_n . M(trunc_{depth->n}) as positions over M(level depth): the
     stand-in's points projected to level n, then level n's structure."""
     chain = levels.chain
-    return after(levels.table(n), levels.law.M.arrow_table(
+    return compose(levels.table(n), levels.law.M.arrow_table(
         chain.truncation(depth, n).positions, chain.level(depth), chain.level(n)))
 
 
@@ -363,13 +363,9 @@ def check_cone_coincidence(law: DistLawEM, chain: TerminalChain, depth: int) -> 
     MC = M.apply(C)
     report = LawReport(f"cone coincidence for {law.name}")
     for n, alpha_n in enumerate(anamorphism(MC, zeta, depth, chain)):
-        level = chain.level(n)
-        unfolded = alpha_n.positions
-        projected = _projected(levels, depth, n)
-        report.first("cone-coincidence", f"level {n}", (
-            {"level": n, "element": MC.elements[p], "unfolded": level.elements[unfolded[p]],
-             "projected": level.elements[projected[p]]}
-            for p in differences(unfolded, projected)))
+        report.first("cone-coincidence", f"level {n}", table_failures(
+            {"level": n}, MC.elements.__getitem__, chain.level(n), alpha_n.positions,
+            _projected(levels, depth, n), ("unfolded", "projected")))
     return report
 
 
@@ -389,11 +385,8 @@ def check_projection_morphisms(law: DistLawEM, chain: TerminalChain, depth: int)
     projected = [_projected(levels, depth, n) for n in range(depth + 1)]
     report = LawReport(f"projection morphisms for {law.name}")
     for n in range(depth):
-        lower = chain.level(n)
-        connected = after(chain.connect[n].positions, projected[n + 1])
-        direct = projected[n]
-        report.first("projection-morphism", f"level {n + 1}->{n}", (
-            {"level": n, "element": M.apply(C).elements[p],
-             "connected": lower.elements[connected[p]], "direct": lower.elements[direct[p]]}
-            for p in differences(connected, direct)))
+        connected = compose(chain.connect[n].positions, projected[n + 1])
+        report.first("projection-morphism", f"level {n + 1}->{n}", table_failures(
+            {"level": n}, lambda p: M.apply(C).elements[p], chain.level(n), connected,
+            projected[n], ("connected", "direct")))
     return report

@@ -31,8 +31,8 @@ from .jsonio import (distinct_entries, dump_series, encode_element, load_algebra
                      load_functor, load_group, load_monad, load_sequence, load_series,
                      resolve_key, standard_alphabet)
 from .lifting import check_distlaw_em, check_distlaw_kl, gset_distlaws, lift_algebra
-from .monads import check_monad_laws, differences
-from .reports import LawReport
+from .monads import check_monad_laws
+from .reports import LawReport, table_failures
 from .series import behavior, cauchy_limit_series, series_distance, word_strings
 
 
@@ -185,11 +185,11 @@ def cmd_diff_liftings(args):
     lifted_mult = lift_algebra(law_mult, base)
     lifted_conj = lift_algebra(law_conj, base)
     t_mult, t_conj = lifted_mult.structure(), lifted_conj.structure()
-    # Elements are decoded at the first position where the structures differ.
-    witness = next(({"element": encode_element(el), "mult_law": encode_element(t_mult(el)),
-                     "conj_law": encode_element(t_conj(el))}
-                    for el in map(t_mult.dom.elements.__getitem__,
-                                  differences(t_mult.positions, t_conj.positions))), None)
+    witness = next(table_failures({}, t_mult.dom.elements.__getitem__, t_mult.cod,
+                                  t_mult.positions, t_conj.positions, ("mult_law", "conj_law")),
+                   None)
+    if witness is not None:
+        witness = {key: encode_element(value) for key, value in witness.items()}
     return {
         "group": group.name,
         "liftings_differ": witness is not None,

@@ -26,13 +26,13 @@ from typing import Optional
 
 from .algebras import free_algebra
 from .errors import BarrlabError, DomainMismatch, MissingComponent, NotBiproductCompatible
-from .finset import TERMINAL, FinFn, FinSet, canonical_carriers
+from .finset import TERMINAL, FinFn, FinSet, canonical_carriers, compose
 from .functors import Const, Coprod, FunctorExpr, Id, Prod
 from .lifting import (ComponentFamily, Composite, DistLawEM, DistLawKl,
                       SemimoduleFunctorLaw, constant_law, lift_algebra, lifted_free_positions,
                       naturality_failures)
-from .monads import FinMonad, SemimoduleMonad, compose, differences
-from .reports import LawReport
+from .monads import FinMonad, SemimoduleMonad
+from .reports import LawReport, table_failures
 
 
 def words_functor(A: FinSet) -> FunctorExpr:
@@ -121,13 +121,9 @@ def check_commuting(cand: CommutingCandidate, law: Optional[DistLawEM] = None,
             MHMX = M.apply(HMX)
             lifted = lifted_free_positions(law, free_algebra(M, X), len(MHMX),
                                            lambda: range(len(MHMX)), lambda: MHMX)
-            lhs = compose(sigma.positions, lifted)
-            # A tuple, as lhs is: `differences` compares equal tables at once.
-            rhs = tuple(M.kleisli_table(sigma.positions, HMX, TX))
-            report.first("algebra-square", X.name, (
-                {"carrier": X.name, "element": MHMX.elements[p],
-                 "lhs": MTX.elements[lhs[p]], "rhs": MTX.elements[rhs[p]]}
-                for p in differences(lhs, rhs)))
+            report.first("algebra-square", X.name, table_failures(
+                {"carrier": X.name}, MHMX.elements.__getitem__, MTX,
+                compose(sigma.positions, lifted), M.kleisli_table(sigma.positions, HMX, TX)))
         else:
             report.skip("algebra-square", X.name,
                         f"|M(H(M {X.name}))| exceeds guard")

@@ -5,11 +5,17 @@ tuples for derived sets (products, tagged sums, function tables).  Every
 FinSet fixes an enumeration order at construction time and all derived
 constructions iterate in that order, so repeated evaluations produce
 identical tables and counterexamples are reproducible.
+
+A function between two of them is held as its table of positions: entry p
+is the position in the codomain of the value at the domain's p-th element.
+Tables are composed (`compose`) and compared (`differences`) only here;
+`reports.table_failures` turns their differences into counterexamples.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from array import array
 from collections.abc import Mapping
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -109,7 +115,7 @@ class FinFn:
         """Diagrammatic composition: first self, then other."""
         if self.cod != other.dom:
             raise DomainMismatch(f"cannot compose {self.name} with {other.name}")
-        return FinFn(self.dom, other.cod, after(other.positions, self.positions),
+        return FinFn(self.dom, other.cod, compose(other.positions, self.positions),
                      name=f"{other.name}.{self.name}")
 
     def is_bijection(self) -> bool:
@@ -133,9 +139,25 @@ class FinFn:
         return f"FinFn({self.name!r}: {self.dom.name}->{self.cod.name})"
 
 
-def after(s: Sequence[int], t: Sequence[int]) -> array:
-    """s . t for tables of positions, kept as an unsigned array."""
-    return array("I", map(s.__getitem__, t))
+def reader(t: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """s -> the tuple of s[i] for i in t, built once for a fixed t."""
+    return operator.itemgetter(*t) if len(t) > 1 else lambda s: tuple(map(s.__getitem__, t))
+
+
+def compose(s: Sequence[int], t: Sequence[int]) -> tuple:
+    """s . t for tables of positions: entry p is s[t[p]]."""
+    return reader(t)(s)
+
+
+def differences(lhs: Sequence[int], rhs: Sequence[int]) -> Iterable[int]:
+    """The positions where two tables of equal length differ, in order.
+    Tables of different sequence types are compared as tuples, so that
+    equal tables are found equal at once whatever holds them."""
+    if type(lhs) is not type(rhs):
+        lhs, rhs = tuple(lhs), tuple(rhs)
+    if lhs == rhs:
+        return ()
+    return (p for p, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
 
 
 def as_function(positions: Sequence[int], dom: FinSet, cod: FinSet) -> Callable:

@@ -566,12 +566,6 @@ def load_automaton(doc, path: str = "automaton") -> MooreAutomaton:
     return MooreAutomaton(states, alphabet, outputs, output, step)
 
 
-def word_to_str(w) -> str:
-    """The key of one word, its letters' strings joined; a series lists
-    the keys of all its words at once (`series.word_strings`)."""
-    return "".join(map(str, w))
-
-
 def _prefix_code(alphabet) -> bool:
     """True when no letter's string is empty or a prefix of another's (two
     equal strings included): then distinct words write distinct keys.  In

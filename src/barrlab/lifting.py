@@ -42,13 +42,12 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .algebras import EMAlgebra, free_algebra, require_monad
 from .errors import DomainMismatch, MissingComponent, blowup_limit
-from .finset import (Element, FinFn, FinSet, LazyTable, after, canonical_carriers,
+from .finset import (Element, FinFn, FinSet, LazyTable, canonical_carriers, compose,
                      function_values, tabulate)
 from .functors import Const, FunctorExpr, Id, Prod, arrow, cardinality, moore_functor
 from .groups import FinGroup, FinMonoid, as_group
-from .monads import (ExceptionMonad, FinMonad, SemimoduleMonad, WriterMonad, compose,
-                     differences)
-from .reports import LawReport
+from .monads import ExceptionMonad, FinMonad, SemimoduleMonad, WriterMonad
+from .reports import LawReport, table_failures
 
 
 class Composite:
@@ -415,10 +414,8 @@ def check_distlaw_em(law: DistLawEM, max_size: int) -> LawReport:
             rhs = lifted_free_positions(
                 law, free_algebra(M, X), len(lhs), lambda: M.arrow_table(lam_table, MHX, HMX),
                 lambda: map(M.arrow(lam_x, MHX, HMX), M.apply(MHX)))
-            report.first("mult-axiom", X.name, (
-                {"carrier": X.name, "element": M.apply(MHX).elements[p],
-                 "lhs": HMX.elements[lhs[p]], "rhs": HMX.elements[rhs[p]]}
-                for p in differences(lhs, rhs)))
+            report.first("mult-axiom", X.name, table_failures(
+                {"carrier": X.name}, lambda p: M.apply(MHX).elements[p], HMX, lhs, rhs))
 
     for X in carriers:
         for Y in carriers:
@@ -506,7 +503,7 @@ def lift_algebra(law: DistLawEM, a: EMAlgebra) -> EMAlgebra:
         a_view = functools.cache(a.structure)
         h_table = arrow(H, lambda el: a_view()(el))
         if law.positional:
-            return after(tabulate(H(M.apply(X)), carrier, h_table).positions, law.table(X))
+            return compose(tabulate(H(M.apply(X)), carrier, h_table).positions, law.table(X))
         return tabulate(M.apply(carrier), carrier, lambda u: h_table(law.component_at(X, u)),
                         name=f"structure_{name}").positions
 

@@ -5,8 +5,10 @@ Structure maps are exposed in three forms: pointwise (`unit_element`,
 to many elements (`arrow` for M f, `mult_at` for mu_X); and as tables of
 positions (`arrow_table` for M f, `mult_table` for mu_X and `kleisli_table`
 for mu . M h), each entry the position of one value in the codomain's
-enumeration.  The law checker decides every law by comparing two such
-tables and decodes elements only at the first differing position.  The free
+enumeration.  The law checker decides every law but the unit laws by
+composing and comparing two such tables (`finset.compose`,
+`finset.differences`) and decodes elements only at the first differing
+position (`reports.table_failures`).  The free
 semimodule monads over Z/2 and the Boolean semiring, and the powerset monad,
 build the tables from bitmasks without enumerating M(M X) or M(M(M X)); the
 other monads fill them element by element.  Iterated applications still
@@ -26,10 +28,10 @@ import operator
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InputError, MissingComponent, NonFinitePreserving, blowup_limit
-from .finset import (Element, FinSet, LazyTable, as_function, canonical_carriers,
-                     function_values, guard_size)
+from .finset import (Element, FinSet, LazyTable, as_function, canonical_carriers, compose,
+                     function_values, guard_size, reader)
 from .groups import FinMonoid
-from .reports import LawReport
+from .reports import LawReport, table_failures
 from .semiring import Semiring, check_semiring
 
 
@@ -187,23 +189,6 @@ class WriterMonad(FinMonad):
     def mult_element(self, X, el2):
         b1, (b2, x) = el2
         return (self.monoid.op(b1, b2), x)
-
-
-def _reader(t: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """s -> the tuple of s[i] for i in t, built once for a fixed t."""
-    return operator.itemgetter(*t) if len(t) > 1 else lambda s: tuple(map(s.__getitem__, t))
-
-
-def compose(s: Sequence[int], t: Sequence[int]) -> tuple:
-    """s . t for tables of positions: entry p is s[t[p]]."""
-    return _reader(t)(s)
-
-
-def differences(lhs: Sequence[int], rhs: Sequence[int]) -> Iterable[int]:
-    """The positions where two tables of equal length differ, in order."""
-    if lhs == rhs:
-        return ()
-    return (p for p, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
 
 
 def _double(op: Callable[[int, int], int], cols: Sequence[int]) -> array.array:
@@ -576,9 +561,8 @@ def check_monad_laws(M: FinMonad, max_size: int) -> LawReport:
         MX = M.apply(X)
         # functor preserves identities
         ids = arrows[len(X)][X.elements]
-        report.first("map-identity", X.name, (
-            {"carrier": X.name, "element": MX.elements[p], "got": MX.elements[ids[p]]}
-            for p in differences(ids, tuple(range(len(MX))))))
+        report.first("map-identity", X.name, table_failures(
+            {"carrier": X.name}, MX.elements.__getitem__, MX, ids, range(len(MX)), ("got",)))
 
         # left unit: mult . unit at M X == id; both unit laws run over M X
         flatten = M.mult_at(X)
@@ -597,10 +581,9 @@ def check_monad_laws(M: FinMonad, max_size: int) -> LawReport:
             mult_x, MMX = mults[len(X)], M.apply(MX)
             outer = compose(mult_x, M.mult_table(MX))
             inner = compose(mult_x, M.arrow_table(mult_x, MMX, MX))
-            report.first("mult-associativity", X.name, (
-                {"carrier": X.name, "element": M.apply(MMX).elements[p],
-                 "outer-first": MX.elements[outer[p]], "inner-first": MX.elements[inner[p]]}
-                for p in differences(outer, inner)))
+            report.first("mult-associativity", X.name, table_failures(
+                {"carrier": X.name}, lambda p: M.apply(MMX).elements[p], MX, outer, inner,
+                ("outer-first", "inner-first")))
         else:
             report.skip("mult-associativity", X.name, _skip_label(M, len(X), 3))
 
@@ -613,12 +596,12 @@ def check_monad_laws(M: FinMonad, max_size: int) -> LawReport:
             def unit_failures():
                 # M f at the units of X  vs  the units of Y at f; with no
                 # units to read, M f is not asked for
-                at_units, units_y = _reader(unit_positions[len(X)]), unit_positions[len(Y)]
+                at_units, units_y = reader(unit_positions[len(X)]), unit_positions[len(Y)]
                 for fv in function_values(X, Y) if X else ():
                     lhs, rhs = at_units(into_y[fv]), compose(units_y, fv)
-                    for x in differences(lhs, rhs):
-                        yield {"function": dict(enumerate(fv)), "element": x,
-                               "lhs": MY.elements[lhs[x]], "rhs": MY.elements[rhs[x]]}
+                    if lhs != rhs:
+                        yield from table_failures({"function": dict(enumerate(fv))},
+                                                  X.elements.__getitem__, MY, lhs, rhs)
 
             report.first("unit-naturality", pair, unit_failures())
 
@@ -629,10 +612,10 @@ def check_monad_laws(M: FinMonad, max_size: int) -> LawReport:
                     for fv in function_values(X, Y):
                         Mf = into_y[fv]
                         lhs, rhs = compose(Mf, mult_x), tuple(M.kleisli_table(Mf, MX, Y))
-                        for p in differences(lhs, rhs):
-                            yield {"function": dict(enumerate(fv)),
-                                   "element": M.apply(MX).elements[p],
-                                   "lhs": MY.elements[lhs[p]], "rhs": MY.elements[rhs[p]]}
+                        if lhs != rhs:
+                            yield from table_failures(
+                                {"function": dict(enumerate(fv))},
+                                lambda p: M.apply(MX).elements[p], MY, lhs, rhs)
 
                 report.first("mult-naturality", pair, mult_failures())
             else:
@@ -644,17 +627,16 @@ def check_monad_laws(M: FinMonad, max_size: int) -> LawReport:
                     for fv in function_values(X, Y):
                         # M(g.f), then M f, then M g: the order in which a
                         # table monad is first asked for them.
-                        at_f, after_mf = _reader(fv), None
+                        at_f, after_mf = reader(fv), None
                         for gv in function_values(Y, Z):
                             lhs = into_z[at_f(gv)]
                             if after_mf is None:
-                                after_mf = _reader(into_y[fv])
+                                after_mf = reader(into_y[fv])
                             rhs = after_mf(into_z[gv])
                             if lhs != rhs:
-                                p = next(iter(differences(lhs, rhs)))
-                                yield {"f": dict(enumerate(fv)), "g": dict(enumerate(gv)),
-                                       "element": MX.elements[p],
-                                       "lhs": MZ.elements[lhs[p]], "rhs": MZ.elements[rhs[p]]}
+                                yield from table_failures(
+                                    {"f": dict(enumerate(fv)), "g": dict(enumerate(gv))},
+                                    MX.elements.__getitem__, MZ, lhs, rhs)
 
                 report.first("map-composition", f"{X.name}->{Y.name}->{Z.name}",
                              composition_failures())

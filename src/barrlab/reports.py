@@ -7,16 +7,36 @@ with its first item otherwise, so the counterexample recorded is the
 minimal one and nothing past it is evaluated.  Two runs over the same
 inputs produce identical reports.  Instances whose enumeration would exceed
 the blow-up guard are recorded as skipped rather than silently dropped.
+
+Most laws compare two composites of structure maps held as tables of
+positions (`finset`); `table_failures` is the one place where a difference
+between two such tables becomes a counterexample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
+
+from .finset import Element, FinSet, differences
 
 PASS = "pass"
 FAIL = "fail"
 SKIP = "skipped"
+
+
+def table_failures(head: dict, element_at: Callable[[int], Element], cod: FinSet,
+                   lhs: Sequence[int], rhs: Sequence[int],
+                   names: Sequence[str] = ("lhs", "rhs")) -> Iterator[dict]:
+    """The counterexamples of a law stated as two tables of positions in
+    cod, in order: at each position p where lhs and rhs differ, `head`, the
+    element at p and the two values, keyed by `names`.  `element_at(p)` is
+    called only there, so the set the tables run over is decoded, and
+    built, only when the law fails.  A single name reports lhs's value
+    alone, for a law whose rhs is the identity."""
+    for p in differences(lhs, rhs):
+        values = cod.elements[lhs[p]], cod.elements[rhs[p]]
+        yield {**head, "element": element_at(p), **dict(zip(names, values))}
 
 
 @dataclass(frozen=True)

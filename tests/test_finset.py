@@ -4,7 +4,9 @@ from array import array
 import pytest
 
 from barrlab import DomainMismatch, FinFn, FinSet, all_functions, carrier, tabulate
-from barrlab.finset import constant_fn, from_empty, to_terminal, TERMINAL, EMPTY
+from barrlab.finset import (EMPTY, TERMINAL, compose, constant_fn, differences, from_empty,
+                            to_terminal)
+from barrlab.reports import table_failures
 
 
 def test_elements_must_be_distinct():
@@ -92,3 +94,48 @@ def test_terminal_and_empty_helpers():
     assert t.cod == TERMINAL and set(dict(t.pairs()).values()) == {"*"}
     e = from_empty(X)
     assert e.dom == EMPTY and dict(e.pairs()) == {}
+
+
+# The table kit: tables of positions are composed and compared in `finset`,
+# and their differences decoded in `reports.table_failures`.
+
+@pytest.mark.parametrize("t", [(), (2,), (1, 0, 1, 2), array("I", [2, 0]),
+                               array("Q", [0, 0, 1]), range(3), range(1, 2)])
+def test_compose_matches_pointwise(t):
+    # The reader is an itemgetter for two entries or more, and a map below.
+    for s in ((5, 6, 7), array("I", [7, 5, 6]), range(4, 7)):
+        assert compose(s, t) == tuple(s[i] for i in t)
+
+
+def test_differences_compares_tables_of_any_sequence_type():
+    same = (array("Q", [0, 3, 1]), array("I", [0, 3, 1]), (0, 3, 1))
+    for lhs in same:
+        for rhs in same:
+            assert differences(lhs, rhs) == ()
+    assert differences(range(3), (0, 1, 2)) == ()
+    assert list(differences(array("Q", [0, 1, 2, 3]), (0, 2, 2, 0))) == [1, 3]
+    assert list(differences(range(3), array("I", [2, 1, 0]))) == [0, 2]
+
+
+def test_table_failures_decode_only_differing_positions():
+    cod = FinSet("Y", ("p", "q", "r"))
+    asked = []
+
+    def element_at(p):
+        asked.append(p)
+        return f"x{p}"
+
+    failures = table_failures({"carrier": "X4"}, element_at, cod, (0, 1, 2, 0),
+                              array("I", [0, 2, 2, 1]), ("left", "right"))
+    assert asked == []
+    first = next(failures)
+    assert asked == [1]
+    assert list(first.items()) == [("carrier", "X4"), ("element", "x1"), ("left", "q"),
+                                   ("right", "r")]
+    assert [f["element"] for f in failures] == ["x3"]
+    assert asked == [1, 3]
+    assert list(table_failures({}, element_at, cod, (1, 2), (1, 2))) == []
+    assert asked == [1, 3]
+    # One name reports the left value alone.
+    assert list(table_failures({}, str, cod, (2, 1), range(2), ("got",))) == [
+        {"element": "0", "got": "r"}]

@@ -8,7 +8,7 @@ from barrlab.jsonio import (decode_element, dump_series, encode_element,
                             load_automaton, load_distlaw_em, load_distlaw_kl,
                             load_finset, load_functor, load_monad, load_monoid,
                             load_polynomial, load_semiring, load_series,
-                            standard_alphabet, word_parser, word_to_str)
+                            standard_alphabet, word_parser)
 
 
 def test_element_codec_roundtrip():
@@ -173,7 +173,6 @@ def test_explicit_law_components_load_and_check(maybe):
 
 
 def test_word_codec():
-    assert word_to_str(("a", "b", "a")) == "aba"
     parse = word_parser(("a", "b"))
     assert parse("aba") == ("a", "b", "a")
     assert parse("") == ()

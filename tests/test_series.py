@@ -11,7 +11,6 @@ from barrlab import (BlowUpGuard, BoundMismatch, DomainMismatch, FinSet, InputEr
                      polynomial_embed, semimodule_moore_law, series_distance, words_below,
                      zmod)
 from barrlab.chains import DyadicDist
-from barrlab.jsonio import word_to_str
 from barrlab.series import first_difference_length, word_strings
 
 BOOL = boolean_semiring()
@@ -23,6 +22,12 @@ def random_bool_automaton(rng, n_states, alphabet):
     output = {s: rng.randrange(2) for s in states}
     step = {(s, a): f"s{rng.randrange(n_states)}" for s in states for a in alphabet}
     return MooreAutomaton(states, alphabet, BOOL.as_finset(), output, step)
+
+
+def word_to_str(w):
+    """The key of one word, its letters' strings joined: the reference for
+    `word_strings`."""
+    return "".join(map(str, w))
 
 
 def test_words_below_is_length_lex():
