@@ -185,11 +185,10 @@ def cmd_diff_liftings(args):
     lifted_mult = lift_algebra(law_mult, base)
     lifted_conj = lift_algebra(law_conj, base)
     t_mult, t_conj = lifted_mult.structure(), lifted_conj.structure()
-    witness = next(table_failures({}, t_mult.dom.elements.__getitem__, t_mult.cod,
-                                  t_mult.positions, t_conj.positions, ("mult_law", "conj_law")),
-                   None)
-    if witness is not None:
-        witness = {key: encode_element(value) for key, value in witness.items()}
+    witness = next(({key: encode_element(value) for key, value in ce.items()}
+                    for ce in table_failures({}, t_mult.dom.elements.__getitem__, t_mult.cod,
+                                             t_mult.positions, t_conj.positions,
+                                             ("mult_law", "conj_law"))), None)
     return {
         "group": group.name,
         "liftings_differ": witness is not None,

@@ -8,8 +8,9 @@ identical tables and counterexamples are reproducible.
 
 A function between two of them is held as its table of positions: entry p
 is the position in the codomain of the value at the domain's p-th element.
-Tables are composed (`compose`) and compared (`differences`) only here;
-`reports.table_failures` turns their differences into counterexamples.
+Tables are composed (`compose`, `reader`) and compared (`differences`)
+here, and `reports.table_failures` turns their differences into
+counterexamples.
 """
 
 from __future__ import annotations

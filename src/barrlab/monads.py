@@ -611,6 +611,8 @@ def check_monad_laws(M: FinMonad, max_size: int) -> LawReport:
                     mult_x = mults[len(X)]
                     for fv in function_values(X, Y):
                         Mf = into_y[fv]
+                        # Two tuples, so that `!=` skips building the head
+                        # for every f at which the law holds.
                         lhs, rhs = compose(Mf, mult_x), tuple(M.kleisli_table(Mf, MX, Y))
                         if lhs != rhs:
                             yield from table_failures(
