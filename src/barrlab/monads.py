@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InputError, MissingComponent, NonFinitePreserving, blowup_limit
 from .finset import (Element, FinSet, LazyTable, as_function, canonical_carriers, compose,
-                     function_values, guard_size, reader)
+                     differences, function_values, guard_size, reader)
 from .groups import FinMonoid
 from .reports import LawReport, table_failures
 from .semiring import Semiring, check_semiring
@@ -561,8 +561,9 @@ def check_monad_laws(M: FinMonad, max_size: int) -> LawReport:
         MX = M.apply(X)
         # functor preserves identities
         ids = arrows[len(X)][X.elements]
-        report.first("map-identity", X.name, table_failures(
-            {"carrier": X.name}, MX.elements.__getitem__, MX, ids, range(len(MX)), ("got",)))
+        report.first("map-identity", X.name, (
+            {"carrier": X.name, "element": MX.elements[p], "got": MX.elements[ids[p]]}
+            for p in differences(ids, range(len(MX)))))
 
         # left unit: mult . unit at M X == id; both unit laws run over M X
         flatten = M.mult_at(X)

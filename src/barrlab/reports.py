@@ -32,11 +32,11 @@ def table_failures(head: dict, element_at: Callable[[int], Element], cod: FinSet
     cod, in order: at each position p where lhs and rhs differ, `head`, the
     element at p and the two values, keyed by `names`.  `element_at(p)` is
     called only there, so the set the tables run over is decoded, and
-    built, only when the law fails.  A single name reports lhs's value
-    alone, for a law whose rhs is the identity."""
+    built, only when the law fails."""
+    left, right = names
     for p in differences(lhs, rhs):
-        values = cod.elements[lhs[p]], cod.elements[rhs[p]]
-        yield {**head, "element": element_at(p), **dict(zip(names, values))}
+        yield {**head, "element": element_at(p), left: cod.elements[lhs[p]],
+               right: cod.elements[rhs[p]]}
 
 
 @dataclass(frozen=True)

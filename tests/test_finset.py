@@ -136,6 +136,3 @@ def test_table_failures_decode_only_differing_positions():
     assert asked == [1, 3]
     assert list(table_failures({}, element_at, cod, (1, 2), (1, 2))) == []
     assert asked == [1, 3]
-    # One name reports the left value alone.
-    assert list(table_failures({}, str, cod, (2, 1), range(2), ("got",))) == [
-        {"element": "0", "got": "r"}]

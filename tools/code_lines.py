@@ -1,7 +1,7 @@
-"""Count the code lines of a Python package: lines that are not blank, not
+"""Count the code lines of src/barrlab: lines that are not blank, not
 comment-only and not part of a docstring.
 
-    python tools/code_lines.py [DIR]      # DIR defaults to src/barrlab
+    python tools/code_lines.py      # from the root of the repository
 
 Prints one line per module, then the total.  A docstring is the string
 literal that opens a module, class or function body; every line it spans
@@ -41,10 +41,9 @@ def code_lines(source: str) -> int:
     return len(lines - skip)
 
 
-def main(argv: list[str]) -> int:
-    root = Path(argv[1] if len(argv) > 1 else "src/barrlab")
+def main() -> int:
     total = 0
-    for path in sorted(root.rglob("*.py")):
+    for path in sorted(Path("src/barrlab").rglob("*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{count:6d}  {path}")
@@ -53,4 +52,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
