@@ -50,7 +50,7 @@ nat = naturals()
 seq = [Polynomial(("t",), nat, {("t",) * j: 1 for j in range(n)})
        for n in range(10)]
 print("  partial sums 0, 1, 1+t, 1+t+t^2, ...")
-lim = cauchy_limit_series(seq, 8, modulus=lambda r: r + 1)
+lim = cauchy_limit_series(seq, 8, modulus=range(1, 9))
 print("  limit coefficients:", [lim.coefficient(w) for w in words_below(("t",), 8)])
 
 p = Polynomial(("t",), zmod(2), {(): 1, ("t",): 1, ("t",) * 9: 1})

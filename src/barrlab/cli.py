@@ -122,12 +122,16 @@ def _load_doc(arg: str, what: str):
             raise InputError(f"{what}: invalid inline JSON: {exc}") from None
     if arg.endswith(".json"):
         try:
-            with open(arg) as fh:
+            with open(arg, encoding="utf-8") as fh:
                 return json.load(fh)
         except FileNotFoundError:
             raise InputError(f"{what}: file not found: {arg}") from None
         except json.JSONDecodeError as exc:
             raise InputError(f"{what}: {arg}: invalid JSON: {exc}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            # A directory, a file that cannot be opened, or bytes that are
+            # not UTF-8.
+            raise InputError(f"{what}: cannot read {arg}: {exc}") from None
     return arg
 
 
@@ -344,7 +348,6 @@ COMMON_FLAGS = (
     ("--search-cap", True, {"type": int, "default": 10**5}),
     ("--format", False, {"choices": ("text", "json"), "default": "text"}),
     ("--seed", False, {"type": int, "default": 0}),
-    ("--jobs", False, {"type": int, "default": 1}),
 )
 
 _REQUIRED = {"required": True}
@@ -434,7 +437,6 @@ def _config(argv: list[str], args) -> dict:
     for flag, _bound, _options in COMMON_FLAGS:
         if flag != "--format":
             config[_dest(flag)] = getattr(args, _dest(flag))
-    config["inputs"] = {}
     return config
 
 

@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import InputError, NotAGroup
-from .finset import FinSet
+from .errors import BlowUpGuard, InputError, NotAGroup, blowup_limit
+from .finset import FinSet, guard_size
 
 
 class FinMonoid:
-    """A finite monoid with an explicit multiplication table."""
+    """A finite monoid with an explicit multiplication table.  Associativity
+    is checked on all |G|^3 triples, so |G|^3 is held to the blow-up guard
+    before the table is built."""
 
     def __init__(self, name, elements, op, unit):
+        guard_size(len(elements) ** 3, f"checking {name} for associativity")
         self.name = name
         self.elements = tuple(elements)
         self.unit = unit
@@ -85,7 +88,15 @@ def cyclic_group(m: int) -> FinGroup:
 
 
 def symmetric_group(n: int) -> FinGroup:
-    """Permutations of {0..n-1} as value tuples; product is composition."""
+    """Permutations of {0..n-1} as value tuples; product is composition.
+    The (n!)^3 associativity triples are held to the blow-up guard before
+    any permutation is listed, by a factorial built only until its cube
+    passes the guard."""
+    order = 1
+    for i in range(2, n + 1):
+        order *= i
+        if order ** 3 > blowup_limit():
+            raise BlowUpGuard(f"({n}!)^3", f"checking S{n} for associativity")
     perms = sorted(itertools.permutations(range(n)))
     compose = lambda a, b: tuple(a[b[i]] for i in range(n))
     return FinGroup(f"S{n}", perms, compose, tuple(range(n)))

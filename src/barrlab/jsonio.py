@@ -123,7 +123,7 @@ def load_finset(doc, path: str = "set") -> FinSet:
     if isinstance(doc, str):
         m = re.fullmatch(r"[Xx](\d+)", doc)
         if m:
-            return carrier(int(m.group(1)))
+            return carrier(guard_size(int(m.group(1)), f"listing {path}: {doc}"))
         raise InputError(f"{path}: unknown set shorthand {doc!r}")
     if isinstance(doc, list):
         return FinSet(path, distinct_entries(map(decode_element, doc), path))
@@ -216,9 +216,7 @@ def load_semiring(doc, path: str = "semiring") -> Semiring:
             raise InputError(f"{path}.{key}: {value!r} is not an element")
     return Semiring(doc.get("name", path),
                     lambda a, b: add[(a, b)], lambda a, b: mul[(a, b)],
-                    zero, one,
-                    elements=elements,
-                    mul_commutative=bool(doc.get("mul_commutative", False)))
+                    zero, one, elements=elements)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +234,10 @@ def _document(text: str, shorthands: tuple, kind: str, path: str):
 
 
 def standard_alphabet(n: int) -> tuple:
-    """One letter is 't' (the classic formal-variable); more get a, b, c.."""
+    """One letter is 't' (the classic formal-variable); more get a, b, c..,
+    up to z."""
+    if n > 26:
+        raise InputError(f"{n} letters: the standard alphabet has at most 26 (a to z)")
     if n == 1:
         return ("t",)
     return tuple("abcdefghijklmnopqrstuvwxyz"[:n])
@@ -417,7 +418,7 @@ def _load_components(doc, source: Composite, target: Composite, path: str) -> di
     a set document."""
     components = {}
     for key, table_doc in load_object(doc, path).items():
-        X = carrier(int(key)) if key.isdigit() else load_finset(key, f"{path}.{key}")
+        X = load_finset(f"X{key}" if key.isdigit() else key, f"{path}.{key}")
         components[X] = load_function(table_doc, source.at(X), target.at(X), f"{path}.{key}")
     return components
 
@@ -650,10 +651,9 @@ def dump_series(s: TruncatedSeries) -> dict:
 
 
 @_names_path
-def load_polynomial(doc, k: Optional[Semiring] = None, path: str = "polynomial") -> Polynomial:
+def load_polynomial(doc, path: str = "polynomial") -> Polynomial:
     alphabet = distinct_entries(doc["alphabet"], f"{path}.alphabet", "letter")
-    if k is None:
-        k = load_semiring(doc.get("semiring", "nat"), f"{path}.semiring")
+    k = load_semiring(doc.get("semiring", "nat"), f"{path}.semiring")
     parse = word_parser(alphabet)
     terms = {parse(key): _coefficient(decode_element(val), k, f"{path}.terms.{key}")
              for key, val in load_object(doc.get("terms", {}), f"{path}.terms").items()}

@@ -45,7 +45,7 @@ from .errors import DomainMismatch, MissingComponent, blowup_limit
 from .finset import (Element, FinFn, FinSet, LazyTable, canonical_carriers, compose,
                      function_values, tabulate)
 from .functors import Const, FunctorExpr, Id, Prod, arrow, cardinality, moore_functor
-from .groups import FinGroup, FinMonoid, as_group
+from .groups import FinGroup, as_group
 from .monads import ExceptionMonad, FinMonad, SemimoduleMonad, WriterMonad
 from .reports import LawReport, table_failures
 
@@ -220,9 +220,7 @@ def gset_distlaws(group) -> tuple[DistLawEM, DistLawEM]:
     (g, h) -> (g*h*g^-1, g).  They differ over every nontrivial group,
     abelian or not: for abelian G conjugation is the swap rule
     (g, h) -> (h, g), which is not the multiplication rule."""
-    G = as_group(group) if isinstance(group, FinMonoid) else group
-    if not isinstance(G, FinGroup):
-        G = as_group(G)
+    G = as_group(group)
     mult_rule = lambda g, h: (G.op(g, h), g)
     conj_rule = lambda g, h: (G.op(G.op(g, h), G.inv(g)), g)
     return (
@@ -356,10 +354,10 @@ class SemimoduleFunctorLaw(DistLawEM):
         return (out_part, tuple(s(phi) for s in succ))
 
 
-def semimodule_moore_law(M: SemimoduleMonad, alphabet: FinSet,
-                         out: Optional[EMAlgebra] = None) -> DistLawEM:
-    """The coefficientwise-linear law for H = k x X^A (or C x X^A)."""
-    return SemimoduleFunctorLaw(M, out or semiring_algebra(M), alphabet)
+def semimodule_moore_law(M: SemimoduleMonad, alphabet: FinSet) -> DistLawEM:
+    """The coefficientwise-linear law for H = k x X^A; for C x X^A with
+    another output algebra C, use `SemimoduleFunctorLaw(M, C, alphabet)`."""
+    return SemimoduleFunctorLaw(M, semiring_algebra(M), alphabet)
 
 
 def semimodule_stream_law(M: SemimoduleMonad, out: EMAlgebra) -> DistLawEM:

@@ -61,11 +61,10 @@ class LawReport:
     subject: str
     checks: list = field(default_factory=list)
 
-    def record(self, law: str, instance: str, ok: bool, detail: str = "",
+    def record(self, law: str, instance: str, ok: bool,
                counterexample: Optional[dict] = None) -> None:
-        status = PASS if ok else FAIL
-        self.checks.append(LawCheck(law, instance, status, detail,
-                                    None if ok else counterexample))
+        self.checks.append(LawCheck(law, instance, PASS if ok else FAIL,
+                                    counterexample=None if ok else counterexample))
 
     def first(self, law: str, instance: str, failures: Iterable[dict]) -> None:
         """Record the law from its counterexamples: pass if there are none,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence
 
 from .chains import DyadicDist
 from .errors import (BlowUpGuard, BoundMismatch, DomainMismatch, InputError, NotCauchy,
@@ -322,11 +322,11 @@ def first_difference_length(p: Polynomial, q: Polynomial) -> Optional[int]:
 
 
 def cauchy_limit_series(seq: Sequence[Polynomial], depth: int,
-                        modulus: Union[None, Sequence[int], Callable[[int], int]] = None
-                        ) -> TruncatedSeries:
+                        modulus: Optional[Sequence[int]] = None) -> TruncatedSeries:
     """Stabilised limit of a Cauchy sequence of polynomials: for every word
-    length r < depth the declared modulus names an index after which the
-    coefficients up to length r never change; the limit reads them there.
+    length r < depth the declared modulus names an index, modulus[r], after
+    which the coefficients up to length r never change; the limit reads
+    them there.
 
     The default modulus is r -> r.  Violations raise NotCauchy with the
     witnessing word length and indices.
@@ -334,18 +334,14 @@ def cauchy_limit_series(seq: Sequence[Polynomial], depth: int,
     if not seq:
         raise InputError("empty polynomial sequence")
     if modulus is None:
-        mod = lambda r: r
-    elif callable(modulus):
-        mod = modulus
-    else:
-        mod = lambda r, _m=tuple(modulus): _m[r]
+        modulus = range(depth)
     # Length r is stable from n_r on exactly when no neighbouring pair from
     # n_r on differs at length <= r; the first pair that does differs from
     # term n_r where it differs from its predecessor.
     gaps = [first_difference_length(seq[n], seq[n + 1]) for n in range(len(seq) - 1)]
     stable_at = []
     for r in range(depth):
-        n_r = mod(r)
+        n_r = modulus[r]
         if not 0 <= n_r < len(seq):
             raise InputError(
                 f"modulus at word length {r} is {n_r}, outside the sequence "

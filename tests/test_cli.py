@@ -982,3 +982,130 @@ def test_non_objects_where_objects_belong_are_input_errors(capsys, argv, path):
     assert report["error"] == "InputError"
     assert report["message"].startswith(f"{path}: expected an ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("make, reason", (
+    (lambda path: path.mkdir(), "Is a directory"),
+    (lambda path: path.write_bytes(b"\xff\xfe{"), "can't decode byte 0xff"),
+))
+def test_an_unreadable_json_argument_is_an_input_error(capsys, tmp_path, make, reason):
+    # A directory named like a document, or bytes that are not UTF-8, used to
+    # end in an IsADirectoryError or UnicodeDecodeError traceback (exit 1).
+    path = tmp_path / "x.json"
+    make(path)
+    code = main(["check-monad", str(path), "--format", "json"])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == 2
+    assert report["error"] == "InputError"
+    assert report["message"].startswith(f"monad: cannot read {path}: ")
+    assert reason in report["message"]
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", (
+    ("check-distlaw", "moore:z2:27letters", "--max-size", "0"),
+    ("check-distlaw", "kl", "words:30letters:maybe", "--max-size", "0"),
+    ("chain", "build", "--functor", "moore:z2:27letters", "--depth", "1"),
+))
+def test_a_shorthand_above_26_letters_is_an_input_error(capsys, argv):
+    # The standard alphabet is a to z: 27 or 30 letters used to load as 26
+    # and exit 0.
+    code, report = run_json(capsys, *argv)
+    n = re.search(r"(\d+)letters", " ".join(argv)).group(1)
+    assert code == 2
+    assert report["error"] == "InputError"
+    assert report["message"] == f"{n} letters: the standard alphabet has at most 26 (a to z)"
+
+
+def test_a_shorthand_of_26_letters_loads(capsys):
+    code, report = run_json(capsys, "chain", "build", "--functor", "moore:z2:26letters",
+                            "--depth", "1")
+    assert code == 0
+    assert report["result"]["level_sizes"] == [1, 2]
+
+
+@pytest.mark.parametrize("monad, size", (
+    ("writer:z101", "1030301"), ("writer:z200", "8000000"), ("writer:s5", "(5!)^3")))
+def test_a_group_shorthand_with_too_many_triples_exits_two(capsys, monad, size):
+    # Associativity is checked on all |G|^3 triples: writer:z200 used to run
+    # 8 * 10^6 of them and exit 0 after seconds, s5 about 1.7 * 10^6.  Under
+    # the default guard (10^6) z100 and s4 are the largest that load.
+    code, report = run_json(capsys, "check-monad", monad, "--max-size", "1")
+    group = monad.split(":")[1].upper()
+    assert code == 2
+    assert report["error"] == "BlowUpGuard"
+    assert report["message"] == (f"enumeration of {size} elements exceeds the guard "
+                                 f"(1000000) while checking {group} for associativity")
+
+
+def test_jobs_is_not_a_flag(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["words", "--jobs", "1"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --jobs 1" in capsys.readouterr().err
+
+
+def test_the_config_echo_holds_the_command_and_the_flags(capsys):
+    code, report = run_json(capsys, "words", "--depth", "1")
+    assert code == 0
+    assert report["config"] == {"command": "words --depth 1 --format json", "max_size": 3,
+                                "depth": 1, "probe_depth": 1, "search_cap": 100000, "seed": 0}
+
+
+# Documented document forms that no other test reaches.
+
+def test_the_constant_law_family_passes(capsys):
+    law = {"monad": "semimodule:z2", "family": {"name": "constant",
+                                                "algebra": {"free_on": "X1"}}}
+    code, report = run_json(capsys, "check-distlaw", json.dumps(law), "--max-size", "2")
+    assert code == 0
+    assert report["result"]["subject"] == (
+        "distributive law const[free(X1)/semimodule[z2]]")
+    assert {c["law"] for c in report["result"]["checks"]} == {
+        "unit-axiom", "mult-axiom", "naturality"}
+
+
+@pytest.mark.parametrize("monad", ("maybe", "powerset", "semimodule:z2", "writer:s3"))
+def test_a_terminal_algebra_passes_the_algebra_laws(capsys, monad):
+    code, report = run_json(capsys, "check-algebra",
+                            json.dumps({"monad": monad, "terminal": True}))
+    assert code == 0
+    assert [c["status"] for c in report["result"]["checks"]] == ["pass", "pass"]
+
+
+def test_a_composite_functor_builds_its_chain(capsys):
+    product = {"prod": [{"const": ["p", "q"]}, "id"]}
+    for functor, sizes in (({"compose": [product, "id"]}, [1, 2, 4]),
+                           ({"compose": [product, product]}, [1, 4, 16])):
+        code, report = run_json(capsys, "chain", "build", "--functor", json.dumps(functor),
+                                "--depth", "2")
+        assert code == 0
+        assert report["result"]["level_sizes"] == sizes
+
+
+def test_an_automaton_with_outputs_instead_of_a_semiring(capsys):
+    automaton = {"states": ["s", "t"], "alphabet": ["a"], "outputs": ["x", "y"],
+                 "output": {"s": "x", "t": "y"}, "delta": {"s": {"a": "t"}, "t": {"a": "s"}}}
+    code, report = run_json(capsys, "behavior", "--automaton", json.dumps(automaton),
+                            "--state", "s", "--depth", "3")
+    assert code == 0
+    assert report["result"]["coefficients"] == {"": "x", "a": "y", "aa": "x"}
+
+
+_MOORE = {"states": ["s", "t"], "alphabet": ["a"], "semiring": "bool",
+          "output": {"s": 1, "t": 0}, "delta": {"s": {"a": "t"}, "t": {"a": "s"}}}
+
+
+@pytest.mark.parametrize("change, message", (
+    ({"output": {"s": 1}}, "no output for state 't'"),
+    ({"delta": {"s": {"a": "t"}, "t": {}}}, "no transition for ('t', 'a')"),
+    ({"output": {"s": 1, "t": 2}}, "output 2 of 't' not in bool"),
+    ({"delta": {"s": {"a": "t"}, "t": {"a": 7}}}, "transition from 't' leaves the state set"),
+))
+def test_an_incomplete_automaton_exits_two(capsys, change, message):
+    code, report = run_json(capsys, "behavior", "--automaton", json.dumps({**_MOORE, **change}),
+                            "--state", "s")
+    assert code == 2
+    assert report["error"] == "DomainMismatch"
+    assert report["message"] == message

@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from barrlab import (InputError, NonFinitePreserving, carrier, check_distlaw_em,
-                     check_monad_laws)
+from barrlab import (BlowUpGuard, InputError, NonFinitePreserving, carrier,
+                     check_distlaw_em, check_monad_laws)
 from barrlab.jsonio import (decode_element, dump_series, encode_element,
                             load_automaton, load_distlaw_em, load_distlaw_kl,
                             load_finset, load_functor, load_monad, load_monoid,
@@ -26,6 +26,21 @@ def test_load_finset_forms():
         load_finset({"name": "S"})
     with pytest.raises(InputError):
         load_finset({"elements": [0, 0]})
+
+
+def test_a_canonical_carrier_is_guarded_before_listing(monkeypatch):
+    # X<n> used to list its n elements with no guard: X200000 loaded under a
+    # guard of 1000, and X1000000000 would exhaust memory.  A component key
+    # that is a size names the same carrier.
+    monkeypatch.setenv("BARRLAB_BLOWUP_GUARD", "10")
+    assert len(load_finset("X10")) == 10
+    with pytest.raises(BlowUpGuard, match=r"^enumeration of 11 elements exceeds the guard "
+                                          r"\(10\) while listing set: X11$"):
+        load_finset("X11")
+    with pytest.raises(BlowUpGuard, match="200000 elements"):
+        load_finset("x200000")
+    with pytest.raises(BlowUpGuard, match=r"while listing law.components.11: X11$"):
+        load_distlaw_em({"monad": "maybe", "functor": "id", "components": {"11": {}}})
 
 
 def test_load_monoid_shorthands():
@@ -118,6 +133,10 @@ def test_load_functor():
         load_functor("moore:nat:1letter")
     assert standard_alphabet(1) == ("t",)
     assert standard_alphabet(3) == ("a", "b", "c")
+    assert standard_alphabet(26)[-1] == "z"
+    # Past z the alphabet used to stop at 26 letters without a word.
+    with pytest.raises(InputError, match="^27 letters: the standard alphabet has at most 26"):
+        standard_alphabet(27)
     doc = {"coprod": [{"const": {"elements": ["*"]}},
                       {"prod": [{"const": {"elements": ["a"]}}, "id"]}]}
     T = load_functor(doc)

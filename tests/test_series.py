@@ -234,14 +234,14 @@ def test_encode_decode_roundtrip():
 
 def test_cauchy_constant_sequence_truncates():
     p = Polynomial(("t",), NAT, {(): 3, ("t",): 5})
-    lim = cauchy_limit_series([p], 1, modulus=lambda r: 0)
+    lim = cauchy_limit_series([p], 1, modulus=[0])
     assert lim.coefficient(()) == 3 and lim.bound == 1
 
 
 def test_cauchy_partial_sums_stabilize():
     seq = [Polynomial(("t",), NAT, {("t",) * j: 1 for j in range(n)})
            for n in range(10)]
-    lim = cauchy_limit_series(seq, 8, modulus=lambda r: r + 1)
+    lim = cauchy_limit_series(seq, 8, modulus=range(1, 9))
     assert all(lim.coefficient(w) == 1 for w in words_below(("t",), 8))
 
 
@@ -260,7 +260,7 @@ def test_cauchy_noise_above_the_modulus_is_tolerated():
                 value = rng.randrange(5, 9)  # unstabilised noise
             terms[("t",) * j] = value
         seq.append(Polynomial(("t",), NAT, terms))
-    lim = cauchy_limit_series(seq, depth, modulus=lambda r: r + 1)
+    lim = cauchy_limit_series(seq, depth, modulus=range(1, depth + 1))
     # diagonal-extraction oracle: scan each coefficient stream from the end
     for j in range(depth):
         stream = [p.coefficient(("t",) * j) for p in seq]
@@ -276,7 +276,7 @@ def test_cauchy_violation_carries_witness():
     seq = [Polynomial(("t",), NAT, {(): 1}),
            Polynomial(("t",), NAT, {(): 2})]
     with pytest.raises(NotCauchy) as err:
-        cauchy_limit_series(seq, 1, modulus=lambda r: 0)
+        cauchy_limit_series(seq, 1, modulus=[0])
     assert err.value.witness == {"word_length": 0, "base_index": 0,
                                  "index": 1, "difference_at": 0}
 
