@@ -63,7 +63,8 @@ class LawReport:
 
     def record(self, law: str, instance: str, ok: bool,
                counterexample: Optional[dict] = None) -> None:
-        self.checks.append(LawCheck(law, instance, PASS if ok else FAIL,
+        status = PASS if ok else FAIL
+        self.checks.append(LawCheck(law, instance, status,
                                     counterexample=None if ok else counterexample))
 
     def first(self, law: str, instance: str, failures: Iterable[dict]) -> None:

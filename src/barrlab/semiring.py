@@ -12,7 +12,7 @@ import random
 from typing import Callable, Optional
 
 from .errors import InputError
-from .finset import FinSet
+from .finset import FinSet, guard_size
 from .reports import LawReport
 
 INF = "inf"  # saturating top element of the min-plus semiring
@@ -58,7 +58,7 @@ def zmod(m: int) -> Semiring:
     if m < 2:
         raise InputError("zmod needs modulus >= 2")
     return Semiring(f"z{m}", lambda a, b: (a + b) % m, lambda a, b: (a * b) % m,
-                    0, 1, elements=tuple(range(m)))
+                    0, 1, elements=tuple(range(guard_size(m, f"listing z{m}"))))
 
 
 def naturals() -> Semiring:
@@ -86,6 +86,7 @@ def minplus(cap: int) -> Semiring:
             return INF
         return norm(a + b)
 
+    guard_size(cap + 2, f"listing minplus{cap}")
     return Semiring(f"minplus{cap}", add, mul, INF, 0,
                     elements=tuple(range(cap + 1)) + (INF,))
 

@@ -378,11 +378,15 @@ def test_behavior_guards_the_depth(capsys, monkeypatch):
     ("check-distlaw", "pointed:11:maybe"),
     ("check-monad", "exception:11"),
     ("check-monad", '{"builtin": "exception", "errors": 11}'),
+    ("limit", "--sequence", json.dumps({"polynomials": [
+        {"alphabet": ["t"], "semiring": "z11"}]}), "--depth", "1"),
+    ("limit", "--sequence", json.dumps({"polynomials": [
+        {"alphabet": ["t"], "semiring": "minplus:9"}]}), "--depth", "1"),
 ))
 def test_sizes_in_a_shorthand_are_guarded_before_listing(capsys, monkeypatch, argv):
-    # A few digits name N outputs or N errors: N is checked against the guard
-    # before the N elements are listed, so a large N exits 2 instead of
-    # running out of memory.
+    # A few digits name N outputs, N errors or a semiring of N elements: N is
+    # checked against the guard before the N elements are listed, so a large
+    # N exits 2 instead of running out of memory.
     monkeypatch.setenv("BARRLAB_BLOWUP_GUARD", "10")
     code, report = run_json(capsys, *argv)
     assert code == 2
@@ -1018,13 +1022,6 @@ def test_a_shorthand_above_26_letters_is_an_input_error(capsys, argv):
     assert report["message"] == f"{n} letters: the standard alphabet has at most 26 (a to z)"
 
 
-def test_a_shorthand_of_26_letters_loads(capsys):
-    code, report = run_json(capsys, "chain", "build", "--functor", "moore:z2:26letters",
-                            "--depth", "1")
-    assert code == 0
-    assert report["result"]["level_sizes"] == [1, 2]
-
-
 @pytest.mark.parametrize("monad, size", (
     ("writer:z101", "1030301"), ("writer:z200", "8000000"), ("writer:s5", "(5!)^3")))
 def test_a_group_shorthand_with_too_many_triples_exits_two(capsys, monad, size):
@@ -1044,13 +1041,6 @@ def test_jobs_is_not_a_flag(capsys):
         main(["words", "--jobs", "1"])
     assert exit_.value.code == 2
     assert "unrecognized arguments: --jobs 1" in capsys.readouterr().err
-
-
-def test_the_config_echo_holds_the_command_and_the_flags(capsys):
-    code, report = run_json(capsys, "words", "--depth", "1")
-    assert code == 0
-    assert report["config"] == {"command": "words --depth 1 --format json", "max_size": 3,
-                                "depth": 1, "probe_depth": 1, "search_cap": 100000, "seed": 0}
 
 
 # Documented document forms that no other test reaches.
