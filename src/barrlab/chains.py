@@ -15,6 +15,7 @@ as two such tables over M C, composed and compared in `finset`, and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -32,10 +33,20 @@ from .reports import LawReport, table_failures
 class TerminalChain:
     """Levels 1, H1, H^2 1, ... with the connecting maps pointing down."""
 
-    def __init__(self, H: FunctorExpr, levels: list[FinSet], connect: list[FinFn]):
+    def __init__(self, H: FunctorExpr, levels: list[FinSet]):
         self.H = H
         self.levels = levels
-        self.connect = connect  # connect[n]: levels[n+1] -> levels[n]
+
+    @functools.cached_property
+    def connect(self) -> list[FinFn]:
+        """connect[n]: levels[n+1] -> levels[n], all tabulated on the first
+        read: t_0 is the map to the terminal level and t_n = H(t_{n-1}),
+        tabulated on levels the chain holds and named by its level."""
+        connect = [to_terminal(self.levels[1])] if self.depth else []
+        for n in range(1, self.depth):
+            connect.append(tabulate(self.levels[n + 1], self.levels[n],
+                                    arrow(self.H, connect[-1]), name=f"t{n}"))
+        return connect
 
     @property
     def depth(self) -> int:
@@ -73,20 +84,9 @@ def build_terminal_chain(H: FunctorExpr, depth: int) -> TerminalChain:
     if depth < 0:
         raise InputError("depth must be >= 0")
     levels = [TERMINAL]
-    connect: list[FinFn] = []
     for n in range(depth):
         levels.append(H(levels[n]))
-        if n == 0:
-            connect.append(to_terminal(levels[1]))
-        else:
-            connect.append(_h_map(H, connect[n - 1], levels[n + 1], levels[n]))
-    return TerminalChain(H, levels, connect)
-
-
-def _h_map(H: FunctorExpr, f: FinFn, dom: FinSet, cod: FinSet) -> FinFn:
-    """H f tabulated on dom = H(f.dom), landing in cod = H(f.cod): both are
-    levels the chain already holds, so H is not evaluated again."""
-    return tabulate(dom, cod, arrow(H, f), name=f"{H}({f.name})")
+    return TerminalChain(H, levels)
 
 
 def anamorphism(C: FinSet, xi: FinFn, n: int, chain: TerminalChain) -> list[FinFn]:
@@ -285,7 +285,9 @@ def build_initial_chain(law: DistLawEM, chain: TerminalChain) -> InitialChain:
     bang = tabulate(lvl0, lvl1, lambda _x: value, name="!")
     forward = [bang]
     for n in range(1, chain.depth):
-        forward.append(_h_map(chain.H, forward[n - 1], chain.levels[n], chain.levels[n + 1]))
+        # f_n = H(f_{n-1}), named by its level as the connecting maps are.
+        forward.append(tabulate(chain.levels[n], chain.levels[n + 1],
+                                arrow(chain.H, forward[-1]), name=f"f{n}"))
     return InitialChain(chain, forward)
 
 

@@ -444,6 +444,18 @@ def _dest(flag: str) -> str:
     return flag[2:].replace("-", "_")
 
 
+def _error(exc: BarrlabError, config: dict, fmt: str) -> int:
+    """Print the error payload of exc and return its exit code, 2."""
+    if fmt == "json":
+        print(json.dumps({"version": __version__, "config": config,
+                          "error": type(exc).__name__, "message": str(exc)},
+                         indent=2, default=str))
+    else:
+        print(f"barrlab {__version__} :: {config['command']}")
+        print(f"error [{type(exc).__name__}]: {exc}")
+    return 2
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parser().parse_args(argv)
@@ -451,30 +463,23 @@ def main(argv=None) -> int:
         args.probe_depth = args.depth
     config = _config(argv, args)
     started = time.perf_counter()
+    # Loading, the command and rendering: each reads or writes nested
+    # documents and elements recursively.
     try:
         for flag, bound, _options in COMMON_FLAGS:
             value = getattr(args, _dest(flag))
             if bound and value < 0:
                 raise InputError(f"{flag} must be >= 0, got {value}")
         result, passed = args.fn(args)
+        report = Report(config, result, passed, (time.perf_counter() - started) * 1000)
+        out = (json.dumps(report.to_json(), indent=2, default=str) if args.format == "json"
+               else report.render_text())
     except BarrlabError as exc:
-        payload = {
-            "version": __version__,
-            "config": config,
-            "error": type(exc).__name__,
-            "message": str(exc),
-        }
-        if args.format == "json":
-            print(json.dumps(payload, indent=2, default=str))
-        else:
-            print(f"barrlab {__version__} :: {config['command']}")
-            print(f"error [{type(exc).__name__}]: {exc}")
-        return 2
-    report = Report(config, result, passed, (time.perf_counter() - started) * 1000)
-    if args.format == "json":
-        print(json.dumps(report.to_json(), indent=2, default=str))
-    else:
-        print(report.render_text())
+        return _error(exc, config, args.format)
+    except RecursionError:
+        return _error(InputError("the input or the result nests too deeply "
+                                 "(Python's recursion limit)"), config, args.format)
+    print(out)
     return 0 if passed else 1
 
 

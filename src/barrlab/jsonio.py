@@ -30,7 +30,7 @@ from .lifting import (ComponentFamily, Composite, DistLawEM, DistLawKl, Semimodu
 from .monads import (ExceptionMonad, FinMonad, PowersetMonad, SemimoduleMonad,
                      TableMonad, WriterMonad, exception_monad, maybe_monad)
 from .semiring import Semiring, boolean_semiring, minplus, naturals, zmod
-from .series import MooreAutomaton, Polynomial, TruncatedSeries, word_strings, words_below
+from .series import MooreAutomaton, Polynomial, TruncatedSeries, word_strings
 
 
 # ---------------------------------------------------------------------------
@@ -567,24 +567,14 @@ def load_automaton(doc, path: str = "automaton") -> MooreAutomaton:
     return MooreAutomaton(states, alphabet, outputs, output, step)
 
 
-def _prefix_code(alphabet) -> bool:
-    """True when no letter's string is empty or a prefix of another's (two
-    equal strings included): then distinct words write distinct keys.  In
-    sorted order a letter that is a prefix of another is a prefix of the
-    next one."""
-    strs = sorted(map(str, alphabet))
-    return all(strs) and not any(b.startswith(a) for a, b in zip(strs, strs[1:]))
-
-
-def _refuse_colliding_keys(alphabet, bound: int, path: str) -> None:
-    """Raise an InputError naming the first key that two words below bound
-    write, as ("a", "a") and ("aa",) do over the alphabet ["a", "aa"]: a
-    series document cannot hold both coefficients.  The keys are listed
-    only when the letters are not a prefix code."""
-    if _prefix_code(alphabet):
-        return
-    key = next((k for k, n in Counter(word_strings(alphabet, bound)).items() if n > 1), None)
-    if key is not None:
+def _refuse_colliding_keys(keys: list, by_key: dict, alphabet, path: str) -> None:
+    """Raise an InputError naming the first key that two words below the
+    bound write, as ("a", "a") and ("aa",) do over the alphabet ["a", "aa"]:
+    a series document cannot hold both coefficients.  `keys` is the
+    `word_strings` listing and `by_key` a dict the caller built from it,
+    which is shorter exactly when two words write one key."""
+    if len(by_key) < len(keys):
+        key = next(k for k, n in Counter(keys).items() if n > 1)
         raise InputError(f"{path}: more than one word over the alphabet "
                          f"{list(alphabet)} serializes to the key {key!r}")
 
@@ -629,25 +619,28 @@ def load_series(doc, path: str = "series") -> TruncatedSeries:
     if bound < 0:
         raise InputError(f"{path}.bound: must be >= 0, got {bound}")
     zero = decode_element(doc.get("zero", 0))
-    rank = {w: i for i, w in enumerate(words_below(alphabet, bound))}
-    coeffs = [zero] * len(rank)
-    parse = word_parser(alphabet)
+    keys = word_strings(alphabet, bound)
+    rank = {key: i for i, key in enumerate(keys)}
+    coeffs = [zero] * len(keys)
     for key, val in load_object(doc.get("coefficients", {}), f"{path}.coefficients").items():
-        w = parse(key)
-        if len(w) >= bound:
+        i = rank.get(key)
+        if i is None:
+            # No word below the bound writes the key: the parser says whether
+            # a longer word does.
+            word_parser(alphabet)(key)
             raise InputError(f"{path}.coefficients: word {key!r} is above the bound")
-        coeffs[rank[w]] = decode_element(val)
-    _refuse_colliding_keys(alphabet, bound, path)
+        coeffs[i] = decode_element(val)
+    _refuse_colliding_keys(keys, rank, alphabet, path)
     return TruncatedSeries(alphabet, bound, coeffs)
 
 
 def dump_series(s: TruncatedSeries) -> dict:
     """The series document of s; where two words write the same key, an
     input error names the key (`_refuse_colliding_keys`)."""
-    _refuse_colliding_keys(s.alphabet, s.bound, "series")
-    return {"alphabet": list(s.alphabet), "bound": s.bound,
-            "coefficients": dict(zip(word_strings(s.alphabet, s.bound),
-                                     map(encode_element, s.coeffs)))}
+    keys = word_strings(s.alphabet, s.bound)
+    coefficients = dict(zip(keys, map(encode_element, s.coeffs)))
+    _refuse_colliding_keys(keys, coefficients, s.alphabet, "series")
+    return {"alphabet": list(s.alphabet), "bound": s.bound, "coefficients": coefficients}
 
 
 @_names_path

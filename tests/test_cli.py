@@ -1099,3 +1099,38 @@ def test_an_incomplete_automaton_exits_two(capsys, change, message):
     assert code == 2
     assert report["error"] == "DomainMismatch"
     assert report["message"] == message
+
+
+@pytest.mark.parametrize("fmt", ("json", "text"))
+@pytest.mark.parametrize("argv", (
+    ("check-monad", "[" * 20000 + "]" * 20000),
+    ("chain", "inspect", "--functor", json.dumps({"prod": [{"const": {"elements": ["c"]}}, "id"]}),
+     "--depth", "1200", "--level", "1200"),
+    ("density", "--functor", "pointed:1:maybe", "--depth", "500", "--n", "3"),
+), ids=("nested-document", "deep-chain-elements", "deep-density-point"))
+def test_a_recursion_error_exits_two(capsys, argv, fmt):
+    # Reading a document nested 20000 deep, and writing elements that nest
+    # as deep as the chain, exhaust Python's stack: each used to end in a
+    # RecursionError traceback and exit 1.
+    code = main([*argv, "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 2
+    message = "the input or the result nests too deeply (Python's recursion limit)"
+    if fmt == "json":
+        report = json.loads(captured.out)
+        assert (report["error"], report["message"]) == ("InputError", message)
+    else:
+        assert captured.out.endswith(f"error [InputError]: {message}\n")
+    assert "Traceback" not in captured.err
+
+
+def test_distance_reads_a_key_that_a_greedy_split_reads_as_a_longer_word(capsys):
+    # Over these letters "abcd" is the word (a, bcd), which dump_series
+    # writes; the greedy split (ab, c, d) is above the bound.  The two
+    # series differ at that word, of length 2.
+    left = {"alphabet": ["a", "ab", "bcd", "c", "d"], "bound": 3, "coefficients": {"abcd": 1}}
+    right = dict(left, coefficients={})
+    code, report = run_json(capsys, "distance", "--left", json.dumps(left),
+                            "--right", json.dumps(right))
+    assert code == 0
+    assert report["result"] == {"agree_depth": 2}

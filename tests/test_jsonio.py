@@ -1,6 +1,8 @@
 import itertools
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import assume, given, settings
 
 from barrlab import (BlowUpGuard, InputError, NonFinitePreserving, carrier,
                      check_distlaw_em, check_monad_laws)
@@ -9,6 +11,7 @@ from barrlab.jsonio import (decode_element, dump_series, encode_element,
                             load_finset, load_functor, load_monad, load_monoid,
                             load_polynomial, load_semiring, load_series,
                             standard_alphabet, word_parser)
+from barrlab.series import TruncatedSeries, word_strings, words_below
 
 
 def test_element_codec_roundtrip():
@@ -263,22 +266,63 @@ def test_a_series_whose_words_collide_is_refused_on_load(alphabet, key):
         assert load_series({"alphabet": alphabet, "bound": 2}).bound == 2
 
 
-def test_a_prefix_code_alphabet_lists_no_keys(monkeypatch):
-    # No letter is empty or a prefix of another, so distinct words write
-    # distinct keys: the collision check lists no words.
+def test_a_key_that_a_greedy_split_reads_as_a_longer_word_loads():
+    # "abcd" is the word (a, bcd); splitting it greedily gives (ab, c, d),
+    # a word above the bound.
+    alphabet = ["a", "ab", "bcd", "c", "d"]
+    s = TruncatedSeries(alphabet, 3, range(len(words_below(alphabet, 3))))
+    doc = dump_series(s)
+    assert doc["coefficients"]["abcd"] == s.coefficient(("a", "bcd"))
+    assert load_series(doc) == s
+
+
+@st.composite
+def _series_without_colliding_keys(draw):
+    alphabet = draw(st.lists(st.text("abc", min_size=1, max_size=3), min_size=1, max_size=4,
+                             unique=True))
+    bound = draw(st.integers(0, 3))
+    keys = word_strings(alphabet, bound)
+    assume(len(set(keys)) == len(keys))
+    coeffs = draw(st.lists(st.integers(0, 2), min_size=len(keys), max_size=len(keys)))
+    return TruncatedSeries(alphabet, bound, coeffs)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_series_without_colliding_keys())
+def test_a_dumped_series_loads_back(s):
+    assert load_series(dump_series(s)) == s
+
+
+def test_a_series_is_keyed_by_one_listing_and_parsed_only_on_error(monkeypatch):
+    # Each of load_series and dump_series lists the keys once; the parser
+    # runs only for a key that no word below the bound writes, to name the
+    # error.
     import barrlab.jsonio as jsonio
 
-    assert jsonio._prefix_code(["a", "ba", "bb"])
-    assert not jsonio._prefix_code(["b", "ab", "a"])
-    assert not jsonio._prefix_code([1, "1"])
+    calls = {"word_strings": 0, "word_parser": 0}
 
-    def no_listing(*args):
-        raise AssertionError("words listed")
+    def spy(name):
+        fn = getattr(jsonio, name)
 
-    monkeypatch.setattr(jsonio, "word_strings", no_listing)
-    jsonio._refuse_colliding_keys(["a", "ba", "bb"], 40, "series")
-    with pytest.raises(AssertionError):
-        jsonio._refuse_colliding_keys(["a", "ab"], 40, "series")
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(jsonio, name, counted)
+
+    spy("word_strings")
+    spy("word_parser")
+    doc = {"alphabet": ["a", "ab", "bb"], "bound": 3, "coefficients": {"abb": 1, "": 1}}
+    s = load_series(doc)
+    assert calls == {"word_strings": 1, "word_parser": 0}
+    dump_series(s)
+    assert calls == {"word_strings": 2, "word_parser": 0}
+    with pytest.raises(InputError, match="'ababb' is above the bound"):
+        load_series(dict(doc, coefficients={"ababb": 1}))
+    assert calls == {"word_strings": 3, "word_parser": 1}
+    with pytest.raises(InputError, match="cannot parse word 'abc'"):
+        load_series(dict(doc, coefficients={"abc": 1}))
+    assert calls == {"word_strings": 4, "word_parser": 2}
 
 
 def test_polynomial_loading():
