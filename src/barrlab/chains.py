@@ -125,6 +125,15 @@ class LimitPoint:
             raise DepthExceeded(f"representative at {n}; point is valid to depth {self.top}")
         return self.chain.truncate_element(self.el, self.top, n)
 
+    def reps(self) -> list[Element]:
+        """The representatives at levels 0..top, from one walk down the
+        chain: one connecting-map call per level."""
+        reps = [self.el]
+        for i in range(self.top - 1, -1, -1):
+            reps.append(self.chain.connect[i](reps[-1]))
+        reps.reverse()
+        return reps
+
     def __repr__(self):
         return f"LimitPoint({self.label or hex(id(self))}, valid to {self.top})"
 
@@ -181,8 +190,12 @@ def distance(x: LimitPoint, y: LimitPoint, probe_depth: int) -> DyadicDist:
     """
     if x.chain is not y.chain and x.chain.levels != y.chain.levels:
         raise DomainMismatch("points live on different chains")
+    xs, ys = x.reps(), y.reps()
     for n in range(probe_depth + 1):
-        if x.rep(n) != y.rep(n):
+        if n > min(x.top, y.top):
+            # A point not valid to level n: its rep raises DepthExceeded.
+            (x if n > x.top else y).rep(n)
+        if xs[n] != ys[n]:
             return DyadicDist(n, probe_depth, n)
     return DyadicDist(None, probe_depth, probe_depth + 1)
 

@@ -17,6 +17,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from . import __version__
 from .algebras import check_em_algebra, free_algebra
@@ -83,7 +84,7 @@ def _law_report_lines(doc: dict, indent=0) -> list[str]:
         if check["status"] == "fail":
             lines.append(f"{pad}  counterexample [{check['law']} @ "
                          f"{check['instance']}]: "
-                         f"{json.dumps(check.get('counterexample'), default=str)}")
+                         f"{_compact(check.get('counterexample'))}")
         elif check["status"] == "skipped":
             lines.append(f"{pad}  skipped [{check['law']} @ {check['instance']}]: "
                          f"{check.get('detail', '')}")
@@ -109,7 +110,85 @@ def _text_lines(value, indent=0, key=None):
             lines.extend(_text_lines(item, indent + 2))
             lines.append(f"{pad}  -")
         return lines[:-1] if lines and lines[-1].endswith("-") else lines
-    return [f"{pad}{label}{json.dumps(value, default=str)}"]
+    return [f"{pad}{label}{_compact(value)}"]
+
+
+# ---------------------------------------------------------------------------
+# JSON output: json.dumps(value, indent=2, default=str) runs json's
+# pure-Python encoder, and json.dumps(value, default=str) builds its C
+# encoder afresh on each call.  Here the C encoder is built once per item
+# separator, and the indentation is written around its calls.
+
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _encoder(item_separator: str):
+    """json's C encoder as json.dumps(default=str) configures it, but with
+    this item separator; called as encoder(value, 0), it returns chunks."""
+    return c_make_encoder(None, str, encode_basestring_ascii, None, ": ", item_separator,
+                          False, False, True)
+
+
+_COMPACT = _encoder(", ")
+
+
+def _compact(value) -> str:
+    """value as json.dumps(value, default=str) writes it."""
+    return "".join(_COMPACT(value, 0))
+
+
+@functools.cache
+def _indentation(depth: int) -> tuple:
+    """For items at `depth`: the newline and indentation before the first,
+    the separator between two, the encoder of a container that holds no
+    container, and the newline and indentation before the closing
+    bracket."""
+    pad = "\n" + "  " * depth
+    return pad, "," + pad, _encoder("," + pad), pad[:-2]
+
+
+def _key(key) -> str:
+    """A dict key as json writes it: always as a string."""
+    if not isinstance(key, str):
+        if not isinstance(key, (int, float)) and key is not None:
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+        key = _compact(key)
+    return encode_basestring_ascii(key)
+
+
+def _render(value, depth: int = 1) -> str:
+    """value as json.dumps(value, indent=2, default=str) writes it, with
+    value's items at `depth`.  A dict, list or tuple that holds no container
+    is written by one C-encoder call, whose item separator carries the
+    indentation; any other container joins its rendered children.  Each
+    level of nesting takes one frame, as in json's encoder, so a value too
+    deep for one is too deep for the other."""
+    if isinstance(value, dict):
+        opening, closing, children = "{", "}", value.values()
+    elif isinstance(value, (list, tuple)):
+        opening, closing, children = "[", "]", value
+    else:
+        return _compact(value)
+    if not value:
+        return opening + closing
+    pad, separator, encoder, close = _indentation(depth)
+    for child in children:
+        if isinstance(child, _CONTAINERS):
+            break
+    else:
+        # The encoder writes the brackets with nothing between them and
+        # the first and last item.
+        return opening + pad + "".join(encoder(value, 0))[1:-1] + close + closing
+    parts = []
+    if opening == "{":
+        for key, child in value.items():
+            parts.append(_key(key) + ": " + _render(child, depth + 1))
+    else:
+        for child in value:
+            parts.append(_render(child, depth + 1))
+    return opening + pad + separator.join(parts) + close + closing
 
 
 def _load_doc(arg: str, what: str):
@@ -173,7 +252,7 @@ def cmd_lift(args):
     return {
         "carrier": lifted.carrier.name,
         "size": len(lifted.carrier),
-        "structure": {json.dumps(encode_element(x)): encode_element(y)
+        "structure": {_compact(encode_element(x)): encode_element(y)
                       for x, y in lifted.structure().pairs()},
         "algebra_laws": recheck.to_json(),
     }, recheck.passed
@@ -315,7 +394,7 @@ def cmd_commute_search(args):
     result = {"status": status, "tried": tried}
     if cand is not None:
         result["sigma"] = {
-            f"X{n}": {json.dumps(encode_element(x)): encode_element(y)
+            f"X{n}": {_compact(encode_element(x)): encode_element(y)
                       for x, y in cand.sigma.component(carrier(n)).pairs()}
             for n in range(args.max_size + 1)
         }
@@ -447,9 +526,8 @@ def _dest(flag: str) -> str:
 def _error(exc: BarrlabError, config: dict, fmt: str) -> int:
     """Print the error payload of exc and return its exit code, 2."""
     if fmt == "json":
-        print(json.dumps({"version": __version__, "config": config,
-                          "error": type(exc).__name__, "message": str(exc)},
-                         indent=2, default=str))
+        print(_render({"version": __version__, "config": config,
+                       "error": type(exc).__name__, "message": str(exc)}))
     else:
         print(f"barrlab {__version__} :: {config['command']}")
         print(f"error [{type(exc).__name__}]: {exc}")
@@ -472,8 +550,7 @@ def main(argv=None) -> int:
                 raise InputError(f"{flag} must be >= 0, got {value}")
         result, passed = args.fn(args)
         report = Report(config, result, passed, (time.perf_counter() - started) * 1000)
-        out = (json.dumps(report.to_json(), indent=2, default=str) if args.format == "json"
-               else report.render_text())
+        out = _render(report.to_json()) if args.format == "json" else report.render_text()
     except BarrlabError as exc:
         return _error(exc, config, args.format)
     except RecursionError:

@@ -643,11 +643,34 @@ def dump_series(s: TruncatedSeries) -> dict:
     return {"alphabet": list(s.alphabet), "bound": s.bound, "coefficients": coefficients}
 
 
+def _shared_parser(alphabet, parsers: dict) -> Callable[[str], tuple]:
+    """The parser of words over alphabet held in `parsers`, built on first
+    use, which remembers each key it splits; a key it cannot split raises
+    again on every call.  The letters are keyed with their types and
+    reprs, so 1 and true, or 0.0 and -0.0, never share a parser."""
+    letters = tuple((type(a), repr(a)) for a in alphabet)
+    shared = parsers.get(letters)
+    if shared is None:
+        parse, splits = word_parser(alphabet), {}
+
+        def shared(key: str) -> tuple:
+            word = splits.get(key)
+            if word is None:
+                word = splits[key] = parse(key)
+            return word
+
+        parsers[letters] = shared
+    return shared
+
+
 @_names_path
-def load_polynomial(doc, path: str = "polynomial") -> Polynomial:
+def load_polynomial(doc, path: str = "polynomial", parsers: Optional[dict] = None) -> Polynomial:
+    """The polynomial of doc.  A caller loading several polynomials passes
+    one `parsers` dict to all of them, so each key is split once per
+    alphabet (`_shared_parser`)."""
     alphabet = distinct_entries(doc["alphabet"], f"{path}.alphabet", "letter")
     k = load_semiring(doc.get("semiring", "nat"), f"{path}.semiring")
-    parse = word_parser(alphabet)
+    parse = _shared_parser(alphabet, {} if parsers is None else parsers)
     terms = {parse(key): _coefficient(decode_element(val), k, f"{path}.terms.{key}")
              for key, val in load_object(doc.get("terms", {}), f"{path}.terms").items()}
     return Polynomial(alphabet, k, terms)
@@ -673,7 +696,9 @@ def load_sequence(doc, depth: int) -> tuple[list, Optional[list]]:
     polynomials = doc["polynomials"]
     if not isinstance(polynomials, list):
         raise InputError(f"polynomials: expected an array, got {type(polynomials).__name__}")
-    polys = [load_polynomial(p, path=f"polynomials[{i}]") for i, p in enumerate(polynomials)]
+    parsers = {}
+    polys = [load_polynomial(p, path=f"polynomials[{i}]", parsers=parsers)
+             for i, p in enumerate(polynomials)]
     modulus = doc.get("modulus")
     if modulus is not None:
         if not isinstance(modulus, list) or len(modulus) < depth:

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from barrlab import (Const, DepthExceeded, DomainMismatch, EMAlgebra, FinFn, FinSet, Id,
-                     LevelAlgebras, NotCauchy, Prod, SemimoduleMonad,
+from barrlab import (Const, DepthExceeded, DomainMismatch, DyadicDist, EMAlgebra, FinFn,
+                     FinSet, Id, LevelAlgebras, LimitPoint, NotCauchy, Prod, SemimoduleMonad,
                      ZeroObjectViolation, anamorphism, build_initial_chain,
                      build_terminal_chain, carrier, cauchy_limit_point, check_cone_coincidence,
                      check_em_algebra, check_projection_morphisms,
@@ -195,6 +195,46 @@ def test_ultrametric_strong_triangle(z2_setup):
         for i, j in ((0, 1), (1, 2), (0, 2)):
             exps[(i, j)] = distance(pts[i], pts[j], 8).exponent_lower_bound()
         assert exps[(0, 2)] >= min(exps[(0, 1)], exps[(1, 2)])
+
+
+def _distance_from_the_top(x, y, probe_depth):
+    """The distance as it was computed before: each level's representatives
+    truncated from the top, O(top^2) connecting-map calls.  Kept as the
+    reference."""
+    for n in range(probe_depth + 1):
+        if x.rep(n) != y.rep(n):
+            return DyadicDist(n, probe_depth, n)
+    return DyadicDist(None, probe_depth, probe_depth + 1)
+
+
+def test_distance_walks_each_point_down_once(monkeypatch, z2_monad, one_letter):
+    law = semimodule_moore_law(z2_monad, one_letter)
+    chain = build_terminal_chain(law.H, 9)
+    ic = build_initial_chain(law, chain)
+    rng = random.Random(7)
+    points = [colim_to_lim(ic, rng.choice(chain.level(n).elements), n) for n in (3, 6, 8, 8)]
+    points += [LimitPoint(chain, 4, p.rep(4)) for p in points[:2]]
+    pairs = [(x, y) for x in points for y in points]
+    expected = {}
+    for x, y in pairs:
+        for probe in range(chain.depth + 1):
+            try:
+                expected[id(x), id(y), probe] = _distance_from_the_top(x, y, probe)
+            except DepthExceeded as exc:
+                expected[id(x), id(y), probe] = str(exc)
+    calls = []
+    monkeypatch.setitem(vars(chain), "connect",
+                        [lambda el, f=f: calls.append(f) or f(el) for f in chain.connect])
+    for x, y in pairs:
+        for probe in range(chain.depth + 1):
+            calls.clear()
+            try:
+                got = distance(x, y, probe)
+            except DepthExceeded as exc:
+                got = str(exc)
+            assert got == expected[id(x), id(y), probe]
+            assert len(calls) <= 2 * max(x.top, y.top)
+    assert any(isinstance(d, str) for d in expected.values())
 
 
 def level_algebra(levels, n):

@@ -1,10 +1,13 @@
 import json
 import re
+from collections import Counter, OrderedDict
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from barrlab.cli import main
+from barrlab.cli import _render, main
 
 
 def run(capsys, *argv):
@@ -1134,3 +1137,33 @@ def test_distance_reads_a_key_that_a_greedy_split_reads_as_a_longer_word(capsys)
                             "--right", json.dumps(right))
     assert code == 0
     assert report["result"] == {"agree_depth": 2}
+
+
+_TEXT = (st.text(max_size=6)
+         | st.text(st.sampled_from("a\x00\x1f\x7f\n\"\\\u00e9\u2028\U0001f600"), max_size=6))
+_KEYS = st.none() | st.booleans() | st.integers() | st.floats() | _TEXT
+_SCALARS = _KEYS | st.fractions(max_denominator=12)
+
+
+def _containers(children):
+    objects = st.dictionaries(_KEYS, children, max_size=4)
+    return (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+            | objects | objects.map(OrderedDict)
+            | st.dictionaries(_TEXT, st.integers(), max_size=3).map(Counter))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.recursive(_SCALARS, _containers, max_leaves=24))
+def test_json_output_is_what_json_dumps_with_indent_2_writes(value):
+    # Floats include nan and the infinities, and a Fraction is written
+    # through default=str.
+    assert _render(value) == json.dumps(value, indent=2, default=str)
+
+
+@pytest.mark.parametrize("value", ({(1,): 0}, [{"a": [0]}, {frozenset(): [0]}]))
+def test_a_key_json_cannot_write_raises_the_same_type_error(value):
+    with pytest.raises(TypeError) as ours:
+        _render(value)
+    with pytest.raises(TypeError) as theirs:
+        json.dumps(value, indent=2, default=str)
+    assert str(ours.value) == str(theirs.value)

@@ -9,7 +9,7 @@ from barrlab import (BlowUpGuard, InputError, NonFinitePreserving, carrier,
 from barrlab.jsonio import (decode_element, dump_series, encode_element,
                             load_automaton, load_distlaw_em, load_distlaw_kl,
                             load_finset, load_functor, load_monad, load_monoid,
-                            load_polynomial, load_semiring, load_series,
+                            load_polynomial, load_semiring, load_sequence, load_series,
                             standard_alphabet, word_parser)
 from barrlab.series import TruncatedSeries, word_strings, words_below
 
@@ -330,6 +330,71 @@ def test_polynomial_loading():
                          "terms": {"": 2, "ttt": 1}})
     assert p.coefficient(("t", "t", "t")) == 1
     assert p.degree() == 3
+
+
+def _count_splits(monkeypatch):
+    """Count the runs of word_parser's split, by key."""
+    import barrlab.jsonio as jsonio
+
+    splits, real = [], jsonio.word_parser
+
+    def counted(alphabet):
+        parse = real(alphabet)
+        return lambda key: splits.append(key) or parse(key)
+
+    monkeypatch.setattr(jsonio, "word_parser", counted)
+    return splits
+
+
+def test_a_sequence_splits_each_key_once(monkeypatch):
+    splits = _count_splits(monkeypatch)
+    partial_sums = [{"alphabet": ["t", "tt"], "terms": {"t" * i: 1 for i in range(n + 1)}}
+                    for n in range(4)]
+    doc = {"polynomials": partial_sums}
+    polys, _ = load_sequence(doc, 3)
+    assert sorted(splits) == ["", "t", "tt", "ttt"]
+    assert [p.terms for p in polys] == [load_polynomial(p).terms for p in partial_sums]
+    # The parsers live as long as one sequence: the next one splits again.
+    del splits[:]
+    load_sequence(doc, 3)
+    assert sorted(splits) == ["", "t", "tt", "ttt"]
+
+
+def test_an_error_in_a_sequence_is_the_one_its_polynomial_gives_alone(monkeypatch):
+    # The alphabet of polynomials[2] loaded cleanly in polynomials[0] and
+    # [1]; its errors are those it gives when loaded alone.
+    splits = _count_splits(monkeypatch)
+    clean = {"alphabet": ["t"], "terms": {"": 1, "t": 1}}
+    with pytest.raises(InputError, match=r"^cannot parse word 'x' over alphabet \('t',\)$"):
+        load_sequence({"polynomials": [clean, clean, {"alphabet": ["t"], "terms": {"x": 1}}]}, 1)
+    with pytest.raises(InputError, match=r"^cannot parse word 'x' over alphabet \('t',\)$"):
+        load_polynomial({"alphabet": ["t"], "terms": {"x": 1}}, path="polynomials[2]")
+    with pytest.raises(InputError, match=r"^polynomials\[2\]\.terms\.t: expected a non-negative "
+                                         r"integer over nat, got 'x'$"):
+        load_sequence({"polynomials": [clean, clean, {"alphabet": ["t"], "terms": {"t": "x"}}]},
+                      1)
+    # A split that fails is not remembered: each call runs it again.
+    import barrlab.jsonio as jsonio
+
+    parse = jsonio._shared_parser(("t",), {})
+    del splits[:]
+    for key in ("x", "x", "t", "t"):
+        try:
+            parse(key)
+        except InputError:
+            pass
+    assert splits == ["x", "x", "t"]
+
+
+@pytest.mark.parametrize("letters", ([1, True], [0.0, -0.0], [1, 1.0]))
+def test_letters_that_compare_equal_get_their_own_parser(letters):
+    # 1 == True and 0.0 == -0.0, but they are written "1" and "True",
+    # "0.0" and "-0.0".
+    doc = {"polynomials": [{"alphabet": [a], "terms": {str(a): 1}} for a in letters]}
+    polys, _ = load_sequence(doc, 1)
+    for a, p in zip(letters, polys):
+        (word,) = p.terms
+        assert len(word) == 1 and type(word[0]) is type(a) and repr(word[0]) == repr(a)
 
 
 def test_automaton_loading_and_errors():
