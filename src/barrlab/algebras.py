@@ -119,5 +119,5 @@ def check_em_algebra(M: FinMonad, a: EMAlgebra) -> LawReport:
             ("via-mult", "via-map")))
     else:
         report.skip("multiplication-law", C.name,
-                    f"|MM({C.name})| = {M.tower_card_display(len(C), 2)} exceeds guard")
+                    f"|MM({C.name})| {M.tower_card_display(len(C), 2)} exceeds guard")
     return report

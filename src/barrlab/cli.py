@@ -27,10 +27,10 @@ from .chains import (anamorphism, build_initial_chain, build_terminal_chain,
 from .compair import check_commuting, search_commuting_sigma
 from .errors import BarrlabError, DomainMismatch, InputError, SearchCapReached
 from .finset import carrier
-from .jsonio import (distinct_entries, dump_series, encode_element, load_algebra,
-                     load_automaton, load_candidate, load_distlaw_em, load_distlaw_kl,
-                     load_functor, load_group, load_monad, load_sequence, load_series,
-                     resolve_key, standard_alphabet)
+from .jsonio import (distinct_entries, dump_series, load_algebra, load_automaton,
+                     load_candidate, load_distlaw_em, load_distlaw_kl, load_functor,
+                     load_group, load_monad, load_sequence, load_series, resolve_key,
+                     standard_alphabet)
 from .lifting import check_distlaw_em, check_distlaw_kl, gset_distlaws, lift_algebra
 from .monads import check_monad_laws
 from .reports import LawReport, table_failures
@@ -113,82 +113,17 @@ def _text_lines(value, indent=0, key=None):
     return [f"{pad}{label}{_compact(value)}"]
 
 
-# ---------------------------------------------------------------------------
-# JSON output: json.dumps(value, indent=2, default=str) runs json's
-# pure-Python encoder, and json.dumps(value, default=str) builds its C
-# encoder afresh on each call.  Here the C encoder is built once per item
-# separator, and the indentation is written around its calls.
-
-_CONTAINERS = (dict, list, tuple)
-
-
-@functools.cache
-def _encoder(item_separator: str):
-    """json's C encoder as json.dumps(default=str) configures it, but with
-    this item separator; called as encoder(value, 0), it returns chunks."""
-    return c_make_encoder(None, str, encode_basestring_ascii, None, ": ", item_separator,
+# `--format json` is json.dumps(report, default=str): compact, one line.
+# Element keys and the text format's values are written by one C encoder
+# with the same settings, built once here, where a json.dumps call per value
+# would build a fresh one each time.
+_COMPACT = c_make_encoder(None, str, encode_basestring_ascii, None, ": ", ", ",
                           False, False, True)
-
-
-_COMPACT = _encoder(", ")
 
 
 def _compact(value) -> str:
     """value as json.dumps(value, default=str) writes it."""
     return "".join(_COMPACT(value, 0))
-
-
-@functools.cache
-def _indentation(depth: int) -> tuple:
-    """For items at `depth`: the newline and indentation before the first,
-    the separator between two, the encoder of a container that holds no
-    container, and the newline and indentation before the closing
-    bracket."""
-    pad = "\n" + "  " * depth
-    return pad, "," + pad, _encoder("," + pad), pad[:-2]
-
-
-def _key(key) -> str:
-    """A dict key as json writes it: always as a string."""
-    if not isinstance(key, str):
-        if not isinstance(key, (int, float)) and key is not None:
-            raise TypeError(f"keys must be str, int, float, bool or None, "
-                            f"not {type(key).__name__}")
-        key = _compact(key)
-    return encode_basestring_ascii(key)
-
-
-def _render(value, depth: int = 1) -> str:
-    """value as json.dumps(value, indent=2, default=str) writes it, with
-    value's items at `depth`.  A dict, list or tuple that holds no container
-    is written by one C-encoder call, whose item separator carries the
-    indentation; any other container joins its rendered children.  Each
-    level of nesting takes one frame, as in json's encoder, so a value too
-    deep for one is too deep for the other."""
-    if isinstance(value, dict):
-        opening, closing, children = "{", "}", value.values()
-    elif isinstance(value, (list, tuple)):
-        opening, closing, children = "[", "]", value
-    else:
-        return _compact(value)
-    if not value:
-        return opening + closing
-    pad, separator, encoder, close = _indentation(depth)
-    for child in children:
-        if isinstance(child, _CONTAINERS):
-            break
-    else:
-        # The encoder writes the brackets with nothing between them and
-        # the first and last item.
-        return opening + pad + "".join(encoder(value, 0))[1:-1] + close + closing
-    parts = []
-    if opening == "{":
-        for key, child in value.items():
-            parts.append(_key(key) + ": " + _render(child, depth + 1))
-    else:
-        for child in value:
-            parts.append(_render(child, depth + 1))
-    return opening + pad + separator.join(parts) + close + closing
 
 
 def _load_doc(arg: str, what: str):
@@ -252,8 +187,7 @@ def cmd_lift(args):
     return {
         "carrier": lifted.carrier.name,
         "size": len(lifted.carrier),
-        "structure": {_compact(encode_element(x)): encode_element(y)
-                      for x, y in lifted.structure().pairs()},
+        "structure": {_compact(x): y for x, y in lifted.structure().pairs()},
         "algebra_laws": recheck.to_json(),
     }, recheck.passed
 
@@ -268,10 +202,9 @@ def cmd_diff_liftings(args):
     lifted_mult = lift_algebra(law_mult, base)
     lifted_conj = lift_algebra(law_conj, base)
     t_mult, t_conj = lifted_mult.structure(), lifted_conj.structure()
-    witness = next(({key: encode_element(value) for key, value in ce.items()}
-                    for ce in table_failures({}, t_mult.dom.elements.__getitem__, t_mult.cod,
-                                             t_mult.positions, t_conj.positions,
-                                             ("mult_law", "conj_law"))), None)
+    witness = next(table_failures({}, t_mult.dom.elements.__getitem__, t_mult.cod,
+                                  t_mult.positions, t_conj.positions, ("mult_law", "conj_law")),
+                   None)
     return {
         "group": group.name,
         "liftings_differ": witness is not None,
@@ -294,7 +227,7 @@ def cmd_chain(args):
     if args.mode == "inspect" and args.level is not None:
         lvl = chain.level(args.level)
         result["level"] = args.level
-        result["elements"] = [encode_element(e) for e in lvl]
+        result["elements"] = lvl.elements
     return result, True
 
 
@@ -314,8 +247,7 @@ def cmd_anamorphism(args):
     # Only the leg at --level is read, so the chain stops there.
     chain = build_terminal_chain(aut.H, max(args.level, 0))
     leg = anamorphism(C, xi, args.level, chain)[-1]
-    return {"state": encode_element(state), "level": args.level,
-            "element": encode_element(leg(state))}, True
+    return {"state": state, "level": args.level, "element": leg(state)}, True
 
 
 def cmd_behavior(args):
@@ -358,8 +290,8 @@ def cmd_density(args):
     ok = projections_match and dist.leq_pow(n)
     return {
         "level": n,
-        "point": encode_element(x.rep(args.depth)),
-        "approximant": encode_element(y.rep(args.depth)),
+        "point": x.rep(args.depth),
+        "approximant": y.rep(args.depth),
         "projection_matches": projections_match,
         "distance": dist.to_json(),
         "bound": f"2^-{n}",
@@ -394,8 +326,7 @@ def cmd_commute_search(args):
     result = {"status": status, "tried": tried}
     if cand is not None:
         result["sigma"] = {
-            f"X{n}": {_compact(encode_element(x)): encode_element(y)
-                      for x, y in cand.sigma.component(carrier(n)).pairs()}
+            f"X{n}": {_compact(x): y for x, y in cand.sigma.component(carrier(n)).pairs()}
             for n in range(args.max_size + 1)
         }
     return result, status == "found"
@@ -526,8 +457,8 @@ def _dest(flag: str) -> str:
 def _error(exc: BarrlabError, config: dict, fmt: str) -> int:
     """Print the error payload of exc and return its exit code, 2."""
     if fmt == "json":
-        print(_render({"version": __version__, "config": config,
-                       "error": type(exc).__name__, "message": str(exc)}))
+        print(json.dumps({"version": __version__, "config": config,
+                          "error": type(exc).__name__, "message": str(exc)}, default=str))
     else:
         print(f"barrlab {__version__} :: {config['command']}")
         print(f"error [{type(exc).__name__}]: {exc}")
@@ -550,7 +481,8 @@ def main(argv=None) -> int:
                 raise InputError(f"{flag} must be >= 0, got {value}")
         result, passed = args.fn(args)
         report = Report(config, result, passed, (time.perf_counter() - started) * 1000)
-        out = _render(report.to_json()) if args.format == "json" else report.render_text()
+        out = (json.dumps(report.to_json(), default=str) if args.format == "json"
+               else report.render_text())
     except BarrlabError as exc:
         return _error(exc, config, args.format)
     except RecursionError:

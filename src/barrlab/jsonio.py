@@ -34,13 +34,7 @@ from .series import MooreAutomaton, Polynomial, TruncatedSeries, word_strings
 
 
 # ---------------------------------------------------------------------------
-# Element codec: nested tuples <-> nested JSON lists
-
-
-def encode_element(el: Element):
-    if isinstance(el, tuple):
-        return [encode_element(x) for x in el]
-    return el
+# Element codec: json writes a nested tuple as nested lists, read back here
 
 
 def decode_element(doc) -> Element:
@@ -612,6 +606,14 @@ def word_parser(alphabet) -> Callable[[str], tuple]:
     return parse
 
 
+def _split(parse: Callable[[str], tuple], key: str, path: str) -> tuple:
+    """parse(key); a key with no split is an InputError naming path."""
+    try:
+        return parse(key)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 @_names_path
 def load_series(doc, path: str = "series") -> TruncatedSeries:
     alphabet = distinct_entries(doc["alphabet"], f"{path}.alphabet", "letter")
@@ -627,7 +629,7 @@ def load_series(doc, path: str = "series") -> TruncatedSeries:
         if i is None:
             # No word below the bound writes the key: the parser says whether
             # a longer word does.
-            word_parser(alphabet)(key)
+            _split(word_parser(alphabet), key, f"{path}.coefficients")
             raise InputError(f"{path}.coefficients: word {key!r} is above the bound")
         coeffs[i] = decode_element(val)
     _refuse_colliding_keys(keys, rank, alphabet, path)
@@ -638,7 +640,7 @@ def dump_series(s: TruncatedSeries) -> dict:
     """The series document of s; where two words write the same key, an
     input error names the key (`_refuse_colliding_keys`)."""
     keys = word_strings(s.alphabet, s.bound)
-    coefficients = dict(zip(keys, map(encode_element, s.coeffs)))
+    coefficients = dict(zip(keys, s.coeffs))
     _refuse_colliding_keys(keys, coefficients, s.alphabet, "series")
     return {"alphabet": list(s.alphabet), "bound": s.bound, "coefficients": coefficients}
 
@@ -671,8 +673,9 @@ def load_polynomial(doc, path: str = "polynomial", parsers: Optional[dict] = Non
     alphabet = distinct_entries(doc["alphabet"], f"{path}.alphabet", "letter")
     k = load_semiring(doc.get("semiring", "nat"), f"{path}.semiring")
     parse = _shared_parser(alphabet, {} if parsers is None else parsers)
-    terms = {parse(key): _coefficient(decode_element(val), k, f"{path}.terms.{key}")
-             for key, val in load_object(doc.get("terms", {}), f"{path}.terms").items()}
+    where = f"{path}.terms"
+    terms = {_split(parse, key, where): _coefficient(decode_element(val), k, f"{where}.{key}")
+             for key, val in load_object(doc.get("terms", {}), where).items()}
     return Polynomial(alphabet, k, terms)
 
 

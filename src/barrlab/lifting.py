@@ -402,7 +402,7 @@ def check_distlaw_em(law: DistLawEM, max_size: int) -> LawReport:
                         f"no component at the derived carrier {MX.name}")
         elif not M.tower_fits(len(HX), 2):
             report.skip("mult-axiom", X.name,
-                        f"|MM(H {X.name})| = {M.tower_card_display(len(HX), 2)} exceeds guard")
+                        f"|MM(H {X.name})| {M.tower_card_display(len(HX), 2)} exceeds guard")
         elif (size := cardinality(H, len(MX))) > blowup_limit():
             report.skip("mult-axiom", X.name, f"|H(M {X.name})| = {size} exceeds guard")
         else:
@@ -462,7 +462,7 @@ def check_distlaw_kl(law: DistLawKl, max_size: int) -> LawReport:
                 != (rhs := mult_tx(M.map_element_fn(lam_x, TMX, MTX, lam_mx(big))))))
         else:
             report.skip("mult-axiom", X.name,
-                        f"|MM {X.name}| = {M.tower_card_display(len(X), 2)} exceeds guard")
+                        f"|MM {X.name}| {M.tower_card_display(len(X), 2)} exceeds guard")
 
     for X in carriers:
         for Y in carriers:

@@ -112,16 +112,16 @@ class FinMonad:
         return True
 
     def tower_card_display(self, n: int, height: int) -> str:
-        """Iterated cardinality as a display string; large towers are
-        reported as '> guard' without being computed."""
+        """The size of M^height X for |X| = n, as '= <size>', or '> <guard>'
+        where a step below the top already exceeds the guard or the top is
+        too large to print.  `card` is never called past the first size
+        above the guard: a table monad has no table there."""
         limit = blowup_limit()
         for _ in range(height):
-            if n > 1000:
+            if n > limit:
                 return f"> {limit}"
             n = self.card(n)
-            if n > limit:
-                return str(n) if n < 10**18 else f"> {limit}"
-        return str(n)
+        return f"= {n}" if n < 10**18 else f"> {limit}"
 
     def __repr__(self):
         return f"<monad {self.name}>"
@@ -514,8 +514,8 @@ class TableMonad(FinMonad):
 
 def _skip_label(M: FinMonad, n: int, height: int) -> str:
     size = M.tower_card_display(n, height)
-    head = f"|{'M' * height}X|"
-    return f"{head} {size}, above the guard" if size.startswith(">") else f"{head} = {size}, above the guard {blowup_limit()}"
+    guard = "" if size.startswith(">") else f" {blowup_limit()}"
+    return f"|{'M' * height}X| {size}, above the guard{guard}"
 
 
 def check_monad_laws(M: FinMonad, max_size: int) -> LawReport:

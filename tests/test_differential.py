@@ -137,7 +137,7 @@ def pointwise_em_algebra(M, a):
             if (via_mult := structure[mult_c(el2)]) != (via_map := structure[m_structure(el2)])))
     else:
         report.skip("multiplication-law", C.name,
-                    f"|MM({C.name})| = {M.tower_card_display(len(C), 2)} exceeds guard")
+                    f"|MM({C.name})| {M.tower_card_display(len(C), 2)} exceeds guard")
     return report
 
 
@@ -177,7 +177,7 @@ def pointwise_distlaw_em(law, max_size):
                 if (lhs := lam_x(mult_hx(big))) != (rhs := lifted[m_lam_x(big)])))
         else:
             report.skip("mult-axiom", X.name,
-                        f"|MM(H {X.name})| = {M.tower_card_display(len(HX), 2)} exceeds guard")
+                        f"|MM(H {X.name})| {M.tower_card_display(len(HX), 2)} exceeds guard")
 
     for X in carriers:
         for Y in carriers:
