@@ -14,7 +14,7 @@ which the monad builds without enumerating M(M carrier) where it can
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .errors import DomainMismatch, NonFinitePreserving, blowup_limit
 from .finset import TERMINAL, Element, FinFn, FinSet, compose, tabulate
@@ -30,13 +30,13 @@ class EMAlgebra:
     the table in place of tabulating the structure."""
 
     def __init__(self, monad: FinMonad, carrier: FinSet, structure, name: str = "",
-                 positions: Optional[Callable[[], Sequence[int]]] = None):
+                 positions: Optional[Callable[[], tuple]] = None):
         self.monad = monad
         self.carrier = carrier
         self.name = name or f"algebra({carrier.name})"
         self._pointwise: Callable = structure
         self._build = positions
-        self._table: Optional[Sequence[int]] = None
+        self._table: Optional[tuple] = None
         if isinstance(structure, FinFn):
             if structure.dom != monad.apply(carrier):
                 raise DomainMismatch(
@@ -49,7 +49,7 @@ class EMAlgebra:
     def structure_at(self, el: Element) -> Element:
         return self._pointwise(el)
 
-    def table(self) -> Sequence[int]:
+    def table(self) -> tuple:
         """The structure map as positions: entry p is the position in the
         carrier of the structure at the element at position p of
         M(carrier).  Built once, through the builder when there is one."""
@@ -110,8 +110,7 @@ def check_em_algebra(M: FinMonad, a: EMAlgebra) -> LawReport:
         for x in C if (got := a.structure_at(M.unit_element(C, x))) != x))
 
     if M.tower_fits(len(C), 2):
-        # A tuple: `compose` reads a tuple faster than an array.
-        MC, s = M.apply(C), tuple(a.table())
+        MC, s = M.apply(C), a.table()
         via_mult = compose(s, M.mult_table(C))
         via_map = compose(s, M.arrow_table(s, MC, C))
         report.first("multiplication-law", C.name, table_failures(

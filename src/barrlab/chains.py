@@ -237,7 +237,7 @@ class LevelAlgebras:
             algebra = self._algebras[n] = lift_algebra(self.law, self._algebra(n - 1))
         return algebra
 
-    def table(self, n: int) -> Sequence[int]:
+    def table(self, n: int) -> tuple:
         """Level n's structure as positions: entry p is the position in
         level n of the structure at the element at position p of M(level
         n).  Where M(level n) exceeds the guard this raises BlowUpGuard."""

@@ -256,8 +256,8 @@ def cmd_behavior(args):
 
 
 def cmd_distance(args):
-    left = load_series(_load_doc(args.left, "left series"))
-    right = load_series(_load_doc(args.right, "right series"))
+    left = load_series(_load_doc(args.left, "left series"), "left")
+    right = load_series(_load_doc(args.right, "right series"), "right")
     return series_distance(left, right).to_json(), True
 
 
@@ -314,8 +314,8 @@ def cmd_commute_check(args):
 
 
 def cmd_commute_search(args):
-    T = load_functor(_load_doc(args.T, "T"))
-    H = load_functor(_load_doc(args.H, "H"))
+    T = load_functor(_load_doc(args.T, "T"), "T")
+    H = load_functor(_load_doc(args.H, "H"), "H")
     law = load_distlaw_em(_load_doc(args.law, "law"))
     if law.H != H:
         raise DomainMismatch("distributive law is for a different functor")

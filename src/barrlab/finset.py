@@ -6,8 +6,9 @@ FinSet fixes an enumeration order at construction time and all derived
 constructions iterate in that order, so repeated evaluations produce
 identical tables and counterexamples are reproducible.
 
-A function between two of them is held as its table of positions: entry p
-is the position in the codomain of the value at the domain's p-th element.
+A function between two of them is held as its table of positions, a tuple
+whose entry p is the position in the codomain of the value at the domain's
+p-th element; every table of positions in the library is such a tuple.
 Tables are composed (`compose`, `reader`) and compared (`differences`)
 here, and `reports.table_failures` turns their differences into
 counterexamples.
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from array import array
 from collections.abc import Mapping
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -91,19 +91,20 @@ def canonical_carriers(max_size: int) -> list[FinSet]:
 
 class FinFn:
     """A total function between finite sets, stored as its table of
-    positions: `positions[i]` is the position in cod of the value at dom's
-    i-th element.  `tabulate` builds one from a function or a mapping; code
-    that already holds positions passes them to the constructor, which
-    checks only that they fit."""
+    positions, a tuple: `positions[i]` is the position in cod of the value
+    at dom's i-th element.  `tabulate` builds one from a function or a
+    mapping; code that already holds positions passes them to the
+    constructor, which checks only that they fit."""
 
     __slots__ = ("name", "dom", "cod", "positions")
 
     def __init__(self, dom: FinSet, cod: FinSet, positions: Iterable[int], name: str = ""):
         self.dom = dom
         self.cod = cod
-        self.positions = array("I", positions)
+        self.positions = positions = tuple(positions)
         self.name = name or f"{dom.name}->{cod.name}"
-        if len(self.positions) != len(dom) or max(self.positions, default=-1) >= len(cod):
+        if len(positions) != len(dom) or positions and (
+                min(positions) < 0 or max(positions) >= len(cod)):
             raise DomainMismatch(f"{self.name}: positions do not fit {dom.name}->{cod.name}")
 
     def __call__(self, x: Element) -> Element:
@@ -134,7 +135,7 @@ class FinFn:
         )
 
     def __hash__(self) -> int:
-        return hash((self.dom, self.cod, self.positions.tobytes()))
+        return hash((self.dom, self.cod, self.positions))
 
     def __repr__(self) -> str:
         return f"FinFn({self.name!r}: {self.dom.name}->{self.cod.name})"
@@ -150,12 +151,8 @@ def compose(s: Sequence[int], t: Sequence[int]) -> tuple:
     return reader(t)(s)
 
 
-def differences(lhs: Sequence[int], rhs: Sequence[int]) -> Iterable[int]:
-    """The positions where two tables of equal length differ, in order.
-    Tables of different sequence types are compared as tuples, so that
-    equal tables are found equal at once whatever holds them."""
-    if type(lhs) is not type(rhs):
-        lhs, rhs = tuple(lhs), tuple(rhs)
+def differences(lhs: tuple, rhs: tuple) -> Iterable[int]:
+    """The positions where two tables of equal length differ, in order."""
     if lhs == rhs:
         return ()
     return (p for p, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
@@ -179,7 +176,7 @@ def tabulate(dom: FinSet, cod: FinSet, fn, name: str = "") -> FinFn:
     if table is not None:
         fn = lambda x: table.get(x, _NO_VALUE)
     try:
-        positions = array("I", map(cod._index.__getitem__, map(fn, dom.elements)))
+        positions = tuple(map(cod._index.__getitem__, map(fn, dom.elements)))
     except KeyError:
         # fn is evaluated again, to name the first element whose value is not in cod.
         x, y = next((x, y) for x in dom.elements if (y := fn(x)) not in cod)
@@ -193,7 +190,7 @@ def tabulate(dom: FinSet, cod: FinSet, fn, name: str = "") -> FinFn:
 
 
 def constant_fn(dom: FinSet, cod: FinSet, value: Element) -> FinFn:
-    return FinFn(dom, cod, array("I", [cod.index(value)]) * len(dom))
+    return FinFn(dom, cod, (cod.index(value),) * len(dom))
 
 
 def to_terminal(X: FinSet) -> FinFn:

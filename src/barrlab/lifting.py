@@ -38,7 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
 from .algebras import EMAlgebra, free_algebra, require_monad
 from .errors import DomainMismatch, MissingComponent, blowup_limit
@@ -116,7 +116,7 @@ class ComponentFamily:
         through `lookup`."""
         return self._tables[X]
 
-    def table(self, X: FinSet) -> Sequence[int]:
+    def table(self, X: FinSet) -> tuple:
         """The component at X as positions: entry p is the position in
         target(X) of the component at the element at position p of
         source(X)."""
@@ -325,7 +325,7 @@ class SemimoduleFunctorLaw(DistLawEM):
         return (M.arrow(_output, HX, self.out.carrier),
                 succ[0] if self.alphabet is None else succ)
 
-    def table(self, X: FinSet) -> Sequence[int]:
+    def table(self, X: FinSet) -> tuple:
         """lambda_X as positions over M(H X), read off M of the projections
         of H X as positions (`M.arrow_table`): the output part through the
         output algebra's table, the successor parts as they are, combined
@@ -509,8 +509,8 @@ def lift_algebra(law: DistLawEM, a: EMAlgebra) -> EMAlgebra:
 
 
 def lifted_free_positions(law: DistLawEM, free: EMAlgebra, size: int,
-                          positions: Callable[[], Sequence[int]],
-                          elements: Callable[[], Iterable[Element]]) -> Sequence[int]:
+                          positions: Callable[[], tuple],
+                          elements: Callable[[], Iterable[Element]]) -> tuple:
     """The lifting of a free algebra on X at `size` points of M(H(M X)),
     as positions in H(M X): its table read at the points' `positions()`,
     or, where that table or a set its builder reads, M(M X) or H(M(M X)),

@@ -21,7 +21,6 @@ outright.
 
 from __future__ import annotations
 
-import array
 import functools
 import itertools
 import operator
@@ -83,20 +82,19 @@ class FinMonad:
         `arrow`; a subclass may resolve M X in advance."""
         return functools.partial(self.mult_element, X)
 
-    def arrow_table(self, f: Sequence[int], dom: FinSet, cod: FinSet) -> Sequence[int]:
+    def arrow_table(self, f: Sequence[int], dom: FinSet, cod: FinSet) -> tuple:
         """M f as positions, for f: dom -> cod given as the position in cod
         of each element of dom: entry p is the position in M cod of M f
-        applied to the element at position p of M dom.  Tables are tuples,
-        or unsigned arrays where a subclass builds them from bitmasks."""
+        applied to the element at position p of M dom."""
         m_f = self.arrow(as_function(f, dom, cod), dom, cod)
         return tuple(map(self.apply(cod).index, map(m_f, self.apply(dom))))
 
-    def mult_table(self, X: FinSet) -> Sequence[int]:
+    def mult_table(self, X: FinSet) -> tuple:
         """mu_X as positions: entry p is the position in M X of mu_X applied
         to the element at position p of M(M X)."""
         return tuple(map(self.apply(X).index, map(self.mult_at(X), self.apply(self.apply(X)))))
 
-    def kleisli_table(self, h: Sequence[int], dom: FinSet, cod: FinSet) -> Sequence[int]:
+    def kleisli_table(self, h: Sequence[int], dom: FinSet, cod: FinSet) -> tuple:
         """mu_cod . M h as positions over M dom, for h: dom -> M cod given as
         the position in M cod of each element of dom."""
         MC = self.apply(cod)
@@ -191,14 +189,13 @@ class WriterMonad(FinMonad):
         return (self.monoid.op(b1, b2), x)
 
 
-def _double(op: Callable[[int, int], int], cols: Sequence[int]) -> array.array:
+def _double(op: Callable[[int, int], int], cols: Sequence[int]) -> tuple:
     """Entry p combines with `op` the columns picked by the bits of p, the
     first column on the top bit.  The table doubles once per column, the
-    last column (the lowest bit) first.  Entries are kept as unsigned
-    64-bit ints, not as int objects."""
-    table = array.array("Q", [0])
+    last column (the lowest bit) first."""
+    table = (0,)
     for col in reversed(cols):
-        table += array.array("Q", map(op, table, itertools.repeat(col)))
+        table += tuple(map(op, table, itertools.repeat(col)))
     return table
 
 
@@ -551,8 +548,7 @@ def check_monad_laws(M: FinMonad, max_size: int) -> LawReport:
 
     def arrows_into(Y: FinSet) -> LazyTable:
         """M h for each h: X_m -> Y, keyed by h's value tuple."""
-        return LazyTable(lambda values: tuple(M.arrow_table(values, carriers[len(values)], Y)),
-                         budget)
+        return LazyTable(lambda values: M.arrow_table(values, carriers[len(values)], Y), budget)
 
     arrows = [arrows_into(Y) for Y in carriers]
     mults = LazyTable(lambda n: M.mult_table(carriers[n]), budget)
@@ -563,7 +559,7 @@ def check_monad_laws(M: FinMonad, max_size: int) -> LawReport:
         ids = arrows[len(X)][X.elements]
         report.first("map-identity", X.name, (
             {"carrier": X.name, "element": MX.elements[p], "got": MX.elements[ids[p]]}
-            for p in differences(ids, range(len(MX)))))
+            for p in differences(ids, tuple(range(len(MX))))))
 
         # left unit: mult . unit at M X == id; both unit laws run over M X
         flatten = M.mult_at(X)
@@ -612,9 +608,7 @@ def check_monad_laws(M: FinMonad, max_size: int) -> LawReport:
                     mult_x = mults[len(X)]
                     for fv in function_values(X, Y):
                         Mf = into_y[fv]
-                        # Two tuples, so that `!=` skips building the head
-                        # for every f at which the law holds.
-                        lhs, rhs = compose(Mf, mult_x), tuple(M.kleisli_table(Mf, MX, Y))
+                        lhs, rhs = compose(Mf, mult_x), M.kleisli_table(Mf, MX, Y)
                         if lhs != rhs:
                             yield from table_failures(
                                 {"function": dict(enumerate(fv))},

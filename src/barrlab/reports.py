@@ -26,7 +26,7 @@ SKIP = "skipped"
 
 
 def table_failures(head: dict, element_at: Callable[[int], Element], cod: FinSet,
-                   lhs: Sequence[int], rhs: Sequence[int],
+                   lhs: tuple, rhs: tuple,
                    names: Sequence[str] = ("lhs", "rhs")) -> Iterator[dict]:
     """The counterexamples of a law stated as two tables of positions in
     cod, in order: at each position p where lhs and rhs differ, `head`, the

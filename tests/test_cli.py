@@ -312,7 +312,8 @@ def test_a_series_document_whose_words_collide_is_an_input_error(capsys):
                             "--right", json.dumps({"alphabet": ["a", "aa"], "bound": 3}))
     assert code == 2
     assert (report["error"], report["message"]) == (
-        "InputError", _COLLISION.format(["a", "aa"], "aa"))
+        "InputError", "left: more than one word over the alphabet ['a', 'aa'] serializes "
+                      "to the key 'aa'")
 
 
 def test_a_dump_whose_words_are_distinct_keeps_every_coefficient(capsys):
@@ -420,13 +421,37 @@ def test_unparsable_word_keys_exit_two(capsys):
     long_key = {"alphabet": ["t"], "bound": 3, "coefficients": {"t" * 1200: 1}}
     no_split = {"alphabet": ["a", "aa", "aaa"], "bound": 3,
                 "coefficients": {"a" * 60 + "b": 1}}
-    for doc, message in ((long_key, "series.coefficients: word "),
-                         (no_split, "series.coefficients: cannot parse word ")):
+    for doc, message in ((long_key, "left.coefficients: word "),
+                         (no_split, "left.coefficients: cannot parse word ")):
         code, report = run_json(capsys, "distance", "--left", json.dumps(doc),
                                 "--right", json.dumps(doc))
         assert code == 2
         assert report["error"] == "InputError"
         assert report["message"].startswith(message)
+
+
+_T_SERIES = json.dumps({"alphabet": ["t"], "bound": 2})
+_X_KEY = json.dumps({"alphabet": ["t"], "bound": 2, "coefficients": {"x": 1}})
+_BOGUS_FACTOR = json.dumps({"prod": ["id", "bogus"]})
+_IDENTITY_LAW = json.dumps({"monad": "maybe", "family": "identity"})
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("distance", "--left", _X_KEY, "--right", _T_SERIES),
+     "left.coefficients: cannot parse word 'x' over alphabet ('t',)"),
+    (("distance", "--left", _T_SERIES, "--right", _X_KEY),
+     "right.coefficients: cannot parse word 'x' over alphabet ('t',)"),
+    (("commute", "search", "--T", _BOGUS_FACTOR, "--H", "id", "--law", _IDENTITY_LAW),
+     "T.prod[1]: unknown functor shorthand 'bogus'"),
+    (("commute", "search", "--T", "id", "--H", _BOGUS_FACTOR, "--law", _IDENTITY_LAW),
+     "H.prod[1]: unknown functor shorthand 'bogus'"),
+])
+def test_a_command_reading_two_documents_of_one_kind_names_the_flag(capsys, argv, message):
+    # Each document's errors name its flag; both series used to be named
+    # "series", and both functors "functor".
+    code, report = run_json(capsys, *argv)
+    assert code == 2
+    assert (report["error"], report["message"]) == ("InputError", message)
 
 
 def test_bad_integer_fields_exit_two(capsys):
@@ -444,10 +469,10 @@ def test_bad_integer_fields_exit_two(capsys):
              "monad.maps[0].dom: expected an integer, got 'q'"),
             (("distance", "--left", json.dumps(dict(series, bound="x")),
               "--right", json.dumps(series)),
-             "series.bound: expected an integer, got 'x'"),
+             "left.bound: expected an integer, got 'x'"),
             (("distance", "--left", json.dumps(dict(series, bound=-1)),
               "--right", json.dumps(series)),
-             "series.bound: must be >= 0, got -1"),
+             "left.bound: must be >= 0, got -1"),
             (("limit", "--sequence", json.dumps({"polynomials": [poly, poly],
                                                  "modulus": [0, "x"]}), "--depth", "2"),
              "modulus[1]: expected an integer, got 'x'"),
@@ -681,7 +706,7 @@ _POLYS = json.dumps({"polynomials": [{"alphabet": ["t", "t"], "terms": {"": 1}}]
      "automaton.alphabet: letter 'a' is given twice"),
     (("words", "--alphabet", "a,a"), "--alphabet: letter 'a' is given twice"),
     (("distance", "--left", _SERIES, "--right", _SERIES),
-     "series.alphabet: letter 'a' is given twice"),
+     "left.alphabet: letter 'a' is given twice"),
     (("limit", "--sequence", _POLYS, "--depth", "1"),
      "polynomials[0].alphabet: letter 't' is given twice"),
 ))
@@ -969,7 +994,7 @@ _TABLES = {"0": {"elements": [0], "unit": [], "mult": {"0": 0}}}
     (("behavior", "--automaton", json.dumps(dict(_AUTOMATON, delta=[1])), "--state", "s"),
      "automaton.delta"),
     (("distance", "--left", '{"alphabet":["t"],"bound":2,"coefficients":[1]}',
-      "--right", '{"alphabet":["t"],"bound":2}'), "series.coefficients"),
+      "--right", '{"alphabet":["t"],"bound":2}'), "left.coefficients"),
     (("limit", "--sequence",
       '{"polynomials": [{"alphabet":["t"],"semiring":"nat","terms":[1]}]}'),
      "polynomials[0].terms"),
@@ -1005,6 +1030,37 @@ def test_an_unreadable_json_argument_is_an_input_error(capsys, tmp_path, make, r
     assert report["message"].startswith(f"monad: cannot read {path}: ")
     assert reason in report["message"]
     assert "Traceback" not in captured.err
+
+
+# A table law over maybe with a component at X0 only.
+_X0_ONLY = json.dumps({"monad": "maybe", "functor": "id",
+                       "components": {"0": {json.dumps([0, "*"]): [0, "*"]}}})
+
+
+@pytest.mark.parametrize("guard, argv, error, message", [
+    (None, ("check-monad", "tests/golden/inputs/no-such-document.json"), "InputError",
+     "monad: file not found: tests/golden/inputs/no-such-document.json"),
+    (None, ("check-monad", '{"builtin": '), "InputError",
+     "monad: invalid inline JSON: Expecting value: line 1 column 12 (char 11)"),
+    ("abc", ("check-monad", "maybe", "--max-size", "1"), "InputError",
+     "BARRLAB_BLOWUP_GUARD must be an integer, got 'abc'"),
+    (None, ("check-distlaw", "em", "a", "b"), "InputError", "usage: check-distlaw [em|kl] LAW"),
+    (None, ("density", "--n", "0"), "InputError",
+     "density needs --functor SHORTHAND or --law DOC"),
+    (None, ("check-distlaw", "em", _X0_ONLY, "--max-size", "1"), "MissingComponent",
+     "table-law: no component at X1"),
+    (None, ("check-distlaw", "kl", _X0_ONLY, "--max-size", "1"), "MissingComponent",
+     "table-klaw: no component at X1"),
+])
+def test_other_bad_inputs_exit_two(capsys, monkeypatch, guard, argv, error, message):
+    # A missing file, broken inline JSON, a guard that is no integer, a usage
+    # error, a density with no law, and a table law with no component at a
+    # carrier under --max-size, in either direction.
+    if guard is not None:
+        monkeypatch.setenv("BARRLAB_BLOWUP_GUARD", guard)
+    code, report = run_json(capsys, *argv)
+    assert code == 2
+    assert (report["error"], report["message"]) == (error, message)
 
 
 @pytest.mark.parametrize("argv", (

@@ -317,7 +317,8 @@ GENERAL_SEMIRINGS = {
 
 def check_arrows_pointwise(M, max_size):
     """`arrow` and `arrow_table` against `map_element_fn` and `index` on all
-    of M X, for every function X -> Y with |X|, |Y| <= max_size."""
+    of M X, for every function X -> Y with |X|, |Y| <= max_size.  Here and
+    below, every table of positions must be a tuple."""
     for m in range(max_size + 1):
         X = carrier(m)
         MX = M.apply(X)
@@ -326,7 +327,7 @@ def check_arrows_pointwise(M, max_size):
             MY = M.apply(Y)
             for f in all_functions(X, Y):
                 arrow, table = M.arrow(f, X, Y), M.arrow_table(f.positions, X, Y)
-                assert len(table) == len(MX)
+                assert type(table) is tuple and len(table) == len(MX)
                 for p, el in enumerate(MX):
                     want = M.map_element_fn(f, X, Y, el)
                     assert arrow(el) == want, (dict(f.pairs()), el)
@@ -343,7 +344,7 @@ def check_mult_pointwise(M, max_size):
         if M.tower_fits(m, 2):
             MX, MMX = M.apply(X), M.apply(M.apply(X))
             table = M.mult_table(X)
-            assert len(table) == len(MMX)
+            assert type(table) is tuple and len(table) == len(MMX)
             for p, el2 in enumerate(MMX):
                 want = M.mult_element(X, el2)
                 assert mult(el2) == want, el2
@@ -362,8 +363,9 @@ def check_kleisli_pointwise(M, max_size):
             mult = M.mult_at(Y)
             for h in itertools.product(range(len(MY)), repeat=m):
                 m_h = M.arrow(lambda x: MY.elements[h[x]], X, MY)
-                assert list(M.kleisli_table(h, X, Y)) == [
-                    MY.index(mult(m_h(el))) for el in MX], h
+                table = M.kleisli_table(h, X, Y)
+                assert type(table) is tuple, h
+                assert table == tuple(MY.index(mult(m_h(el))) for el in MX), h
 
 
 def check_resolved_forms_pointwise(M, max_size):
