@@ -57,13 +57,6 @@ class TerminalChain:
             raise DepthExceeded(f"level {n} of a depth-{self.depth} chain")
         return self.levels[n]
 
-    def truncate_element(self, el: Element, frm: int, to: int) -> Element:
-        if to > frm:
-            raise DepthExceeded(f"truncation goes down, got {frm} -> {to}")
-        for i in range(frm - 1, to - 1, -1):
-            el = self.connect[i](el)
-        return el
-
     def truncation(self, frm: int, to: int) -> FinFn:
         """The composite connecting map levels[frm] -> levels[to], composed
         from the connecting maps' positions."""
@@ -112,7 +105,9 @@ class LimitPoint:
 
     A compatible family is fixed by its top element, and the families the
     constructors below build are compatible: the forward maps are sections
-    of the connecting maps, t_n . f_n = H^n(t_0 . f_0) = id."""
+    of the connecting maps, t_n . f_n = H^n(t_0 . f_0) = id.  Every read
+    goes through `reps`, so a point calls each connecting map at most
+    once."""
 
     def __init__(self, chain: TerminalChain, top: int, el: Element, label: str = ""):
         self.chain = chain
@@ -123,16 +118,16 @@ class LimitPoint:
     def rep(self, n: int) -> Element:
         if not 0 <= n <= self.top:
             raise DepthExceeded(f"representative at {n}; point is valid to depth {self.top}")
-        return self.chain.truncate_element(self.el, self.top, n)
+        return self.reps[n]
 
-    def reps(self) -> list[Element]:
+    @functools.cached_property
+    def reps(self) -> tuple:
         """The representatives at levels 0..top, from one walk down the
-        chain: one connecting-map call per level."""
+        chain on the first read: one connecting-map call per level."""
         reps = [self.el]
         for i in range(self.top - 1, -1, -1):
             reps.append(self.chain.connect[i](reps[-1]))
-        reps.reverse()
-        return reps
+        return tuple(reversed(reps))
 
     def __repr__(self):
         return f"LimitPoint({self.label or hex(id(self))}, valid to {self.top})"
@@ -190,12 +185,8 @@ def distance(x: LimitPoint, y: LimitPoint, probe_depth: int) -> DyadicDist:
     """
     if x.chain is not y.chain and x.chain.levels != y.chain.levels:
         raise DomainMismatch("points live on different chains")
-    xs, ys = x.reps(), y.reps()
     for n in range(probe_depth + 1):
-        if n > min(x.top, y.top):
-            # A point not valid to level n: its rep raises DepthExceeded.
-            (x if n > x.top else y).rep(n)
-        if xs[n] != ys[n]:
+        if x.rep(n) != y.rep(n):
             return DyadicDist(n, probe_depth, n)
     return DyadicDist(None, probe_depth, probe_depth + 1)
 
@@ -263,13 +254,6 @@ class InitialChain:
         self.chain = chain
         self.forward = forward  # forward[n]: levels[n] -> levels[n+1]
 
-    def forward_element(self, el: Element, frm: int, to: int) -> Element:
-        if to < frm:
-            raise DepthExceeded(f"forward maps go up, got {frm} -> {to}")
-        for i in range(frm, to):
-            el = self.forward[i](el)
-        return el
-
     def __repr__(self):
         return f"InitialChain(depth {len(self.forward)})"
 
@@ -312,8 +296,9 @@ def colim_to_lim(ic: InitialChain, x: Element, n: int) -> LimitPoint:
     chain = ic.chain
     if x not in chain.level(n):
         raise DomainMismatch(f"{x!r} is not in level {n}")
-    return LimitPoint(chain, chain.depth, ic.forward_element(x, n, chain.depth),
-                      label=f"sect({n})")
+    for f in ic.forward[n:]:
+        x = f(x)
+    return LimitPoint(chain, chain.depth, x, label=f"sect({n})")
 
 
 def density_map(ic: InitialChain, x: LimitPoint, n: int) -> LimitPoint:

@@ -256,8 +256,8 @@ def cmd_behavior(args):
 
 
 def cmd_distance(args):
-    left = load_series(_load_doc(args.left, "left series"), "left")
-    right = load_series(_load_doc(args.right, "right series"), "right")
+    left = load_series(_load_doc(args.left, "left"), "left")
+    right = load_series(_load_doc(args.right, "right"), "right")
     return series_distance(left, right).to_json(), True
 
 

@@ -169,6 +169,8 @@ def load_monoid(doc, path: str = "monoid") -> FinMonoid:
             return symmetric_group(int(m.group(1)))
         m = re.fullmatch(r"z(\d+)", name)
         if m:
+            if int(m.group(1)) < 1:
+                raise InputError(f"{path}: cyclic group needs m >= 1")
             return cyclic_group(int(m.group(1)))
         raise InputError(f"{path}: unknown monoid shorthand {doc!r}")
     elements = [decode_element(e) for e in doc["elements"]]
@@ -196,6 +198,8 @@ def load_semiring(doc, path: str = "semiring") -> Semiring:
             return naturals()
         m = re.fullmatch(r"z(\d+)", name)
         if m:
+            if int(m.group(1)) < 2:
+                raise InputError(f"{path}: zmod needs modulus >= 2")
             return zmod(int(m.group(1)))
         m = re.fullmatch(r"minplus:?(\d+)", name)
         if m:

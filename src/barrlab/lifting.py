@@ -453,13 +453,12 @@ def check_distlaw_kl(law: DistLawKl, max_size: int) -> LawReport:
                         f"no component at the derived carrier {MX.name}")
         elif M.tower_fits(len(X), 2):
             t_mult_x, mult_tx = arrow(T, M.mult_at(X)), M.mult_at(TX)
-            lam_mx = law.lookup(MX)
             # lam_mx(big) lies in M(T(M X)); M(lam_x) takes it to M(M(T X)).
+            lam_mx, m_lam_x = law.lookup(MX), M.arrow(lam_x, TMX, MTX)
             report.first("mult-axiom", X.name, (
                 {"carrier": X.name, "element": big, "lhs": lhs, "rhs": rhs}
                 for big in T(M.apply(MX))
-                if (lhs := lam_x(t_mult_x(big)))
-                != (rhs := mult_tx(M.map_element_fn(lam_x, TMX, MTX, lam_mx(big))))))
+                if (lhs := lam_x(t_mult_x(big))) != (rhs := mult_tx(m_lam_x(lam_mx(big))))))
         else:
             report.skip("mult-axiom", X.name,
                         f"|MM {X.name}| {M.tower_card_display(len(X), 2)} exceeds guard")

@@ -366,16 +366,7 @@ class SemimoduleMonad(FinMonad):
         return tuple(out)
 
     def mult_element(self, X, el2):
-        # el2 assigns a coefficient to every vector in M X; flatten linearly.
-        k = self.k
-        MX = self.apply(X)
-        out = [k.zero] * len(X)
-        for vec, c in zip(MX.elements, el2):
-            if c != k.zero:
-                for i, v in enumerate(vec):
-                    if v != k.zero:
-                        out[i] = k.add(out[i], k.mul(c, v))
-        return tuple(out)
+        return self.mult_at(X)(el2)
 
     @functools.cached_property
     def _index_tables(self) -> Optional[tuple]:

@@ -173,12 +173,6 @@ class MooreAutomaton:
         # Built once, so its kept images serve every caller.
         self.H = moore_functor(outputs, FinSet("A", self.alphabet))
 
-    def run(self, s: Element, w: Word) -> Element:
-        """Follow a whole word letter by letter (the word-simulation oracle)."""
-        for a in w:
-            s = self.step[(s, a)]
-        return s
-
     def as_coalgebra(self) -> tuple[FinSet, FinFn]:
         """The automaton as a coalgebra: state maps to (output, successors)."""
         HC = self.H(self.states)

@@ -28,6 +28,7 @@ from barrlab import (FinSet, MooreAutomaton, Polynomial, TERMINAL,
                      cyclic_group, terminal_algebra,
                      words_below, zmod, eval_functor)
 from barrlab.lifting import DistLawEM
+from test_series import run_word
 
 
 @contextmanager
@@ -199,7 +200,7 @@ def test_criterion_6_behavior_oracle():
             start = rng.choice(states.elements)
             beh = behavior(aut, start, 6)
             for w in words_below(alphabet, 6):
-                assert beh.coefficient(w) == aut.output[aut.run(start, w)]
+                assert beh.coefficient(w) == aut.output[run_word(aut, start, w)]
 
 
 def test_criterion_7_commuting_pair(z2_monad):

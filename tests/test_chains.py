@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -38,6 +39,22 @@ def maybe_setup(maybe, two_outputs):
 
 def series_point(ic, s: TruncatedSeries):
     return colim_to_lim(ic, encode_series(s), s.bound)
+
+
+def walk_down(chain, el, frm, to):
+    """el truncated from level frm to level to, one connecting map at a
+    time: the pointwise reference for `truncation` and `LimitPoint.rep`."""
+    for i in range(frm - 1, to - 1, -1):
+        el = chain.connect[i](el)
+    return el
+
+
+def walk_up(ic, el, frm, to):
+    """el pushed from level frm up to level to, one forward map at a time:
+    the pointwise reference for `colim_to_lim`."""
+    for i in range(frm, to):
+        el = ic.forward[i](el)
+    return el
 
 
 def test_doubling_chain_levels(z2_setup):
@@ -197,43 +214,52 @@ def test_ultrametric_strong_triangle(z2_setup):
         assert exps[(0, 2)] >= min(exps[(0, 1)], exps[(1, 2)])
 
 
-def _distance_from_the_top(x, y, probe_depth):
-    """The distance as it was computed before: each level's representatives
-    truncated from the top, O(top^2) connecting-map calls.  Kept as the
-    reference."""
+def _distance_from_the_top(chain, x, y, probe_depth):
+    """The distance with each level's representatives truncated from the
+    top, O(top^2) connecting-map calls, and the message of the read past a
+    point's top: the reference."""
     for n in range(probe_depth + 1):
-        if x.rep(n) != y.rep(n):
+        for p in (x, y):
+            if n > p.top:
+                return f"representative at {n}; point is valid to depth {p.top}"
+        if walk_down(chain, x.el, x.top, n) != walk_down(chain, y.el, y.top, n):
             return DyadicDist(n, probe_depth, n)
     return DyadicDist(None, probe_depth, probe_depth + 1)
 
 
 def test_distance_walks_each_point_down_once(monkeypatch, z2_monad, one_letter):
+    # Distances, density approximants and Cauchy limits read the points'
+    # representatives in every order; each point still calls each connecting
+    # map below its top once, and nothing else calls them.
     law = semimodule_moore_law(z2_monad, one_letter)
     chain = build_terminal_chain(law.H, 9)
     ic = build_initial_chain(law, chain)
     rng = random.Random(7)
-    points = [colim_to_lim(ic, rng.choice(chain.level(n).elements), n) for n in (3, 6, 8, 8)]
-    points += [LimitPoint(chain, 4, p.rep(4)) for p in points[:2]]
+    tops = [walk_up(ic, rng.choice(chain.level(n).elements), n, 9) for n in (3, 6, 8, 8)]
+    points = [LimitPoint(chain, 9, el) for el in tops]
+    points += [LimitPoint(chain, 4, walk_down(chain, el, 9, 4)) for el in tops[:2]]
     pairs = [(x, y) for x in points for y in points]
-    expected = {}
-    for x, y in pairs:
-        for probe in range(chain.depth + 1):
-            try:
-                expected[id(x), id(y), probe] = _distance_from_the_top(x, y, probe)
-            except DepthExceeded as exc:
-                expected[id(x), id(y), probe] = str(exc)
+    expected = {(id(x), id(y), probe): _distance_from_the_top(chain, x, y, probe)
+                for x, y in pairs for probe in range(chain.depth + 1)}
     calls = []
-    monkeypatch.setitem(vars(chain), "connect",
-                        [lambda el, f=f: calls.append(f) or f(el) for f in chain.connect])
+    monkeypatch.setitem(vars(chain), "connect", [lambda el, i=i, f=f: calls.append(i) or f(el)
+                                                 for i, f in enumerate(chain.connect)])
+    read = list(points)
     for x, y in pairs:
         for probe in range(chain.depth + 1):
-            calls.clear()
             try:
                 got = distance(x, y, probe)
             except DepthExceeded as exc:
                 got = str(exc)
             assert got == expected[id(x), id(y), probe]
-            assert len(calls) <= 2 * max(x.top, y.top)
+    for x in points:
+        approximants = [density_map(ic, x, n) for n in range(x.top)]
+        read += approximants
+        for d in range(len(approximants)):
+            read.append(cauchy_limit_point(approximants, d))
+            assert read[-1].reps == approximants[d].reps[:d + 1]
+        assert [x.rep(n) for n in range(x.top + 1)] == list(x.reps)
+    assert Counter(calls) == Counter(i for p in read if "reps" in vars(p) for i in range(p.top))
     assert any(isinstance(d, str) for d in expected.values())
 
 
@@ -505,7 +531,7 @@ def test_split_retraction(z2_setup, maybe_setup):
                 assert t(fwd(x)) == x
 
 
-def test_truncation_matches_truncate_element():
+def test_truncation_matches_the_pointwise_walk():
     # truncation composes the connecting maps' positions; the reference
     # applies the connecting maps one element at a time.
     law = load_distlaw_em("pointed:2:maybe")
@@ -515,7 +541,7 @@ def test_truncation_matches_truncate_element():
             t = chain.truncation(frm, to)
             assert (t.dom, t.cod) == (chain.level(frm), chain.level(to))
             assert [t(el) for el in chain.level(frm)] == [
-                chain.truncate_element(el, frm, to) for el in chain.level(frm)], (frm, to)
+                walk_down(chain, el, frm, to) for el in chain.level(frm)], (frm, to)
     with pytest.raises(DepthExceeded):
         chain.truncation(2, 3)
 
@@ -555,7 +581,7 @@ def test_limit_points_are_their_top_representative(z2_monad, one_letter):
     ic = build_initial_chain(law, chain)
 
     def family(x, n):
-        return [chain.truncate_element(x, n, m) if m < n else ic.forward_element(x, n, m)
+        return [walk_down(chain, x, n, m) if m < n else walk_up(ic, x, n, m)
                 for m in range(7)]
 
     for n in range(7):

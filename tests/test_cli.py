@@ -441,6 +441,8 @@ _IDENTITY_LAW = json.dumps({"monad": "maybe", "family": "identity"})
      "left.coefficients: cannot parse word 'x' over alphabet ('t',)"),
     (("distance", "--left", _T_SERIES, "--right", _X_KEY),
      "right.coefficients: cannot parse word 'x' over alphabet ('t',)"),
+    (("distance", "--left", "missing.json", "--right", _T_SERIES),
+     "left: file not found: missing.json"),
     (("commute", "search", "--T", _BOGUS_FACTOR, "--H", "id", "--law", _IDENTITY_LAW),
      "T.prod[1]: unknown functor shorthand 'bogus'"),
     (("commute", "search", "--T", "id", "--H", _BOGUS_FACTOR, "--law", _IDENTITY_LAW),
@@ -1032,6 +1034,17 @@ def test_an_unreadable_json_argument_is_an_input_error(capsys, tmp_path, make, r
     assert "Traceback" not in captured.err
 
 
+def _writer(elements, op, unit):
+    """A writer monad document on a monoid given by its operation."""
+    table = {json.dumps(a): {json.dumps(b): op(a, b) for b in elements} for a in elements}
+    return json.dumps({"builtin": "writer",
+                       "monoid": {"elements": elements, "op": table, "unit": unit}})
+
+
+_PARTNER = json.dumps({"monad": "semimodule:z2", "partner": {
+    "generators": {"elements": ["*"]}, "alphabet": {"elements": ["a"]}}})
+
+
 # A table law over maybe with a component at X0 only.
 _X0_ONLY = json.dumps({"monad": "maybe", "functor": "id",
                        "components": {"0": {json.dumps([0, "*"]): [0, "*"]}}})
@@ -1051,11 +1064,50 @@ _X0_ONLY = json.dumps({"monad": "maybe", "functor": "id",
      "table-law: no component at X1"),
     (None, ("check-distlaw", "kl", _X0_ONLY, "--max-size", "1"), "MissingComponent",
      "table-klaw: no component at X1"),
+    (None, ("check-monad", "semimodule:z1"), "InputError",
+     "monad.semiring: zmod needs modulus >= 2"),
+    (None, ("check-monad", "writer:z0"), "InputError", "monad.monoid: cyclic group needs m >= 1"),
+    (None, ("limit", "--sequence", '{"polynomials": []}', "--depth", "2"), "InputError",
+     "empty polynomial sequence"),
+    (None, ("limit", "--sequence", '{"terms": {}}', "--depth", "2"), "InputError",
+     "sequence document needs a 'polynomials' array"),
+    (None, ("check-monad", _writer([0, 1], lambda a, b: a ^ b, 2)), "InputError",
+     "monad.monoid: unit 2 not an element"),
+    (None, ("check-monad", _writer([0, 1, 2], lambda a, b: ((0, 1, 2), (1, 2, 2), (2, 1, 0))[a][b],
+                                   0)),
+     "InputError", "monad.monoid: not associative at (1, 1, 1)"),
+    (None, ("check-monad", "BAD.json"), "InputError",
+     "monad: BAD.json: invalid JSON: Expecting value: line 1 column 13 (char 12)"),
+    (None, ("check-monad", '{"name": "m"}'), "InputError",
+     "monad: monad document needs 'builtin' or 'tables'"),
+    (None, ("check-monad", '{"tables": {"x": {"elements": [], "unit": []}}}'), "InputError",
+     "monad.tables: carrier keys are sizes, got 'x'"),
+    (None, ("check-monad", '{"tables": {"1": {"elements": [[0, "*"], [1, 0]], "unit": []}}}'),
+     "InputError", "monad.tables.1: unit must list 1 values"),
+    (None, ("behavior", "--automaton", json.dumps({
+        "states": ["s"], "alphabet": ["a"], "semiring": "nat", "output": {"s": 1},
+        "delta": {"s": {"a": "s"}}}), "--state", "s"), "InputError",
+     "automaton: outputs need a finite carrier"),
+    (None, ("check-distlaw", "kl", '{"monad": "maybe", "family": {"name": "bogus"}}'),
+     "InputError", "law: unknown kleisli family 'bogus'"),
+    (None, ("check-distlaw", json.dumps({"monad": "maybe", "family": {
+        "name": "moore", "alphabet": {"elements": ["a"]}}})), "InputError",
+     "law: the moore family needs a semimodule monad"),
+    (None, ("check-distlaw", json.dumps({"monad": "maybe", "family": {
+        "name": "swap", "constant": {"elements": ["p"]}}})), "InputError",
+     "law: the swap family needs a writer monad"),
+    (None, ("commute", "check", _PARTNER, "--law", "moore:z2:2letters"), "DomainMismatch",
+     "distributive law is for a different functor"),
 ])
-def test_other_bad_inputs_exit_two(capsys, monkeypatch, guard, argv, error, message):
+def test_other_bad_inputs_exit_two(capsys, tmp_path, monkeypatch, guard, argv, error, message):
     # A missing file, broken inline JSON, a guard that is no integer, a usage
     # error, a density with no law, and a table law with no component at a
-    # carrier under --max-size, in either direction.
+    # carrier under --max-size, in either direction.  Then shorthands whose
+    # size is out of range, malformed sequence, monoid, monad and automaton
+    # documents, invalid JSON in a file, families the monad cannot carry,
+    # and a commuting candidate checked against a law for another functor.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "BAD.json").write_text('{"builtin": ')
     if guard is not None:
         monkeypatch.setenv("BARRLAB_BLOWUP_GUARD", guard)
     code, report = run_json(capsys, *argv)

@@ -110,6 +110,28 @@ def test_broken_kleisli_multiplication_caught(maybe, letter):
     assert not report.passed
 
 
+@pytest.mark.parametrize("max_size", (1, 2))
+def test_a_kleisli_law_broken_at_a_derived_carrier_fails_only_its_mult_axiom(
+        maybe, letter, max_size):
+    # The law differs from kleisli_lift_poly only at M X1, a carrier no
+    # canonical instance names, on the element whose inner value is
+    # just(just(0)); only the mult axiom at X1 reads that component, through
+    # M(lambda_X1) applied to the broken value.
+    base = kleisli_lift_poly(letter, maybe)
+    MX1 = maybe.apply(carrier(1))
+
+    def formula(X, el):
+        if X == MX1 and el == (1, ("a", (1, (1, 0)))):
+            return maybe.unit_element(base.T(X), (0, "*"))
+        return base.component_at(X, el)
+
+    report = check_distlaw_kl(DistLawKl(base.T, maybe, formula, name="broken-at-mx1"), max_size)
+    assert [(c.law, c.instance, c.status, c.counterexample) for c in report.checks
+            if c.status != "pass"] == [
+        ("mult-axiom", "X1", "fail", {"carrier": "X1", "element": (1, ("a", (1, (1, 0)))),
+                                      "lhs": (1, (1, ("a", 0))), "rhs": (1, (0, "*"))})]
+
+
 def test_identity_pair_commutes(bundled_monads):
     for M in bundled_monads.values():
         cand = CommutingCandidate(ComponentFamily(Composite(Id(), M), Composite(M, Id()),

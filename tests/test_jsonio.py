@@ -12,6 +12,7 @@ from barrlab.jsonio import (decode_element, dump_series, load_automaton, load_di
                             load_polynomial, load_semiring, load_sequence, load_series,
                             standard_alphabet, word_parser)
 from barrlab.series import TruncatedSeries, word_strings, words_below
+from test_series import run_word
 
 
 def test_element_codec_roundtrip():
@@ -403,7 +404,7 @@ def test_automaton_loading_and_errors():
     doc = {"states": ["s0"], "alphabet": ["a"], "semiring": "bool",
            "output": {"s0": 1}, "delta": {"s0": {"a": "s0"}}}
     aut = load_automaton(doc)
-    assert aut.run("s0", ("a", "a")) == "s0"
+    assert run_word(aut, "s0", ("a", "a")) == "s0"
     bad = dict(doc, delta={"s0": {"b": "s0"}})
     with pytest.raises(InputError) as err:
         load_automaton(bad)

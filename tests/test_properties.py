@@ -8,6 +8,7 @@ from barrlab import (FinSet, MooreAutomaton, PowersetMonad, TruncatedSeries,
                      eval_functor, moore_functor, series_distance, words_below)
 from barrlab.functors import arrow
 from barrlab.jsonio import word_parser
+from test_series import run_word
 
 settings.register_profile("repro", derandomize=True, max_examples=60,
                           deadline=None)
@@ -63,7 +64,7 @@ def test_behavior_matches_simulation(aut, depth):
     for s in aut.states:
         beh = behavior(aut, s, depth)
         for w in words_below(aut.alphabet, depth):
-            assert beh.coefficient(w) == aut.output[aut.run(s, w)]
+            assert beh.coefficient(w) == aut.output[run_word(aut, s, w)]
 
 
 @given(bool_automata())

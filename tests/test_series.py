@@ -24,6 +24,14 @@ def random_bool_automaton(rng, n_states, alphabet):
     return MooreAutomaton(states, alphabet, BOOL.as_finset(), output, step)
 
 
+def run_word(aut, s, w):
+    """The state reached from s by following a whole word letter by letter:
+    the word-simulation oracle for `behavior`."""
+    for a in w:
+        s = aut.step[(s, a)]
+    return s
+
+
 def word_to_str(w):
     """The key of one word, its letters' strings joined: the reference for
     `word_strings`."""
@@ -102,7 +110,7 @@ def test_behavior_matches_word_simulation_oracle():
         s = rng.choice(aut.states.elements)
         beh = behavior(aut, s, 5)
         for w in words_below(alphabet, 5):
-            assert beh.coefficient(w) == aut.output[aut.run(s, w)]
+            assert beh.coefficient(w) == aut.output[run_word(aut, s, w)]
 
 
 def test_behavior_agrees_with_chain_unfolding():
