@@ -25,7 +25,8 @@ import math
 from typing import Optional
 
 from .algebras import free_algebra
-from .errors import BarrlabError, DomainMismatch, MissingComponent, NotBiproductCompatible
+from .errors import (BarrlabError, DomainMismatch, MissingComponent, NotBiproductCompatible,
+                     blowup_limit)
 from .finset import TERMINAL, FinFn, FinSet, canonical_carriers, compose
 from .functors import Const, Coprod, FunctorExpr, Id, Prod
 from .lifting import (ComponentFamily, Composite, DistLawEM, DistLawKl,
@@ -112,21 +113,20 @@ def check_commuting(cand: CommutingCandidate, law: Optional[DistLawEM] = None,
         MTX = M.apply(TX)
         sigma = family.component(X)
 
-        report.record("cardinality", X.name, len(HMX) == len(MTX),
-                      counterexample={"H(MX)": len(HMX), "M(TX)": len(MTX)})
-        report.record("bijection", X.name, sigma.is_bijection(),
-                      counterexample={"carrier": X.name})
+        report.first("cardinality", X.name, () if len(HMX) == len(MTX) else
+                     [{"H(MX)": len(HMX), "M(TX)": len(MTX)}])
+        report.first("bijection", X.name, () if sigma.is_bijection() else [{"carrier": X.name}])
 
-        if M.tower_fits(len(HMX), 1):
+        def square_failures():
             MHMX = M.apply(HMX)
             lifted = lifted_free_positions(law, free_algebra(M, X), len(MHMX),
                                            lambda: range(len(MHMX)), lambda: MHMX)
-            report.first("algebra-square", X.name, table_failures(
+            yield from table_failures(
                 {"carrier": X.name}, MHMX.elements.__getitem__, MTX,
-                compose(sigma.positions, lifted), M.kleisli_table(sigma.positions, HMX, TX)))
-        else:
-            report.skip("algebra-square", X.name,
-                        f"|M(H(M {X.name}))| exceeds guard")
+                compose(sigma.positions, lifted), M.kleisli_table(sigma.positions, HMX, TX))
+
+        report.first("algebra-square", X.name, square_failures(),
+                     [(f"M(H(M {X.name}))", M.tower(len(HMX), 1))])
 
     for X in carriers:
         for Y in carriers:
@@ -256,7 +256,7 @@ def search_commuting_sigma(T: FunctorExpr, law: DistLawEM, max_size: int,
         """The square pairs (big, flat) at carriers[idx], filed by position."""
         X, dom = carriers[idx], doms[idx]
         filed: list[list] = [[] for _ in dom]
-        if not M.tower_fits(len(dom), 1):
+        if M.card(len(dom)) > blowup_limit():
             return filed
         flatten = lift_algebra(law, free_algebra(M, X)).structure_at
         for big in M.apply(dom):

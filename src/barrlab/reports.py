@@ -5,8 +5,10 @@ counterexample dicts, produced in canonical enumeration order, and hands it
 to `LawReport.first`: the law passes when the iterable is empty and fails
 with its first item otherwise, so the counterexample recorded is the
 minimal one and nothing past it is evaluated.  Two runs over the same
-inputs produce identical reports.  Instances whose enumeration would exceed
-the blow-up guard are recorded as skipped rather than silently dropped.
+inputs produce identical reports.  `first` is also the one place where the
+blow-up guard is tested: an instance whose enumeration would exceed it is
+recorded as skipped, never silently dropped, with a reason of one form
+that gives the size next to the guard.
 
 Most laws compare two composites of structure maps held as tables of
 positions (`finset`); `table_failures` is the one place where a difference
@@ -18,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from .errors import blowup_limit
 from .finset import Element, FinSet, differences
 
 PASS = "pass"
@@ -61,17 +64,33 @@ class LawReport:
     subject: str
     checks: list = field(default_factory=list)
 
-    def record(self, law: str, instance: str, ok: bool,
-               counterexample: Optional[dict] = None) -> None:
-        status = PASS if ok else FAIL
-        self.checks.append(LawCheck(law, instance, status,
-                                    counterexample=None if ok else counterexample))
+    def record(self, law: str, instance: str, counterexample: Optional[dict]) -> None:
+        """A pass where there is no counterexample, else a fail with it."""
+        self.checks.append(LawCheck(law, instance, PASS if counterexample is None else FAIL,
+                                    counterexample=counterexample))
 
-    def first(self, law: str, instance: str, failures: Iterable[dict]) -> None:
-        """Record the law from its counterexamples: pass if there are none,
-        else fail with the first one."""
-        ce = next(iter(failures), None)
-        self.record(law, instance, ce is None, counterexample=ce)
+    def first(self, law: str, instance: str, failures: Iterable[dict],
+              sizes: Iterable[tuple[str, Optional[int]]] = (), unless: str = "") -> None:
+        """Decide the law at one instance.  It is skipped with the reason
+        `unless` when that is not empty, or where one of the labelled sizes
+        (label, n) it enumerates is unknown (None) or above the guard g, with
+        the reason `|label| = n > guard g` for the first such size
+        (`|label| > guard g` where n is unknown or has 19 digits or more).
+        Otherwise it passes if `failures` yields nothing and fails with its
+        first item.  A skipped law never iterates `failures`, so a checker
+        hands over a generator that has evaluated nothing yet.  `sizes` is
+        read in order, up to the first size that skips the law, and not at
+        all where `unless` gives a reason, so a generator of sizes computes
+        a size only where those before it fit."""
+        if not unless:
+            limit = blowup_limit()
+            unless = next((f"|{label}| {'' if n is None or n >= 10**18 else f'= {n} '}"
+                           f"> guard {limit}" for label, n in sizes if n is None or n > limit),
+                          "")
+        if unless:
+            self.skip(law, instance, unless)
+            return
+        self.record(law, instance, next(iter(failures), None))
 
     def skip(self, law: str, instance: str, reason: str) -> None:
         self.checks.append(LawCheck(law, instance, SKIP, reason))

@@ -403,7 +403,40 @@ def test_a_mult_axiom_whose_h_of_m_x_exceeds_the_guard_is_skipped(capsys):
     assert code == 0
     skipped = [c for c in report["result"]["checks"] if c["status"] == "skipped"]
     assert skipped == [{"law": "mult-axiom", "instance": "X1", "status": "skipped",
-                        "detail": "|H(M X1)| = 1048576 exceeds guard"}]
+                        "detail": "|H(M X1)| = 1048576 > guard 1000000"}]
+
+
+# The maybe monad as tables on carriers of size 0 and 1 only, so it has no
+# size for M(M X1).
+MAYBE_UP_TO_1 = {
+    "name": "maybe01",
+    "tables": {"0": {"elements": [[0, "*"]], "unit": [],
+                     "mult": {json.dumps([0, "*"]): [0, "*"], json.dumps([1, 0]): [0, "*"]}},
+               "1": {"elements": [[0, "*"], [1, 0]], "unit": [[1, 0]],
+                     "mult": {json.dumps([0, "*"]): [0, "*"], json.dumps([1, 0]): [0, "*"],
+                              json.dumps([1, 1]): [1, 0]}}},
+    "maps": [{"dom": 0, "cod": n, "values": [], "table": {json.dumps([0, "*"]): [0, "*"]}}
+             for n in (0, 1)] +
+            [{"dom": 1, "cod": 1, "values": [0],
+              "table": {json.dumps([0, "*"]): [0, "*"], json.dumps([1, 0]): [1, 0]}}],
+}
+
+
+@pytest.mark.parametrize("direction, derived", (("em", "maybe01(X({}))"), ("kl", "maybe01({})")))
+def test_a_law_with_no_component_at_m_x_is_skipped_before_any_size_is_asked(capsys, direction,
+                                                                            derived):
+    # The identity law on the identity functor, as tables at X0 and X1: with
+    # no component at M X, the mult axiom is skipped for that reason, and the
+    # monad is never asked for a size it has no table for.
+    law = {"monad": MAYBE_UP_TO_1, "functor": "id",
+           "components": {"0": {json.dumps([0, "*"]): [0, "*"]},
+                          "1": {json.dumps([0, "*"]): [0, "*"], json.dumps([1, 0]): [1, 0]}}}
+    code, report = run_json(capsys, "check-distlaw", direction, json.dumps(law),
+                            "--max-size", "1")
+    assert code == 0
+    assert [(c["instance"], c["detail"]) for c in report["result"]["checks"]
+            if c["status"] == "skipped"] == [
+        (x, f"no component at the derived carrier {derived.format(x)}") for x in ("X0", "X1")]
 
 
 def test_a_law_whose_h_ignores_x_checks_its_mult_axiom_without_building_m_m_x(capsys):
@@ -1262,39 +1295,53 @@ def test_a_density_point_500_deep_is_written(capsys, fmt):
         assert "verdict: PASS" in out
 
 
-def test_naturality_past_the_guard_is_skipped_and_the_tower_is_not_misreported(capsys):
-    # Four letters: |H X2| = 2 * 2^4 = 32, so |M(H X2)| = 2^32 is above the
-    # guard and |MM(H X2)| = 2^(2^32) is not computed.  The skip used to
-    # print 4294967296, the size of M(H X2), as that of MM(H X2).
-    code, report = run_json(capsys, "check-distlaw", "moore:z2:4letters", "--max-size", "2")
-    assert code == 0
-    skipped = [c for c in report["result"]["checks"] if c["status"] == "skipped"]
-    assert skipped == [
-        {"law": "mult-axiom", "instance": "X2", "status": "skipped",
-         "detail": "|MM(H X2)| > 1000000 exceeds guard"},
-        *({"law": "naturality", "instance": f"X2->X{n}", "status": "skipped",
-           "detail": "|M(H X2)| exceeds guard"} for n in range(3))]
+# Every skip reason has one form: the size, where it is known and printable,
+# next to the guard.
+SKIP_REASON = re.compile(r"^\|[^|]+\| (= \d+ )?> guard \d+$")
 
 
 @pytest.mark.parametrize("guard, argv, detail", (
     # |H X2| = 4 and |M(H X2)| = 16, above a guard of 8: the tower (65536)
     # is not computed.  At X1 the top step is the first above the guard.
     ("8", ("check-distlaw", "moore:z2:1letter", "--max-size", "2"),
-     {"X1": "|MM(H X1)| = 16 exceeds guard", "X2": "|MM(H X2)| > 8 exceeds guard"}),
+     {("mult-axiom", "X1"): "|MM(H X1)| = 16 > guard 8",
+      ("mult-axiom", "X2"): "|MM(H X2)| > guard 8",
+      **{("naturality", f"X2->X{n}"): "|M(H X2)| = 16 > guard 8" for n in range(3)}}),
     ("8", ("check-algebra", json.dumps({"monad": "semimodule:z2", "free_on": "X1"})),
-     {"semimodule[z2](X1)": "|MM(semimodule[z2](X1))| = 16 exceeds guard"}),
+     {("multiplication-law", "semimodule[z2](X1)"): "|MM(semimodule[z2](X1))| = 16 > guard 8"}),
     # Powerset on X2: 4, 16, 65536; the associativity skip used to say 16.
     ("10", ("check-monad", "powerset", "--max-size", "2"),
-     {"X1": "|MMMX| = 16, above the guard 10", "X2": "|MMMX| > 10, above the guard",
-      **{f"X2->X{n}": "|MMX| = 16, above the guard 10" for n in range(3)}}),
+     {("mult-associativity", "X1"): "|MMMX| = 16 > guard 10",
+      ("mult-associativity", "X2"): "|MMMX| > guard 10",
+      **{("mult-naturality", f"X2->X{n}"): "|MMX| = 16 > guard 10" for n in range(3)}}),
     # |MM(M X3)| = 2^256, too large to print: it used to read "= > 1000000".
     ("1000000", ("check-algebra", json.dumps({"monad": "semimodule:z2", "free_on": "X3"})),
-     {"semimodule[z2](X3)": "|MM(semimodule[z2](X3))| > 1000000 exceeds guard"}),
+     {("multiplication-law", "semimodule[z2](X3)"): "|MM(semimodule[z2](X3))| > guard 1000000"}),
+    # Four letters: |H X2| = 2 * 2^4 = 32, so |M(H X2)| = 2^32 is above the
+    # guard and |MM(H X2)| = 2^(2^32) is not computed (the skip once printed
+    # 2^32 as its size).  Naturality's skip used to give no size.
+    ("1000000", ("check-distlaw", "moore:z2:4letters", "--max-size", "2"),
+     {("mult-axiom", "X2"): "|MM(H X2)| > guard 1000000",
+      **{("naturality", f"X2->X{n}"): "|M(H X2)| = 4294967296 > guard 1000000"
+         for n in range(3)}}),
+    # |H(M X_n)| = 2 * 2^n; the algebra square's skip used to give no size.
+    ("8", ("commute", "check", json.dumps(
+        {"monad": "semimodule:z2", "partner": {"generators": {"elements": ["*"]},
+                                               "alphabet": {"elements": ["a"]}}}),
+           "--max-size", "2"),
+     {("algebra-square", "X1"): "|M(H(M X1))| = 16 > guard 8",
+      ("algebra-square", "X2"): "|M(H(M X2))| = 256 > guard 8"}),
+    # The Kleisli mult axiom enumerates T(M(M X1)), 1 + 4 elements: it is
+    # skipped by that size, where it used to stop the run with BlowUpGuard.
+    ("4", ("check-distlaw", "kl", "words:1letter:semimodule:z2", "--max-size", "1"),
+     {("mult-axiom", "X1"): "|T(MM X1)| = 5 > guard 4"}),
 ))
 def test_a_tower_above_the_guard_prints_its_size_or_the_guard(capsys, monkeypatch, guard,
                                                               argv, detail):
     monkeypatch.setenv("BARRLAB_BLOWUP_GUARD", guard)
     code, report = run_json(capsys, *argv)
     assert code == 0
-    assert {c["instance"]: c["detail"] for c in report["result"]["checks"]
-            if c["status"] == "skipped" and "MM" in c["detail"]} == detail
+    got = {(c["law"], c["instance"]): c["detail"] for c in report["result"]["checks"]
+           if c["status"] == "skipped"}
+    assert got == detail
+    assert all(SKIP_REASON.match(reason) for reason in got.values()), got

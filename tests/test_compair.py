@@ -11,7 +11,8 @@ from barrlab import (Const, Coprod, FinSet, Id, NotBiproductCompatible, Powerset
                      series_distance, tabulate, zmod)
 from barrlab.compair import CommutingCandidate, _closed_form_candidate, words_functor
 from barrlab.cli import main
-from barrlab.errors import BlowUpGuard, DomainMismatch, MissingComponent, NonFinitePreserving
+from barrlab.errors import (BlowUpGuard, DomainMismatch, MissingComponent, NonFinitePreserving,
+                            blowup_limit)
 from barrlab.finset import canonical_carriers
 from barrlab.functors import arrow
 from barrlab.lifting import (ComponentFamily, Composite, DistLawEM, DistLawKl,
@@ -378,7 +379,7 @@ def full_permutation_search(T, H, M, law, max_size, cap=10**5):
                 return "unknown"
             tried += 1
             table = dict(zip(dom.elements, perm))
-            if M.tower_fits(len(dom), 1) and any(
+            if M.card(len(dom)) <= blowup_limit() and any(
                     table[flat] != M.mult_element(
                         TX, M.map_element_fn(table.__getitem__, dom, cod, big))
                     for big, flat in square_pairs(idx)):

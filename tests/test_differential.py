@@ -17,11 +17,10 @@ from barrlab import (TERMINAL, EMAlgebra, FinFn, FinSet, InputError, carrier, ch
 from barrlab.compair import CommutingCandidate
 from barrlab.errors import blowup_limit
 from barrlab.finset import LazyTable, canonical_carriers, function_values
-from barrlab.functors import arrow
+from barrlab.functors import arrow, cardinality
 from barrlab.jsonio import load_candidate, load_distlaw_em, load_monad
 from barrlab.lifting import (ComponentFamily, DistLawEM, SemimoduleFunctorLaw, lift_algebra,
                              naturality_failures, semiring_algebra)
-from barrlab.monads import _skip_label
 from barrlab.reports import LawReport
 
 INPUTS = Path(__file__).parent / "golden" / "inputs"
@@ -56,17 +55,18 @@ def pointwise_monad_laws(M, max_size):
         report.first("right-unit", X.name, (
             {"carrier": X.name, "element": el, "got": got}
             for el in MX if (got := mult_x(m_unit(el))) != el))
-        if M.tower_fits(len(X), 3):
+
+        def associativity_failures():
             MMX = M.apply(MX)
             mult_mx = M.mult_at(MX)
             m_mult = M.arrow(mult_x, MMX, MX)
-            report.first("mult-associativity", X.name, (
-                {"carrier": X.name, "element": el3,
-                 "outer-first": outer, "inner-first": inner}
-                for el3 in M.apply(MMX)
-                if (outer := mult_x(mult_mx(el3))) != (inner := mult_x(m_mult(el3)))))
-        else:
-            report.skip("mult-associativity", X.name, _skip_label(M, len(X), 3))
+            for el3 in M.apply(MMX):
+                if (outer := mult_x(mult_mx(el3))) != (inner := mult_x(m_mult(el3))):
+                    yield {"carrier": X.name, "element": el3,
+                           "outer-first": outer, "inner-first": inner}
+
+        report.first("mult-associativity", X.name, associativity_failures(),
+                     [("MMMX", M.tower(len(X), 3))])
 
     for X in carriers:
         for Y in carriers:
@@ -84,22 +84,17 @@ def pointwise_monad_laws(M, max_size):
 
             report.first("unit-naturality", pair, unit_failures())
 
-            if M.tower_fits(len(X), 2):
-                MMX = M.apply(MX)
+            def mult_failures():
+                mult_x, mult_y = mults[len(X)], mults[len(Y)]
+                for fv in function_values(X, Y):
+                    Mf = arrows[fv, len(Y)]
+                    m_mf = M.arrow(Mf.__getitem__, MX, MY)
+                    for el2 in M.apply(MX):
+                        if (lhs := Mf[mult_x[el2]]) != (rhs := mult_y[m_mf(el2)]):
+                            yield {"function": dict(enumerate(fv)), "element": el2,
+                                   "lhs": lhs, "rhs": rhs}
 
-                def mult_failures():
-                    mult_x, mult_y = mults[len(X)], mults[len(Y)]
-                    for fv in function_values(X, Y):
-                        Mf = arrows[fv, len(Y)]
-                        m_mf = M.arrow(Mf.__getitem__, MX, MY)
-                        for el2 in MMX:
-                            if (lhs := Mf[mult_x[el2]]) != (rhs := mult_y[m_mf(el2)]):
-                                yield {"function": dict(enumerate(fv)), "element": el2,
-                                       "lhs": lhs, "rhs": rhs}
-
-                report.first("mult-naturality", pair, mult_failures())
-            else:
-                report.skip("mult-naturality", pair, _skip_label(M, len(X), 2))
+            report.first("mult-naturality", pair, mult_failures(), [("MMX", M.tower(len(X), 2))])
 
             for Z in carriers:
                 def composition_failures():
@@ -126,18 +121,19 @@ def pointwise_em_algebra(M, a):
     report.first("unit-law", C.name, (
         {"carrier": C.name, "element": x, "got": got}
         for x in C if (got := a.structure_at(M.unit_element(C, x))) != x))
-    if M.tower_fits(len(C), 2):
+
+    def mult_failures():
         MC = M.apply(C)
         structure = LazyTable(a.structure_at)
         mult_c = M.mult_at(C)
         m_structure = M.arrow(structure.__getitem__, MC, C)
-        report.first("multiplication-law", C.name, (
-            {"carrier": C.name, "element": el2, "via-mult": via_mult, "via-map": via_map}
-            for el2 in M.apply(MC)
-            if (via_mult := structure[mult_c(el2)]) != (via_map := structure[m_structure(el2)])))
-    else:
-        report.skip("multiplication-law", C.name,
-                    f"|MM({C.name})| {M.tower_card_display(len(C), 2)} exceeds guard")
+        for el2 in M.apply(MC):
+            if (via_mult := structure[mult_c(el2)]) != (via_map := structure[m_structure(el2)]):
+                yield {"carrier": C.name, "element": el2, "via-mult": via_mult,
+                       "via-map": via_map}
+
+    report.first("multiplication-law", C.name, mult_failures(),
+                 [(f"MM({C.name})", M.tower(len(C), 2))])
     return report
 
 
@@ -163,30 +159,28 @@ def pointwise_distlaw_em(law, max_size):
             for w in HX
             if (lhs := lam_x(M.unit_element(HX, w))) != (rhs := h_unit_x(w))))
 
-        if not law.has_component(MX):
-            report.skip("mult-axiom", X.name,
-                        f"no component at the derived carrier {MX.name}")
-        elif M.tower_fits(len(HX), 2):
+        def mult_failures():
             MHX = M.apply(HX)
             mult_hx = M.mult_at(HX)
             lifted = LazyTable(lift_algebra(law, free_algebra(M, X)).structure_at)
             m_lam_x = M.arrow(lam_x, MHX, H(MX))
-            report.first("mult-axiom", X.name, (
-                {"carrier": X.name, "element": big, "lhs": lhs, "rhs": rhs}
-                for big in M.apply(MHX)
-                if (lhs := lam_x(mult_hx(big))) != (rhs := lifted[m_lam_x(big)])))
-        else:
-            report.skip("mult-axiom", X.name,
-                        f"|MM(H {X.name})| {M.tower_card_display(len(HX), 2)} exceeds guard")
+            for big in M.apply(MHX):
+                if (lhs := lam_x(mult_hx(big))) != (rhs := lifted[m_lam_x(big)]):
+                    yield {"carrier": X.name, "element": big, "lhs": lhs, "rhs": rhs}
+
+        def mult_sizes():
+            yield f"MM(H {X.name})", M.tower(len(HX), 2)
+            yield f"H(M {X.name})", cardinality(H, len(MX))
+
+        report.first("mult-axiom", X.name, mult_failures(), mult_sizes(),
+                     unless="" if law.has_component(MX) else
+                     f"no component at the derived carrier {MX.name}")
 
     for X in carriers:
         for Y in carriers:
-            pair = f"{X.name}->{Y.name}"
-            if not M.tower_fits(len(H(X)), 1):
-                report.skip("naturality", pair, f"|M(H {X.name})| exceeds guard")
-                continue
-            report.first("naturality", pair, naturality_failures(
-                law.source, law.target, X, Y, law.lookup(X), law.lookup(Y)))
+            report.first("naturality", f"{X.name}->{Y.name}", naturality_failures(
+                law.source, law.target, X, Y, law.lookup(X), law.lookup(Y)),
+                [(f"M(H {X.name})", M.tower(len(H(X)), 1))])
     return report
 
 
@@ -204,20 +198,19 @@ def pointwise_commuting(cand, law=None, max_size=2):
         HMX = H(MX)
         MTX = M.apply(TX)
         sigma = cand.sigma.component(X)
-        report.record("cardinality", X.name, len(HMX) == len(MTX),
-                      counterexample={"H(MX)": len(HMX), "M(TX)": len(MTX)})
-        report.record("bijection", X.name, sigma.is_bijection(),
-                      counterexample={"carrier": X.name})
-        if M.tower_fits(len(HMX), 1):
+        report.first("cardinality", X.name, () if len(HMX) == len(MTX) else
+                     [{"H(MX)": len(HMX), "M(TX)": len(MTX)}])
+        report.first("bijection", X.name, () if sigma.is_bijection() else [{"carrier": X.name}])
+
+        def square_failures():
             flat = lift_algebra(law, free_algebra(M, X)).structure_at
             mult_tx, m_sigma = M.mult_at(TX), M.arrow(sigma, HMX, MTX)
-            report.first("algebra-square", X.name, (
-                {"carrier": X.name, "element": big, "lhs": lhs, "rhs": rhs}
-                for big in M.apply(HMX)
-                if (lhs := sigma(flat(big))) != (rhs := mult_tx(m_sigma(big)))))
-        else:
-            report.skip("algebra-square", X.name,
-                        f"|M(H(M {X.name}))| exceeds guard")
+            for big in M.apply(HMX):
+                if (lhs := sigma(flat(big))) != (rhs := mult_tx(m_sigma(big))):
+                    yield {"carrier": X.name, "element": big, "lhs": lhs, "rhs": rhs}
+
+        report.first("algebra-square", X.name, square_failures(),
+                     [(f"M(H(M {X.name}))", M.tower(len(HMX), 1))])
     family = cand.sigma
     for X in carriers:
         for Y in carriers:

@@ -14,6 +14,7 @@ from barrlab import (BlowUpGuard, FinSet, LevelAlgebras, PowersetMonad, Semimodu
                      WriterMonad, all_functions, build_terminal_chain, carrier,
                      cyclic_group, exception_monad, gset_distlaws, maybe_monad,
                      pointed_law, semimodule_moore_law, zmod)
+from barrlab.errors import blowup_limit
 from barrlab.finset import canonical_carriers
 from barrlab.functors import map_element
 from barrlab.jsonio import load_distlaw_em, load_semiring
@@ -357,7 +358,8 @@ def check_mult_pointwise(M, max_size):
     for m in range(max_size + 1):
         X = carrier(m)
         mult = M.mult_at(X)
-        if M.tower_fits(m, 2):
+        size = M.tower(m, 2)
+        if size is not None and size <= blowup_limit():
             MX, MMX = M.apply(X), M.apply(M.apply(X))
             table = M.mult_table(X)
             assert type(table) is tuple and len(table) == len(MMX)
