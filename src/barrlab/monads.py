@@ -259,6 +259,12 @@ def _bit_decoder(width: int) -> Callable[[int], tuple]:
     """mask -> its `width`-bit tuple, one byte table lookup per 8 bits."""
     if width <= 8:
         return _BITS[width].__getitem__
+    if width > 64:
+        # Growing a tuple byte by byte is quadratic in the width: above 64
+        # bits the bytes are read off in one pass instead.
+        size, pad, byte = (width + 7) // 8, -width % 8, _BITS[8]
+        return lambda mask: tuple(itertools.chain.from_iterable(
+            map(byte.__getitem__, mask.to_bytes(size, "big"))))[pad:]
     top = 8 * ((width - 1) // 8)
     head, byte, shifts = _BITS[width - top], _BITS[8], range(top - 8, -1, -8)
 

@@ -94,3 +94,18 @@ def test_powerset_elements_are_length_lex():
     assert P.apply(carrier(2)).elements == ((), (0,), (1,), (0, 1))
     f_img = P.map_element_fn(lambda x: 0, carrier(2), carrier(1), (0, 1))
     assert f_img == (0,)
+
+
+def test_the_bit_decoder_writes_the_plain_numeral_at_every_width():
+    # Up to 64 bits the decoder concatenates byte tables; above, it reads the
+    # bytes off in one pass.  Both must give the width-bit numeral of the
+    # mask, first bit on top.
+    import random
+
+    from barrlab.monads import _bit_decoder
+
+    rng = random.Random(0)
+    for width in range(201):
+        decode = _bit_decoder(width)
+        for mask in {0, (1 << width) - 1, *(rng.getrandbits(width) for _ in range(5))}:
+            assert decode(mask) == tuple((mask >> (width - 1 - i)) & 1 for i in range(width))
