@@ -253,28 +253,17 @@ class PowersetMonad(FinMonad):
 # _BITS[w][mask] is the w-bit numeral of mask as a tuple, first bit on top:
 # the element of k^X at position mask when |X| = w and k is {0, 1}.
 _BITS = tuple(tuple(itertools.product((0, 1), repeat=w)) for w in range(9))
+# The digits b"0" and b"1" to the bytes 0 and 1, which a tuple reads as ints.
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
 def _bit_decoder(width: int) -> Callable[[int], tuple]:
-    """mask -> its `width`-bit tuple, one byte table lookup per 8 bits."""
+    """mask -> its `width`-bit tuple: a table lookup up to 8 bits, above
+    that the mask's binary numeral read off in one pass."""
     if width <= 8:
         return _BITS[width].__getitem__
-    if width > 64:
-        # Growing a tuple byte by byte is quadratic in the width: above 64
-        # bits the bytes are read off in one pass instead.
-        size, pad, byte = (width + 7) // 8, -width % 8, _BITS[8]
-        return lambda mask: tuple(itertools.chain.from_iterable(
-            map(byte.__getitem__, mask.to_bytes(size, "big"))))[pad:]
-    top = 8 * ((width - 1) // 8)
-    head, byte, shifts = _BITS[width - top], _BITS[8], range(top - 8, -1, -8)
-
-    def decode(mask):
-        out = head[mask >> top]
-        for s in shifts:
-            out += byte[(mask >> s) & 255]
-        return out
-
-    return decode
+    numeral = f"0{width}b"
+    return lambda mask: tuple(format(mask, numeral).encode().translate(_DIGIT_VALUES))
 
 
 def _bit_op(k: Semiring) -> Optional[Callable[[int, int], int]]:

@@ -3,10 +3,11 @@
 Each case runs `barrlab ARGV` and names the exit code it must end with:
 0 when every check passed, 1 for a counterexample, 2 for bad input or a
 guard trip.  A case may also name a fragment that stdout or stderr must
-hold, environment variables to set, and files to create in a fresh
-temporary working directory; a case with no files runs in the root of the
-repository.  Documents are Python values written with `json.dumps`, or
-files under tests/golden/inputs.
+hold (a fragment that ends in a newline must end one of them), environment
+variables to set, and files to create in a fresh temporary working
+directory; a case with no files runs in the root of the repository.
+Documents are Python values written with `json.dumps`, or files under
+tests/golden/inputs.
 
 The table is run two ways, with the same checks (`problems`):
 
@@ -73,7 +74,9 @@ def problems(case: Case, code: int, out: str, err: str) -> list[str]:
     found = []
     if code != case.code:
         found.append(f"exit {code}, want {case.code}")
-    if case.out not in out + err:
+    if case.out.endswith("\n") and not (out.endswith(case.out) or err.endswith(case.out)):
+        found.append(f"stdout and stderr do not end with {case.out!r}")
+    elif case.out not in out + err:
         found.append(f"no {case.out!r} in the output")
     if "Traceback" in err:
         found.append("a traceback on stderr")
@@ -334,7 +337,7 @@ CASES = [
          out=text_error("InputError", collision(["a", "aa"], "aa"))),
     case(0, "behavior, letters a and aa at depth 2", "behavior", "--automaton",
          one_state(["a", "aa"]), "--state", "s", "--depth", "2",
-         out='coefficients:\n    "": 1\n    a: 1\n    aa: 1\n'),
+         out='coefficients:\n    "": 1\n    a: 1\n    aa: 1\nverdict: PASS ('),
     case(2, "behavior, letters a and the empty letter", "behavior", "--automaton",
          one_state(["a", ""]), "--state", "s", "--depth", "2", *JSON,
          out=error("InputError", collision(["a", ""], ""))),
@@ -386,7 +389,8 @@ CASES = [
          "--H", MOORE_A, "--law", MOORE_LAW_A, "--max-size", "1", *JSON,
          out='"status": "found"'),
     case(0, "behavior, integer state 0", "behavior", "--automaton", INT_STATES,
-         "--state", "0", "--depth", "3", out='coefficients:\n    "": 1\n    a: 0\n    aa: 1\n'),
+         "--state", "0", "--depth", "3",
+         out='coefficients:\n    "": 1\n    a: 0\n    aa: 1\nverdict: PASS ('),
     case(2, "behavior, integer state 2 is no state", "behavior", "--automaton", INT_STATES,
          "--state", "2", "--depth", "3", *JSON,
          out=error("InputError", "state '2' not in the automaton")),
@@ -521,13 +525,13 @@ CASES = [
            *JSON, out=error("InputError", "--levels must be >= 0, got -1"))
       for lemma in ("lemma1", "lemma2")),
     case(0, "lift gset-s3-mult on the free algebra on X1", "lift", "gset-s3-mult",
-         {"monad": "writer:s3", "free_on": "X1"}, "--max-size", "1", *JSON, out='"size": 36'),
+         {"monad": "writer:s3", "free_on": "X1"}, "--max-size", "1", *JSON, out='"size": 36,'),
     case(2, "lift, algebra over another monad", "lift", "gset-z2-mult",
          '{"monad": "maybe", "free_on": "X1"}', *JSON,
          out=error("DomainMismatch", "algebra free(X1) belongs to maybe, not writer[Z2], the "
                                      "monad of gset-z2-mult")),
     case(0, "words a,b to depth 3", "words", "--alphabet", "a,b", "--depth", "3", *JSON,
-         out='"count": 7'),
+         out='"count": 7,'),
     *(case(2, f"words --alphabet {alphabet!r}", "words", "--alphabet", alphabet,
            "--depth", "2", *JSON,
            out=error("InputError", f"--alphabet: empty letter in {alphabet!r}"))

@@ -97,9 +97,9 @@ def test_powerset_elements_are_length_lex():
 
 
 def test_the_bit_decoder_writes_the_plain_numeral_at_every_width():
-    # Up to 64 bits the decoder concatenates byte tables; above, it reads the
-    # bytes off in one pass.  Both must give the width-bit numeral of the
-    # mask, first bit on top.
+    # Up to 8 bits the decoder is one table lookup; above, it reads the
+    # mask's binary numeral off in one pass.  Both must give the width-bit
+    # numeral of the mask, first bit on top.
     import random
 
     from barrlab.monads import _bit_decoder
