@@ -161,7 +161,9 @@ def _load_op_table(doc, elements, path: str):
 
 
 @_names_path
-def load_monoid(doc, path: str = "monoid") -> FinMonoid:
+def load_monoid(doc, path: str = "monoid", kind: str = "monoid") -> FinMonoid:
+    """A monoid document, or a shorthand sN or zN; `kind` names what an
+    unknown shorthand was taken for."""
     if isinstance(doc, str):
         name = doc.lower()
         m = re.fullmatch(r"s(\d+)", name)
@@ -172,7 +174,7 @@ def load_monoid(doc, path: str = "monoid") -> FinMonoid:
             if int(m.group(1)) < 1:
                 raise InputError(f"{path}: cyclic group needs m >= 1")
             return cyclic_group(int(m.group(1)))
-        raise InputError(f"{path}: unknown monoid shorthand {doc!r}")
+        raise InputError(f"{path}: unknown {kind} shorthand {doc!r}")
     elements = [decode_element(e) for e in doc["elements"]]
     op = _load_op_table(doc["op"], elements, f"{path}.op")
     try:
@@ -185,7 +187,7 @@ def load_monoid(doc, path: str = "monoid") -> FinMonoid:
 
 @_names_path
 def load_group(doc, path: str = "group") -> FinGroup:
-    return as_group(load_monoid(doc, path))
+    return as_group(load_monoid(doc, path, "group"))
 
 
 @_names_path

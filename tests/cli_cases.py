@@ -213,6 +213,8 @@ CASES = [
     case(0, "check-monad maybe", "check-monad", "maybe", "--max-size", "2"),
     case(0, "check-monad maybe at --max-size 3", "check-monad", "maybe", "--max-size", "3",
          out="verdict: PASS"),
+    case(0, "check-monad maybe at --max-size 5, past the full scan's reach", "check-monad",
+         "maybe", "--max-size", "5", *JSON, out='"passed": true'),
     case(1, "check-distlaw em, broken law", "check-distlaw", "em", BROKEN_LAW,
          "--max-size", "1", out="verdict: FAIL"),
     case(2, "commute search at --search-cap 0", "commute", "search", "--T", PRODUCT,
@@ -490,7 +492,7 @@ CASES = [
          '{"monad": "semimodule:z2", "partner":\n    {"generators": {"elements": ["*"]}, '
          '"alphabet": {"elements": ["a"]}}}'),
     case(2, "diff-liftings, an unknown group", "diff-liftings", "gset-bogus",
-         out=text_error("InputError", "group: unknown monoid shorthand 'bogus'")),
+         out=text_error("InputError", "group: unknown group shorthand 'bogus'")),
 
     # Documents read from files, and reports pinned by one of their lines.
     case(2, "behavior, a letter outside the alphabet", "behavior", "--automaton", "aut.json",
@@ -647,7 +649,7 @@ CASES = [
     case(0, "check-monad, the z2 semiring as tables", "check-monad",
          {"builtin": "semimodule", "semiring": SEMIRING_Z2}, "--max-size", "1"),
     case(2, "check-monad maybe --max-size 0", "check-monad", "maybe", "--max-size", "0", *JSON,
-         out=error("InputError", "max_size must be >= 1")),
+         out=error("InputError", "--max-size must be >= 1, got 0")),
     *(case(2, f"{' '.join(argv[:-2])} -1", *argv, *JSON,
            out=error("InputError", f"{argv[-2]} must be >= 0, got -1"))
       for argv in (

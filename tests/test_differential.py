@@ -21,6 +21,7 @@ from barrlab.functors import arrow, cardinality
 from barrlab.jsonio import load_candidate, load_distlaw_em, load_monad
 from barrlab.lifting import (ComponentFamily, DistLawEM, SemimoduleFunctorLaw, lift_algebra,
                              naturality_failures, semiring_algebra)
+from barrlab.monads import FinMonad
 from barrlab.reports import LawReport
 
 INPUTS = Path(__file__).parent / "golden" / "inputs"
@@ -30,7 +31,7 @@ def pointwise_monad_laws(M, max_size):
     """`check_monad_laws` evaluated element by element: M h and mu_X are
     memoised per element, and each law compares elements."""
     if max_size < 1:
-        raise InputError("max_size must be >= 1")
+        raise InputError(f"--max-size must be >= 1, got {max_size}")
     carriers = canonical_carriers(max_size)
     for X in carriers:
         if M.card(len(X)) > blowup_limit():
@@ -396,6 +397,49 @@ def test_kernel_monads_never_enumerate_the_towers(monkeypatch):
         assert check_em_algebra(M, free_algebra(M, FinSet("X2", range(2)))).passed
         # M C has 16 points; M(M C) would have 2^16.
         assert max(built) == 16
+
+
+def corrupt_arrow(monkeypatch, cls, values, m):
+    """Patch cls so that M f is moved at the last element of M X_n, for the
+    one f: X_n -> X_m whose value tuple is `values`: 0 to 1, anything else
+    to 0.  `arrow` is moved, and `arrow_table` builds f's table through it,
+    so the table and the pointwise checker read the same wrong M f."""
+    dom, cod = carrier(len(values)), carrier(m)
+    m_arrow, m_table = cls.arrow, cls.arrow_table
+
+    def corrupted_arrow(self, fn, d, c):
+        m_fn = m_arrow(self, fn, d, c)
+        if d != dom or c != cod or tuple(map(fn, d)) != values:
+            return m_fn
+        last, Mc = self.apply(d).elements[-1], self.apply(c)
+        return lambda el: Mc.elements[int(Mc.index(m_fn(el)) == 0)] if el == last else m_fn(el)
+
+    def corrupted_table(self, f, d, c):
+        if d == dom and c == cod and tuple(f) == values:
+            return FinMonad.arrow_table(self, f, d, c)
+        return m_table(self, f, d, c)
+
+    monkeypatch.setattr(cls, "arrow", corrupted_arrow)
+    monkeypatch.setattr(cls, "arrow_table", corrupted_table)
+
+
+# One arrow moved where the orbit pass meets it in each of its two parts:
+# a map that is no orbit representative ((1, 0, 1): X3 -> X2, fibres of
+# sizes 1 then 2), the transposition and the 3-cycle of S_3.
+MOVED_ARROWS = {"non-representative": ((1, 0, 1), 2), "transposition": ((1, 0, 2), 3),
+                "3-cycle": ((1, 2, 0), 3)}
+
+
+@pytest.mark.parametrize("moved", MOVED_ARROWS)
+@pytest.mark.parametrize("shorthand,max_size", (("maybe", 4), ("powerset", 3),
+                                                ("semimodule:z2", 3), ("writer:z2", 4)))
+def test_a_moved_arrow_fails_map_composition_as_pointwise(shorthand, max_size, moved,
+                                                          monkeypatch):
+    # The orbit pass fails, and the full scan's report is the pointwise one.
+    corrupt_arrow(monkeypatch, type(load_monad(shorthand)), *MOVED_ARROWS[moved])
+    report = json.loads(assert_monad_checks_agree(lambda: load_monad(shorthand), max_size))
+    assert any(c["law"] == "map-composition" and c["status"] == "fail"
+               for c in report["checks"])
 
 
 # Builtin laws at the largest size whose multiplication axiom runs in a

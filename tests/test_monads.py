@@ -109,3 +109,55 @@ def test_the_bit_decoder_writes_the_plain_numeral_at_every_width():
         decode = _bit_decoder(width)
         for mask in {0, (1 << width) - 1, *(rng.getrandbits(width) for _ in range(5))}:
             assert decode(mask) == tuple((mask >> (width - 1 - i)) & 1 for i in range(width))
+
+
+def test_orbit_representatives_are_one_map_per_orbit():
+    # Brute force: each f: X_n -> X_m is named by the least tau.f.sigma over
+    # S_n x S_m, and the representatives name every orbit exactly once.
+    from itertools import permutations, product
+
+    from barrlab.monads import _orbit_representatives
+
+    def orbit(fv, n, m):
+        return min(tuple(tau[fv[x]] for x in sigma)
+                   for sigma in permutations(range(n)) for tau in permutations(range(m)))
+
+    for n in range(5):
+        for m in range(5):
+            orbits = {orbit(fv, n, m) for fv in product(range(m), repeat=n)}
+            named = sorted(orbit(fv, n, m) for fv in _orbit_representatives(n, m))
+            assert named == sorted(orbits), (n, m)
+
+
+def test_the_generators_generate_each_symmetric_group():
+    from math import factorial
+
+    from barrlab.monads import _generators
+
+    for n in range(2, 7):
+        group, frontier = set(), set(_generators(n))
+        while frontier:
+            group |= frontier
+            frontier = {tuple(p[s[x]] for x in range(n))
+                        for p in frontier for s in _generators(n)} - group
+        assert len(group) == factorial(n)
+
+
+def test_a_passing_map_composition_is_decided_on_the_orbit_pass(monkeypatch):
+    # At --max-size 4 the orbit pass compares 7,566 pairs f, g; the full scan
+    # alone would compare 133,799, so it never ran.
+    import barrlab.monads as monads
+
+    pairs = []
+    differences = monads._composition_differences
+
+    def spy(fv, into_y, gvs, into_z):
+        gvs = list(gvs)
+        pairs.append(len(gvs))
+        return differences(fv, into_y, gvs, into_z)
+
+    monkeypatch.setattr(monads, "_composition_differences", spy)
+    report = check_monad_laws(maybe_monad(), 4)
+    assert report.passed
+    assert sum(c.law == "map-composition" for c in report.checks) == 5 ** 3
+    assert sum(pairs) == 7566
