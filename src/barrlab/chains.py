@@ -6,46 +6,54 @@ lemma checks.
 
 The limit itself is never materialised (it is typically uncountable); a
 point of the limit at finite depth is its representative at the top level,
-from which the connecting maps give the ones below.  Each level algebra is
-`lift_algebra` of the one below, kept as it returns it, and holds its
-structure as one table of positions.  The two lemma checks state each law
-as two such tables over M C, composed and compared in `finset`, and
-`reports.table_failures` decodes the first position where they differ.
+from which the connecting maps give the ones below.  A chain knows its
+levels' sizes from the start and builds a level on its first read; its
+connecting maps and the initial chain's forward maps are computed from
+the positions of the map one level down (`functors.arrow_table`).  Each
+level algebra is `lift_algebra` of the one below, kept as it returns it,
+and holds its structure as one table of positions.  The two lemma checks
+state each law as two such tables over M C, composed and compared in
+`finset`, and `reports.table_failures` decodes the first position where
+they differ.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .algebras import EMAlgebra, terminal_algebra
-from .errors import (DepthExceeded, DomainMismatch, InputError, NotCauchy,
-                     ZeroObjectViolation)
+from .errors import (BlowUpGuard, DepthExceeded, DomainMismatch, InputError, NotCauchy,
+                     ZeroObjectViolation, blowup_limit)
 from .finset import (EMPTY, TERMINAL, Element, FinFn, FinSet, compose, from_empty, tabulate,
                      to_terminal)
-from .functors import FunctorExpr, arrow
+from .functors import FunctorExpr, arrow, arrow_table, cardinality
 from .lifting import DistLawEM, lift_algebra, lift_coalgebra
 from .reports import LawReport, table_failures
 
 
 class TerminalChain:
-    """Levels 1, H1, H^2 1, ... with the connecting maps pointing down."""
+    """Levels 1, H1, H^2 1, ... with the connecting maps pointing down.
+    The levels' sizes are known from the start; each level is built on its
+    first read (`levels`)."""
 
-    def __init__(self, H: FunctorExpr, levels: list[FinSet]):
+    def __init__(self, H: FunctorExpr, sizes: list[int]):
         self.H = H
-        self.levels = levels
+        self.levels = ChainLevels(H, sizes)
 
     @functools.cached_property
     def connect(self) -> list[FinFn]:
-        """connect[n]: levels[n+1] -> levels[n], all tabulated on the first
+        """connect[n]: levels[n+1] -> levels[n], all built on the first
         read: t_0 is the map to the terminal level and t_n = H(t_{n-1}),
-        tabulated on levels the chain holds and named by its level."""
-        connect = [to_terminal(self.levels[1])] if self.depth else []
+        computed from t_{n-1}'s positions and named by its level."""
+        levels, sizes = self.levels, self.levels.sizes
+        connect = [to_terminal(levels[1])] if self.depth else []
         for n in range(1, self.depth):
-            connect.append(tabulate(self.levels[n + 1], self.levels[n],
-                                    arrow(self.H, connect[-1]), name=f"t{n}"))
+            connect.append(FinFn(levels[n + 1], levels[n], arrow_table(
+                self.H, connect[-1].positions, sizes[n], sizes[n - 1]), name=f"t{n}"))
         return connect
 
     @property
@@ -72,14 +80,48 @@ class TerminalChain:
         return f"TerminalChain({self.H}, depth {self.depth})"
 
 
+class ChainLevels(Sequence):
+    """The levels 0..depth of a terminal chain, read as a list: level n+1
+    is H(level n), built on the first read of a level at or above it, in
+    a loop from the highest level built so far.  `sizes` are the levels'
+    sizes, known without building any."""
+
+    def __init__(self, H: FunctorExpr, sizes: list[int]):
+        self.sizes = sizes
+        self._H = H
+        self._built = [TERMINAL]
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            return [self[i] for i in range(*n.indices(len(self)))]
+        n = range(len(self))[n]
+        built = self._built
+        while len(built) <= n:
+            # build_terminal_chain held this level's size to the guard.
+            built.append(self._H.image(built[-1]))
+        return built[n]
+
+
 def build_terminal_chain(H: FunctorExpr, depth: int) -> TerminalChain:
-    """Materialise the first `depth` levels under the blow-up guard."""
+    """The chain to `depth`, with every level's size held to the blow-up
+    guard up front and no level built yet."""
     if depth < 0:
         raise InputError("depth must be >= 0")
-    levels = [TERMINAL]
+    limit = blowup_limit()
+    sizes = [1]
     for n in range(depth):
-        levels.append(H(levels[n]))
-    return TerminalChain(H, levels)
+        size = cardinality(H, sizes[-1])
+        if size > limit:
+            # The message eval_functor gives on level n, named as H names it.
+            name = "1"
+            for _ in range(n):
+                name = f"{H}({name})"
+            raise BlowUpGuard(size, f"evaluating {H} on {name}")
+        sizes.append(size)
+    return TerminalChain(H, sizes)
 
 
 def anamorphism(C: FinSet, xi: FinFn, n: int, chain: TerminalChain) -> list[FinFn]:
@@ -183,7 +225,7 @@ def distance(x: LimitPoint, y: LimitPoint, probe_depth: int) -> DyadicDist:
     Distances finer than the probe are reported as a bound, never rounded
     to zero: equality in the limit is only semi-decidable at finite depth.
     """
-    if x.chain is not y.chain and x.chain.levels != y.chain.levels:
+    if x.chain is not y.chain and list(x.chain.levels) != list(y.chain.levels):
         raise DomainMismatch("points live on different chains")
     for n in range(probe_depth + 1):
         if x.rep(n) != y.rep(n):
@@ -280,11 +322,11 @@ def build_initial_chain(law: DistLawEM, chain: TerminalChain) -> InitialChain:
     # not built.
     value = lift_algebra(law, terminal_algebra(M)).structure_at(seed)
     bang = tabulate(lvl0, lvl1, lambda _x: value, name="!")
-    forward = [bang]
+    forward, sizes = [bang], chain.levels.sizes
     for n in range(1, chain.depth):
-        # f_n = H(f_{n-1}), named by its level as the connecting maps are.
-        forward.append(tabulate(chain.levels[n], chain.levels[n + 1],
-                                arrow(chain.H, forward[-1]), name=f"f{n}"))
+        # f_n = H(f_{n-1}), computed and named as the connecting maps are.
+        forward.append(FinFn(chain.levels[n], chain.levels[n + 1], arrow_table(
+            chain.H, forward[-1].positions, sizes[n - 1], sizes[n]), name=f"f{n}"))
     return InitialChain(chain, forward)
 
 

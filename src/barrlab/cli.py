@@ -218,13 +218,17 @@ def cmd_diff_liftings(args):
 
 def cmd_chain(args):
     H = load_functor(_load_doc(args.functor, "functor"))
+    # The sizes are known without building a level; inspect builds levels
+    # 0..--level and no further.
     chain = build_terminal_chain(H, args.depth)
     result = {
         "functor": str(H),
         "depth": chain.depth,
-        "level_sizes": [len(chain.level(n)) for n in range(chain.depth + 1)],
+        "level_sizes": chain.levels.sizes,
     }
     if args.mode == "inspect" and args.level is not None:
+        if not 0 <= args.level <= chain.depth:
+            raise InputError(f"--level must be in 0..{chain.depth} (--depth), got {args.level}")
         lvl = chain.level(args.level)
         result["level"] = args.level
         result["elements"] = lvl.elements
@@ -241,11 +245,13 @@ def _state(aut, text: str):
 
 
 def cmd_anamorphism(args):
+    if args.level < 0:
+        raise InputError(f"--level must be >= 0, got {args.level}")
     aut = load_automaton(_load_doc(args.automaton, "automaton"))
     C, xi = aut.as_coalgebra()
     state = _state(aut, args.state)
     # Only the leg at --level is read, so the chain stops there.
-    chain = build_terminal_chain(aut.H, max(args.level, 0))
+    chain = build_terminal_chain(aut.H, args.level)
     leg = anamorphism(C, xi, args.level, chain)[-1]
     return {"state": state, "level": args.level, "element": leg(state)}, True
 

@@ -5,20 +5,25 @@ a finite exponent set, and composition.  Expressions evaluate on sets
 (`eval_functor`), and each expression keeps its images, as a monad keeps
 M X: `H(X)` evaluates H X on the first call at a carrier, and every later
 call there, whoever makes it, reads the same set.  The arrow action comes
-in two forms: `map_element`, pointwise by the definition, and `arrow`,
-which resolves H f once as a function of one element; the library uses
-`arrow` and tabulates H f, where it needs a table, on sets it already
-holds.
+in three forms: `map_element`, pointwise by the definition, which the
+tests compare the others against; `arrow`, which resolves H f once as a
+function of one element, for maps evaluated at a few points or on a
+domain other than H X (anamorphism legs, liftings, law axioms); and
+`arrow_table`, H f as positions over H X computed from f's positions
+alone, for the terminal chain's connecting maps and the initial chain's
+forward maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import functools
 import itertools
+import math
 
+from .errors import DomainMismatch
 from .finset import Element, FinSet, LazyTable, guard_size
 
 
@@ -28,6 +33,15 @@ class FunctorExpr:
 
     def __call__(self, X: FinSet) -> FinSet:
         return self._images[X]
+
+    def image(self, X: FinSet) -> FinSet:
+        """`H(X)`, kept as `H(X)` keeps it, for a caller that has already
+        held |H X| to the guard: H X is enumerated without the guard's
+        second walk of the expression."""
+        image = self._images.get(X)
+        if image is None:
+            image = self._images[X] = _image(self, X)
+        return image
 
     @functools.cached_property
     def _images(self) -> LazyTable:
@@ -117,6 +131,10 @@ def cardinality(expr: FunctorExpr, n: int) -> int:
 def eval_functor(expr: FunctorExpr, X: FinSet) -> FinSet:
     """Apply the functor to a set; enumeration order is canonical."""
     guard_size(cardinality(expr, len(X)), f"evaluating {expr} on {X.name}")
+    return _image(expr, X)
+
+
+def _image(expr: FunctorExpr, X: FinSet) -> FinSet:
     return FinSet(f"{expr}({X.name})", _enumerate(expr, X))
 
 
@@ -181,6 +199,51 @@ def arrow(expr: FunctorExpr, fn: Callable) -> Callable[[Element], Element]:
         return lambda el: tuple(map(body, el))
     if isinstance(expr, Compose):
         return arrow(expr.outer, arrow(expr.inner, fn))
+    raise TypeError(f"not a functor expression: {expr!r}")
+
+
+def arrow_table(expr: FunctorExpr, f_positions: Sequence[int], n: int, m: int) -> tuple:
+    """H f as positions over H X, in `eval_functor`'s order, for f: X -> Y
+    given as positions, with |X| = n and |Y| = m.  Pure arithmetic on
+    positions: a constant keeps each position, a product or power is mixed
+    radix with the first factor most significant, a coproduct adds each
+    summand's offset, and a composite nests.  No intermediate table is
+    longer than H X or a sub-image that `eval_functor` enumerates for it,
+    so it needs no guard of its own."""
+    if len(f_positions) != n:
+        raise DomainMismatch(f"arrow_table: {len(f_positions)} positions for a domain of {n}")
+    return tuple(_arrow_table(expr, f_positions, m)[0])
+
+
+def _arrow_table(expr: FunctorExpr, f: Sequence[int], m: int) -> tuple[Sequence[int], int]:
+    """(H f as positions, |H Y|) for f: X -> Y as positions and |Y| = m."""
+    if isinstance(expr, Const):
+        k = len(expr.value)
+        return range(k), k
+    if isinstance(expr, Id):
+        return f, m
+    if isinstance(expr, (Prod, Power)):
+        parts = ([_arrow_table(g, f, m) for g in expr.factors] if isinstance(expr, Prod)
+                 else [_arrow_table(expr.body, f, m)] * len(expr.exponent))
+        size = math.prod(radix for _, radix in parts)
+        if not all(t for t, _ in parts):
+            # An empty factor empties H X: stop before a partial product
+            # of the factors before it outgrows H X.
+            return (), size
+        table = parts[0][0] if parts else (0,)
+        for t, radix in parts[1:]:
+            table = [high + low for high in map(radix.__mul__, table) for low in t]
+        return table, size
+    if isinstance(expr, Coprod):
+        table, offset = [], 0
+        for s in expr.summands:
+            t, size = _arrow_table(s, f, m)
+            table.extend(map(offset.__add__, t))
+            offset += size
+        return table, offset
+    if isinstance(expr, Compose):
+        inner, size = _arrow_table(expr.inner, f, m)
+        return _arrow_table(expr.outer, inner, size)
     raise TypeError(f"not a functor expression: {expr!r}")
 
 

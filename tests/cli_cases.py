@@ -251,7 +251,20 @@ CASES = [
     case(0, "anamorphism, two letters, level 2", "anamorphism", "--automaton", AUTOMATON_Z2,
          "--state", "s0", "--level", "2"),
     case(2, "anamorphism, level -1", "anamorphism", "--automaton", AUTOMATON_Z2,
-         "--state", "s0", "--level", "-1"),
+         "--state", "s0", "--level", "-1",
+         out=text_error("InputError", "--level must be >= 0, got -1")),
+    case(2, "chain inspect, level 7 of a depth-3 chain", "chain", "inspect", "--functor",
+         "moore:z2:1letter", "--depth", "3", "--level", "7",
+         out=text_error("InputError", "--level must be in 0..3 (--depth), got 7")),
+    # Levels are built on first read, so a deep chain of one-element levels
+    # is read in a loop, and a level above --level still trips the guard.
+    case(0, "chain inspect, level 2500 of a depth-3000 identity chain", "chain", "inspect",
+         "--functor", "id", "--depth", "3000", "--level", "2500"),
+    case(2, "chain inspect, moore:z2:2letters past the guard above --level", "chain",
+         "inspect", "--functor", "moore:z2:2letters", "--depth", "6", "--level", "1",
+         out=text_error("BlowUpGuard", "enumeration of 2147483648 elements exceeds the guard "
+                        "(1000000) while evaluating (z2*(X^A)) on (z2*(X^A))((z2*(X^A))("
+                        "(z2*(X^A))((z2*(X^A))(1))))")),
     case(2, "distance, 1200-letter word key", "distance",
          "--left", {"alphabet": ["t"], "bound": 3, "coefficients": {"t" * 1200: 1}},
          "--right", {"alphabet": ["t"], "bound": 3, "coefficients": {"t" * 1200: 1}},
@@ -543,7 +556,7 @@ CASES = [
          out='"element": [1, [[1, ["*"]]]]'),
     case(2, "anamorphism, level -1 of an inline automaton", "anamorphism",
          "--automaton", one_state(["a"]), "--state", "s", "--level", "-1", *JSON,
-         out=error("DepthExceeded", "level -1 of a depth-0 chain")),
+         out=error("InputError", "--level must be >= 0, got -1")),
     *(case(0, f"chain build, {label}", "chain", "build", "--functor", functor,
            "--depth", "2", *JSON, out=f'"level_sizes": {sizes}')
       for label, functor, sizes in (

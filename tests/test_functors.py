@@ -1,9 +1,10 @@
 import pytest
 
-from barrlab import (BlowUpGuard, Compose, Const, Coprod, FinSet, Id, Power,
-                     Prod, all_functions, carrier, eval_functor, tabulate,
+from barrlab import (BlowUpGuard, Compose, Const, Coprod, DomainMismatch, FinSet, Id,
+                     Power, Prod, all_functions, carrier, eval_functor, tabulate,
                      moore_functor)
-from barrlab.functors import arrow, cardinality, map_element
+from barrlab.functors import arrow, arrow_table, cardinality, map_element
+from barrlab.jsonio import load_distlaw_em, load_distlaw_kl, load_functor
 
 A1 = FinSet("A", ("a",))
 K2 = FinSet("k", (0, 1))
@@ -101,6 +102,51 @@ def test_arrow_agrees_with_map_element(expr):
                 h_f = arrow(expr, f)
                 for el in eval_functor(expr, X):
                     assert h_f(el) == map_element(expr, f, el)
+
+
+EMPTY_K = FinSet("0", ())
+
+# Every node kind for arrow_table: an empty constant alone, as a product's
+# factor and as a summand; products of two and three factors whose radix
+# order shows; and nested mixes.
+TABLE_CORPUS = ARROW_CORPUS + [
+    Const(EMPTY_K),
+    Prod(Const(EMPTY_K), Id()),
+    Prod(Id(), Power(E2, Id()), Const(EMPTY_K)),
+    Prod(Id(), Const(K2), Id()),
+    Prod(Id(), Id(), Id()),
+    Coprod(Const(EMPTY_K), Id(), Const(K2)),
+    Coprod(Power(E2, Id()), Prod(Id(), Const(K2))),
+    Compose(Coprod(Id(), Prod(Id(), Id())), Power(E2, Id())),
+    Compose(Power(E2, Compose(Id(), Prod(Const(K2), Id()))), Coprod(Const(A1), Id())),
+]
+
+# The functor of every builtin shorthand: `chain --functor`'s, each EM law
+# family's H and the Kleisli family's T.
+SHORTHAND_FUNCTORS = (
+    [load_functor(s) for s in ("id", "moore:z2:1letter", "moore:z3:2letters")]
+    + [load_distlaw_em(s).H for s in ("gset-z2-mult", "gset-s3-conj", "moore:bool:2letters",
+                                      "pointed:2:maybe", "pointed:3:exception")]
+    + [load_distlaw_kl("words:2letters:maybe").T])
+
+
+@pytest.mark.parametrize("expr", TABLE_CORPUS + SHORTHAND_FUNCTORS, ids=str)
+def test_arrow_table_agrees_with_arrow_and_map_element(expr):
+    for m in range(4):
+        for n in range(4):
+            X, Y = carrier(m), carrier(n)
+            HX, HY = eval_functor(expr, X), eval_functor(expr, Y)
+            for f in all_functions(X, Y):
+                table = arrow_table(expr, f.positions, m, n)
+                assert type(table) is tuple
+                assert table == tabulate(HX, HY, arrow(expr, f)).positions
+                assert [HY.elements[p] for p in table] == [
+                    map_element(expr, f, el) for el in HX]
+
+
+def test_arrow_table_checks_the_domain_size():
+    with pytest.raises(DomainMismatch):
+        arrow_table(Id(), (0, 1), 3, 2)
 
 
 def test_coproduct_tags_are_preserved():
