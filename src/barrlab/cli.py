@@ -217,6 +217,8 @@ def cmd_diff_liftings(args):
 
 
 def cmd_chain(args):
+    if args.mode == "build" and args.level is not None:
+        raise InputError("--level is read only by chain inspect, not chain build")
     H = load_functor(_load_doc(args.functor, "functor"))
     # The sizes are known without building a level; inspect builds levels
     # 0..--level and no further.

@@ -256,6 +256,9 @@ CASES = [
     case(2, "chain inspect, level 7 of a depth-3 chain", "chain", "inspect", "--functor",
          "moore:z2:1letter", "--depth", "3", "--level", "7",
          out=text_error("InputError", "--level must be in 0..3 (--depth), got 7")),
+    case(2, "chain build, --level 7", "chain", "build", "--functor", "id", "--depth", "3",
+         "--level", "7",
+         out=text_error("InputError", "--level is read only by chain inspect, not chain build")),
     # Levels are built on first read, so a deep chain of one-element levels
     # is read in a loop, and a level above --level still trips the guard.
     case(0, "chain inspect, level 2500 of a depth-3000 identity chain", "chain", "inspect",

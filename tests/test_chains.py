@@ -11,12 +11,15 @@ from barrlab import (Const, DepthExceeded, DomainMismatch, DyadicDist, EMAlgebra
                      check_em_algebra, check_projection_morphisms,
                      colim_to_lim, density_map, distance, eval_functor, gset_distlaws,
                      maybe_monad, pointed_law, semimodule_moore_law)
-from barrlab.chains import _standin
+from barrlab import chains
+from barrlab.chains import TerminalChain, _standin
+from barrlab.cli import main
 from barrlab.finset import tabulate, to_terminal
 from barrlab.functors import map_element
 from barrlab.jsonio import load_distlaw_em
 from barrlab.lifting import DistLawEM, lift_coalgebra
 from barrlab.series import TruncatedSeries, decode_series, encode_series, words_below
+from test_cli import MAYBE_UP_TO_1
 
 
 @pytest.fixture(scope="module")
@@ -503,6 +506,61 @@ def test_mutated_law_reports_are_pinned(z2_setup, name):
     assert (json.dumps(check_projection_morphisms(bad, chain, 3).to_json())
             == json.dumps(projection))
     assert json.dumps(check_cone_coincidence(bad, chain, 3).to_json()) == json.dumps(cone)
+
+
+def _spy(monkeypatch, owner, name, calls, when=lambda *args: True):
+    """Wrap owner.name so that each call whose arguments `when` accepts is
+    appended to `calls`."""
+    real = getattr(owner, name)
+
+    def spied(*args):
+        if when(*args):
+            calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, spied)
+
+
+def test_a_passing_lemma2_decides_each_level_over_m_of_the_level_above(monkeypatch, capsys):
+    # Each level n+1->n takes M t_n over M(level n+1), so the check itself
+    # takes one arrow table over M C = M(level 4), that of t_3, and builds no
+    # truncation and no table of the M C route.  The law's own arrow tables
+    # are taken inside the level tables and are left out.
+    chain = build_terminal_chain(load_distlaw_em("moore:z2:1letter").H, 5)
+    inside, arrow_tables, truncations, projected = [], [], [], []
+    real_table = LevelAlgebras.table
+
+    def table(levels, n):
+        inside.append(n)
+        try:
+            return real_table(levels, n)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(LevelAlgebras, "table", table)
+    _spy(monkeypatch, SemimoduleMonad, "arrow_table", arrow_tables, lambda *args: not inside)
+    _spy(monkeypatch, TerminalChain, "truncation", truncations)
+    _spy(monkeypatch, chains, "_projected", projected)
+    assert main(["lemma2", "--law", "moore:z2:1letter", "--levels", "4"]) == 0
+    assert "verdict: PASS" in capsys.readouterr().out
+    over_mc = [(tuple(f), cod) for _, f, dom, cod in arrow_tables if dom == chain.level(4)]
+    assert over_mc == [(chain.connect[3].positions, chain.level(3))]
+    assert len(arrow_tables) == 4
+    assert truncations == projected == []
+
+
+def test_a_table_monad_law_is_decided_over_m_c(monkeypatch):
+    # A table monad's arrow tables are not known to compose, so lemma2 keeps
+    # the route over M C: every level's table after M of its truncation.
+    law = load_distlaw_em({"monad": MAYBE_UP_TO_1, "family": "identity"})
+    chain = build_terminal_chain(law.H, 4)
+    projected = []
+    _spy(monkeypatch, chains, "_projected", projected)
+    assert check_projection_morphisms(law, chain, 3).to_json() == {
+        "subject": "projection morphisms for identity[maybe01]", "passed": True,
+        "checks": _lemma_checks(*(("projection-morphism", f"level {n + 1}->{n}", None)
+                                  for n in range(3)))}
+    assert [args[2] for args in projected] == [0, 1, 2, 3]
 
 
 def test_zero_object_condition(z2_setup, s3):

@@ -3,7 +3,8 @@ reference checkers that evaluate every law element by element: identical
 JSON reports, or the same error, on the same inputs.  The monad laws, the
 algebra laws, the axioms of a distributive law and the commuting-pair
 square are compared, and an algebra's table against its tabulated
-structure."""
+structure.  `lemma2`, which decides each level over M of the level above,
+is compared with the same check decided over M C."""
 
 import json
 import random
@@ -11,18 +12,22 @@ from pathlib import Path
 
 import pytest
 
-from barrlab import (TERMINAL, EMAlgebra, FinFn, FinSet, InputError, carrier, check_commuting,
-                     check_distlaw_em, check_em_algebra, check_monad_laws, free_algebra,
+from barrlab import (TERMINAL, EMAlgebra, FinFn, FinSet, InputError, build_terminal_chain,
+                     carrier, check_commuting, check_distlaw_em, check_em_algebra,
+                     check_monad_laws, check_projection_morphisms, free_algebra,
                      partner_for_product, tabulate, terminal_algebra)
+from barrlab.chains import _projected, _standin
 from barrlab.compair import CommutingCandidate
 from barrlab.errors import blowup_limit
-from barrlab.finset import LazyTable, canonical_carriers, function_values
+from barrlab.finset import LazyTable, canonical_carriers, compose, function_values
 from barrlab.functors import arrow, cardinality
 from barrlab.jsonio import load_candidate, load_distlaw_em, load_monad
 from barrlab.lifting import (ComponentFamily, DistLawEM, SemimoduleFunctorLaw, lift_algebra,
                              naturality_failures, semiring_algebra)
 from barrlab.monads import FinMonad
-from barrlab.reports import LawReport
+from barrlab.reports import LawReport, table_failures
+from test_chains import CORRUPTIONS, _Corrupted
+from test_tables import LAWS, TOPS
 
 INPUTS = Path(__file__).parent / "golden" / "inputs"
 
@@ -604,3 +609,58 @@ def test_algebra_tables_match_their_tabulated_structure(shorthand):
         algebra = EMAlgebra(M, C, given)
         assert algebra.structure() == given
         assert list(algebra.table()) == list(EMAlgebra(M, C, given.__call__).table())
+
+
+# ---------------------------------------------------------------------------
+# lemma2 over M C
+
+
+def reference_projection_morphisms(law, chain, depth):
+    """`check_projection_morphisms` decided over M C at every level: the two
+    sides of level n+1->n, t_n . alpha_{n+1} and alpha_n . M t_n, each
+    after M(trunc_{depth->n+1})."""
+    M = law.M
+    levels, C = _standin(law, chain, depth)
+    M.guard(C)
+    projected = [_projected(levels, depth, n) for n in range(depth + 1)]
+    report = LawReport(f"projection morphisms for {law.name}")
+    for n in range(depth):
+        connected = compose(chain.connect[n].positions, projected[n + 1])
+        report.first("projection-morphism", f"level {n + 1}->{n}", table_failures(
+            {"level": n}, lambda p: M.apply(C).elements[p], chain.level(n), connected,
+            projected[n], ("connected", "direct")))
+    return report
+
+
+def assert_lemma2_agrees(make_law, depth):
+    def run(check):
+        # A fresh law and chain on each side, so that neither reads the
+        # other's memos.
+        law = make_law()
+        return outcome(check, law, build_terminal_chain(law.H, depth + 1), depth)
+
+    got = run(check_projection_morphisms)
+    assert got == run(reference_projection_morphisms)
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(TOPS))
+def test_lemma2_matches_the_check_over_m_c(name):
+    for depth in range(TOPS[name] + 1):
+        assert_lemma2_agrees(LAWS[name], depth)
+
+
+@pytest.mark.parametrize("where", sorted(CORRUPTIONS))
+@pytest.mark.parametrize("level", (1, 2, 3))
+def test_lemma2_on_a_corrupted_law_matches_the_check_over_m_c(level, where):
+    # A component corrupted at level k changes alpha_{k+1}, and every level
+    # from k+1->k up fails; at level 3 of a depth-4 check that is only the
+    # top level, 4->3.
+    def make_law():
+        law = load_distlaw_em("moore:z2:1letter")
+        return _Corrupted(law, build_terminal_chain(law.H, level).level(level),
+                          CORRUPTIONS[where])
+
+    report = json.loads(assert_lemma2_agrees(make_law, 4))
+    failed = [c["instance"] for c in report["checks"] if c["status"] == "fail"]
+    assert failed == [f"level {n + 1}->{n}" for n in range(level, 4)]
