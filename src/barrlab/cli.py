@@ -3,9 +3,10 @@ constructions, emit text or JSON reports.
 
 Exit codes: 0 all checks passed, 1 a counterexample was found, 2 input or
 validation error (bad documents, zero-object violations, non-finite monads,
-blow-up guard, a search stopped at its cap).  Reports echo the command,
-seed and tool version and are byte-stable for a fixed config, inputs and
-seed (modulo the timing field).
+blow-up guard, a search stopped at its cap), 3 any other error, a fault in
+barrlab itself, reported with the same error payload and no traceback.
+Reports echo the command, seed and tool version and are byte-stable for a
+fixed config, inputs and seed (modulo the timing field).
 """
 
 from __future__ import annotations
@@ -462,15 +463,15 @@ def _dest(flag: str) -> str:
     return flag[2:].replace("-", "_")
 
 
-def _error(exc: BarrlabError, config: dict, fmt: str) -> int:
-    """Print the error payload of exc and return its exit code, 2."""
+def _error(exc: Exception, config: dict, fmt: str, code: int = 2) -> int:
+    """Print the error payload of exc and return its exit code."""
     if fmt == "json":
         print(json.dumps({"version": __version__, "config": config,
                           "error": type(exc).__name__, "message": str(exc)}, default=str))
     else:
         print(f"barrlab {__version__} :: {config['command']}")
         print(f"error [{type(exc).__name__}]: {exc}")
-    return 2
+    return code
 
 
 def main(argv=None) -> int:
@@ -496,6 +497,8 @@ def main(argv=None) -> int:
     except RecursionError:
         return _error(InputError("the input or the result nests too deeply "
                                  "(Python's recursion limit)"), config, args.format)
+    except Exception as exc:
+        return _error(exc, config, args.format, code=3)
     print(out)
     return 0 if passed else 1
 

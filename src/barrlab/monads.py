@@ -10,7 +10,9 @@ composing and comparing two such tables (`finset.compose`,
 `finset.differences`) and decodes elements only at the first differing
 position (`reports.table_failures`).  The free
 semimodule monads over Z/2 and the Boolean semiring, and the powerset monad,
-build the tables from bitmasks without enumerating M(M X) or M(M(M X)); the
+build the tables from bitmasks without enumerating M(M X) or M(M(M X)): each
+table is one doubling pass that XORs or ORs a column into every entry at
+once, the entries packed as fields of one integer (`_double`).  The
 other monads fill them element by element.  Iterated applications still
 explode quickly (powerset towers, free semimodules), so the checker runs an
 instance only while its tables fit under the blow-up guard, recording
@@ -24,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import sys
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (BarrlabError, InputError, MissingComponent, NonFinitePreserving,
@@ -181,14 +184,39 @@ class WriterMonad(FinMonad):
         return (self.monoid.op(b1, b2), x)
 
 
+# The memoryview format of an unsigned field of 1, 2, 4 and 8 bytes.
+_FIELD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
 def _double(op: Callable[[int, int], int], cols: Sequence[int]) -> tuple:
-    """Entry p combines with `op` the columns picked by the bits of p, the
-    first column on the top bit.  The table doubles once per column, the
-    last column (the lowest bit) first."""
-    table = (0,)
+    """Entry p combines with `op` (XOR or OR) the columns picked by the bits
+    of p, the first column on the top bit.  The table doubles once per
+    column, the last column (the lowest bit) first.
+
+    The table is held in one int, entry i in the i-th field from the bottom,
+    each field 1, 2, 4 or 8 bytes, the smallest that holds the widest
+    column.  A doubling combines every field at once with the column
+    repeated in each (`col * ones`) and puts the result above: XOR and OR
+    never carry from one field into the next.  The int is read back once,
+    as bytes in native order, through a memoryview of native fields; on a
+    big-endian machine those bytes hold the last field first, so the view
+    is read backwards.  Columns wider than 64 bits, reached only under a
+    blow-up guard of 2**65 or more, are doubled as a tuple instead."""
+    bits = max(cols, default=0).bit_length()
+    width = next((w for w in _FIELD_FORMATS if 8 * w >= bits), None)
+    if width is None:
+        table = (0,)
+        for col in reversed(cols):
+            table += tuple(map(op, table, itertools.repeat(col)))
+        return table
+    packed, ones, size = 0, 1, 1
     for col in reversed(cols):
-        table += tuple(map(op, table, itertools.repeat(col)))
-    return table
+        packed |= op(packed, col * ones) << (8 * width * size)
+        ones |= ones << (8 * width * size)
+        size *= 2
+    fields = memoryview(packed.to_bytes(width * size, sys.byteorder)).cast(
+        _FIELD_FORMATS[width])
+    return tuple(fields if sys.byteorder == "little" else fields[::-1])
 
 
 # The subsets of an n-element set as masks, the first element on the top
@@ -399,7 +427,8 @@ class SemimoduleMonad(FinMonad):
         guard_size(self.card(len(dom)), f"positions over {self.name}({dom.name})")
         if self._op is not None:
             # mu . M h adds, for each nonzero coordinate, the mask h assigns
-            # to it: one doubling over the columns h.
+            # to it: one doubling over the columns h, on the packed fields
+            # of one integer while the masks fit in 64 bits.
             return _double(self._op, h)
         # Coordinate j of mu . M h at el is the sum over x of el_x * h(x)_j,
         # tabulated over M dom one coordinate of dom at a time, like

@@ -22,6 +22,7 @@ reads.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import NamedTuple, Optional, Union
 
@@ -204,6 +205,19 @@ DEEP_DENSITY = ("density", "--functor", "pointed:1:maybe", "--depth", "1200", "-
 GUARD_10 = {"BARRLAB_BLOWUP_GUARD": "10"}
 MACHINE = INPUTS + "machine.json"
 
+
+def deep_result(label: str, *argv) -> Case:
+    """A run whose result nests 1200 deep.  On Python 3.10 and 3.11 json's C
+    encoder counts each level against the recursion limit, so the result is
+    too deep to write and the run exits 2; from 3.12 it does not, and the
+    run writes the result and passes."""
+    as_json = any(pair == JSON for pair in zip(argv, argv[1:]))
+    if sys.version_info >= (3, 12):
+        return case(0, label, *argv, out='"passed": true' if as_json else "verdict: PASS")
+    write = error if as_json else text_error
+    return case(2, label, *argv, out=write("InputError", RECURSION))
+
+
 # ---------------------------------------------------------------------------
 # The cases
 
@@ -370,18 +384,14 @@ CASES = [
     case(0, "distance, key abcd against no coefficients", "distance", "--left", ABCD_SERIES,
          "--right", dict(ABCD_SERIES, coefficients={}), *JSON,
          out='"result": {"agree_depth": 2}'),
-    case(2, "chain inspect, elements nested 1200 deep", *DEEP_CHAIN,
-         out=text_error("InputError", RECURSION)),
-    case(2, "chain inspect, elements nested 1200 deep, json", *DEEP_CHAIN, *JSON,
-         out=error("InputError", RECURSION)),
+    deep_result("chain inspect, elements nested 1200 deep", *DEEP_CHAIN),
+    deep_result("chain inspect, elements nested 1200 deep, json", *DEEP_CHAIN, *JSON),
     case(2, "check-monad, inline document nested 20000 deep", "check-monad", NESTED_DOCUMENT,
          out=text_error("InputError", RECURSION)),
     case(2, "check-monad, inline document nested 20000 deep, json", "check-monad",
          NESTED_DOCUMENT, *JSON, out=error("InputError", RECURSION)),
-    case(2, "density, a point nested 1200 deep", *DEEP_DENSITY, "--format", "text",
-         out=text_error("InputError", RECURSION)),
-    case(2, "density, a point nested 1200 deep, json", *DEEP_DENSITY, *JSON,
-         out=error("InputError", RECURSION)),
+    deep_result("density, a point nested 1200 deep", *DEEP_DENSITY, "--format", "text"),
+    deep_result("density, a point nested 1200 deep, json", *DEEP_DENSITY, *JSON),
     case(0, "lemma2, moore:z2:1letter at level 4", "lemma2", "--law", "moore:z2:1letter",
          "--levels", "4"),
     # H(M X1) has 2 * 2^19 elements: the mult axiom at X1 is skipped by that

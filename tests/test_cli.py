@@ -387,3 +387,24 @@ def test_a_tower_above_the_guard_prints_its_size_or_the_guard(capsys, monkeypatc
            if c["status"] == "skipped"}
     assert got == detail
     assert all(SKIP_REASON.match(reason) for reason in got.values()), got
+
+
+def test_any_other_exception_exits_3_with_the_error_payload(capsys, monkeypatch):
+    import barrlab.cli as cli
+
+    def broken(args):
+        raise ValueError("a fault inside a command")
+
+    monkeypatch.setitem(cli.COMMANDS, "words", (broken, cli.COMMANDS["words"][1]))
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    code = main(["words", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 3
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert (payload["error"], payload["message"]) == ("ValueError", "a fault inside a command")
+    assert "Traceback" not in captured.err
+    assert main(["words"]) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "error [ValueError]: a fault inside a command")

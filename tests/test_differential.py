@@ -4,9 +4,12 @@ JSON reports, or the same error, on the same inputs.  The monad laws, the
 algebra laws, the axioms of a distributive law and the commuting-pair
 square are compared, and an algebra's table against its tabulated
 structure.  `lemma2`, which decides each level over M of the level above,
-is compared with the same check decided over M C."""
+is compared with the same check decided over M C, and the packed bit kernel
+`monads._double` with a doubling of tuples."""
 
+import itertools
 import json
+import operator
 import random
 from pathlib import Path
 
@@ -24,7 +27,7 @@ from barrlab.functors import arrow, cardinality
 from barrlab.jsonio import load_candidate, load_distlaw_em, load_monad
 from barrlab.lifting import (ComponentFamily, DistLawEM, SemimoduleFunctorLaw, lift_algebra,
                              naturality_failures, semiring_algebra)
-from barrlab.monads import FinMonad
+from barrlab.monads import FinMonad, _double
 from barrlab.reports import LawReport, table_failures
 from test_chains import CORRUPTIONS, _Corrupted
 from test_tables import LAWS, TOPS
@@ -376,6 +379,77 @@ def test_a_corrupted_digit_table_is_noticed(monkeypatch):
     monkeypatch.setattr(SemimoduleMonad, "_index_tables", property(corrupted))
     with pytest.raises(AssertionError):
         assert_monad_checks_agree(lambda: load_monad("semimodule:z3"), 2)
+
+
+def reference_double(op, cols):
+    """The bit kernel as a tuple that doubles once per column, the last
+    column first: entry p combines the columns picked by the bits of p."""
+    table = (0,)
+    for col in reversed(cols):
+        table += tuple(map(op, table, itertools.repeat(col)))
+    return table
+
+
+@pytest.mark.parametrize("op", (operator.xor, operator.or_))
+@pytest.mark.parametrize("bits", (1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 70))
+def test_the_packed_kernel_matches_the_tuple_doubling(op, bits):
+    # The widest column has exactly `bits` bits, so fields of 1, 2, 4 and 8
+    # bytes are each taken on both sides of their bound, and above 64 bits
+    # the tuple route.
+    rng = random.Random(bits)
+    for count in range(13):
+        cols = [rng.getrandbits(bits) for _ in range(count)]
+        if cols:
+            cols[rng.randrange(count)] |= 1 << (bits - 1)
+        table = _double(op, cols)
+        assert type(table) is tuple
+        assert table == reference_double(op, cols)
+
+
+@pytest.mark.parametrize("op", (operator.xor, operator.or_))
+def test_the_packed_kernel_takes_a_range(op):
+    # `mult_table` passes the positions of M X as a range.
+    for n in (0, 1, 2, 9, 16):
+        table = _double(op, range(n))
+        assert type(table) is tuple
+        assert table == reference_double(op, range(n))
+
+
+@pytest.mark.parametrize("shorthand", ("semimodule:z2", "semimodule:bool"))
+def test_tables_into_a_70_point_carrier_match_the_resolved_arrow(shorthand, monkeypatch):
+    # A position in M X70 is a 70-bit numeral, wider than the widest packed
+    # field, so the tables take the kernel's tuple route.  M X70 has 2**70
+    # elements: the guard is raised above it, and M X70 is never built.
+    monkeypatch.setenv("BARRLAB_BLOWUP_GUARD", str(2 ** 72))
+    M = load_monad(shorthand)
+    X2, X70 = FinSet("X2", range(2)), FinSet("X70", range(70))
+
+    def numeral(vector):
+        return int("".join(map(str, vector)), 2)
+
+    def vector(position):
+        return tuple(map(int, format(position, "070b")))
+
+    f = (69, 0)
+    m_f = M.arrow(f.__getitem__, X2, X70)
+    assert M.arrow_table(f, X2, X70) == tuple(numeral(m_f(el)) for el in M.apply(X2))
+    assert M.arrow_table(f, X2, X70) == (0, 2 ** 69, 1, 2 ** 69 + 1)
+
+    # The two vectors share coordinate 40, where XOR and OR differ.
+    h = (2 ** 69 + 2 ** 40 + 1, 2 ** 40 + 2 ** 3)
+
+    def mu_m_h(el):
+        # The sum, coordinate by coordinate, of the vectors h picks at the
+        # nonzero coordinates of el.
+        total = vector(0)
+        for x, c in enumerate(el):
+            if c:
+                total = tuple(map(M.k.add, total, vector(h[x])))
+        return numeral(total)
+
+    expected = tuple(map(mu_m_h, M.apply(X2)))
+    assert M.kleisli_table(h, X2, X70) == expected
+    assert expected[3] == (h[0] ^ h[1] if shorthand == "semimodule:z2" else h[0] | h[1])
 
 
 def test_kernel_monads_never_enumerate_the_towers(monkeypatch):
